@@ -24,7 +24,9 @@
 //! globals are dynamic at entry**; target text is rt-static, so
 //! `FetchToken` of an rt-static stream is rt-static.
 
+use facile_ir::bitset::{ones, BitSet};
 use facile_ir::ir::*;
+use facile_sema::GlobalId;
 
 /// A binding time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -53,64 +55,125 @@ impl Bt {
 }
 
 /// Binding times of every variable and global at one program point.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Stored as two bit planes over one dense slot space — variable `v` is
+/// slot `v`, global `g` is slot `nvars + g`:
+///
+/// * `rt` holds the slots that are at least run-time static,
+/// * `dy` holds the slots that are dynamic (always a subset of `rt`).
+///
+/// The three-point lattice maps onto the planes monotonically (static is
+/// neither bit, dynamic is both), so a join is a word-wise OR of each
+/// plane.
+#[derive(Debug)]
 pub struct Env {
-    /// Per-variable binding times.
-    pub vars: Vec<Bt>,
-    /// Per-global binding times.
-    pub globals: Vec<Bt>,
+    rt: BitSet,
+    dy: BitSet,
+    nvars: usize,
+}
+
+impl Clone for Env {
+    fn clone(&self) -> Self {
+        Env {
+            rt: self.rt.clone(),
+            dy: self.dy.clone(),
+            nvars: self.nvars,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.rt.clone_from(&source.rt);
+        self.dy.clone_from(&source.dy);
+        self.nvars = source.nvars;
+    }
 }
 
 impl Env {
     /// The bottom environment (everything static) for `nvars`/`nglobals`.
     pub fn bottom(nvars: usize, nglobals: usize) -> Env {
         Env {
-            vars: vec![Bt::Static; nvars],
-            globals: vec![Bt::Static; nglobals],
+            rt: BitSet::new(nvars + nglobals),
+            dy: BitSet::new(nvars + nglobals),
+            nvars,
         }
     }
 
     /// Pointwise join; returns whether `self` changed.
     pub fn join_with(&mut self, other: &Env) -> bool {
-        let mut changed = false;
-        for (a, b) in self.vars.iter_mut().zip(&other.vars) {
-            let j = a.join(*b);
-            if j != *a {
-                *a = j;
-                changed = true;
-            }
+        // Non-short-circuiting: both planes must absorb `other`.
+        self.rt.union_with(&other.rt) | self.dy.union_with(&other.dy)
+    }
+
+    fn get(&self, slot: usize) -> Bt {
+        if self.dy.contains(slot) {
+            Bt::Dynamic
+        } else if self.rt.contains(slot) {
+            Bt::RtStatic
+        } else {
+            Bt::Static
         }
-        for (a, b) in self.globals.iter_mut().zip(&other.globals) {
-            let j = a.join(*b);
-            if j != *a {
-                *a = j;
-                changed = true;
-            }
+    }
+
+    fn set(&mut self, slot: usize, bt: Bt) {
+        self.rt.set(slot, bt != Bt::Static);
+        self.dy.set(slot, bt == Bt::Dynamic);
+    }
+
+    fn slot(&self, l: Loc) -> usize {
+        match l {
+            Loc::Var(v) => v.index(),
+            Loc::Global(g) => self.nvars + g.index(),
         }
-        changed
+    }
+
+    /// Binding time of variable `v`.
+    pub fn var(&self, v: VarId) -> Bt {
+        self.get(v.index())
+    }
+
+    /// Binding time of global `g`.
+    pub fn global(&self, g: GlobalId) -> Bt {
+        self.get(self.nvars + g.index())
     }
 
     /// Binding time of an operand.
     pub fn operand(&self, op: Operand) -> Bt {
         match op {
             Operand::Const(_) => Bt::Static,
-            Operand::Var(v) => self.vars[v.index()],
+            Operand::Var(v) => self.var(v),
         }
     }
 
     /// Binding time of an aggregate location.
     pub fn loc(&self, l: Loc) -> Bt {
-        match l {
-            Loc::Var(v) => self.vars[v.index()],
-            Loc::Global(g) => self.globals[g.index()],
-        }
+        self.get(self.slot(l))
+    }
+
+    fn set_var(&mut self, v: VarId, bt: Bt) {
+        self.set(v.index(), bt);
     }
 
     fn set_loc(&mut self, l: Loc, bt: Bt) {
-        match l {
-            Loc::Var(v) => self.vars[v.index()] = bt,
-            Loc::Global(g) => self.globals[g.index()] = bt,
-        }
+        self.set(self.slot(l), bt);
+    }
+
+    /// The variables and globals known (static or rt-static) in `self`
+    /// but dynamic in `to`, variables first, each in index order: one
+    /// word-wise `!self.dy & to.dy` mask.
+    pub(crate) fn newly_dynamic<'a>(&'a self, to: &'a Env) -> impl Iterator<Item = Loc> + 'a {
+        let mask = self
+            .dy
+            .words()
+            .iter()
+            .zip(to.dy.words())
+            .map(|(a, b)| !a & b);
+        ones(mask).map(move |slot| {
+            if slot < self.nvars {
+                Loc::Var(VarId(slot as u32))
+            } else {
+                Loc::Global(GlobalId((slot - self.nvars) as u32))
+            }
+        })
     }
 }
 
@@ -160,32 +223,32 @@ pub fn transfer(inst: &Inst, env: &mut Env) -> bool {
     match inst {
         Inst::Bin { dst, a, b, .. } => {
             let bt = env.operand(*a).join(env.operand(*b)).max(Bt::Static);
-            env.vars[dst.index()] = bt;
+            env.set_var(*dst, bt);
             bt == Bt::Dynamic
         }
         Inst::Un { dst, a, .. } => {
             let bt = env.operand(*a);
-            env.vars[dst.index()] = bt;
+            env.set_var(*dst, bt);
             bt == Bt::Dynamic
         }
         Inst::Copy { dst, src } => {
             let bt = env.operand(*src);
-            env.vars[dst.index()] = bt;
+            env.set_var(*dst, bt);
             bt == Bt::Dynamic
         }
         Inst::LoadGlobal { dst, g } => {
-            let bt = env.globals[g.index()];
-            env.vars[dst.index()] = bt;
+            let bt = env.global(*g);
+            env.set_var(*dst, bt);
             bt == Bt::Dynamic
         }
         Inst::StoreGlobal { g, src } => {
             let bt = env.operand(*src);
-            env.globals[g.index()] = bt;
+            env.set_loc(Loc::Global(*g), bt);
             bt == Bt::Dynamic
         }
         Inst::ElemGet { dst, agg, idx } => {
             let bt = env.loc(*agg).join(env.operand(*idx));
-            env.vars[dst.index()] = bt;
+            env.set_var(*dst, bt);
             bt == Bt::Dynamic
         }
         Inst::ElemSet { agg, idx, src } => {
@@ -229,7 +292,7 @@ pub fn transfer(inst: &Inst, env: &mut Env) -> bool {
                     bt = bt.join(env.operand(*a));
                 }
                 if let Some(d) = inst.dst() {
-                    env.vars[d.index()] = bt;
+                    env.set_var(d, bt);
                 }
                 bt == Bt::Dynamic
             }
@@ -238,17 +301,17 @@ pub fn transfer(inst: &Inst, env: &mut Env) -> bool {
             // Target text is immutable: the fetched word is as static as
             // the address.
             let bt = env.operand(*stream).max(Bt::RtStatic);
-            env.vars[dst.index()] = bt;
+            env.set_var(*dst, bt);
             bt == Bt::Dynamic
         }
         Inst::CallExt { dst, .. } => {
             if let Some(d) = dst {
-                env.vars[d.index()] = Bt::Dynamic;
+                env.set_var(*d, Bt::Dynamic);
             }
             true
         }
         Inst::MemLoad { dst, .. } => {
-            env.vars[dst.index()] = Bt::Dynamic;
+            env.set_var(*dst, Bt::Dynamic);
             true
         }
         Inst::MemStore { .. }
@@ -258,11 +321,11 @@ pub fn transfer(inst: &Inst, env: &mut Env) -> bool {
         | Inst::Trace { .. }
         | Inst::SetNext { .. } => true,
         Inst::LiftVar { v } => {
-            env.vars[v.index()] = Bt::Dynamic;
+            env.set_var(*v, Bt::Dynamic);
             true
         }
         Inst::LiftGlobal { g } => {
-            env.globals[g.index()] = Bt::Dynamic;
+            env.set_loc(Loc::Global(*g), Bt::Dynamic);
             true
         }
         Inst::LiftAgg { loc } => {
@@ -272,7 +335,7 @@ pub fn transfer(inst: &Inst, env: &mut Env) -> bool {
         Inst::Verify { dst, .. } => {
             // The lift: a verified dynamic value becomes run-time static —
             // the recorded path is only replayed when the value matches.
-            env.vars[dst.index()] = Bt::RtStatic;
+            env.set_var(*dst, Bt::RtStatic);
             true
         }
     }
@@ -288,6 +351,11 @@ pub fn terminator_dynamic(term: &Terminator, env: &Env) -> bool {
 }
 
 /// Runs the analysis to a fixed point.
+///
+/// Blocks are visited in reverse postorder, but a block is re-evaluated
+/// only when its merged entry environment changed since its last visit;
+/// every reachable block is evaluated at least once. The result is the
+/// least fixed point, independent of visiting order.
 pub fn analyze(ir: &IrProgram) -> Bta {
     let f = &ir.main;
     let nb = f.blocks.len();
@@ -301,31 +369,38 @@ pub fn analyze(ir: &IrProgram) -> Bta {
     {
         let e = &mut entry[f.entry.index()];
         for p in &f.params {
-            e.vars[p.index()] = Bt::RtStatic;
+            e.set_var(*p, Bt::RtStatic);
         }
-        for g in e.globals.iter_mut() {
-            *g = Bt::Dynamic;
+        for g in 0..ng {
+            e.set(nv + g, Bt::Dynamic);
         }
     }
 
     let mut exit: Vec<Env> = vec![Env::bottom(nv, ng); nb];
+    let mut dirty = vec![false; nb];
+    for &bid in &order {
+        dirty[bid.index()] = true;
+    }
+    let mut env = Env::bottom(nv, ng);
     let mut changed = true;
     while changed {
         changed = false;
         for &bid in &order {
             let bi = bid.index();
-            let mut env = entry[bi].clone();
+            if !std::mem::take(&mut dirty[bi]) {
+                continue;
+            }
+            changed = true;
+            env.clone_from(&entry[bi]);
             for inst in &f.blocks[bi].insts {
                 transfer(inst, &mut env);
             }
-            if exit[bi] != env {
-                exit[bi] = env.clone();
-            }
             for s in f.blocks[bi].term.successors() {
                 if entry[s.index()].join_with(&env) {
-                    changed = true;
+                    dirty[s.index()] = true;
                 }
             }
+            exit[bi].clone_from(&env);
         }
     }
 
@@ -334,11 +409,12 @@ pub fn analyze(ir: &IrProgram) -> Bta {
     let mut term_dynamic: Vec<bool> = vec![false; nb];
     for &bid in &order {
         let bi = bid.index();
-        let mut env = entry[bi].clone();
-        let mut labels = Vec::with_capacity(f.blocks[bi].insts.len());
-        for inst in &f.blocks[bi].insts {
-            labels.push(transfer(inst, &mut env));
-        }
+        env.clone_from(&entry[bi]);
+        let labels = f.blocks[bi]
+            .insts
+            .iter()
+            .map(|inst| transfer(inst, &mut env))
+            .collect();
         term_dynamic[bi] = terminator_dynamic(&f.blocks[bi].term, &env);
         inst_dynamic[bi] = labels;
     }
@@ -355,18 +431,7 @@ pub fn analyze(ir: &IrProgram) -> Bta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use facile_ir::lower::lower;
-    use facile_lang::diag::Diagnostics;
-    use facile_lang::parser::parse;
-    use facile_sema::analyze as sema_analyze;
-
-    fn build(src: &str) -> IrProgram {
-        let mut diags = Diagnostics::new();
-        let prog = parse(src, &mut diags);
-        let syms = sema_analyze(&prog, &mut diags);
-        assert!(!diags.has_errors(), "{}", diags.render_all(src));
-        lower(&prog, &syms, &mut diags).expect("lowering succeeds")
-    }
+    use crate::differential::build;
 
     /// All (inst, dynamic-label) pairs for instructions matching `pred`.
     fn labels_of(ir: &IrProgram, bta: &Bta, pred: impl Fn(&Inst) -> bool) -> Vec<bool> {

@@ -28,7 +28,7 @@
 //! let program = parse(src, &mut diags);
 //! let syms = sema(&program, &mut diags);
 //! let mut ir = lower(&program, &syms, &mut diags).unwrap();
-//! let (bta, _stats) = insert_lifts(&mut ir, LiftConfig::default());
+//! let (bta, _stats) = insert_lifts(&mut ir, LiftConfig::default()).unwrap();
 //! assert!(bta.rt_static_fraction() > 0.0);
 //! # let _ = analyze(&ir);
 //! ```
@@ -36,5 +36,10 @@
 pub mod bta;
 pub mod lifts;
 
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod oracle;
+
 pub use bta::{analyze, terminator_dynamic, transfer, Bt, Bta, Env};
-pub use lifts::{check_no_transitions, flush_set, insert_lifts, LiftConfig, LiftStats};
+pub use lifts::{check_no_transitions, flush_set, insert_lifts, LiftConfig, LiftError, LiftStats};

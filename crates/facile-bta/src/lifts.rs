@@ -21,7 +21,7 @@
 //!    (the paper's proposed optimization 3), globals the next step cannot
 //!    read before writing are skipped.
 
-use crate::bta::{analyze, transfer, Bt, Bta};
+use crate::bta::{analyze, transfer, Bta, Env};
 use facile_ir::ir::*;
 use facile_ir::liveness::{entry_live_globals, var_liveness};
 use facile_sema::GlobalId;
@@ -61,23 +61,61 @@ pub struct LiftStats {
     pub flushes_pruned: usize,
 }
 
+/// Lift insertion still found transitions after its round limit — a
+/// compiler bug, reported as an error because the source that triggers
+/// it may come from anyone.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LiftError {
+    /// The rounds run before giving up.
+    pub rounds: usize,
+}
+
+impl std::fmt::Display for LiftError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "lift insertion did not converge within {} rounds",
+            self.rounds
+        )
+    }
+}
+
+impl std::error::Error for LiftError {}
+
+/// Rounds of analysis and insertion before [`insert_lifts`] gives up.
+const MAX_ROUNDS: usize = 32;
+
 /// Inserts all required lifts and returns the final (consistent) analysis.
 ///
 /// After this pass, every value a dynamic instruction reads is available
 /// to the fast engine: either it is rt-static at that point (a recorded
 /// placeholder) or a dynamic definition/lift reaches it on every path.
-pub fn insert_lifts(ir: &mut IrProgram, config: LiftConfig) -> (Bta, LiftStats) {
+///
+/// # Errors
+///
+/// Returns a [`LiftError`] if the insertion does not reach a fixed point.
+pub fn insert_lifts(ir: &mut IrProgram, config: LiftConfig) -> Result<(Bta, LiftStats), LiftError> {
+    insert_lifts_within(ir, config, MAX_ROUNDS)
+}
+
+/// [`insert_lifts`] with an explicit round limit; tests shrink it to
+/// reach the non-convergence error.
+fn insert_lifts_within(
+    ir: &mut IrProgram,
+    config: LiftConfig,
+    max_rounds: usize,
+) -> Result<(Bta, LiftStats), LiftError> {
     let mut stats = LiftStats::default();
     // Iterate: inserting lifts changes the CFG; re-analyze until stable.
     // Each iteration only adds lifts, and lift targets are never
     // re-liftable, so this terminates quickly (2–3 rounds in practice).
-    for _round in 0..32 {
+    for _round in 0..max_rounds {
         let bta = analyze(ir);
         let mut work = find_midblock_agg_lifts(ir, &bta);
         let edge_work = find_edge_lifts(ir, &bta, config);
         let flush_work = find_flushes(ir, &bta, config, &mut stats);
         if work.is_empty() && edge_work.is_empty() && flush_work.is_empty() {
-            return (bta, stats);
+            return Ok((bta, stats));
         }
         // Apply mid-block agg lifts (in reverse order to keep indices valid).
         work.sort_by_key(|w| std::cmp::Reverse((w.0, w.1)));
@@ -109,17 +147,30 @@ pub fn insert_lifts(ir: &mut IrProgram, config: LiftConfig) -> (Bta, LiftStats) 
             }
         }
     }
-    // Convergence failure would be a compiler bug; surface loudly.
-    panic!("lift insertion did not converge");
+    Err(LiftError { rounds: max_rounds })
+}
+
+/// The instruction that materializes `loc`, by storage shape.
+fn lift_of(ir: &IrProgram, loc: Loc) -> Inst {
+    let kind = match loc {
+        Loc::Var(v) => ir.main.var(v).kind,
+        Loc::Global(g) => ir.globals[g.index()].kind(),
+    };
+    match (kind, loc) {
+        (VarKind::Scalar, Loc::Var(v)) => Inst::LiftVar { v },
+        (VarKind::Scalar, Loc::Global(g)) => Inst::LiftGlobal { g },
+        _ => Inst::LiftAgg { loc },
+    }
 }
 
 /// `(block index, inst index, loc)` for every dynamic partial write into a
 /// currently-known aggregate.
 fn find_midblock_agg_lifts(ir: &IrProgram, bta: &Bta) -> Vec<(usize, usize, Loc)> {
     let mut out = Vec::new();
+    let mut env = Env::bottom(0, 0);
     for &bid in &bta.order {
         let bi = bid.index();
-        let mut env = bta.entry[bi].clone();
+        env.clone_from(&bta.entry[bi]);
         for (ii, inst) in ir.main.blocks[bi].insts.iter().enumerate() {
             // Any dynamic instruction that touches aggregate *storage* —
             // partial writes, but also reads with a dynamic index — needs
@@ -153,36 +204,16 @@ fn find_edge_lifts(ir: &IrProgram, bta: &Bta, config: LiftConfig) -> Vec<EdgeWor
     };
     let mut out: Vec<EdgeWork> = Vec::new();
     for &bid in &bta.order {
-        let bi = bid.index();
-        let from_env = &bta.exit[bi];
-        for succ in ir.main.blocks[bi].term.successors() {
-            let to_env = &bta.entry[succ.index()];
-            let mut lifts = Vec::new();
-            for (vi, (&a, &b)) in from_env.vars.iter().zip(&to_env.vars).enumerate() {
-                if a.is_known() && b == Bt::Dynamic {
-                    let v = VarId(vi as u32);
-                    if let Some(lv) = &liveness {
-                        if !lv.live_in[succ.index()].contains(&v) {
-                            continue;
-                        }
-                    }
-                    match ir.main.var(v).kind {
-                        VarKind::Scalar => lifts.push(Inst::LiftVar { v }),
-                        _ => lifts.push(Inst::LiftAgg { loc: Loc::Var(v) }),
-                    }
-                }
-            }
-            for (gi, (&a, &b)) in from_env.globals.iter().zip(&to_env.globals).enumerate() {
-                if a.is_known() && b == Bt::Dynamic {
-                    let g = GlobalId(gi as u32);
-                    match ir.globals[gi].kind() {
-                        VarKind::Scalar => lifts.push(Inst::LiftGlobal { g }),
-                        _ => lifts.push(Inst::LiftAgg {
-                            loc: Loc::Global(g),
-                        }),
-                    }
-                }
-            }
+        let from_env = &bta.exit[bid.index()];
+        for succ in ir.main.blocks[bid.index()].term.successors() {
+            let lifts: Vec<Inst> = from_env
+                .newly_dynamic(&bta.entry[succ.index()])
+                .filter(|&loc| match (loc, &liveness) {
+                    (Loc::Var(v), Some(lv)) => lv.live_in[succ.index()].contains(v.index()),
+                    _ => true,
+                })
+                .map(|loc| lift_of(ir, loc))
+                .collect();
             if !lifts.is_empty() {
                 out.push((bid, succ, lifts));
             }
@@ -201,55 +232,48 @@ fn find_flushes(
     config: LiftConfig,
     stats: &mut LiftStats,
 ) -> Vec<(BlockId, usize, Vec<Inst>)> {
+    let ng = ir.globals.len();
     let live = if config.prune_dead_flushes {
-        Some(entry_live_globals(&ir.main))
+        Some(entry_live_globals(&ir.main, ng))
     } else {
         None
     };
     let mut out = Vec::new();
+    let mut env = Env::bottom(0, 0);
     for &bid in &bta.order {
         let bi = bid.index();
-        let mut env = bta.entry[bi].clone();
-        for (ii, inst) in ir.main.blocks[bi].insts.iter().enumerate() {
+        let insts = &ir.main.blocks[bi].insts;
+        if !insts.iter().any(|i| matches!(i, Inst::SetNext { .. })) {
+            continue;
+        }
+        env.clone_from(&bta.entry[bi]);
+        for (ii, inst) in insts.iter().enumerate() {
             if matches!(inst, Inst::SetNext { .. }) {
                 // Flush globals known at this point, unless a flush for
                 // this `next` was already inserted (idempotence): look
                 // backwards past existing lift instructions.
-                let mut already: HashSet<GlobalId> = HashSet::new();
-                for prev in ir.main.blocks[bi].insts[..ii].iter().rev() {
+                let mut already: Vec<GlobalId> = Vec::new();
+                for prev in insts[..ii].iter().rev() {
                     match prev {
-                        Inst::LiftGlobal { g } => {
-                            already.insert(*g);
-                        }
-                        Inst::LiftAgg {
+                        Inst::LiftGlobal { g }
+                        | Inst::LiftAgg {
                             loc: Loc::Global(g),
-                        } => {
-                            already.insert(*g);
-                        }
+                        } => already.push(*g),
                         _ => break,
                     }
                 }
                 let mut lifts = Vec::new();
-                for (gi, &bt) in env.globals.iter().enumerate() {
-                    if !bt.is_known() {
-                        continue;
-                    }
-                    let g = GlobalId(gi as u32);
-                    if already.contains(&g) {
+                for g in (0..ng).map(|gi| GlobalId(gi as u32)) {
+                    if !env.global(g).is_known() || already.contains(&g) {
                         continue;
                     }
                     if let Some(live) = &live {
-                        if !live.contains(&g) {
+                        if !live.contains(g.index()) {
                             stats.flushes_pruned += 1;
                             continue;
                         }
                     }
-                    match ir.globals[gi].kind() {
-                        VarKind::Scalar => lifts.push(Inst::LiftGlobal { g }),
-                        _ => lifts.push(Inst::LiftAgg {
-                            loc: Loc::Global(g),
-                        }),
-                    }
+                    lifts.push(lift_of(ir, Loc::Global(g)));
                 }
                 if !lifts.is_empty() {
                     out.push((bid, ii, lifts));
@@ -311,19 +335,17 @@ pub fn check_no_transitions(ir: &IrProgram, bta: &Bta) -> Result<(), String> {
         return Err(format!("unlifted aggregate write at bb{b}[{i}] of {l}"));
     }
     // Edges.
+    let live = var_liveness(&ir.main);
     for &bid in &bta.order {
         let from_env = &bta.exit[bid.index()];
         for succ in ir.main.blocks[bid.index()].term.successors() {
-            let to_env = &bta.entry[succ.index()];
-            let live = var_liveness(&ir.main);
-            for (vi, (&a, &b)) in from_env.vars.iter().zip(&to_env.vars).enumerate() {
-                if a.is_known()
-                    && b == Bt::Dynamic
-                    && live.live_in[succ.index()].contains(&VarId(vi as u32))
-                {
-                    return Err(format!(
-                        "unlifted live variable v{vi} on edge {bid} -> {succ}"
-                    ));
+            for loc in from_env.newly_dynamic(&bta.entry[succ.index()]) {
+                if let Loc::Var(v) = loc {
+                    if live.live_in[succ.index()].contains(v.index()) {
+                        return Err(format!(
+                            "unlifted live variable {v} on edge {bid} -> {succ}"
+                        ));
+                    }
                 }
             }
         }
@@ -352,23 +374,12 @@ pub fn flush_set(ir: &IrProgram, config: LiftConfig) -> HashSet<GlobalId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use facile_ir::lower::lower;
+    use crate::differential::build;
     use facile_ir::verify::verify;
-    use facile_lang::diag::Diagnostics;
-    use facile_lang::parser::parse;
-    use facile_sema::analyze as sema_analyze;
-
-    fn build(src: &str) -> IrProgram {
-        let mut diags = Diagnostics::new();
-        let prog = parse(src, &mut diags);
-        let syms = sema_analyze(&prog, &mut diags);
-        assert!(!diags.has_errors(), "{}", diags.render_all(src));
-        lower(&prog, &syms, &mut diags).expect("lowering succeeds")
-    }
 
     fn lifted(src: &str, config: LiftConfig) -> (IrProgram, Bta, LiftStats) {
         let mut ir = build(src);
-        let (bta, stats) = insert_lifts(&mut ir, config);
+        let (bta, stats) = insert_lifts(&mut ir, config).expect("lift insertion converges");
         verify(&ir).unwrap_or_else(|e| panic!("{}", e.join("\n")));
         check_no_transitions(&ir, &bta).unwrap();
         (ir, bta, stats)
@@ -562,7 +573,7 @@ mod tests {
                next(x);\n\
              }";
         let (mut ir, _, stats1) = lifted(src, LiftConfig::default());
-        let (_, stats2) = insert_lifts(&mut ir, LiftConfig::default());
+        let (_, stats2) = insert_lifts(&mut ir, LiftConfig::default()).unwrap();
         assert!(stats1.edge_lifts + stats1.flushes > 0);
         assert_eq!(stats2, LiftStats::default(), "second run must be a no-op");
     }
@@ -585,5 +596,26 @@ mod tests {
         assert_eq!(stats.edge_lifts, 0);
         assert_eq!(stats.agg_lifts, 0);
         assert!(bta.rt_static_fraction() > 0.5);
+    }
+
+    #[test]
+    fn non_convergence_is_an_error_not_a_panic() {
+        // The merge needs an edge lift, so one round inserts it and has
+        // no round left to confirm the fixed point.
+        let mut ir = build(
+            "val R = array(4){0};\n\
+             fun main(x : int) {\n\
+               val v = 0;\n\
+               if (x) { v = 1; } else { v = R[0]; }\n\
+               trace(v);\n\
+               next(x);\n\
+             }",
+        );
+        let err = insert_lifts_within(&mut ir, LiftConfig::default(), 1).unwrap_err();
+        assert_eq!(err, LiftError { rounds: 1 });
+        assert_eq!(
+            err.to_string(),
+            "lift insertion did not converge within 1 rounds"
+        );
     }
 }

@@ -25,8 +25,9 @@
 //! Figure 10.
 
 use facile_bta::{terminator_dynamic, transfer, Bt, Bta, Env};
+use facile_ir::bitset::BitSet;
 use facile_ir::ir::*;
-use facile_ir::liveness::var_liveness;
+use facile_ir::liveness::{for_each_touched_agg, terminator_use, var_liveness, VarLiveness};
 use facile_lang::span::Span;
 use facile_sema::{GlobalId, Type};
 
@@ -439,9 +440,12 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
         })
         .collect();
 
+    let mut env = Env::bottom(0, 0);
+    // Operand binding times before the current instruction (reused).
+    let mut op_bts: Vec<Bt> = Vec::new();
     for &bid in &bta.order {
         let bi = bid.index();
-        let mut env = bta.entry[bi].clone();
+        env.clone_from(&bta.entry[bi]);
         // The open group: (action id, first inst annot index).
         let mut open: Option<u32> = None;
 
@@ -454,7 +458,8 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
         for ii in 0..n_insts {
             let inst = &ir.main.blocks[bi].insts[ii];
             // Operand binding times *before* this instruction.
-            let op_bts: Vec<Bt> = inst.operands().iter().map(|&o| env.operand(o)).collect();
+            op_bts.clear();
+            op_bts.extend(inst.operands().map(|o| env.operand(o)));
             let dynamic = transfer(inst, &mut env);
             if !dynamic {
                 continue; // annotation stays rt()
@@ -493,11 +498,7 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
 
             // Which operand positions are run-time static => placeholders.
             let mut fops: Vec<FOperand> = Vec::with_capacity(op_bts.len());
-            for (k, (&bt, &o)) in op_bts
-                .iter()
-                .zip(inst.operands().iter())
-                .enumerate()
-            {
+            for (k, (&bt, o)) in op_bts.iter().zip(inst.operands()).enumerate() {
                 match o {
                     Operand::Const(c) => fops.push(FOperand::Imm(c)),
                     Operand::Var(v) => {
@@ -741,9 +742,8 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
             ac.resume = Resume::AtTerm { block: bid };
             let live = live_after
                 .last()
-                .cloned()
-                .unwrap_or_else(|| liveness.live_out[bi].iter().copied().collect());
-            finalize_known(&mut actions[action_id as usize], &env, &ir, &live);
+                .expect("one set per position, at least one");
+            finalize_known(&mut actions[action_id as usize], &env, &ir, live);
             blocks[bi].term_action = Some(action_id);
         } else if let Some(id) = open {
             // Plain group closed at the end of the block.
@@ -753,9 +753,8 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
             };
             let live = live_after
                 .last()
-                .cloned()
-                .unwrap_or_else(|| liveness.live_out[bi].iter().copied().collect());
-            finalize_known(&mut actions[id as usize], &env, &ir, &live);
+                .expect("one set per position, at least one");
+            finalize_known(&mut actions[id as usize], &env, &ir, live);
         }
     }
 
@@ -782,98 +781,58 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
 }
 
 /// Live variable sets after each instruction position of block `bi`
-/// (index `i` = after instruction `i`), plus one final entry equal to the
-/// set at the terminator.
-fn live_after_positions(
-    f: &IrFunction,
-    bi: usize,
-    liveness: &facile_ir::liveness::VarLiveness,
-) -> Vec<Vec<VarId>> {
+/// (index `i` = after instruction `i`); the last entry is the set at the
+/// terminator. A block without instructions gets that one set.
+fn live_after_positions(f: &IrFunction, bi: usize, liveness: &VarLiveness) -> Vec<BitSet> {
     let block = &f.blocks[bi];
-    let mut live: std::collections::HashSet<VarId> =
-        liveness.live_out[bi].iter().copied().collect();
-    // Terminator use.
-    match &block.term {
-        Terminator::Branch {
-            cond: Operand::Var(v),
-            ..
-        }
-        | Terminator::Switch {
-            val: Operand::Var(v),
-            ..
-        } => {
-            live.insert(*v);
-        }
-        _ => {}
+    let mut live = liveness.live_out[bi].clone();
+    if let Some(v) = terminator_use(&block.term) {
+        live.insert(v.index());
     }
-    let mut out: Vec<Vec<VarId>> = vec![Vec::new(); block.insts.len().max(1)];
+    let mut out: Vec<BitSet> = vec![BitSet::default(); block.insts.len().max(1)];
     if block.insts.is_empty() {
-        out[0] = live.iter().copied().collect();
+        out[0] = live;
         return out;
     }
     for i in (0..block.insts.len()).rev() {
         // Position "after inst i" sees the current set.
-        out[i] = live.iter().copied().collect();
+        out[i].clone_from(&live);
         let inst = &block.insts[i];
         if let Some(d) = inst.dst() {
-            live.remove(&d);
+            live.remove(d.index());
         }
         for o in inst.operands() {
             if let Operand::Var(v) = o {
-                live.insert(v);
+                live.insert(v.index());
             }
         }
-        // Aggregate touches keep their variables live.
-        let mut touch = |l: &Loc| {
-            if let Loc::Var(v) = l {
-                live.insert(*v);
-            }
-        };
-        match inst {
-            Inst::ElemGet { agg, .. }
-            | Inst::ElemSet { agg, .. }
-            | Inst::ArrFill { arr: agg, .. }
-            | Inst::Queue { q: agg, .. }
-            | Inst::LiftAgg { loc: agg } => touch(agg),
-            Inst::AggCopy { dst, src } => {
-                touch(dst);
-                touch(src);
-            }
-            Inst::SetNext { args } => {
-                for a in args {
-                    if let KeyArg::Queue(l) = a {
-                        touch(l);
-                    }
-                }
-            }
-            Inst::LiftVar { v } => {
-                live.insert(*v);
-            }
-            _ => {}
+        // Aggregate touches keep their variables live, and a lift reads
+        // the variable it records.
+        for_each_touched_agg(inst, |v| live.insert(v.index()));
+        if let Inst::LiftVar { v } = inst {
+            live.insert(v.index());
         }
     }
     out
 }
 
-fn finalize_known(ac: &mut ActionCode, env: &Env, ir: &IrProgram, live: &[VarId]) {
+/// Records in `ac` which live variables, aggregates and globals are known
+/// (run-time static) after the action, each list in index order.
+fn finalize_known(ac: &mut ActionCode, env: &Env, ir: &IrProgram, live: &BitSet) {
     let mut vars = Vec::new();
     let mut aggs = Vec::new();
-    for &v in live {
-        if env.vars[v.index()].is_known() {
+    for v in live.iter().map(|i| VarId(i as u32)) {
+        if env.var(v).is_known() {
             match ir.main.var(v).kind {
                 VarKind::Scalar => vars.push(v),
                 _ => aggs.push(v),
             }
         }
     }
-    let mut globals = Vec::new();
-    for (gi, bt) in env.globals.iter().enumerate() {
-        if bt.is_known() {
-            globals.push(GlobalId(gi as u32));
-        }
-    }
-    vars.sort();
-    aggs.sort();
+    let globals: Vec<GlobalId> = (0..ir.globals.len() as u32)
+        .map(GlobalId)
+        .filter(|&g| env.global(g).is_known())
+        .collect();
     ac.known_vars_after = vars.into_boxed_slice();
     ac.known_aggs_after = aggs.into_boxed_slice();
     ac.known_globals_after = globals.into_boxed_slice();
@@ -894,7 +853,7 @@ mod tests {
         let syms = sema_analyze(&prog, &mut diags);
         assert!(!diags.has_errors(), "{}", diags.render_all(src));
         let mut ir = lower(&prog, &syms, &mut diags).expect("lowering succeeds");
-        let (bta, _) = insert_lifts(&mut ir, LiftConfig::default());
+        let (bta, _) = insert_lifts(&mut ir, LiftConfig::default()).unwrap();
         extract_actions(ir, bta)
     }
 
@@ -1236,6 +1195,6 @@ mod tests {
             .expect("elem set exists");
         assert!(set_annot.dynamic);
         assert_eq!(set_annot.placeholders, vec![0, 1]);
-        assert_eq!(set_inst.operands().len(), 2);
+        assert_eq!(set_inst.operands().count(), 2);
     }
 }

@@ -115,14 +115,17 @@ impl Default for CodegenConfig {
 ///
 /// # Errors
 ///
-/// Returns a [`CodegenError`] when the generated table violates an
-/// engine invariant (see [`validate_key_plans`]) — a compiler bug
-/// surfaced at compile time instead of a VM panic at simulation time.
+/// Returns a [`CodegenError`] when lift insertion does not converge or
+/// the generated table violates an engine invariant (see
+/// [`validate_key_plans`]) — a compiler bug surfaced at compile time
+/// instead of a panic or a VM failure at simulation time.
 pub fn compile(mut ir: IrProgram, config: &CodegenConfig) -> Result<CompiledStep, CodegenError> {
     if config.fold {
         fold_constants(&mut ir.main);
     }
-    let (bta, _stats) = insert_lifts(&mut ir, config.lifts);
+    let (bta, _stats) = insert_lifts(&mut ir, config.lifts).map_err(|e| CodegenError {
+        rendered: e.to_string(),
+    })?;
     let step = actions::extract_actions(ir, bta);
     validate_key_plans(&step)?;
     Ok(step)

@@ -17,6 +17,7 @@
 //! mechanical lowering.
 
 use crate::ir::*;
+use crate::liveness::{for_each_touched_agg, terminator_use};
 use crate::lower::{eval_binop, eval_unop};
 use std::collections::HashMap;
 
@@ -305,39 +306,14 @@ fn remove_dead(f: &mut IrFunction, stats: &mut FoldStats) {
                 }
             }
             // Aggregate locations referenced by instructions keep their
-            // variables alive.
-            match i {
-                Inst::ElemGet { agg, .. }
-                | Inst::ElemSet { agg, .. }
-                | Inst::ArrFill { arr: agg, .. }
-                | Inst::Queue { q: agg, .. } => {
-                    if let Loc::Var(v) = agg {
-                        used[v.index()] = true;
-                    }
-                }
-                Inst::AggCopy { dst, src } => {
-                    for l in [dst, src] {
-                        if let Loc::Var(v) = l {
-                            used[v.index()] = true;
-                        }
-                    }
-                }
-                Inst::SetNext { args } => {
-                    for a in args {
-                        if let KeyArg::Queue(Loc::Var(v)) = a {
-                            used[v.index()] = true;
-                        }
-                    }
-                }
-                Inst::LiftVar { v } => used[v.index()] = true,
-                Inst::LiftAgg { loc: Loc::Var(v) } => used[v.index()] = true,
-                _ => {}
+            // variables alive, and so does a lift of a variable.
+            for_each_touched_agg(i, |v| used[v.index()] = true);
+            if let Inst::LiftVar { v } = i {
+                used[v.index()] = true;
             }
         }
-        match &b.term {
-            Terminator::Branch { cond: Operand::Var(v), .. }
-            | Terminator::Switch { val: Operand::Var(v), .. } => used[v.index()] = true,
-            _ => {}
+        if let Some(v) = terminator_use(&b.term) {
+            used[v.index()] = true;
         }
     }
     for b in &mut f.blocks {

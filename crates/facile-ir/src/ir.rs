@@ -457,20 +457,18 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Iterates over successor blocks.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Jump(b) => vec![*b],
+    /// Iterates over successor blocks, in branch order (a switch's cases,
+    /// then its default). Does not allocate.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> + '_ {
+        let (cases, first, second): (&[(i64, BlockId)], _, _) = match self {
+            Terminator::Jump(b) => (&[], Some(*b), None),
             Terminator::Branch {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Switch { cases, default, .. } => {
-                let mut out: Vec<BlockId> = cases.iter().map(|&(_, b)| b).collect();
-                out.push(*default);
-                out
-            }
-            Terminator::Return => vec![],
-        }
+            } => (&[], Some(*then_bb), Some(*else_bb)),
+            Terminator::Switch { cases, default, .. } => (cases, Some(*default), None),
+            Terminator::Return => (&[], None, None),
+        };
+        cases.iter().map(|&(_, b)| b).chain(first).chain(second)
     }
 }
 
@@ -607,9 +605,7 @@ impl IrFunction {
         let mut stack: Vec<(BlockId, usize)> = vec![(self.entry, 0)];
         visited[self.entry.index()] = true;
         while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-            let succs = self.blocks[b.index()].term.successors();
-            if *next < succs.len() {
-                let s = succs[*next];
+            if let Some(s) = self.blocks[b.index()].term.successors().nth(*next) {
                 *next += 1;
                 if !visited[s.index()] {
                     visited[s.index()] = true;
@@ -656,35 +652,46 @@ impl Inst {
         }
     }
 
-    /// All scalar operands read by this instruction.
-    pub fn operands(&self) -> Vec<Operand> {
+    /// All scalar operands read by this instruction, in order. Does not
+    /// allocate: the engines call it while recording.
+    pub fn operands(&self) -> Operands<'_> {
+        let inline = |ops: &[Operand]| {
+            let mut buf = [Operand::Const(0); 2];
+            buf[..ops.len()].copy_from_slice(ops);
+            Operands::Inline {
+                ops: buf,
+                next: 0,
+                len: ops.len() as u8,
+            }
+        };
         match self {
-            Inst::Bin { a, b, .. } => vec![*a, *b],
-            Inst::Un { a, .. } => vec![*a],
-            Inst::Copy { src, .. } => vec![*src],
-            Inst::LoadGlobal { .. } => vec![],
-            Inst::StoreGlobal { src, .. } => vec![*src],
-            Inst::ElemGet { idx, .. } => vec![*idx],
-            Inst::ElemSet { idx, src, .. } => vec![*idx, *src],
-            Inst::AggCopy { .. } => vec![],
-            Inst::ArrFill { fill, .. } => vec![*fill],
-            Inst::Queue { args, .. } => args.iter().flatten().copied().collect(),
-            Inst::FetchToken { stream, .. } => vec![*stream],
-            Inst::CallExt { args, .. } => args.clone(),
-            Inst::MemLoad { addr, .. } => vec![*addr],
-            Inst::MemStore { addr, src, .. } => vec![*addr, *src],
-            Inst::CountCycles { n } | Inst::CountInsns { n } => vec![*n],
-            Inst::Halt { code } => vec![*code],
-            Inst::Trace { v } => vec![*v],
-            Inst::Verify { src, .. } => vec![*src],
-            Inst::SetNext { args } => args
-                .iter()
-                .filter_map(|a| match a {
-                    KeyArg::Scalar(o) => Some(*o),
-                    KeyArg::Queue(_) => None,
-                })
-                .collect(),
-            Inst::LiftVar { .. } | Inst::LiftGlobal { .. } | Inst::LiftAgg { .. } => vec![],
+            Inst::Bin { a, b, .. } => inline(&[*a, *b]),
+            Inst::Un { a: x, .. }
+            | Inst::Copy { src: x, .. }
+            | Inst::StoreGlobal { src: x, .. }
+            | Inst::ElemGet { idx: x, .. }
+            | Inst::ArrFill { fill: x, .. }
+            | Inst::FetchToken { stream: x, .. }
+            | Inst::MemLoad { addr: x, .. }
+            | Inst::CountCycles { n: x }
+            | Inst::CountInsns { n: x }
+            | Inst::Halt { code: x }
+            | Inst::Trace { v: x }
+            | Inst::Verify { src: x, .. } => inline(&[*x]),
+            Inst::ElemSet { idx, src, .. } => inline(&[*idx, *src]),
+            Inst::MemStore { addr, src, .. } => inline(&[*addr, *src]),
+            Inst::Queue { args, .. } => match args {
+                [Some(a), Some(b)] => inline(&[*a, *b]),
+                [Some(x), None] | [None, Some(x)] => inline(&[*x]),
+                [None, None] => inline(&[]),
+            },
+            Inst::CallExt { args, .. } => Operands::Slice(args.iter()),
+            Inst::SetNext { args } => Operands::Key(args.iter()),
+            Inst::LoadGlobal { .. }
+            | Inst::AggCopy { .. }
+            | Inst::LiftVar { .. }
+            | Inst::LiftGlobal { .. }
+            | Inst::LiftAgg { .. } => inline(&[]),
         }
     }
 
@@ -703,6 +710,43 @@ impl Inst {
                 matches!(op, QueueOp::Len | QueueOp::Get | QueueOp::Front | QueueOp::Back)
             }
             _ => false,
+        }
+    }
+}
+
+/// Iterator over an instruction's scalar operands ([`Inst::operands`]).
+#[derive(Clone, Debug)]
+pub enum Operands<'a> {
+    /// Up to two operands held inline.
+    Inline {
+        /// The operands; only the first `len` are meaningful.
+        ops: [Operand; 2],
+        /// Position of the next operand to yield.
+        next: u8,
+        /// Number of operands.
+        len: u8,
+    },
+    /// An external call's argument list.
+    Slice(std::slice::Iter<'a, Operand>),
+    /// The scalar components of a `next(...)` key.
+    Key(std::slice::Iter<'a, KeyArg>),
+}
+
+impl Iterator for Operands<'_> {
+    type Item = Operand;
+
+    fn next(&mut self) -> Option<Operand> {
+        match self {
+            Operands::Inline { ops, next, len } => {
+                let op = ops[..*len as usize].get(*next as usize).copied();
+                *next += op.is_some() as u8;
+                op
+            }
+            Operands::Slice(it) => it.next().copied(),
+            Operands::Key(it) => it.find_map(|a| match a {
+                KeyArg::Scalar(o) => Some(*o),
+                KeyArg::Queue(_) => None,
+            }),
         }
     }
 }
@@ -828,24 +872,24 @@ mod tests {
 
     #[test]
     fn terminator_successors() {
-        assert_eq!(Terminator::Jump(BlockId(3)).successors(), vec![BlockId(3)]);
+        assert_eq!(Terminator::Jump(BlockId(3)).successors().collect::<Vec<_>>(), vec![BlockId(3)]);
         assert_eq!(
             Terminator::Branch {
                 cond: Operand::Const(1),
                 then_bb: BlockId(1),
                 else_bb: BlockId(2),
             }
-            .successors(),
+            .successors().collect::<Vec<_>>(),
             vec![BlockId(1), BlockId(2)]
         );
-        assert_eq!(Terminator::Return.successors(), vec![]);
+        assert_eq!(Terminator::Return.successors().collect::<Vec<_>>(), vec![]);
         let sw = Terminator::Switch {
             val: Operand::Const(0),
             cases: vec![(1, BlockId(5)), (2, BlockId(6))],
             default: BlockId(7),
         };
         assert_eq!(
-            sw.successors(),
+            sw.successors().collect::<Vec<_>>(),
             vec![BlockId(5), BlockId(6), BlockId(7)]
         );
     }
@@ -859,7 +903,7 @@ mod tests {
             b: Operand::Const(4),
         };
         assert_eq!(i.dst(), Some(VarId(3)));
-        assert_eq!(i.operands().len(), 2);
+        assert_eq!(i.operands().count(), 2);
         assert!(i.is_pure());
 
         let s = Inst::MemStore {

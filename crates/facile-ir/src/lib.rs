@@ -11,7 +11,8 @@
 //! * [`fold::fold_constants`] — compile-time constant folding and dead-code
 //!   elimination (the paper's proposed optimization 5, §6.3),
 //! * [`liveness`] — variable liveness and global read-before-write
-//!   analysis, used to prune dead end-of-step memoization (optimization 3).
+//!   analysis, used to prune dead end-of-step memoization (optimization 3),
+//!   over the dense [`bitset::BitSet`]s the middle end's analyses share.
 //!
 //! # Examples
 //!
@@ -35,6 +36,7 @@
 //! assert_eq!(ir.main.params.len(), 1);
 //! ```
 
+pub mod bitset;
 pub mod fold;
 pub mod ir;
 pub mod liveness;

@@ -2,147 +2,175 @@
 //!
 //! Two analyses live here:
 //!
-//! * **Scalar variable liveness** — classic backward dataflow over the CFG,
-//!   exposed for diagnostics and tests.
+//! * **Variable liveness** — classic backward dataflow over the CFG. Lift
+//!   insertion skips merge-edge lifts of dead variables with it, and action
+//!   extraction records only the live run-time-static values.
 //! * **Global read-before-write analysis** — which globals may be read
 //!   before being (re)written once the *next* simulator step begins. The
 //!   paper's proposed optimization 3 (§6.3): a global that is run-time
 //!   static at the end of a step normally has to be "made dynamic" (its
 //!   value written through a memoized action) for the next step; if the
 //!   next step cannot read it before overwriting it, that flush — and its
-//!   action-cache traffic — can be skipped. `facile-codegen` consumes this
-//!   set when `prune_dead_flushes` is enabled.
+//!   action-cache traffic — can be skipped. Lift insertion (`facile-bta`)
+//!   consumes this set when `prune_dead_flushes` is enabled.
+//!
+//! Both are solved over dense [`BitSet`]s, one word per 64 variables or
+//! globals, so a block's transfer is a handful of word operations.
 
+use crate::bitset::BitSet;
 use crate::ir::*;
-use facile_sema::GlobalId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-/// Per-block liveness result for scalar variables.
+/// Per-block liveness result for variables, as sets of variable indices.
 #[derive(Clone, Debug, Default)]
 pub struct VarLiveness {
     /// Variables live at entry of each block (indexed by block).
-    pub live_in: Vec<HashSet<VarId>>,
+    pub live_in: Vec<BitSet>,
     /// Variables live at exit of each block.
-    pub live_out: Vec<HashSet<VarId>>,
+    pub live_out: Vec<BitSet>,
 }
 
-/// Computes scalar-variable liveness with a standard backward fixed point.
-pub fn var_liveness(f: &IrFunction) -> VarLiveness {
-    let n = f.blocks.len();
-    // use/def per block.
-    let mut use_: Vec<HashSet<VarId>> = vec![HashSet::new(); n];
-    let mut def: Vec<HashSet<VarId>> = vec![HashSet::new(); n];
-    for (bi, b) in f.blocks.iter().enumerate() {
-        for i in &b.insts {
-            for op in i.operands() {
-                if let Operand::Var(v) = op {
-                    if !def[bi].contains(&v) {
-                        use_[bi].insert(v);
-                    }
+/// Calls `f` with every aggregate variable `inst` touches. Aggregate
+/// variables are conservatively live on every touch: element writes are
+/// partial, so nothing kills them.
+pub fn for_each_touched_agg(inst: &Inst, mut f: impl FnMut(VarId)) {
+    let mut touch = |l: &Loc| {
+        if let Loc::Var(v) = l {
+            f(*v);
+        }
+    };
+    match inst {
+        Inst::ElemGet { agg, .. }
+        | Inst::ElemSet { agg, .. }
+        | Inst::ArrFill { arr: agg, .. }
+        | Inst::Queue { q: agg, .. }
+        | Inst::LiftAgg { loc: agg } => touch(agg),
+        Inst::AggCopy { dst, src } => {
+            touch(dst);
+            touch(src);
+        }
+        Inst::SetNext { args } => {
+            for a in args {
+                if let KeyArg::Queue(l) = a {
+                    touch(l);
                 }
-            }
-            // Aggregate variables are conservatively live on every touch:
-            // element writes are partial, so nothing kills them.
-            let mut touch = |l: &Loc| {
-                if let Loc::Var(v) = l {
-                    if !def[bi].contains(v) {
-                        use_[bi].insert(*v);
-                    }
-                }
-            };
-            match i {
-                Inst::ElemGet { agg, .. }
-                | Inst::ElemSet { agg, .. }
-                | Inst::ArrFill { arr: agg, .. }
-                | Inst::Queue { q: agg, .. }
-                | Inst::LiftAgg { loc: agg } => touch(agg),
-                Inst::AggCopy { dst, src } => {
-                    touch(dst);
-                    touch(src);
-                }
-                Inst::SetNext { args } => {
-                    for a in args {
-                        if let KeyArg::Queue(l) = a {
-                            touch(l);
-                        }
-                    }
-                }
-                _ => {}
-            }
-            if let Some(d) = i.dst() {
-                def[bi].insert(d);
             }
         }
-        match &b.term {
-            Terminator::Branch {
-                cond: Operand::Var(v),
-                ..
-            }
-            | Terminator::Switch {
-                val: Operand::Var(v),
-                ..
-            }
-                if !def[bi].contains(v) => {
-                    use_[bi].insert(*v);
-                }
-            _ => {}
-        }
+        _ => {}
     }
+}
 
-    let mut live_in: Vec<HashSet<VarId>> = vec![HashSet::new(); n];
-    let mut live_out: Vec<HashSet<VarId>> = vec![HashSet::new(); n];
-    let order: Vec<BlockId> = f.reverse_postorder();
+/// The variable a terminator reads, if any.
+pub fn terminator_use(term: &Terminator) -> Option<VarId> {
+    match term {
+        Terminator::Branch {
+            cond: Operand::Var(v),
+            ..
+        }
+        | Terminator::Switch {
+            val: Operand::Var(v),
+            ..
+        } => Some(*v),
+        _ => None,
+    }
+}
+
+/// Solves `live_in(B) = gen(B) ∪ (⋃ live_in(succ B) ∖ kill(B))` over the
+/// blocks reachable from the entry; returns `(live_in, live_out)`.
+/// Unreachable blocks keep empty sets.
+fn backward_fixed_point(
+    f: &IrFunction,
+    gen: &[BitSet],
+    kill: &[BitSet],
+    capacity: usize,
+) -> (Vec<BitSet>, Vec<BitSet>) {
+    let n = f.blocks.len();
+    let mut live_in = vec![BitSet::new(capacity); n];
+    let mut live_out = vec![BitSet::new(capacity); n];
+    let order = f.reverse_postorder();
+    let mut out = BitSet::new(capacity);
+    let mut inn = BitSet::new(capacity);
     let mut changed = true;
     while changed {
         changed = false;
         for &bid in order.iter().rev() {
             let bi = bid.index();
-            let mut out = HashSet::new();
+            out.clear();
             for s in f.blocks[bi].term.successors() {
-                out.extend(live_in[s.index()].iter().copied());
+                out.union_with(&live_in[s.index()]);
             }
-            let mut inn: HashSet<VarId> = use_[bi].clone();
-            inn.extend(out.difference(&def[bi]).copied());
+            inn.clone_from(&out);
+            inn.difference_with(&kill[bi]);
+            inn.union_with(&gen[bi]);
             if inn != live_in[bi] || out != live_out[bi] {
-                live_in[bi] = inn;
-                live_out[bi] = out;
+                live_in[bi].clone_from(&inn);
+                live_out[bi].clone_from(&out);
                 changed = true;
             }
         }
     }
-    VarLiveness { live_in, live_out }
+    (live_in, live_out)
 }
 
-/// Access summary of one block with respect to scalar globals.
-#[derive(Clone, Debug, Default)]
-struct GlobalBlockFacts {
-    /// Globals read before any write in this block.
-    gen: HashSet<GlobalId>,
-    /// Globals definitely (re)written in this block.
-    kill: HashSet<GlobalId>,
+/// Computes variable liveness with a standard backward fixed point.
+pub fn var_liveness(f: &IrFunction) -> VarLiveness {
+    let n = f.blocks.len();
+    let nv = f.vars.len();
+    // use/def per block.
+    let mut use_ = vec![BitSet::new(nv); n];
+    let mut def = vec![BitSet::new(nv); n];
+    // A read counts as a use unless the block defined the variable first.
+    let read = |u: &mut BitSet, d: &BitSet, v: VarId| {
+        if !d.contains(v.index()) {
+            u.insert(v.index());
+        }
+    };
+    for (bi, b) in f.blocks.iter().enumerate() {
+        let (u, d) = (&mut use_[bi], &mut def[bi]);
+        for i in &b.insts {
+            for op in i.operands() {
+                if let Operand::Var(v) = op {
+                    read(u, d, v);
+                }
+            }
+            for_each_touched_agg(i, |v| read(u, d, v));
+            if let Some(v) = i.dst() {
+                d.insert(v.index());
+            }
+        }
+        if let Some(v) = terminator_use(&b.term) {
+            read(u, d, v);
+        }
+    }
+    let (live_in, live_out) = backward_fixed_point(f, &use_, &def, nv);
+    VarLiveness { live_in, live_out }
 }
 
 /// Computes the set of globals that may be read before written when
 /// execution (re)starts at the entry block — i.e. the globals whose values
-/// must survive into the next step.
+/// must survive into the next step — as a set of global indices below
+/// `nglobals`.
 ///
 /// Aggregate globals (arrays, queues) are handled conservatively: any
 /// element read counts as a read of the whole global, and partial writes
 /// never kill.
-pub fn entry_live_globals(f: &IrFunction) -> HashSet<GlobalId> {
+pub fn entry_live_globals(f: &IrFunction, nglobals: usize) -> BitSet {
     let n = f.blocks.len();
-    let mut facts: Vec<GlobalBlockFacts> = Vec::with_capacity(n);
-    for b in &f.blocks {
-        let mut fb = GlobalBlockFacts::default();
+    // Per block: globals read before any write (gen) and globals
+    // definitely (re)written (kill).
+    let mut gen = vec![BitSet::new(nglobals); n];
+    let mut kill = vec![BitSet::new(nglobals); n];
+    for (bi, b) in f.blocks.iter().enumerate() {
+        let (gen, kill) = (&mut gen[bi], &mut kill[bi]);
+        let mut read = |g: facile_sema::GlobalId, kill: &BitSet| {
+            if !kill.contains(g.index()) {
+                gen.insert(g.index());
+            }
+        };
         for i in &b.insts {
             match i {
-                Inst::LoadGlobal { g, .. }
-                    if !fb.kill.contains(g) => {
-                        fb.gen.insert(*g);
-                    }
-                Inst::StoreGlobal { g, .. } => {
-                    fb.kill.insert(*g);
-                }
+                Inst::LoadGlobal { g, .. } => read(*g, kill),
+                Inst::StoreGlobal { g, .. } => kill.insert(g.index()),
                 // Aggregate reads (including partial writes: an ElemSet of
                 // one element leaves the others readable).
                 Inst::ElemGet {
@@ -152,86 +180,43 @@ pub fn entry_live_globals(f: &IrFunction) -> HashSet<GlobalId> {
                 | Inst::ElemSet {
                     agg: Loc::Global(g),
                     ..
-                }
-                    if !fb.kill.contains(g) => {
-                        fb.gen.insert(*g);
-                    }
+                } => read(*g, kill),
                 Inst::Queue {
                     q: Loc::Global(g),
                     op,
                     ..
                 } => {
                     if *op == QueueOp::Clear {
-                        fb.kill.insert(*g);
-                    } else if !fb.kill.contains(g) {
-                        fb.gen.insert(*g);
+                        kill.insert(g.index());
+                    } else {
+                        read(*g, kill);
                     }
                 }
                 Inst::ArrFill {
                     arr: Loc::Global(g),
                     ..
-                } => {
-                    fb.kill.insert(*g);
-                }
+                } => kill.insert(g.index()),
                 Inst::AggCopy { dst, src } => {
                     if let Loc::Global(g) = src {
-                        if !fb.kill.contains(g) {
-                            fb.gen.insert(*g);
-                        }
+                        read(*g, kill);
                     }
                     if let Loc::Global(g) = dst {
-                        fb.kill.insert(*g);
+                        kill.insert(g.index());
                     }
                 }
                 Inst::SetNext { args } => {
                     for a in args {
                         if let KeyArg::Queue(Loc::Global(g)) = a {
-                            if !fb.kill.contains(g) {
-                                fb.gen.insert(*g);
-                            }
+                            read(*g, kill);
                         }
                     }
                 }
                 _ => {}
             }
         }
-        facts.push(fb);
     }
-
-    // Backward fixed point: live-in(B) = gen(B) ∪ (live-out(B) \ kill(B)).
-    let order: Vec<BlockId> = f.reverse_postorder();
-    let mut live_in: Vec<HashSet<GlobalId>> = vec![HashSet::new(); n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &bid in order.iter().rev() {
-            let bi = bid.index();
-            let mut out: HashSet<GlobalId> = HashSet::new();
-            for s in f.blocks[bi].term.successors() {
-                out.extend(live_in[s.index()].iter().copied());
-            }
-            let mut inn: HashSet<GlobalId> = facts[bi].gen.clone();
-            inn.extend(out.difference(&facts[bi].kill).copied());
-            if inn != live_in[bi] {
-                live_in[bi] = inn;
-                changed = true;
-            }
-        }
-    }
-    live_in[f.entry.index()].clone()
-}
-
-/// Convenience: the entry-live set as a membership vector indexed by
-/// global id.
-pub fn entry_live_globals_bitmap(f: &IrFunction, global_count: usize) -> Vec<bool> {
-    let set = entry_live_globals(f);
-    let mut out = vec![false; global_count];
-    for g in set {
-        if g.index() < global_count {
-            out[g.index()] = true;
-        }
-    }
-    out
+    let (mut live_in, _) = backward_fixed_point(f, &gen, &kill, nglobals);
+    live_in.swap_remove(f.entry.index())
 }
 
 /// Per-variable use counts across the reachable CFG; exposed for tests and
@@ -247,16 +232,8 @@ pub fn use_counts(f: &IrFunction) -> HashMap<VarId, usize> {
                 }
             }
         }
-        match &b.term {
-            Terminator::Branch {
-                cond: Operand::Var(v),
-                ..
-            }
-            | Terminator::Switch {
-                val: Operand::Var(v),
-                ..
-            } => *counts.entry(*v).or_default() += 1,
-            _ => {}
+        if let Some(v) = terminator_use(&b.term) {
+            *counts.entry(v).or_default() += 1;
         }
     }
     counts
@@ -278,27 +255,25 @@ mod tests {
         lower(&prog, &syms, &mut diags).expect("lowering succeeds")
     }
 
-    fn gid(ir: &IrProgram, name: &str) -> GlobalId {
-        GlobalId(
-            ir.globals
-                .iter()
-                .position(|g| g.name == name)
-                .unwrap_or_else(|| panic!("global {name}")) as u32,
-        )
+    fn gid(ir: &IrProgram, name: &str) -> usize {
+        ir.globals
+            .iter()
+            .position(|g| g.name == name)
+            .unwrap_or_else(|| panic!("global {name}"))
     }
 
     #[test]
     fn global_read_before_write_is_live() {
         let ir = build("val g = 0;\nfun main(x : int) { val y = g + x; trace(y); next(x); }");
-        let live = entry_live_globals(&ir.main);
-        assert!(live.contains(&gid(&ir, "g")));
+        let live = entry_live_globals(&ir.main, ir.globals.len());
+        assert!(live.contains(gid(&ir, "g")));
     }
 
     #[test]
     fn global_written_before_read_is_dead() {
         let ir = build("val g = 0;\nfun main(x : int) { g = x; trace(g); next(x); }");
-        let live = entry_live_globals(&ir.main);
-        assert!(!live.contains(&gid(&ir, "g")));
+        let live = entry_live_globals(&ir.main, ir.globals.len());
+        assert!(!live.contains(gid(&ir, "g")));
     }
 
     #[test]
@@ -306,16 +281,16 @@ mod tests {
         let ir = build(
             "val g = 0;\nfun main(x : int) { if (x) { trace(g); } g = 1; next(x); }",
         );
-        let live = entry_live_globals(&ir.main);
-        assert!(live.contains(&gid(&ir, "g")));
+        let live = entry_live_globals(&ir.main, ir.globals.len());
+        assert!(live.contains(gid(&ir, "g")));
     }
 
     #[test]
     fn never_touched_global_is_dead() {
         let ir = build("val g = 0;\nval h = 0;\nfun main(x : int) { trace(h); next(x); }");
-        let live = entry_live_globals(&ir.main);
-        assert!(!live.contains(&gid(&ir, "g")));
-        assert!(live.contains(&gid(&ir, "h")));
+        let live = entry_live_globals(&ir.main, ir.globals.len());
+        assert!(!live.contains(gid(&ir, "g")));
+        assert!(live.contains(gid(&ir, "h")));
     }
 
     #[test]
@@ -323,8 +298,8 @@ mod tests {
         let ir = build(
             "val R = array(4){0};\nfun main(x : int) { R[0] = x; trace(R[1]); next(x); }",
         );
-        let live = entry_live_globals(&ir.main);
-        assert!(live.contains(&gid(&ir, "R")));
+        let live = entry_live_globals(&ir.main, ir.globals.len());
+        assert!(live.contains(gid(&ir, "R")));
     }
 
     #[test]
@@ -332,15 +307,15 @@ mod tests {
         let ir = build(
             "val q : queue;\nfun main(x : int) { q?clear(); q?push_back(x); next(x); }",
         );
-        let live = entry_live_globals(&ir.main);
-        assert!(!live.contains(&gid(&ir, "q")));
+        let live = entry_live_globals(&ir.main, ir.globals.len());
+        assert!(!live.contains(gid(&ir, "q")));
     }
 
     #[test]
     fn queue_push_without_clear_is_live() {
         let ir = build("val q : queue;\nfun main(x : int) { q?push_back(x); next(x); }");
-        let live = entry_live_globals(&ir.main);
-        assert!(live.contains(&gid(&ir, "q")));
+        let live = entry_live_globals(&ir.main, ir.globals.len());
+        assert!(live.contains(gid(&ir, "q")));
     }
 
     #[test]
@@ -348,7 +323,7 @@ mod tests {
         let ir = build("fun main(x : int) { trace(x); next(x + 1); }");
         let lv = var_liveness(&ir.main);
         let p = ir.main.params[0];
-        assert!(lv.live_in[ir.main.entry.index()].contains(&p));
+        assert!(lv.live_in[ir.main.entry.index()].contains(p.index()));
     }
 
     #[test]
@@ -359,7 +334,7 @@ mod tests {
         let lv = var_liveness(&ir.main);
         // `n` is live around the loop: some block has it live-out.
         let p = ir.main.params[0];
-        assert!(lv.live_out.iter().any(|s| s.contains(&p)));
+        assert!(lv.live_out.iter().any(|s| s.contains(p.index())));
     }
 
     #[test]
@@ -368,15 +343,5 @@ mod tests {
         let counts = use_counts(&ir.main);
         let p = ir.main.params[0];
         assert!(counts[&p] >= 2);
-    }
-
-    #[test]
-    fn bitmap_matches_set() {
-        let ir = build("val g = 0;\nfun main(x : int) { trace(g); next(x); }");
-        let set = entry_live_globals(&ir.main);
-        let bm = entry_live_globals_bitmap(&ir.main, ir.globals.len());
-        for (i, b) in bm.iter().enumerate() {
-            assert_eq!(*b, set.contains(&GlobalId(i as u32)));
-        }
     }
 }

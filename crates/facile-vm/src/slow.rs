@@ -9,7 +9,7 @@
 use crate::exec::{ev, exec_fetch, exec_value_inst};
 use crate::state::{MachineState, Store};
 use facile_codegen::{ActionKind, Closes, CompiledStep, KeyPlanArg, LiftWhat};
-use facile_ir::ir::{BlockId, Inst, KeyArg, Terminator};
+use facile_ir::ir::{BlockId, Inst, KeyArg, Operand, Terminator};
 use facile_obs::{EngineTag, TraceEvent};
 use facile_runtime::cache::{ActionCache, Cursor};
 use facile_runtime::key::{Key, KeyWriter};
@@ -76,6 +76,8 @@ pub fn slow_step(
     let mut group_insns0: u64 = 0;
     // Reused staging for external-call arguments.
     let mut ext_args: Vec<i64> = Vec::new();
+    // Reused staging for a recorded instruction's operands.
+    let mut ops: Vec<Operand> = Vec::new();
 
     loop {
         let b = &step.ir.main.blocks[block.index()];
@@ -108,7 +110,8 @@ pub fn slow_step(
                             }
                         }
                     } else {
-                        let ops = inst.operands();
+                        ops.clear();
+                        ops.extend(inst.operands());
                         for &k in &annot.placeholders {
                             data.push(ev(ops[k as usize], st));
                         }

@@ -20,7 +20,8 @@
 # must stay structured errors. The serve daemon must round-trip jobs
 # from concurrent clients with digests bit-identical to in-process
 # runs and drain cleanly over the protocol (docs/SERVING.md). Rustdoc
-# must build warning-free with its doc-tests green.
+# must build warning-free with its doc-tests green, and the facbench
+# benchmark's own tests must pass against the current APIs.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -36,6 +37,12 @@ cargo build --release --offline --workspace
 
 echo "==> workspace: cargo test -q --workspace (offline)"
 cargo test -q --offline --workspace
+
+echo "==> facbench: cargo test (offline)"
+# The benchmark is a package of its own (not a workspace member) that
+# drives the compiler passes through their public APIs, so the
+# workspace build alone would not notice an API break there.
+cargo test -q --offline --manifest-path facbench/Cargo.toml
 
 echo "==> cargo check --features bench-ext (offline)"
 cargo check -q --offline --features bench-ext
