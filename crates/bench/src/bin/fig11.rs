@@ -21,8 +21,8 @@ use bench::*;
 fn main() {
     let scale = arg_f64("--scale", 1.0);
     let filter = arg_str("--filter");
-    let mut sink = MetricsSink::from_args();
-    let mut prof = ProfileSink::from_args();
+    let mut sink = DocSink::metrics();
+    let mut prof = DocSink::profile();
     let prof_step = prof.active().then(|| compile_facile(FacileSim::Functional));
     println!("Figure 11: hand-coded fast-forwarding (FastSim role) vs SimpleScalar");
     println!("workload scale: {scale}\n");
@@ -60,7 +60,7 @@ fn main() {
                 None,
                 CachePolicy::Clear,
                 &format!("{}/facile-functional", w.name),
-                &mut MetricsSink::disabled(),
+                &mut DocSink::disabled(),
                 &mut prof,
             );
         }

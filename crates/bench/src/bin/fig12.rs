@@ -19,8 +19,8 @@ fn main() {
         Some("generational") => CachePolicy::Generational,
         Some(other) => panic!("unknown --cache-policy `{other}` (clear|generational)"),
     };
-    let mut sink = MetricsSink::from_args();
-    let mut prof = ProfileSink::from_args();
+    let mut sink = DocSink::metrics();
+    let mut prof = DocSink::profile();
     println!("Figure 12: Facile-compiled out-of-order simulator");
     println!(
         "workload scale: {scale}, action cache cap: {} MiB, policy: {policy:?}\n",
@@ -36,7 +36,7 @@ fn main() {
     for w in facile_workloads::suite() {
         let image = workload_image(&w, scale);
         let ss = run_simplescalar_sink(&image, &format!("{}/simplescalar", w.name), &mut sink);
-        let no = run_facile_sink(
+        let no = run_facile_obs(
             &step,
             FacileSim::Ooo,
             &image,
@@ -45,6 +45,7 @@ fn main() {
             policy,
             &format!("{}/facile-nomemo", w.name),
             &mut sink,
+            &mut DocSink::disabled(),
         );
         let yes = run_facile_obs(
             &step,

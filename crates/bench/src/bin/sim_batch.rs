@@ -20,8 +20,7 @@
 //! passes `sim_prof --check` exactly like a single-lane one.
 
 use bench::*;
-use facile::batch::{run_batch, BatchConfig, BatchJob, BatchResult, ProfileSource};
-use facile::hosts::initial_args;
+use facile::batch::{run_batch, BatchConfig, BatchJob, BatchResult, ProfileSource, Sections};
 use facile::SimOptions;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -34,25 +33,22 @@ fn main() {
     let json_out = arg_str("--json-out");
     let metrics_out = arg_str("--metrics-out");
     let profile_out = arg_str("--profile-out");
-    let which = match arg_str("--sim").as_deref() {
-        Some("functional") => FacileSim::Functional,
-        Some("inorder") => FacileSim::Inorder,
-        _ => FacileSim::Ooo,
-    };
+    let which = FacileSim::from_arg();
 
     let (src, file) = facile_source(which);
-    let step = Arc::new(compile_facile(which));
-    let observe = metrics_out.is_some() || profile_out.is_some();
+    let step = compile_facile(which);
     let config = BatchConfig {
         threads,
-        observe,
-        bind_arch: true,
-        profile: profile_out.as_ref().map(|_| ProfileSource {
-            file: file.to_owned(),
-            src: src.clone(),
-        }),
-        hot: None,
-        timeline: None,
+        sections: Sections {
+            metrics: metrics_out.is_some(),
+            profile: profile_out.as_ref().map(|_| {
+                Arc::new(ProfileSource {
+                    file: file.to_owned(),
+                    src,
+                })
+            }),
+            ..Sections::default()
+        },
         progress: None,
         warm: None,
     };
@@ -94,11 +90,10 @@ fn main() {
         let jobs = build_jobs(which, scale, filter.as_deref());
         let serial_config = BatchConfig {
             threads: 1,
-            observe,
-            bind_arch: true,
-            profile: None,
-            hot: None,
-            timeline: None,
+            sections: Sections {
+                metrics: config.sections.metrics,
+                ..Sections::default()
+            },
             progress: None,
             warm: None,
         };
@@ -138,7 +133,7 @@ fn main() {
         write_or_die(path, &text);
     }
     if let Some(path) = &json_out {
-        let sim_name = format!("{which:?}").to_lowercase() + "+memo";
+        let sim_name = format!("{}+memo", which.name());
         write_or_die(path, &render_json(&sim_name, scale, &result, serial.as_ref()));
     }
 }
@@ -152,19 +147,7 @@ fn build_jobs(which: FacileSim, scale: f64, filter: Option<&str>) -> Vec<BatchJo
                 continue;
             }
         }
-        let image = workload_image(&w, scale);
-        let args = match which {
-            FacileSim::Functional => initial_args::functional(image.entry),
-            FacileSim::Inorder => initial_args::inorder(image.entry),
-            FacileSim::Ooo => initial_args::ooo(image.entry),
-        };
-        jobs.push(BatchJob {
-            label: w.name.to_owned(),
-            image,
-            args,
-            options: SimOptions::default(),
-            max_steps: MAX_INSNS,
-        });
+        jobs.push(which.job(w.name, workload_image(&w, scale), SimOptions::default()));
     }
     jobs
 }

@@ -24,13 +24,11 @@
 //! Defaults: clients 1,2,4,8, 24 jobs, auto workers, scale 0.02, ooo.
 
 use bench::*;
-use facile::batch::{run_batch, BatchConfig, BatchJob};
-use facile::hosts::initial_args;
+use facile::batch::{run_batch, BatchConfig, BatchJob, Sections};
 use facile::serve::{sim_request, ServeClient, ServeConfig, Server};
 use facile::SimOptions;
 use facile_obs::json::Value;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// One job: the assembly text the daemon will assemble, plus the name
 /// of the workload it came from.
@@ -59,12 +57,8 @@ fn main() {
     let external = arg_str("--addr");
     let check_local = std::env::args().any(|a| a == "--check-local");
     let shutdown = std::env::args().any(|a| a == "--shutdown");
-    let which = match arg_str("--sim").as_deref() {
-        Some("functional") => FacileSim::Functional,
-        Some("inorder") => FacileSim::Inorder,
-        _ => FacileSim::Ooo,
-    };
-    let arch = format!("{which:?}").to_lowercase();
+    let which = FacileSim::from_arg();
+    let arch = which.name();
 
     // Round-robin the synthetic suite until `jobs_total` jobs exist;
     // every row serves this same list, so rows are comparable.
@@ -99,13 +93,12 @@ fn main() {
         let row = match &external {
             Some(addr) => run_row(addr, c, &jobs, local.as_deref()),
             None => {
-                let step = Arc::new(compile_facile(which));
                 let server = Server::start(
-                    step,
+                    compile_facile(which),
                     ServeConfig {
                         threads,
                         queue_cap: jobs.len().max(8),
-                        arch: arch.clone(),
+                        arch: arch.to_owned(),
                         ..ServeConfig::default()
                     },
                 )
@@ -142,7 +135,7 @@ fn main() {
     }
 
     if let Some(path) = &json_out {
-        write_or_die(path, &render_json(&arch, scale, threads, jobs_total, &rows));
+        write_or_die(path, &render_json(arch, scale, threads, jobs_total, &rows));
     }
 }
 
@@ -200,27 +193,20 @@ struct LocalRef {
 
 fn run_local(which: FacileSim, jobs: &[ServeJob], scale: f64) -> Vec<LocalRef> {
     eprintln!("check-local: running the {} jobs in-process (scale {scale})", jobs.len());
-    let step = Arc::new(compile_facile(which));
     let batch_jobs: Vec<BatchJob> = jobs
         .iter()
         .map(|j| {
             let image =
                 facile_isa::assemble_image(&j.asm, 0x1_0000, vec![]).expect("workload assembles");
-            let args = match which {
-                FacileSim::Functional => initial_args::functional(image.entry),
-                FacileSim::Inorder => initial_args::inorder(image.entry),
-                FacileSim::Ooo => initial_args::ooo(image.entry),
-            };
-            BatchJob {
-                label: j.name.to_owned(),
-                image,
-                args,
-                options: SimOptions::default(),
-                max_steps: MAX_INSNS,
-            }
+            which.job(j.name, image, SimOptions::default())
         })
         .collect();
-    let result = run_batch(step, batch_jobs, &BatchConfig::default()).expect("local batch runs");
+    // Only digests and `out` traces are compared: no documents wanted.
+    let config = BatchConfig {
+        sections: Sections::default(),
+        ..BatchConfig::default()
+    };
+    let result = run_batch(compile_facile(which), batch_jobs, &config).expect("local batch runs");
     result
         .jobs
         .iter()

@@ -26,14 +26,12 @@
 //! EXPERIMENTS.md warm-start table is generated from it.
 
 use bench::*;
-use facile::hosts::{initial_args, ArchHost};
+use facile::job::{prepare, Lane, Sections, Streams, WarmStart};
 use facile::snapshot::LoadedSnapshot;
-use facile::{
-    ObsConfig, ObsHandle, SimOptions, Simulation, Target, TimelineConfig, TimelineDoc,
-};
+use facile::{CompiledStep, SimOptions, TimelineDoc};
 use facile_runtime::Image;
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::sync::Arc;
 
 /// One measured run (cold or warm) under the timeline recorder.
 struct Run {
@@ -66,62 +64,36 @@ impl Run {
 }
 
 /// Builds, optionally warm-starts, and drives one simulation to halt
-/// in epoch-sized slices. Returns the measured run and the finished
-/// simulation (the cold caller snapshots its cache).
+/// in epoch-sized slices through the job pipeline. Returns the measured
+/// run and the finished lane (the cold caller snapshots its cache).
 fn run_one(
-    step: &facile::CompiledStep,
+    step: &Arc<CompiledStep>,
     image: &Image,
     label: &str,
     epoch: u64,
     warm: Option<&LoadedSnapshot>,
-) -> (Run, Simulation) {
-    let args = initial_args::ooo(image.entry);
-    let mut sim = Simulation::new(
-        step.clone(),
-        Target::load(image),
-        &args,
-        SimOptions {
-            memoize: true,
-            ..SimOptions::default()
-        },
-    )
-    .expect("simulation constructs");
-    ArchHost::new().bind(&mut sim).expect("externals bind");
-    sim.attach_obs(ObsHandle::new(ObsConfig {
-        trace: false,
-        metrics: false,
-        timeline: TimelineConfig {
-            enabled: true,
-            epoch_steps: epoch.max(1),
-            ..TimelineConfig::default()
-        },
-        ..ObsConfig::default()
-    }));
-    if let Some(w) = warm {
-        w.validate(&sim).expect("snapshot validates against its own workload");
-        sim.warm_start(w.image()).expect("warm start on a fresh simulation");
-    }
-    let slice = epoch.max(1);
-    let t0 = Instant::now();
-    let mut left = MAX_INSNS;
-    while sim.halted().is_none() && left > 0 {
-        sim.run_steps(slice.min(left));
-        left = left.saturating_sub(slice);
-    }
-    let wall = t0.elapsed();
-    assert!(sim.halted().is_some(), "workload did not halt");
-    let wall_ns = wall.as_nanos() as u64;
-    let doc = facile::obs::timeline_doc(label, &mut sim, wall_ns)
-        .expect("timeline recorder was attached");
-    let run = Run {
-        fast_fraction: sim.stats().fast_forwarded_fraction(),
-        insns: sim.stats().insns,
-        cycles: sim.stats().cycles,
-        slow_steps: sim.stats().slow_steps,
-        wall_ns,
-        doc,
+) -> (Run, Lane) {
+    let sections = Sections {
+        timeline: Some(epoch.max(1)),
+        ..Sections::default()
     };
-    (run, sim)
+    let job = FacileSim::Ooo.job(label, image.clone(), SimOptions::default());
+    let mut lane =
+        prepare(step, job, &sections, warm, Streams::default()).expect("simulation constructs");
+    if warm.is_some() {
+        assert_eq!(lane.warm(), &WarmStart::Used, "snapshot warm-starts its own workload");
+    }
+    let o = lane.drive(None);
+    assert!(o.halt.is_some(), "workload did not halt");
+    let run = Run {
+        fast_fraction: o.metrics.sim.fast_forwarded_fraction(),
+        insns: o.metrics.sim.insns,
+        cycles: o.metrics.sim.cycles,
+        slow_steps: o.metrics.sim.slow_steps,
+        wall_ns: o.wall_ns,
+        doc: o.timeline.expect("timeline recorder was attached"),
+    };
+    (run, lane)
 }
 
 struct Row {
@@ -150,18 +122,18 @@ fn main() {
         }
         let image = workload_image(&w, scale);
 
-        let (cold, cold_sim) = run_one(&step, &image, w.name, epoch, None);
-        let bytes = facile::snapshot::save(&cold_sim);
+        let (cold, cold_lane) = run_one(&step, &image, w.name, epoch, None);
+        let bytes = facile::snapshot::save(cold_lane.sim());
         let snap = facile::snapshot::parse(&bytes).expect("own snapshot parses");
 
-        let (warm, warm_sim) = run_one(&step, &image, w.name, epoch, Some(&snap));
+        let (warm, warm_lane) = run_one(&step, &image, w.name, epoch, Some(&snap));
         assert_eq!(
             (warm.insns, warm.cycles),
             (cold.insns, cold.cycles),
             "{}: warm run must replay the cold run's architected results",
             w.name
         );
-        let cs = warm_sim.cache_stats();
+        let cs = warm_lane.sim().cache_stats();
 
         eprintln!(
             "{:>10}: snapshot {} B, cold ff {:.4} -> warm ff {:.4}, \

@@ -12,8 +12,8 @@ use bench::*;
 
 fn main() {
     let scale = arg_f64("--scale", 1.0);
-    let mut sink = MetricsSink::from_args();
-    let mut prof = ProfileSink::from_args();
+    let mut sink = DocSink::metrics();
+    let mut prof = DocSink::profile();
     println!("Table 2: memoized data (Facile OOO, unbounded action cache)\n");
     println!("{:<14} {:>12} {:>12} {:>12}", "benchmark", "insns", "MiB", "paper MB");
     let paper: &[(&str, f64)] = &[

@@ -1,18 +1,20 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
 //! Each table/figure has a binary under `src/bin/` (see DESIGN.md §4 for
-//! the experiment index); Criterion benches under `benches/` measure the
-//! same configurations with statistical rigor. This library holds the
-//! runners they share.
+//! the experiment index). This library holds the runners they share;
+//! every Facile run goes through the same job pipeline as `facilec`
+//! (`facile::job`).
 
-use facile::hosts::{initial_args, ArchHost};
-use facile::{compile_source, CompilerOptions, SimOptions, Simulation, Target};
+use facile::hosts::initial_args;
+use facile::job::{execute, BatchJob, JobOutcome, ProfileSource, Sections};
+use facile::{compile_source, CompiledStep, CompilerOptions, SimOptions};
 
 pub use facile::CachePolicy;
-use facile::{HotConfig, HotDoc, ObsConfig, ObsHandle, TimelineConfig, TimelineDoc};
-use facile_obs::{CacheStatsSnapshot, MetricsDoc, ProfileDoc, SimStatsSnapshot};
+use facile::{HotDoc, TimelineDoc};
+use facile_obs::{CacheStatsSnapshot, MetricsDoc, SimStatsSnapshot};
 use facile_runtime::Image;
 use facile_workloads::Workload;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Result of one measured simulator run.
@@ -43,85 +45,62 @@ impl RunResult {
     pub fn sim_ips(&self) -> f64 {
         self.insns as f64 / self.wall.as_secs_f64().max(1e-9)
     }
+
+    /// The counters of a finished Facile job.
+    pub fn of_job(o: &JobOutcome) -> RunResult {
+        let (sim, cache) = (&o.metrics.sim, &o.metrics.cache);
+        RunResult {
+            insns: sim.insns,
+            cycles: sim.cycles,
+            wall: Duration::from_nanos(o.wall_ns),
+            fast_fraction: sim.fast_forwarded_fraction(),
+            slow_insns: sim.slow_insns,
+            misses: sim.misses,
+            memo_bytes: cache.bytes_total,
+            clears: cache.clears,
+            evictions: cache.evictions,
+        }
+    }
 }
 
 /// Upper bound on simulated instructions per run (safety net; workloads
 /// halt on their own).
 pub const MAX_INSNS: u64 = 2_000_000_000;
 
-/// Collects one `facile-obs` metrics document per run;
-/// [`finish`](MetricsSink::finish) writes them as JSONL to the
-/// `--metrics-out` path. Without the flag the sink is inert and the runners skip all
-/// observation work.
-pub struct MetricsSink {
+/// Collects one JSON document per run; [`finish`](DocSink::finish)
+/// writes them as JSONL to the path its flag named. Without the flag
+/// the sink is inert and the runners skip the observation it would
+/// need.
+pub struct DocSink {
     path: Option<String>,
+    kind: &'static str,
     lines: Vec<String>,
 }
 
-impl MetricsSink {
+impl DocSink {
     /// Binds to the `--metrics-out <path>` command-line argument.
-    pub fn from_args() -> MetricsSink {
-        MetricsSink {
-            path: arg_str("--metrics-out"),
-            lines: Vec::new(),
-        }
+    pub fn metrics() -> DocSink {
+        DocSink::from_arg("--metrics-out", "metrics")
     }
 
-    /// A sink that collects nothing.
-    pub fn disabled() -> MetricsSink {
-        MetricsSink {
-            path: None,
-            lines: Vec::new(),
-        }
-    }
-
-    /// Whether documents are being collected.
-    pub fn active(&self) -> bool {
-        self.path.is_some()
-    }
-
-    /// Adds one document (no-op when inactive).
-    pub fn push(&mut self, doc: &MetricsDoc) {
-        if self.active() {
-            self.lines.push(doc.to_json());
-        }
-    }
-
-    /// Writes the collected documents as JSONL and reports the path.
-    pub fn finish(&self) {
-        let Some(path) = &self.path else { return };
-        let mut body = self.lines.join("\n");
-        body.push('\n');
-        match std::fs::write(path, body) {
-            Ok(()) => eprintln!("wrote {} metrics document(s) to {path}", self.lines.len()),
-            Err(e) => eprintln!("cannot write {path}: {e}"),
-        }
-    }
-}
-
-/// Collects one `facile-prof/v1` profile document per Facile run;
-/// [`finish`](ProfileSink::finish) writes them as JSONL to the
-/// `--profile-out` path. Same shape as [`MetricsSink`]: without the
-/// flag the sink is inert and profiled runners behave exactly like
-/// their unprofiled forms.
-pub struct ProfileSink {
-    path: Option<String>,
-    lines: Vec<String>,
-}
-
-impl ProfileSink {
     /// Binds to the `--profile-out <path>` command-line argument.
-    pub fn from_args() -> ProfileSink {
-        ProfileSink {
-            path: arg_str("--profile-out"),
+    pub fn profile() -> DocSink {
+        DocSink::from_arg("--profile-out", "profile")
+    }
+
+    fn from_arg(flag: &str, kind: &'static str) -> DocSink {
+        DocSink {
+            path: arg_str(flag),
+            kind,
             lines: Vec::new(),
         }
     }
 
     /// A sink that collects nothing.
-    pub fn disabled() -> ProfileSink {
-        ProfileSink {
+    pub fn disabled() -> DocSink {
+        DocSink {
             path: None,
+            kind: "",
             lines: Vec::new(),
         }
     }
@@ -131,10 +110,10 @@ impl ProfileSink {
         self.path.is_some()
     }
 
-    /// Adds one document (no-op when inactive).
-    pub fn push(&mut self, doc: &ProfileDoc) {
+    /// Adds one rendered document (no-op when inactive).
+    pub fn push(&mut self, json: String) {
         if self.active() {
-            self.lines.push(doc.to_json());
+            self.lines.push(json);
         }
     }
 
@@ -144,7 +123,7 @@ impl ProfileSink {
         let mut body = self.lines.join("\n");
         body.push('\n');
         match std::fs::write(path, body) {
-            Ok(()) => eprintln!("wrote {} profile document(s) to {path}", self.lines.len()),
+            Ok(()) => eprintln!("wrote {} {} document(s) to {path}", self.lines.len(), self.kind),
             Err(e) => eprintln!("cannot write {path}: {e}"),
         }
     }
@@ -152,20 +131,20 @@ impl ProfileSink {
 
 /// Runs the SimpleScalar-role conventional simulator.
 pub fn run_simplescalar(image: &Image) -> RunResult {
-    run_simplescalar_sink(image, "simplescalar", &mut MetricsSink::disabled())
+    run_simplescalar_sink(image, "simplescalar", &mut DocSink::disabled())
 }
 
 /// [`run_simplescalar`], recording a metrics document into the sink.
 /// SimpleScalar has no fast path, so every instruction counts as slow
 /// and the cache snapshot is empty.
-pub fn run_simplescalar_sink(image: &Image, label: &str, sink: &mut MetricsSink) -> RunResult {
+pub fn run_simplescalar_sink(image: &Image, label: &str, sink: &mut DocSink) -> RunResult {
     let mut sim = simplescalar::SimpleScalar::new(image, simplescalar::Config::default());
     let t0 = Instant::now();
     sim.run(MAX_INSNS);
     let wall = t0.elapsed();
     assert!(sim.halted(), "workload did not halt under simplescalar");
-    if sink.active() {
-        sink.push(&MetricsDoc {
+    sink.push(
+        MetricsDoc {
             label: label.to_owned(),
             sim: SimStatsSnapshot {
                 cycles: sim.stats.cycles,
@@ -176,8 +155,9 @@ pub fn run_simplescalar_sink(image: &Image, label: &str, sink: &mut MetricsSink)
             cache: CacheStatsSnapshot::default(),
             wall_ns: wall.as_nanos() as u64,
             metrics: None,
-        });
-    }
+        }
+        .to_json(),
+    );
     RunResult {
         insns: sim.stats.insns,
         cycles: sim.stats.cycles,
@@ -193,7 +173,7 @@ pub fn run_simplescalar_sink(image: &Image, label: &str, sink: &mut MetricsSink)
 
 /// Runs the hand-coded memoizing simulator (FastSim role).
 pub fn run_fastsim(image: &Image, memoize: bool, capacity: Option<u64>) -> RunResult {
-    run_fastsim_sink(image, memoize, capacity, "fastsim", &mut MetricsSink::disabled())
+    run_fastsim_sink(image, memoize, capacity, "fastsim", &mut DocSink::disabled())
 }
 
 /// [`run_fastsim`], recording a metrics document into the sink. FastSim
@@ -204,16 +184,16 @@ pub fn run_fastsim_sink(
     memoize: bool,
     capacity: Option<u64>,
     label: &str,
-    sink: &mut MetricsSink,
+    sink: &mut DocSink,
 ) -> RunResult {
     let mut sim = fastsim::FastSim::new(image, memoize, capacity);
     let t0 = Instant::now();
     sim.run(MAX_INSNS);
     let wall = t0.elapsed();
     assert!(sim.halted(), "workload did not halt under fastsim");
-    if sink.active() {
-        let m = sim.memo_stats();
-        sink.push(&MetricsDoc {
+    let m = sim.memo_stats();
+    sink.push(
+        MetricsDoc {
             label: label.to_owned(),
             sim: SimStatsSnapshot {
                 cycles: sim.stats.cycles,
@@ -240,8 +220,9 @@ pub fn run_fastsim_sink(
             },
             wall_ns: wall.as_nanos() as u64,
             metrics: None,
-        });
-    }
+        }
+        .to_json(),
+    );
     RunResult {
         insns: sim.stats.insns,
         cycles: sim.stats.cycles,
@@ -249,8 +230,8 @@ pub fn run_fastsim_sink(
         fast_fraction: sim.stats.fast_forwarded_fraction(),
         slow_insns: sim.stats.slow_insns,
         misses: sim.stats.misses,
-        memo_bytes: sim.memo_stats().bytes_total,
-        clears: sim.memo_stats().clears,
+        memo_bytes: m.bytes_total,
+        clears: m.clears,
         evictions: 0,
     }
 }
@@ -266,6 +247,38 @@ pub enum FacileSim {
     Ooo,
 }
 
+impl FacileSim {
+    /// The simulator a `--sim functional|inorder|ooo` argument names
+    /// (default `ooo`).
+    pub fn from_arg() -> FacileSim {
+        match arg_str("--sim").as_deref() {
+            Some("functional") => FacileSim::Functional,
+            Some("inorder") => FacileSim::Inorder,
+            _ => FacileSim::Ooo,
+        }
+    }
+
+    /// The shipped simulator's name (`facilec --builtin` spelling).
+    pub fn name(self) -> &'static str {
+        match self {
+            FacileSim::Functional => "functional",
+            FacileSim::Inorder => "inorder",
+            FacileSim::Ooo => "ooo",
+        }
+    }
+
+    /// One job of this simulator over `image`, run to halt.
+    pub fn job(self, label: &str, image: Image, options: SimOptions) -> BatchJob {
+        BatchJob {
+            label: label.to_owned(),
+            args: initial_args::for_arch(self.name(), image.entry),
+            image,
+            options,
+            max_steps: MAX_INSNS,
+        }
+    }
+}
+
 /// The Facile source of a shipped simulator and its display file name
 /// (what profile rows resolve their lines against).
 pub fn facile_source(which: FacileSim) -> (String, &'static str) {
@@ -276,147 +289,101 @@ pub fn facile_source(which: FacileSim) -> (String, &'static str) {
     }
 }
 
-/// Compiles a shipped Facile simulator once (reusable across runs).
-pub fn compile_facile(which: FacileSim) -> facile::CompiledStep {
+/// Compiles a shipped Facile simulator once (shared across runs).
+pub fn compile_facile(which: FacileSim) -> Arc<CompiledStep> {
     let (src, _) = facile_source(which);
-    compile_source(&src, &CompilerOptions::default()).expect("shipped simulator compiles")
+    Arc::new(compile_source(&src, &CompilerOptions::default()).expect("shipped simulator compiles"))
 }
 
-/// Runs a compiled Facile simulator over an image.
-pub fn run_facile(
-    step: &facile::CompiledStep,
+/// Runs one Facile job to halt through the job pipeline, collecting the
+/// wanted documents.
+pub fn run_facile_job(
+    step: &Arc<CompiledStep>,
     which: FacileSim,
     image: &Image,
-    memoize: bool,
-    capacity: Option<u64>,
-    policy: CachePolicy,
-) -> RunResult {
-    run_facile_sink(
-        step,
-        which,
-        image,
-        memoize,
-        capacity,
-        policy,
-        "facile",
-        &mut MetricsSink::disabled(),
-    )
-}
-
-/// [`run_facile`], recording a metrics document into the sink. With an
-/// active sink the run carries a full observability handle, so the
-/// document includes the derived registry (per-action replay counts,
-/// latency histograms, recovery depths); with an inert sink the run is
-/// unobserved and identical to [`run_facile`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_facile_sink(
-    step: &facile::CompiledStep,
-    which: FacileSim,
-    image: &Image,
-    memoize: bool,
-    capacity: Option<u64>,
-    policy: CachePolicy,
+    options: SimOptions,
     label: &str,
-    sink: &mut MetricsSink,
-) -> RunResult {
-    run_facile_obs(
-        step,
-        which,
-        image,
-        memoize,
-        capacity,
-        policy,
-        label,
-        sink,
-        &mut ProfileSink::disabled(),
-    )
+    sections: &Sections,
+) -> JobOutcome {
+    let job = which.job(label, image.clone(), options);
+    let o = execute(step, job, sections, None, None).expect("simulation constructs");
+    assert!(o.halt.is_some(), "workload did not halt under the facile simulator");
+    o
 }
 
-/// [`run_facile_sink`], additionally recording a source-level profile
-/// document into `prof` when it is active. Either active sink attaches
-/// the observability handle; the profile joins the compiled step's
-/// debug-info table with the run's per-action cost counters against the
-/// shipped simulator's source.
+/// Engine options of a measured run.
+pub fn sim_options(memoize: bool, capacity: Option<u64>, policy: CachePolicy) -> SimOptions {
+    SimOptions {
+        memoize,
+        cache_capacity: capacity,
+        cache_policy: policy,
+        ..SimOptions::default()
+    }
+}
+
+/// Runs a compiled Facile simulator over an image, unobserved.
+pub fn run_facile(
+    step: &Arc<CompiledStep>,
+    which: FacileSim,
+    image: &Image,
+    memoize: bool,
+    capacity: Option<u64>,
+    policy: CachePolicy,
+) -> RunResult {
+    let options = sim_options(memoize, capacity, policy);
+    RunResult::of_job(&run_facile_job(step, which, image, options, "facile", &Sections::default()))
+}
+
+/// [`run_facile`], recording a metrics document into `sink` and a
+/// source-level profile into `prof` when they are active. An active
+/// sink attaches the metrics registry, so the document carries the
+/// per-action replay counts, latency histograms and recovery depths;
+/// with both sinks inert the run is unobserved.
 #[allow(clippy::too_many_arguments)]
 pub fn run_facile_obs(
-    step: &facile::CompiledStep,
+    step: &Arc<CompiledStep>,
     which: FacileSim,
     image: &Image,
     memoize: bool,
     capacity: Option<u64>,
     policy: CachePolicy,
     label: &str,
-    sink: &mut MetricsSink,
-    prof: &mut ProfileSink,
+    sink: &mut DocSink,
+    prof: &mut DocSink,
 ) -> RunResult {
-    let args = match which {
-        FacileSim::Functional => initial_args::functional(image.entry),
-        FacileSim::Inorder => initial_args::inorder(image.entry),
-        FacileSim::Ooo => initial_args::ooo(image.entry),
+    let sections = Sections {
+        metrics: sink.active(),
+        profile: prof.active().then(|| {
+            let (src, file) = facile_source(which);
+            Arc::new(ProfileSource {
+                file: file.to_owned(),
+                src,
+            })
+        }),
+        ..Sections::default()
     };
-    let mut sim = Simulation::new(
-        step.clone(),
-        Target::load(image),
-        &args,
-        SimOptions {
-            memoize,
-            cache_capacity: capacity,
-            cache_policy: policy,
-            ..SimOptions::default()
-        },
-    )
-    .expect("simulation constructs");
-    ArchHost::new().bind(&mut sim).expect("externals bind");
-    if sink.active() || prof.active() {
-        facile::obs::observe_metrics(&mut sim);
+    let options = sim_options(memoize, capacity, policy);
+    let o = run_facile_job(step, which, image, options, label, &sections);
+    sink.push(o.metrics.to_json());
+    if let Some(p) = &o.profile {
+        prof.push(p.to_json());
     }
-    let t0 = Instant::now();
-    sim.run_steps(MAX_INSNS);
-    let wall = t0.elapsed();
-    assert!(
-        sim.halted().is_some(),
-        "workload did not halt under the facile simulator"
-    );
-    if sink.active() {
-        sink.push(&facile::obs::metrics_doc(label, &sim, wall.as_nanos() as u64));
-    }
-    if prof.active() {
-        let (src, file) = facile_source(which);
-        prof.push(&facile::obs::profile_doc(
-            label,
-            file,
-            &src,
-            &sim,
-            wall.as_nanos() as u64,
-        ));
-    }
-    let cs = sim.cache_stats();
-    RunResult {
-        insns: sim.stats().insns,
-        cycles: sim.stats().cycles,
-        wall,
-        fast_fraction: sim.stats().fast_forwarded_fraction(),
-        slow_insns: sim.stats().slow_insns,
-        misses: sim.stats().misses,
-        memo_bytes: cs.bytes_total,
-        clears: cs.clears,
-        evictions: cs.evictions,
-    }
+    RunResult::of_job(&o)
 }
 
 /// Observability level of a measured Facile run (the obs-overhead
 /// self-benchmark sweeps these).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ObsMode {
-    /// A *disabled* handle is attached: every hook is one null check.
-    /// This is the always-on-capable baseline the overhead gate holds
-    /// to the unobserved run.
+    /// No recorder: every hook is one null check. This is the
+    /// always-on-capable baseline the overhead gate holds to the
+    /// unobserved run.
     Disabled,
-    /// Metrics registry plus the replay flight recorder sampling 1-in-N
-    /// bursts (trace ring off).
+    /// The replay flight recorder sampling 1-in-N bursts (trace ring
+    /// and metrics registry off).
     Sampled(u64),
-    /// Metrics registry plus the flight recorder on every burst (trace
-    /// ring off). Recounts are exact in this mode.
+    /// The flight recorder on every burst (trace ring and metrics
+    /// registry off). Recounts are exact in this mode.
     Full,
     /// Epoch timeline with this interval in steps (trace ring, metrics
     /// registry and flight recorder off). The run is driven in
@@ -434,6 +401,28 @@ impl ObsMode {
             ObsMode::Sampled(_) => "sampled",
             ObsMode::Full => "full",
             ObsMode::Timeline(_) => "timeline",
+        }
+    }
+
+    /// The job sections this mode wants. The metrics registry stays
+    /// off: this benchmark isolates the recorders' own cost, and the
+    /// registry's per-action accounting is a separate, additive pathway
+    /// with its own (much larger) per-action price.
+    fn sections(self) -> Sections {
+        match self {
+            ObsMode::Disabled => Sections::default(),
+            ObsMode::Sampled(n) => Sections {
+                hot: Some(n.max(1)),
+                ..Sections::default()
+            },
+            ObsMode::Full => Sections {
+                hot: Some(1),
+                ..Sections::default()
+            },
+            ObsMode::Timeline(epoch) => Sections {
+                timeline: Some(epoch.max(1)),
+                ..Sections::default()
+            },
         }
     }
 }
@@ -464,7 +453,7 @@ impl HotRun {
 /// attached.
 #[allow(clippy::too_many_arguments)]
 pub fn run_facile_hot(
-    step: &facile::CompiledStep,
+    step: &Arc<CompiledStep>,
     which: FacileSim,
     image: &Image,
     memoize: bool,
@@ -473,99 +462,13 @@ pub fn run_facile_hot(
     label: &str,
     mode: ObsMode,
 ) -> HotRun {
-    let args = match which {
-        FacileSim::Functional => initial_args::functional(image.entry),
-        FacileSim::Inorder => initial_args::inorder(image.entry),
-        FacileSim::Ooo => initial_args::ooo(image.entry),
-    };
-    let mut sim = Simulation::new(
-        step.clone(),
-        Target::load(image),
-        &args,
-        SimOptions {
-            memoize,
-            cache_capacity: capacity,
-            cache_policy: policy,
-            ..SimOptions::default()
-        },
-    )
-    .expect("simulation constructs");
-    ArchHost::new().bind(&mut sim).expect("externals bind");
-    match mode {
-        ObsMode::Disabled => sim.attach_obs(ObsHandle::off()),
-        // Trace and the metrics registry stay off in the enabled modes:
-        // this benchmark isolates the flight recorder's own cost. The
-        // registry's per-action accounting is a separate, additive
-        // pathway with its own (much larger) per-action price.
-        ObsMode::Sampled(n) => sim.attach_obs(ObsHandle::new(ObsConfig {
-            trace: false,
-            metrics: false,
-            hot: HotConfig {
-                enabled: true,
-                sample_every: n.max(1),
-            },
-            ..ObsConfig::default()
-        })),
-        ObsMode::Full => sim.attach_obs(ObsHandle::new(ObsConfig {
-            trace: false,
-            metrics: false,
-            hot: HotConfig {
-                enabled: true,
-                sample_every: 1,
-            },
-            ..ObsConfig::default()
-        })),
-        ObsMode::Timeline(epoch) => sim.attach_obs(ObsHandle::new(ObsConfig {
-            trace: false,
-            metrics: false,
-            timeline: TimelineConfig {
-                enabled: true,
-                epoch_steps: epoch.max(1),
-                ..TimelineConfig::default()
-            },
-            ..ObsConfig::default()
-        })),
-    }
-    let t0 = Instant::now();
-    if let ObsMode::Timeline(epoch) = mode {
-        // Budget-sliced driving, exactly like `facilec --timeline-out`:
-        // the slicing is part of what this mode costs.
-        let slice = epoch.max(1);
-        let mut left = MAX_INSNS;
-        while sim.halted().is_none() && left > 0 {
-            sim.run_steps(slice.min(left));
-            left = left.saturating_sub(slice);
-        }
-    } else {
-        sim.run_steps(MAX_INSNS);
-    }
-    let wall = t0.elapsed();
-    assert!(
-        sim.halted().is_some(),
-        "workload did not halt under the facile simulator"
-    );
-    let timeline = if matches!(mode, ObsMode::Timeline(_)) {
-        facile::obs::timeline_doc(label, &mut sim, wall.as_nanos() as u64)
-    } else {
-        None
-    };
-    let hot = facile::obs::hot_doc(label, &sim, wall.as_nanos() as u64);
-    let cs = sim.cache_stats();
+    let options = sim_options(memoize, capacity, policy);
+    let o = run_facile_job(step, which, image, options, label, &mode.sections());
     HotRun {
-        run: RunResult {
-            insns: sim.stats().insns,
-            cycles: sim.stats().cycles,
-            wall,
-            fast_fraction: sim.stats().fast_forwarded_fraction(),
-            slow_insns: sim.stats().slow_insns,
-            misses: sim.stats().misses,
-            memo_bytes: cs.bytes_total,
-            clears: cs.clears,
-            evictions: cs.evictions,
-        },
-        steps: sim.stats().fast_steps + sim.stats().slow_steps,
-        hot,
-        timeline,
+        run: RunResult::of_job(&o),
+        steps: o.steps,
+        hot: o.hot,
+        timeline: o.timeline,
     }
 }
 

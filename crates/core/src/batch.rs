@@ -28,39 +28,11 @@
 //! too — `sim_prof --check` accepts a merged profile as readily as a
 //! single-lane one.
 
-use crate::hosts::ArchHost;
-use crate::obs::{hot_doc, metrics_doc, profile_doc, timeline_doc};
-use crate::{
-    CompiledStep, HotConfig, HotDoc, MetricsDoc, ObsConfig, ObsHandle, ProfileDoc, SimError,
-    SimOptions, Simulation, TimelineConfig, TimelineDoc,
-};
-use facile_obs::EpochRecord;
-use facile_runtime::{HaltReason, Image, Target};
-use facile_vm::ArgValue;
+use crate::job::{execute, shielded};
+pub use crate::job::{BatchJob, JobOutcome, ProfileSource, Sections};
+use crate::{CompiledStep, HotDoc, MetricsDoc, ProfileDoc, SimError, TimelineDoc};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// One simulation job: a target image plus the per-lane knobs.
-pub struct BatchJob {
-    /// Display label; becomes the per-job document label.
-    pub label: String,
-    /// The assembled target program.
-    pub image: Image,
-    /// Initial `main` arguments (e.g. [`crate::hosts::initial_args`]).
-    pub args: Vec<ArgValue>,
-    /// Engine options (memoization, cache capacity) for this lane.
-    pub options: SimOptions,
-    /// Step budget; `u64::MAX >> 1` effectively means "until halt".
-    pub max_steps: u64,
-}
-
-/// Source text needed to resolve profile spans, when profiling a batch.
-pub struct ProfileSource {
-    /// Display name written into the documents (`file:line:col`).
-    pub file: String,
-    /// The Facile source the shared step was compiled from.
-    pub src: String,
-}
 
 /// Called by a worker the moment one job completes (out of submission
 /// order). Invoked concurrently, so it must synchronize any shared sink
@@ -72,23 +44,10 @@ pub struct BatchConfig {
     /// Worker threads; `0` means one per available CPU, capped at the
     /// job count.
     pub threads: usize,
-    /// Attach a metrics registry to every job. Required for merged
-    /// metrics/profile documents; off gives plain counter snapshots.
-    pub observe: bool,
-    /// Bind a fresh [`ArchHost`] (caches, predictors) to every job.
-    pub bind_arch: bool,
-    /// Also build per-job and merged source profiles.
-    pub profile: Option<ProfileSource>,
-    /// Attach the replay flight recorder to every job with this 1-in-N
-    /// burst sampling period (see [`crate::obs::observe_hot`]); the
-    /// per-job and merged `facile-hot/v1` documents are collected.
-    pub hot: Option<u64>,
-    /// Attach an epoch timeline to every job with this epoch interval
-    /// in steps (see [`crate::obs::observe_timeline`]); the lane is
-    /// driven in epoch-sized budget slices so replay bursts exit near
-    /// epoch boundaries, and the per-job and merged
-    /// `facile-timeline/v1` documents are collected.
-    pub timeline: Option<u64>,
+    /// The documents every lane collects (see [`Sections`]); the batch
+    /// folds each wanted one into a merged document. The default wants
+    /// the metrics documents with their registry.
+    pub sections: Sections,
     /// Per-job completion heartbeat (e.g. `facilec batch --progress`).
     pub progress: Option<ProgressFn>,
     /// A parsed action-cache snapshot every lane warm-starts from. The
@@ -104,41 +63,14 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             threads: 0,
-            observe: true,
-            bind_arch: true,
-            profile: None,
-            hot: None,
-            timeline: None,
+            sections: Sections {
+                metrics: true,
+                ..Sections::default()
+            },
             progress: None,
             warm: None,
         }
     }
-}
-
-/// What one finished job produced.
-pub struct JobOutcome {
-    /// The job's label, copied through.
-    pub label: String,
-    /// Why (whether) the simulation halted within its step budget.
-    pub halt: Option<HaltReason>,
-    /// Steps executed (slow + fast).
-    pub steps: u64,
-    /// This lane's wall-clock, nanoseconds.
-    pub wall_ns: u64,
-    /// Digest of the lane's final target memory — the bit-identity
-    /// witness drivers compare across execution paths (batch vs serve
-    /// vs a direct run of the same job).
-    pub digest: u64,
-    /// The program's `out` values, in emission order.
-    pub out: Vec<i64>,
-    /// The per-job metrics document (with registry iff `observe`).
-    pub metrics: MetricsDoc,
-    /// The per-job profile document, when profiling was requested.
-    pub profile: Option<ProfileDoc>,
-    /// The per-job hot-chain document, when the recorder was requested.
-    pub hot: Option<HotDoc>,
-    /// The per-job epoch timeline, when a timeline was requested.
-    pub timeline: Option<TimelineDoc>,
 }
 
 /// The whole batch: per-job outcomes in submission order plus folds.
@@ -147,13 +79,13 @@ pub struct BatchResult {
     pub jobs: Vec<JobOutcome>,
     /// All job documents folded in submission order.
     pub merged_metrics: MetricsDoc,
-    /// Folded profile, when [`BatchConfig::profile`] was set.
+    /// Folded profile, when the profile section was wanted.
     pub merged_profile: Option<ProfileDoc>,
-    /// Folded hot-chain document, when [`BatchConfig::hot`] was set.
+    /// Folded hot-chain document, when the hot section was wanted.
     /// Folding happens in submission order, so it is bit-for-bit what a
     /// single recorder observing the lanes back-to-back would hold.
     pub merged_hot: Option<HotDoc>,
-    /// Folded timeline, when [`BatchConfig::timeline`] was set. Lane
+    /// Folded timeline, when the timeline section was wanted. Lane
     /// timelines concatenate in submission order (all-integer epoch
     /// records make the fold bit-for-bit deterministic) and the
     /// steady-state detector reruns over the concatenation.
@@ -207,10 +139,10 @@ impl std::error::Error for BatchError {}
 
 /// Runs every job across a worker pool and folds the results.
 ///
-/// Jobs are dispensed through an atomic index; each worker builds its
-/// own [`Simulation`] (sharing `step` by reference count), runs it to
-/// its step budget, snapshots the documents, and drops the lane before
-/// pulling the next job. Outcomes land at their submission index.
+/// Jobs are dispensed through an atomic index; each worker runs its job
+/// through [`crate::job::execute`] (sharing `step` by reference count)
+/// and drops the lane before pulling the next one. Outcomes land at
+/// their submission index.
 ///
 /// # Errors
 ///
@@ -252,20 +184,13 @@ pub fn run_batch(
                 let label = job.label.clone();
                 // A panicking job or progress callback must not unwind
                 // `thread::scope` (which would abort every in-flight
-                // lane and leave `None` outcome slots behind): catch it
-                // here and surface a structured per-job error instead.
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let out = run_one(&step, job, config, None);
+                // lane and leave `None` outcome slots behind).
+                let out = shielded(&label, || {
+                    let out = execute(&step, job, &config.sections, config.warm.as_deref(), None);
                     if let (Some(cb), Ok(o)) = (&config.progress, &out) {
                         cb(o);
                     }
                     out
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(SimError::Panic(format!(
-                        "job `{label}`: {}",
-                        panic_message(payload.as_ref())
-                    )))
                 });
                 *outcomes[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
             });
@@ -282,35 +207,33 @@ pub fn run_batch(
         }
     }
 
+    // Sections are shared by every lane, so each document kind is
+    // all-or-nothing across the batch.
+    let label = format!("batch({n} jobs)");
     let mut merged_metrics = done[0].metrics.clone();
-    merged_metrics.label = format!("batch({n} jobs)");
+    merged_metrics.label.clone_from(&label);
+    let mut merged_profile = done[0].profile.clone();
+    let mut merged_hot = done[0].hot.clone();
+    let mut merged_timeline = done[0].timeline.clone();
+    if let Some(p) = merged_profile.as_mut() {
+        p.label.clone_from(&label);
+    }
+    if let Some(h) = merged_hot.as_mut() {
+        h.label.clone_from(&label);
+    }
+    if let Some(t) = merged_timeline.as_mut() {
+        t.label.clone_from(&label);
+    }
     for j in &done[1..] {
         merged_metrics.merge(&j.metrics);
-    }
-    let mut merged_profile = done[0].profile.clone();
-    if let Some(mp) = merged_profile.as_mut() {
-        mp.label = format!("batch({n} jobs)");
-        for j in &done[1..] {
-            let theirs = j.profile.as_ref().expect("profiling is all-or-nothing");
-            mp.merge(theirs).map_err(BatchError::Merge)?;
+        if let (Some(mp), Some(p)) = (merged_profile.as_mut(), &j.profile) {
+            mp.merge(p).map_err(BatchError::Merge)?;
         }
-    }
-    let mut merged_hot = done[0].hot.clone();
-    if let Some(mh) = merged_hot.as_mut() {
-        mh.label = format!("batch({n} jobs)");
-        for j in &done[1..] {
-            mh.merge(j.hot.as_ref().expect("hot recording is all-or-nothing"));
+        if let (Some(mh), Some(h)) = (merged_hot.as_mut(), &j.hot) {
+            mh.merge(h);
         }
-    }
-    let mut merged_timeline = done[0].timeline.clone();
-    if let Some(mt) = merged_timeline.as_mut() {
-        mt.label = format!("batch({n} jobs)");
-        for j in &done[1..] {
-            mt.merge(
-                j.timeline
-                    .as_ref()
-                    .expect("timeline recording is all-or-nothing"),
-            );
+        if let (Some(mt), Some(t)) = (merged_timeline.as_mut(), &j.timeline) {
+            mt.merge(t);
         }
     }
 
@@ -325,21 +248,9 @@ pub fn run_batch(
     })
 }
 
-/// Renders a caught panic payload; `panic!` carries `&str` or `String`,
-/// anything else gets a placeholder.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
 /// Resolves the thread-count knob: `0` = available parallelism, and
 /// never more workers than jobs.
-pub(crate) fn effective_threads(requested: usize, jobs: usize) -> usize {
+fn effective_threads(requested: usize, jobs: usize) -> usize {
     let t = if requested == 0 {
         std::thread::available_parallelism().map_or(1, |p| p.get())
     } else {
@@ -348,130 +259,15 @@ pub(crate) fn effective_threads(requested: usize, jobs: usize) -> usize {
     t.clamp(1, jobs.max(1))
 }
 
-/// A per-closed-epoch observer: the epoch's index and record.
-pub(crate) type EpochCallback<'a> = Option<&'a dyn Fn(u64, &EpochRecord)>;
-
-/// Builds, runs, and snapshots one lane.
-///
-/// `epoch_cb` (serve heartbeats) fires once per *closed* timeline epoch
-/// with the epoch's index and record; it is `None` for plain batches
-/// and ignored unless [`BatchConfig::timeline`] sliced the drive.
-pub(crate) fn run_one(
-    step: &Arc<CompiledStep>,
-    job: BatchJob,
-    config: &BatchConfig,
-    epoch_cb: EpochCallback<'_>,
-) -> Result<JobOutcome, SimError> {
-    let mut sim = Simulation::new(
-        step.clone(),
-        Target::load(&job.image),
-        &job.args,
-        job.options,
-    )?;
-    if config.bind_arch {
-        ArchHost::new().bind(&mut sim)?;
-    }
-    if config.observe || config.hot.is_some() || config.timeline.is_some() {
-        // One handle carries the metrics registry (iff `observe`), the
-        // flight recorder (iff `hot`) and the timeline (iff `timeline`).
-        sim.attach_obs(ObsHandle::new(ObsConfig {
-            metrics: config.observe,
-            hot: match config.hot {
-                Some(sample_every) => HotConfig {
-                    enabled: true,
-                    sample_every,
-                },
-                None => HotConfig::default(),
-            },
-            timeline: match config.timeline {
-                Some(epoch_steps) => TimelineConfig {
-                    enabled: true,
-                    epoch_steps,
-                    ..TimelineConfig::default()
-                },
-                None => TimelineConfig::default(),
-            },
-            ..ObsConfig::default()
-        }));
-    }
-    if let Some(w) = &config.warm {
-        // Warm-start after the observer is attached so the lane's
-        // `snapshot_load` trace event and warm-start counters land in
-        // its documents. A failed per-lane validation (different
-        // target, policy, ...) silently degrades to a cold lane — the
-        // batch result is identical either way, only slower.
-        if w.validate(&sim).is_ok() {
-            let _ = sim.warm_start(w.image());
-        }
-    }
-    let t0 = std::time::Instant::now();
-    let halt = match config.timeline {
-        // Budget-sliced driving: epochs close when a replay burst or a
-        // slow-path group ends, and a burst runs to its whole budget,
-        // so an unsliced lane of a tight loop would close one giant
-        // epoch. Slicing by the interval keeps epochs near-uniform.
-        Some(epoch) => {
-            let slice = epoch.max(1);
-            let mut left = job.max_steps;
-            let mut seen_epochs = 0u64;
-            loop {
-                let halt = sim.run_steps(slice.min(left));
-                left = left.saturating_sub(slice);
-                if let Some(cb) = epoch_cb {
-                    // Serve heartbeats: emit every epoch the slice just
-                    // closed, in order, exactly once.
-                    if let Some(t) = sim.obs().timeline() {
-                        let total = t.epochs_total();
-                        let dropped = total.saturating_sub(t.epochs.len() as u64);
-                        // Epochs evicted into `dropped_sum` before this
-                        // poll are gone; heartbeats resume at the
-                        // oldest retained one.
-                        seen_epochs = seen_epochs.max(dropped);
-                        while seen_epochs < total {
-                            cb(seen_epochs, &t.epochs[(seen_epochs - dropped) as usize]);
-                            seen_epochs += 1;
-                        }
-                    }
-                }
-                if halt.is_some() || left == 0 {
-                    break halt;
-                }
-            }
-        }
-        None => sim.run_steps(job.max_steps),
-    };
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    let timeline = if config.timeline.is_some() {
-        timeline_doc(&job.label, &mut sim, wall_ns)
-    } else {
-        None
-    };
-    let metrics = metrics_doc(&job.label, &sim, wall_ns);
-    let profile = config
-        .profile
-        .as_ref()
-        .map(|p| profile_doc(&job.label, &p.file, &p.src, &sim, wall_ns));
-    let hot = hot_doc(&job.label, &sim, wall_ns);
-    Ok(JobOutcome {
-        label: job.label,
-        halt,
-        steps: sim.stats().fast_steps + sim.stats().slow_steps,
-        wall_ns,
-        digest: sim.memory().digest(),
-        out: sim.trace().to_vec(),
-        metrics,
-        profile,
-        hot,
-        timeline,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hosts::initial_args;
-    use crate::{compile_source, CompilerOptions};
+    use crate::hosts::{initial_args, ArchHost};
+    use crate::{
+        compile_source, CompilerOptions, HotConfig, ObsConfig, ObsHandle, SimOptions, Simulation,
+    };
     use facile_isa::assemble_image;
+    use facile_runtime::Target;
 
     /// A counted loop with a data-dependent inner branch: long replays
     /// plus several misses, same shape as the stats-invariant tests.
@@ -546,10 +342,13 @@ mod tests {
         let step = shared_step();
         let config = BatchConfig {
             threads: 4,
-            profile: Some(ProfileSource {
-                file: "<builtin:functional>".to_owned(),
-                src,
-            }),
+            sections: Sections {
+                profile: Some(Arc::new(ProfileSource {
+                    file: "<builtin:functional>".to_owned(),
+                    src,
+                })),
+                ..Sections::default()
+            },
             ..BatchConfig::default()
         };
         let result = run_batch(step, jobs(4), &config).expect("batch runs");
@@ -569,7 +368,10 @@ mod tests {
         let step = shared_step();
         let config = BatchConfig {
             threads: 4,
-            hot: Some(1),
+            sections: Sections {
+                hot: Some(1),
+                ..Sections::default()
+            },
             ..BatchConfig::default()
         };
         let result = run_batch(step.clone(), jobs(6), &config).expect("batch runs");
@@ -622,7 +424,10 @@ mod tests {
         let step = shared_step();
         let config = BatchConfig {
             threads: 4,
-            timeline: Some(32),
+            sections: Sections {
+                timeline: Some(32),
+                ..Sections::default()
+            },
             ..BatchConfig::default()
         };
         let result = run_batch(step, jobs(6), &config).expect("batch runs");

@@ -93,6 +93,17 @@ impl Default for ArchHost {
 pub mod initial_args {
     use crate::ArgValue;
 
+    /// The arguments of the shipped simulator named `arch` —
+    /// `functional`, `inorder` or `ooo` — falling back to the functional
+    /// model's `(pc)` for any other (user-written) simulator.
+    pub fn for_arch(arch: &str, entry: u64) -> Vec<ArgValue> {
+        match arch {
+            "inorder" => inorder(entry),
+            "ooo" => ooo(entry),
+            _ => functional(entry),
+        }
+    }
+
     /// `functional.fac`: `(pc)`.
     pub fn functional(entry: u64) -> Vec<ArgValue> {
         vec![ArgValue::Scalar(entry as i64)]

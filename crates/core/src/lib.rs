@@ -51,7 +51,13 @@
 //! 32-entry window — written against the TRISC target ISA
 //! (`facile-isa`).
 //!
-//! # Batch simulation
+//! # Jobs and batches
+//!
+//! [`job`] is the one path a simulation job takes, whichever front end
+//! submits it: prepare (construct, bind, attach the recorders the
+//! wanted documents need, warm-start) and drive (run, slicing into
+//! timeline epochs only when asked, collect the documents). `facilec
+//! run` is a batch of one through it.
 //!
 //! [`batch`] runs many independent jobs over one compiled simulator
 //! across a worker pool: the `CompiledStep` is `Arc`-shared read-only,
@@ -71,6 +77,7 @@
 
 pub mod batch;
 pub mod hosts;
+pub mod job;
 pub mod obs;
 pub mod serve;
 pub mod sims;

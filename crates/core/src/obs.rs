@@ -3,9 +3,10 @@
 //! `facile-obs` sits below `facile-runtime` in the dependency order, so
 //! it cannot reference `SimStats`/`CacheStats` directly; the conversion
 //! into plain-integer snapshots happens here, at the top of the stack.
-//! `facilec run --metrics-out` and the bench binaries all funnel through
-//! [`metrics_doc`], which makes every emitted document identical in
-//! shape — `sim_report` can render any of them.
+//! Every job (`facile::job`) — `facilec run`, batch lanes, serve jobs,
+//! the bench runners — funnels through [`metrics_doc`], which makes every
+//! emitted document identical in shape — `sim_report` can render any of
+//! them.
 
 use facile_lang::span::LineMap;
 use facile_obs::{
@@ -121,8 +122,9 @@ pub fn profile_doc(
 }
 
 /// Attaches a metrics-only observability handle (no event ring churn
-/// beyond the default capacity, no writer) and returns it. The common
-/// setup for `--metrics-out`.
+/// beyond the default capacity, no writer) and returns it — for code
+/// that drives a [`Simulation`] directly; jobs attach theirs through
+/// [`crate::job::Sections`].
 pub fn observe_metrics(sim: &mut Simulation) -> ObsHandle {
     let obs = ObsHandle::new(ObsConfig::default());
     sim.attach_obs(obs.clone());
@@ -130,9 +132,9 @@ pub fn observe_metrics(sim: &mut Simulation) -> ObsHandle {
 }
 
 /// Attaches an observability handle with the replay flight recorder on
-/// (plus the default metrics registry) and returns it. The common setup
-/// for `--hot-out`; `sample_every` is the 1-in-N burst sampling period
-/// (1 records every burst, the mode whose recounts are exact).
+/// (plus the default metrics registry) and returns it; `sample_every`
+/// is the 1-in-N burst sampling period (1 records every burst, the mode
+/// whose recounts are exact).
 pub fn observe_hot(sim: &mut Simulation, sample_every: u64) -> ObsHandle {
     let obs = ObsHandle::new(ObsConfig {
         hot: HotConfig {
@@ -146,9 +148,8 @@ pub fn observe_hot(sim: &mut Simulation, sample_every: u64) -> ObsHandle {
 }
 
 /// Attaches an observability handle with the timeline recorder on
-/// (plus the default metrics registry) and returns it. The common
-/// setup for `--timeline-out`; `epoch_steps` is the epoch interval in
-/// simulator steps (0 is treated as 1). Epoch sampling starts at the
+/// (plus the default metrics registry) and returns it; `epoch_steps` is
+/// the epoch interval in simulator steps (0 is treated as 1). Epoch sampling starts at the
 /// attach point, so attach before running for an exact recount.
 pub fn observe_timeline(sim: &mut Simulation, epoch_steps: u64) -> ObsHandle {
     let obs = ObsHandle::new(ObsConfig {

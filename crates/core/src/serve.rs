@@ -44,8 +44,8 @@
 //!   queue, lets the workers finish every queued job and deliver its
 //!   result, then severs connections.
 
-use crate::batch::{panic_message, run_one, BatchConfig, BatchJob, ProfileSource};
 use crate::hosts::initial_args;
+use crate::job::{execute, shielded, BatchJob, JobOutcome, ProfileSource, Sections};
 use crate::{CompiledStep, EpochRecord, SimError, SimOptions};
 use facile_obs::json::{escape_into, parse, Value};
 use facile_obs::ServeCounters;
@@ -243,6 +243,18 @@ impl ConnWriter {
         true
     }
 
+    /// Runs `push` with the write half locked and, when it succeeds,
+    /// sends `ack` before unlocking — so a fast worker cannot deliver a
+    /// job's result ahead of its `accepted` frame.
+    fn ack_after<E>(&self, push: impl FnOnce() -> Result<(), E>, ack: &str) -> Result<(), E> {
+        let mut s = self.stream.lock().unwrap_or_else(|e| e.into_inner());
+        push()?;
+        if self.alive.load(Ordering::Acquire) && write_frame(&mut *s, ack).is_err() {
+            self.alive.store(false, Ordering::Release);
+        }
+        Ok(())
+    }
+
     /// Severs the connection in both directions, unblocking its reader.
     fn sever(&self) {
         self.alive.store(false, Ordering::Release);
@@ -255,19 +267,11 @@ impl ConnWriter {
 struct QueuedJob {
     id: u64,
     job: BatchJob,
-    want: WantDocs,
+    /// The documents the client asked to have embedded in the result
+    /// frame.
+    want: Sections,
     heartbeat: bool,
     conn: Arc<ConnWriter>,
-}
-
-/// Which per-job documents the client asked to have embedded in the
-/// result frame.
-#[derive(Clone, Copy, Default)]
-struct WantDocs {
-    metrics: bool,
-    profile: bool,
-    hot: bool,
-    timeline: bool,
 }
 
 /// Why a job could not be queued.
@@ -355,7 +359,7 @@ struct Shared {
     epoch_steps: u64,
     arch: String,
     options: SimOptions,
-    source: Option<(String, String)>,
+    source: Option<Arc<ProfileSource>>,
     warm: Option<Arc<facile_vm::snapshot::LoadedSnapshot>>,
 }
 
@@ -425,7 +429,7 @@ impl Server {
             epoch_steps: config.epoch_steps.max(1),
             arch: config.arch,
             options: config.options,
-            source: config.source.map(|p| (p.file, p.src)),
+            source: config.source.map(Arc::new),
             warm: config.warm,
         });
 
@@ -633,14 +637,25 @@ fn handle_sim(req: &Value, id: Option<u64>, writer: &Arc<ConnWriter>, shared: &A
             None => {}
         }
     }
-    let mut want = WantDocs::default();
+    let mut want = Sections::default();
     if let Some(arr) = req.get("want").and_then(Value::as_arr) {
         for w in arr {
             match w.as_str() {
                 Some("metrics") => want.metrics = true,
-                Some("profile") => want.profile = true,
-                Some("hot") => want.hot = true,
-                Some("timeline") => want.timeline = true,
+                Some("profile") => match &shared.source {
+                    Some(src) => want.profile = Some(src.clone()),
+                    None => {
+                        shared.count(|c| c.bad_requests += 1);
+                        writer.send(&error_frame(
+                            Some(id),
+                            "bad_request",
+                            "this daemon has no source attached; profile documents unavailable",
+                        ));
+                        return;
+                    }
+                },
+                Some("hot") => want.hot = Some(1),
+                Some("timeline") => want.timeline = Some(shared.epoch_steps),
                 _ => {
                     shared.count(|c| c.bad_requests += 1);
                     writer.send(&error_frame(
@@ -653,27 +668,13 @@ fn handle_sim(req: &Value, id: Option<u64>, writer: &Arc<ConnWriter>, shared: &A
             }
         }
     }
-    if want.profile && shared.source.is_none() {
-        shared.count(|c| c.bad_requests += 1);
-        writer.send(&error_frame(
-            Some(id),
-            "bad_request",
-            "this daemon has no source attached; profile documents unavailable",
-        ));
-        return;
-    }
     let heartbeat = matches!(req.get("heartbeat"), Some(Value::Bool(true)));
-    let args = match shared.arch.as_str() {
-        "inorder" => initial_args::inorder(image.entry),
-        "ooo" => initial_args::ooo(image.entry),
-        _ => initial_args::functional(image.entry),
-    };
     let queued = QueuedJob {
         id,
         job: BatchJob {
             label,
+            args: initial_args::for_arch(&shared.arch, image.entry),
             image,
-            args,
             options,
             max_steps,
         },
@@ -681,11 +682,17 @@ fn handle_sim(req: &Value, id: Option<u64>, writer: &Arc<ConnWriter>, shared: &A
         heartbeat,
         conn: writer.clone(),
     };
-    match shared.queue.push(queued) {
-        Ok(()) => {
+    let ack = format!("{{\"ok\":true,\"op\":\"accepted\",\"id\":{id}}}");
+    let pushed = writer.ack_after(
+        || {
+            shared.queue.push(queued)?;
             shared.count(|c| c.accepted += 1);
-            writer.send(&format!("{{\"ok\":true,\"op\":\"accepted\",\"id\":{id}}}"));
-        }
+            Ok(())
+        },
+        &ack,
+    );
+    match pushed {
+        Ok(()) => {}
         Err(PushError::Full) => {
             shared.count(|c| c.rejected += 1);
             writer.send(&error_frame(
@@ -704,8 +711,10 @@ fn handle_sim(req: &Value, id: Option<u64>, writer: &Arc<ConnWriter>, shared: &A
     }
 }
 
-/// Runs one queued job on a worker: the batch lane runner under a
-/// panic shield, streaming heartbeats, then one result or error frame.
+/// Runs one queued job on a worker: the job pipeline every batch lane
+/// runs, under the same panic shield, streaming heartbeats, then one
+/// result or error frame. The job attaches only the recorders its
+/// wanted documents (and heartbeats) need.
 fn run_job(shared: &Arc<Shared>, q: QueuedJob) {
     let QueuedJob {
         id,
@@ -714,24 +723,10 @@ fn run_job(shared: &Arc<Shared>, q: QueuedJob) {
         heartbeat,
         conn,
     } = q;
-    let label = job.label.clone();
-    let config = BatchConfig {
-        threads: 1,
-        observe: true,
-        bind_arch: true,
-        profile: if want.profile {
-            shared.source.as_ref().map(|(file, src)| ProfileSource {
-                file: file.clone(),
-                src: src.clone(),
-            })
-        } else {
-            None
-        },
-        hot: want.hot.then_some(1),
-        timeline: (want.timeline || heartbeat).then_some(shared.epoch_steps),
-        progress: None,
-        warm: shared.warm.clone(),
-    };
+    let mut sections = want.clone();
+    if heartbeat {
+        sections.timeline = Some(shared.epoch_steps);
+    }
     let epoch_cb = |epoch: u64, rec: &EpochRecord| {
         let frame = format!(
             "{{\"ok\":true,\"op\":\"epoch\",\"id\":{id},\"epoch\":{epoch},\
@@ -745,22 +740,15 @@ fn run_job(shared: &Arc<Shared>, q: QueuedJob) {
             shared.count(|c| c.heartbeats += 1);
         }
     };
-    let cb: crate::batch::EpochCallback<'_> = if heartbeat { Some(&epoch_cb) } else { None };
-    // The same shield the batch pool holds: one panicking job answers
-    // with an error frame instead of killing the worker.
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_one(&shared.step, job, &config, cb)
-    }))
-    .unwrap_or_else(|payload| {
-        Err(SimError::Panic(format!(
-            "job `{label}`: {}",
-            panic_message(payload.as_ref())
-        )))
+    let cb: crate::job::EpochCallback<'_> = if heartbeat { Some(&epoch_cb) } else { None };
+    let label = job.label.clone();
+    let outcome = shielded(&label, || {
+        execute(&shared.step, job, &sections, shared.warm.as_deref(), cb)
     });
     match outcome {
         Ok(o) => {
             shared.count(|c| c.completed += 1);
-            if !conn.send(&result_frame(id, &o, want)) {
+            if !conn.send(&result_frame(id, &o, &want)) {
                 shared.count(|c| c.disconnects += 1);
             }
         }
@@ -780,7 +768,7 @@ fn run_job(shared: &Arc<Shared>, q: QueuedJob) {
 /// Renders one result frame: the scalar outcome (digest as a hex
 /// string — JSON numbers are lossy past 2^53), plus any requested
 /// documents embedded verbatim.
-fn result_frame(id: u64, o: &crate::batch::JobOutcome, want: WantDocs) -> String {
+fn result_frame(id: u64, o: &JobOutcome, want: &Sections) -> String {
     let mut s = String::with_capacity(256);
     let _ = write!(s, "{{\"ok\":true,\"op\":\"result\",\"id\":{id},\"label\":");
     escape_into(&mut s, &o.label);
@@ -813,23 +801,19 @@ fn result_frame(id: u64, o: &crate::batch::JobOutcome, want: WantDocs) -> String
         s.push_str(",\"metrics\":");
         s.push_str(&o.metrics.to_json());
     }
-    if want.profile {
-        if let Some(p) = &o.profile {
-            s.push_str(",\"profile\":");
-            s.push_str(&p.to_json());
-        }
+    if let Some(p) = &o.profile {
+        s.push_str(",\"profile\":");
+        s.push_str(&p.to_json());
     }
-    if want.hot {
-        if let Some(h) = &o.hot {
-            s.push_str(",\"hot\":");
-            s.push_str(&h.to_json());
-        }
+    if let Some(h) = &o.hot {
+        s.push_str(",\"hot\":");
+        s.push_str(&h.to_json());
     }
-    if want.timeline {
-        if let Some(t) = &o.timeline {
-            s.push_str(",\"timeline\":");
-            s.push_str(&t.to_json());
-        }
+    // A heartbeat-only job records a timeline too; embed it only when
+    // it was asked for.
+    if let (Some(t), Some(_)) = (&o.timeline, want.timeline) {
+        s.push_str(",\"timeline\":");
+        s.push_str(&t.to_json());
     }
     s.push('}');
     s

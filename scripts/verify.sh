@@ -44,9 +44,6 @@ echo "==> facbench: cargo test (offline)"
 # workspace build alone would not notice an API break there.
 cargo test -q --offline --manifest-path facbench/Cargo.toml
 
-echo "==> cargo check --features bench-ext (offline)"
-cargo check -q --offline --features bench-ext
-
 echo "==> clippy -D warnings on instrumented crates (offline)"
 cargo clippy --offline -q \
     -p facile-obs -p facile-runtime -p facile-vm -p facile -p bench \
