@@ -5,6 +5,13 @@
 //! Usage: ablations [--scale F] [--bench NAME]
 
 use bench::*;
+
+const CLI: Cli = Cli {
+    usage: "usage: ablations [--scale F] [--bench NAME]",
+    values: &["--scale", "--bench"],
+    switches: &[],
+    files: false,
+};
 use facile::hosts::{initial_args, ArchHost};
 use facile::{compile_source, CompilerOptions, SimOptions, Simulation, Target};
 use std::time::Instant;
@@ -18,14 +25,11 @@ fn compile_with(fold: bool, prune: bool) -> facile::CompiledStep {
 }
 
 fn main() {
-    let scale = arg_f64("--scale", 0.5);
-    let name = std::env::args()
-        .collect::<Vec<_>>()
-        .windows(2)
-        .find(|w| w[0] == "--bench")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "129.compress".into());
-    let w = facile_workloads::by_name(&name).expect("workload exists");
+    let args = CLI.parse();
+    let scale = args.get("--scale", 0.5);
+    let name = args.str("--bench").unwrap_or("129.compress");
+    let w = facile_workloads::by_name(name)
+        .unwrap_or_else(|| args.fail(&format!("no workload named `{name}`")));
     let image = workload_image(&w, scale);
 
     println!("Compiler ablations on the Facile OOO simulator, workload {}\n", w.name);

@@ -18,6 +18,13 @@
 //! scheduler noise on the sub-second workloads.
 
 use bench::*;
+
+const CLI: Cli = Cli {
+    usage: "usage: fastreplay [--scale F] [--reps N] [--filter NAME] [--json-out PATH] [--baseline PATH]",
+    values: &["--scale", "--reps", "--filter", "--json-out", "--baseline"],
+    switches: &[],
+    files: false,
+};
 use facile::hosts::{initial_args, ArchHost};
 use facile::{SimOptions, Simulation, Target};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -89,11 +96,12 @@ impl Row {
 }
 
 fn main() {
-    let scale = arg_f64("--scale", 0.1);
-    let reps = arg_f64("--reps", 3.0).max(1.0) as u32;
-    let filter = arg_str("--filter");
-    let json_out = arg_str("--json-out");
-    let baseline = arg_str("--baseline").and_then(|p| std::fs::read_to_string(&p).ok());
+    let args = CLI.parse();
+    let scale = args.get("--scale", 0.1);
+    let reps = args.get("--reps", 3u32).max(1);
+    let filter = args.str("--filter").map(str::to_owned);
+    let json_out = args.str("--json-out").map(str::to_owned);
+    let baseline = args.str("--baseline").and_then(|p| std::fs::read_to_string(p).ok());
 
     let step = compile_facile(FacileSim::Ooo);
     let mut rows: Vec<Row> = Vec::new();

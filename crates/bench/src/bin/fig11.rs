@@ -8,22 +8,31 @@
 //! (the paper reports 8.5–14.7x vs SimpleScalar on 1990s hosts; see
 //! EXPERIMENTS.md for why the magnitude is host-dependent).
 //!
-//! Usage: fig11 [--scale F] [--filter SUBSTR] [--metrics-out fig11.jsonl]
-//!              [--profile-out fig11-prof.jsonl]        (default scale 1.0)
+//! Usage: fig11 [--scale F] [--filter SUBSTR] [--obs-out fig11.jsonl]
+//!              [--obs SECTIONS]                        (default scale 1.0)
 //!
 //! `--filter` keeps only workloads whose name contains the substring.
-//! `--profile-out` additionally runs the Facile *functional* simulator
-//! (the apples-to-apples peer of the hand-coded memoizers measured
-//! here) over each workload and writes its source-level profile.
+//! `--obs-out` writes a header-only run document per reference run;
+//! with `profile` among the `--obs` sections it additionally runs the
+//! Facile *functional* simulator (the apples-to-apples peer of the
+//! hand-coded memoizers measured here) over each workload and writes
+//! its document too.
 
 use bench::*;
 
+const CLI: Cli = Cli {
+    usage: "usage: fig11 [--scale F] [--filter SUBSTR] [--obs-out runs.jsonl] [--obs SECTIONS]",
+    values: &["--scale", "--filter", "--obs-out", "--obs"],
+    switches: &[],
+    files: false,
+};
+
 fn main() {
-    let scale = arg_f64("--scale", 1.0);
-    let filter = arg_str("--filter");
-    let mut sink = DocSink::metrics();
-    let mut prof = DocSink::profile();
-    let prof_step = prof.active().then(|| compile_facile(FacileSim::Functional));
+    let args = CLI.parse();
+    let scale = args.get("--scale", 1.0);
+    let filter = args.str("--filter");
+    let mut sink = DocSink::new(&args, "metrics");
+    let prof_step = sink.wants("profile").then(|| compile_facile(FacileSim::Functional));
     println!("Figure 11: hand-coded fast-forwarding (FastSim role) vs SimpleScalar");
     println!("workload scale: {scale}\n");
     println!(
@@ -33,14 +42,14 @@ fn main() {
     let mut ratios_no = Vec::new();
     let mut ratios_memo = Vec::new();
     for w in facile_workloads::suite() {
-        if let Some(f) = &filter {
-            if !w.name.contains(f.as_str()) {
+        if let Some(f) = filter {
+            if !w.name.contains(f) {
                 continue;
             }
         }
         let image = workload_image(&w, scale);
-        let ss = run_simplescalar_sink(&image, &format!("{}/simplescalar", w.name), &mut sink);
-        let fs_no = run_fastsim_sink(
+        let ss = run_simplescalar(&image, &format!("{}/simplescalar", w.name), &mut sink);
+        let fs_no = run_fastsim(
             &image,
             false,
             None,
@@ -48,9 +57,9 @@ fn main() {
             &mut sink,
         );
         let fs_yes =
-            run_fastsim_sink(&image, true, None, &format!("{}/fastsim", w.name), &mut sink);
-        assert_eq!(ss.insns, fs_no.insns);
-        assert_eq!(fs_no.cycles, fs_yes.cycles, "memoization must be exact");
+            run_fastsim(&image, true, None, &format!("{}/fastsim", w.name), &mut sink);
+        assert_eq!(ss.sim.insns, fs_no.sim.insns);
+        assert_eq!(fs_no.sim.cycles, fs_yes.sim.cycles, "memoization must be exact");
         if let Some(step) = &prof_step {
             run_facile_obs(
                 step,
@@ -60,24 +69,23 @@ fn main() {
                 None,
                 CachePolicy::Clear,
                 &format!("{}/facile-functional", w.name),
-                &mut DocSink::disabled(),
-                &mut prof,
+                &mut sink,
             );
         }
-        let r_no = fs_no.sim_ips() / ss.sim_ips();
-        let r_memo = fs_yes.sim_ips() / fs_no.sim_ips();
+        let r_no = fs_no.insns_per_sec() / ss.insns_per_sec();
+        let r_memo = fs_yes.insns_per_sec() / fs_no.insns_per_sec();
         ratios_no.push(r_no);
         ratios_memo.push(r_memo);
         println!(
             "{:<14} {:>10} {:>10} {:>10} {:>10} {:>8.2} {:>8.2} {:>8.3}",
             w.name,
-            ss.insns,
-            fmt_rate(ss.sim_ips()),
-            fmt_rate(fs_no.sim_ips()),
-            fmt_rate(fs_yes.sim_ips()),
+            ss.sim.insns,
+            fmt_rate(ss.insns_per_sec()),
+            fmt_rate(fs_no.insns_per_sec()),
+            fmt_rate(fs_yes.insns_per_sec()),
             r_no,
             r_memo,
-            100.0 * fs_yes.fast_fraction,
+            100.0 * fs_yes.sim.fast_forwarded_fraction(),
         );
     }
     println!(
@@ -89,5 +97,4 @@ fn main() {
         harmonic_mean(&ratios_memo)
     );
     sink.finish();
-    prof.finish();
 }

@@ -7,20 +7,27 @@
 //! full, which is what hurt the paper's gcc.
 //!
 //! Usage: fig12 [--scale F] [--cap BYTES] [--cache-policy clear|generational]
-//!              [--metrics-out fig12.jsonl] [--profile-out fig12-prof.jsonl]
+//!              [--obs-out fig12.jsonl] [--obs SECTIONS]
 
 use bench::*;
 
+const CLI: Cli = Cli {
+    usage: "usage: fig12 [--scale F] [--cap BYTES] [--cache-policy clear|generational] [--obs-out runs.jsonl] [--obs SECTIONS]",
+    values: &["--scale", "--cap", "--cache-policy", "--obs-out", "--obs"],
+    switches: &[],
+    files: false,
+};
+
 fn main() {
-    let scale = arg_f64("--scale", 1.0);
-    let cap = arg_f64("--cap", 256.0 * 1024.0 * 1024.0) as u64;
-    let policy = match arg_str("--cache-policy").as_deref() {
-        None | Some("clear") => CachePolicy::Clear,
-        Some("generational") => CachePolicy::Generational,
-        Some(other) => panic!("unknown --cache-policy `{other}` (clear|generational)"),
-    };
-    let mut sink = DocSink::metrics();
-    let mut prof = DocSink::profile();
+    let args = CLI.parse();
+    let scale = args.get("--scale", 1.0);
+    let cap: u64 = args.get("--cap", 256 << 20);
+    let policy = args.choice(
+        "--cache-policy",
+        &[("clear", CachePolicy::Clear), ("generational", CachePolicy::Generational)],
+        CachePolicy::Clear,
+    );
+    let mut sink = DocSink::new(&args, "metrics");
     println!("Figure 12: Facile-compiled out-of-order simulator");
     println!(
         "workload scale: {scale}, action cache cap: {} MiB, policy: {policy:?}\n",
@@ -35,7 +42,7 @@ fn main() {
     let mut vs_ss = Vec::new();
     for w in facile_workloads::suite() {
         let image = workload_image(&w, scale);
-        let ss = run_simplescalar_sink(&image, &format!("{}/simplescalar", w.name), &mut sink);
+        let ss = run_simplescalar(&image, &format!("{}/simplescalar", w.name), &mut sink);
         let no = run_facile_obs(
             &step,
             FacileSim::Ooo,
@@ -45,7 +52,6 @@ fn main() {
             policy,
             &format!("{}/facile-nomemo", w.name),
             &mut sink,
-            &mut DocSink::disabled(),
         );
         let yes = run_facile_obs(
             &step,
@@ -56,23 +62,22 @@ fn main() {
             policy,
             &format!("{}/facile", w.name),
             &mut sink,
-            &mut prof,
         );
-        assert_eq!(no.cycles, yes.cycles, "fast-forwarding must be exact");
-        let sp = yes.sim_ips() / no.sim_ips();
-        let rs = yes.sim_ips() / ss.sim_ips();
+        assert_eq!(no.sim.cycles, yes.sim.cycles, "fast-forwarding must be exact");
+        let sp = yes.insns_per_sec() / no.insns_per_sec();
+        let rs = yes.insns_per_sec() / ss.insns_per_sec();
         speedups.push(sp);
         vs_ss.push(rs);
         println!(
             "{:<14} {:>10} {:>10} {:>10} {:>10} {:>9.2} {:>9.2} {:>8.3}",
             w.name,
-            no.insns,
-            fmt_rate(ss.sim_ips()),
-            fmt_rate(no.sim_ips()),
-            fmt_rate(yes.sim_ips()),
+            no.sim.insns,
+            fmt_rate(ss.insns_per_sec()),
+            fmt_rate(no.insns_per_sec()),
+            fmt_rate(yes.insns_per_sec()),
             sp,
             rs,
-            100.0 * yes.fast_fraction,
+            100.0 * yes.sim.fast_forwarded_fraction(),
         );
     }
     println!(
@@ -84,5 +89,4 @@ fn main() {
         harmonic_mean(&vs_ss)
     );
     sink.finish();
-    prof.finish();
 }

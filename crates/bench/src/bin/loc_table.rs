@@ -1,7 +1,15 @@
 //! §6.2's simulator-size comparison: lines of Facile (and host Rust
 //! standing in for the paper's C) per simulator.
 
+const CLI: bench::Cli = bench::Cli {
+    usage: "usage: loc_table",
+    values: &[],
+    switches: &[],
+    files: false,
+};
+
 fn main() {
+    CLI.parse();
     println!("Simulator sizes (non-comment, non-blank lines)\n");
     println!("{:<34} {:>8}   paper", "component", "lines");
     for (name, n) in facile::sims::line_counts() {

@@ -8,31 +8,45 @@
 //!   is one null check. This is the always-on-capable baseline;
 //!   `scripts/verify.sh` gates its harmonic-mean throughput against the
 //!   unobserved `BENCH_fastsim.json` run.
-//! * **sampled** — metrics registry plus the replay flight recorder
-//!   sampling 1-in-N bursts (`--sample`, default 64).
-//! * **full** — metrics registry plus the flight recorder on every
-//!   burst; recounts are exact and the hot-chain documents this mode
-//!   produces feed `sim_hot`.
+//! * **sampled** — the replay flight recorder sampling 1-in-N bursts
+//!   (`--sample`, default 64).
+//! * **full** — the flight recorder on every burst; recounts are exact
+//!   and its documents carry the `hot` section.
 //! * **timeline** — epoch time-series sampling only (`--epoch`, default
 //!   10000 steps), with the run driven in epoch-sized budget slices
-//!   exactly as `facilec --timeline-out` drives it, so the recorded
-//!   cost covers both the per-epoch fold and the slicing. The
-//!   timeline documents feed `sim_timeline`.
+//!   exactly as `facilec --obs timeline` drives it, so the recorded
+//!   cost covers both the per-epoch fold and the slicing. Its documents
+//!   carry the `timeline` section.
+//!
+//! The trace ring and metrics registry stay off in every mode: this
+//! benchmark isolates the recorders' own cost, and the registry's
+//! per-action accounting is a separate pathway with its own price.
 //!
 //! Usage:
 //!   obs_overhead [--scale F] [--reps N] [--filter NAME] [--sample N]
 //!                [--epoch N] [--json-out PATH] [--fastsim PATH]
-//!                [--hot-out PATH] [--timeline-out PATH]
+//!                [--obs-out PATH] [--obs hot,timeline]
 //!
 //! Defaults: scale 0.1, 3 reps (best-of, same methodology as
 //! `fastreplay`), all workloads, sample 64, epoch 10000. `--fastsim`
 //! embeds the harmonic-mean comparison against a previously written
-//! `BENCH_fastsim.json`; `--hot-out` writes the full-mode hot-chain
-//! documents as JSONL (one per workload); `--timeline-out` does the
-//! same for the timeline-mode epoch documents.
+//! `BENCH_fastsim.json`; `--obs-out` writes, per workload, the
+//! full-mode document when `hot` is among the `--obs` sections and the
+//! timeline-mode document when `timeline` is (default both).
 
 use bench::*;
+use facile::job::{JobOutcome, Sections};
 use std::fmt::Write as _;
+
+const CLI: Cli = Cli {
+    usage: "usage: obs_overhead [--scale F] [--reps N] [--filter NAME] [--sample N] [--epoch N] [--json-out PATH] [--fastsim PATH] [--obs-out PATH] [--obs hot,timeline]",
+    values: &[
+        "--scale", "--reps", "--filter", "--sample", "--epoch", "--json-out", "--fastsim",
+        "--obs-out", "--obs",
+    ],
+    switches: &[],
+    files: false,
+};
 
 /// One mode's best-of-reps measurement.
 #[derive(Clone, Copy)]
@@ -61,20 +75,23 @@ struct Row {
     bursts: u64,
     /// Epochs the timeline mode closed.
     epochs: u64,
-    hot_json: String,
-    timeline_json: String,
+    hot_doc: facile::RunDoc,
+    timeline_doc: facile::RunDoc,
 }
 
 fn main() {
-    let scale = arg_f64("--scale", 0.1);
-    let reps = arg_f64("--reps", 3.0).max(1.0) as u32;
-    let sample = arg_f64("--sample", 64.0).max(1.0) as u64;
-    let epoch = arg_f64("--epoch", 10_000.0).max(1.0) as u64;
-    let filter = arg_str("--filter");
-    let json_out = arg_str("--json-out");
-    let hot_out = arg_str("--hot-out");
-    let timeline_out = arg_str("--timeline-out");
-    let fastsim = arg_str("--fastsim").and_then(|p| std::fs::read_to_string(&p).ok());
+    let args = CLI.parse();
+    let scale = args.get("--scale", 0.1);
+    let reps = args.get("--reps", 3u32).max(1);
+    let sample = args.get("--sample", 64u64).max(1);
+    let epoch = args.get("--epoch", 10_000u64).max(1);
+    let filter = args.str("--filter");
+    let json_out = args.str("--json-out");
+    let fastsim = args.str("--fastsim").and_then(|p| std::fs::read_to_string(p).ok());
+    let mut sink = DocSink::new(&args, "hot,timeline");
+    if sink.wants("metrics") || sink.wants("profile") {
+        args.fail("obs_overhead records only the hot and timeline sections");
+    }
 
     let step = compile_facile(FacileSim::Ooo);
     let mut rows: Vec<Row> = Vec::new();
@@ -86,62 +103,59 @@ fn main() {
         "benchmark", "disabled", "sampled", "ovh%", "full", "ovh%", "timeline", "ovh%", "ff%", "top10%"
     );
     for w in facile_workloads::suite() {
-        if let Some(f) = &filter {
-            if !w.name.contains(f.as_str()) {
+        if let Some(f) = filter {
+            if !w.name.contains(f) {
                 continue;
             }
         }
         let image = workload_image(&w, scale);
-        let best = |mode: ObsMode| -> HotRun {
-            let mut best: Option<HotRun> = None;
+        let options = sim_options(true, None, CachePolicy::Clear);
+        let best = |sections: Sections| -> JobOutcome {
+            let mut best: Option<JobOutcome> = None;
             for _ in 0..reps {
-                let r = run_facile_hot(
-                    &step,
-                    FacileSim::Ooo,
-                    &image,
-                    true,
-                    None,
-                    CachePolicy::Clear,
-                    w.name,
-                    mode,
-                );
-                if best
-                    .as_ref()
-                    .is_none_or(|b| r.run.wall < b.run.wall)
-                {
+                let r = run_facile_job(&step, FacileSim::Ooo, &image, options, w.name, &sections);
+                if best.as_ref().is_none_or(|b| r.doc.wall_ns < b.doc.wall_ns) {
                     best = Some(r);
                 }
             }
             best.expect("at least one rep ran")
         };
-        let disabled = best(ObsMode::Disabled);
-        let sampled = best(ObsMode::Sampled(sample));
-        let full = best(ObsMode::Full);
-        let timeline = best(ObsMode::Timeline(epoch));
-        let meas = |r: &HotRun| Meas {
-            wall_ns: r.run.wall.as_nanos() as u64,
-            steps: r.steps,
-            insns: r.run.insns,
+        let hot = |n| Sections {
+            hot: Some(n),
+            ..Sections::default()
         };
-        let hot = full.hot.as_ref().expect("full mode carries a recorder");
+        let disabled = best(Sections::default());
+        let sampled = best(hot(sample));
+        let full = best(hot(1));
+        let timeline = best(Sections {
+            timeline: Some(epoch),
+            ..Sections::default()
+        });
+        let meas = |r: &JobOutcome| Meas {
+            wall_ns: r.doc.wall_ns,
+            steps: r.steps,
+            insns: r.doc.sim.insns,
+        };
+        let hot = full.doc.hot.as_ref().expect("full mode carries a recorder");
         let tl = timeline
+            .doc
             .timeline
             .as_ref()
             .expect("timeline mode carries a timeline");
-        let top10: u64 = hot.hot.ranked_chains().iter().take(10).map(|c| c.insns).sum();
+        let top10: u64 = hot.ranked_chains().iter().take(10).map(|c| c.insns).sum();
         let row = Row {
             name: w.name,
             disabled: meas(&disabled),
             sampled: meas(&sampled),
             full: meas(&full),
             timeline: meas(&timeline),
-            fast_fraction: disabled.run.fast_fraction,
-            top10_coverage: top10 as f64 / hot.sim.fast_insns.max(1) as f64,
-            chains: hot.hot.chains.len(),
-            bursts: hot.hot.bursts,
-            epochs: tl.timeline.epochs_total(),
-            hot_json: hot.to_json(),
-            timeline_json: tl.to_json(),
+            fast_fraction: disabled.doc.sim.fast_forwarded_fraction(),
+            top10_coverage: top10 as f64 / full.doc.sim.fast_insns.max(1) as f64,
+            chains: hot.chains.len(),
+            bursts: hot.bursts,
+            epochs: tl.epochs_total(),
+            hot_doc: full.doc.clone(),
+            timeline_doc: timeline.doc.clone(),
         };
         let ovh = |m: &Meas| 100.0 * (row.disabled.steps_per_sec() / m.steps_per_sec() - 1.0);
         println!(
@@ -190,34 +204,15 @@ fn main() {
         );
     }
 
-    if let Some(path) = hot_out {
-        let mut body = String::new();
-        for r in &rows {
-            body.push_str(&r.hot_json);
-            body.push('\n');
+    for r in &rows {
+        if sink.wants("hot") {
+            sink.push(&r.hot_doc);
         }
-        match std::fs::write(&path, &body) {
-            Ok(()) => eprintln!("wrote {} hot-chain document(s) to {path}", rows.len()),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
+        if sink.wants("timeline") {
+            sink.push(&r.timeline_doc);
         }
     }
-    if let Some(path) = timeline_out {
-        let mut body = String::new();
-        for r in &rows {
-            body.push_str(&r.timeline_json);
-            body.push('\n');
-        }
-        match std::fs::write(&path, &body) {
-            Ok(()) => eprintln!("wrote {} timeline document(s) to {path}", rows.len()),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    sink.finish();
 
     if let Some(path) = json_out {
         let mut s = String::new();
@@ -276,7 +271,7 @@ fn main() {
             );
         }
         s.push_str("}\n");
-        match std::fs::write(&path, &s) {
+        match std::fs::write(path, &s) {
             Ok(()) => eprintln!("wrote {path}"),
             Err(e) => {
                 eprintln!("cannot write {path}: {e}");

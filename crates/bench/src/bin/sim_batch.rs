@@ -12,48 +12,44 @@
 //!
 //! Usage:
 //!   sim_batch [--threads K] [--scale F] [--filter NAME] [--sim ooo|inorder|functional]
-//!             [--compare] [--json-out PATH] [--metrics-out PATH] [--profile-out PATH]
+//!             [--compare] [--json-out PATH] [--obs-out PATH] [--obs SECTIONS]
 //!
 //! Defaults: auto thread count, scale 0.1, all 18 workloads, ooo.
-//! `--metrics-out`/`--profile-out` write JSONL — per-job documents in
-//! submission order, then the merged batch document; the merged profile
-//! passes `sim_prof --check` exactly like a single-lane one.
+//! `--obs-out` writes JSONL — per-job documents in submission order,
+//! then the merged batch document, which `sim_obs --check` refolds from
+//! the lanes and gates exactly like a single-lane one.
 
 use bench::*;
-use facile::batch::{run_batch, BatchConfig, BatchJob, BatchResult, ProfileSource, Sections};
+use facile::batch::{run_batch, BatchConfig, BatchJob, BatchResult, Sections};
 use facile::SimOptions;
 use std::fmt::Write as _;
-use std::sync::Arc;
+
+const CLI: Cli = Cli {
+    usage: "usage: sim_batch [--threads K] [--scale F] [--filter NAME] [--sim ooo|inorder|functional] [--compare] [--json-out PATH] [--obs-out PATH] [--obs SECTIONS]",
+    values: &["--threads", "--scale", "--filter", "--sim", "--json-out", "--obs-out", "--obs"],
+    switches: &["--compare"],
+    files: false,
+};
 
 fn main() {
-    let threads = arg_f64("--threads", 0.0).max(0.0) as usize;
-    let scale = arg_f64("--scale", 0.1);
-    let filter = arg_str("--filter");
-    let compare = std::env::args().any(|a| a == "--compare");
-    let json_out = arg_str("--json-out");
-    let metrics_out = arg_str("--metrics-out");
-    let profile_out = arg_str("--profile-out");
-    let which = FacileSim::from_arg();
+    let args = CLI.parse();
+    let threads = args.get("--threads", 0usize);
+    let scale = args.get("--scale", 0.1);
+    let filter = args.str("--filter");
+    let compare = args.on("--compare");
+    let json_out = args.str("--json-out");
+    let which = FacileSim::from_args(&args);
+    let mut sink = DocSink::new(&args, "metrics");
 
-    let (src, file) = facile_source(which);
     let step = compile_facile(which);
     let config = BatchConfig {
         threads,
-        sections: Sections {
-            metrics: metrics_out.is_some(),
-            profile: profile_out.as_ref().map(|_| {
-                Arc::new(ProfileSource {
-                    file: file.to_owned(),
-                    src,
-                })
-            }),
-            ..Sections::default()
-        },
+        sections: sink.sections(which),
         progress: None,
         warm: None,
     };
 
-    let jobs = build_jobs(which, scale, filter.as_deref());
+    let jobs = build_jobs(which, scale, filter);
     if jobs.is_empty() {
         eprintln!("sim_batch: no workload matches the filter");
         std::process::exit(1);
@@ -71,11 +67,11 @@ fn main() {
     for j in &result.jobs {
         println!(
             "{:<14} {:>12} {:>10} {:>10} {:>9.3}",
-            j.label,
-            j.metrics.sim.insns,
+            j.doc.label,
+            j.doc.sim.insns,
             j.steps,
-            fmt_rate(j.steps as f64 / (j.wall_ns.max(1) as f64 / 1e9)),
-            100.0 * fast_fraction(&j.metrics.sim),
+            fmt_rate(j.steps as f64 / (j.doc.wall_ns.max(1) as f64 / 1e9)),
+            100.0 * j.doc.sim.fast_forwarded_fraction(),
         );
     }
     let aggregate = result.aggregate_steps_per_sec();
@@ -87,7 +83,7 @@ fn main() {
     );
 
     let serial = compare.then(|| {
-        let jobs = build_jobs(which, scale, filter.as_deref());
+        let jobs = build_jobs(which, scale, filter);
         let serial_config = BatchConfig {
             threads: 1,
             sections: Sections {
@@ -108,31 +104,12 @@ fn main() {
         r
     });
 
-    if let Some(path) = &metrics_out {
-        let mut text = String::new();
-        for j in &result.jobs {
-            text.push_str(&j.metrics.to_json());
-            text.push('\n');
-        }
-        text.push_str(&result.merged_metrics.to_json());
-        text.push('\n');
-        write_or_die(path, &text);
+    for j in &result.jobs {
+        sink.push(&j.doc);
     }
-    if let Some(path) = &profile_out {
-        let mut text = String::new();
-        for j in &result.jobs {
-            if let Some(p) = &j.profile {
-                text.push_str(&p.to_json());
-                text.push('\n');
-            }
-        }
-        if let Some(p) = &result.merged_profile {
-            text.push_str(&p.to_json());
-            text.push('\n');
-        }
-        write_or_die(path, &text);
-    }
-    if let Some(path) = &json_out {
+    sink.push(&result.merged);
+    sink.finish();
+    if let Some(path) = json_out {
         let sim_name = format!("{}+memo", which.name());
         write_or_die(path, &render_json(&sim_name, scale, &result, serial.as_ref()));
     }
@@ -150,11 +127,6 @@ fn build_jobs(which: FacileSim, scale: f64, filter: Option<&str>) -> Vec<BatchJo
         jobs.push(which.job(w.name, workload_image(&w, scale), SimOptions::default()));
     }
     jobs
-}
-
-/// Fast-forwarded instruction fraction from a snapshot.
-fn fast_fraction(s: &facile_obs::SimStatsSnapshot) -> f64 {
-    s.fast_insns as f64 / (s.insns.max(1)) as f64
 }
 
 fn write_or_die(path: &str, body: &str) {
@@ -187,11 +159,11 @@ fn render_json(
         let _ = write!(
             s,
             "{{\"name\":\"{}\",\"insns\":{},\"steps\":{},\"wall_ns\":{},\"steps_per_sec\":{:.1}}}",
-            j.label,
-            j.metrics.sim.insns,
+            j.doc.label,
+            j.doc.sim.insns,
             j.steps,
-            j.wall_ns,
-            j.steps as f64 / (j.wall_ns.max(1) as f64 / 1e9),
+            j.doc.wall_ns,
+            j.steps as f64 / (j.doc.wall_ns.max(1) as f64 / 1e9),
         );
     }
     let _ = write!(s, "]");

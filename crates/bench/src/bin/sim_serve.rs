@@ -30,6 +30,13 @@ use facile::SimOptions;
 use facile_obs::json::Value;
 use std::fmt::Write as _;
 
+const CLI: Cli = Cli {
+    usage: "usage: sim_serve [--clients 1,2,4,8] [--jobs N] [--threads K] [--scale F] [--sim ooo|inorder|functional] [--json-out PATH] [--addr HOST:PORT] [--check-local] [--shutdown]",
+    values: &["--clients", "--jobs", "--threads", "--scale", "--sim", "--json-out", "--addr"],
+    switches: &["--check-local", "--shutdown"],
+    files: false,
+};
+
 /// One job: the assembly text the daemon will assemble, plus the name
 /// of the workload it came from.
 struct ServeJob {
@@ -49,15 +56,17 @@ struct Row {
 }
 
 fn main() {
-    let clients = parse_clients(&arg_str("--clients").unwrap_or_else(|| "1,2,4,8".to_owned()));
-    let jobs_total = arg_f64("--jobs", 24.0).max(1.0) as usize;
-    let threads = arg_f64("--threads", 0.0).max(0.0) as usize;
-    let scale = arg_f64("--scale", 0.02);
-    let json_out = arg_str("--json-out");
-    let external = arg_str("--addr");
-    let check_local = std::env::args().any(|a| a == "--check-local");
-    let shutdown = std::env::args().any(|a| a == "--shutdown");
-    let which = FacileSim::from_arg();
+    let args = CLI.parse();
+    let clients = parse_clients(args.str("--clients").unwrap_or("1,2,4,8"))
+        .unwrap_or_else(|e| args.fail(&e));
+    let jobs_total = args.get("--jobs", 24usize).max(1);
+    let threads = args.get("--threads", 0usize);
+    let scale = args.get("--scale", 0.02);
+    let json_out = args.str("--json-out");
+    let external = args.str("--addr");
+    let check_local = args.on("--check-local");
+    let shutdown = args.on("--shutdown");
+    let which = FacileSim::from_args(&args);
     let arch = which.name();
 
     // Round-robin the synthetic suite until `jobs_total` jobs exist;
@@ -128,7 +137,7 @@ fn main() {
     }
 
     if let (Some(addr), true) = (&external, shutdown) {
-        let mut c = ServeClient::connect(addr.as_str()).expect("connects for shutdown");
+        let mut c = ServeClient::connect(*addr).expect("connects for shutdown");
         let bye = c.request("{\"op\":\"shutdown\"}").expect("shutdown ack");
         assert_eq!(bye.get("op").and_then(Value::as_str), Some("shutdown"));
         println!("asked {addr} to drain and exit");
@@ -234,14 +243,17 @@ fn check_against_local(id: usize, job: &ServeJob, r: &Value, local: &LocalRef) {
     assert_eq!(out, local.out, "job {id} ({}): out traces differ", job.name);
 }
 
-fn parse_clients(spec: &str) -> Vec<usize> {
-    let clients: Vec<usize> = spec
+fn parse_clients(spec: &str) -> Result<Vec<usize>, String> {
+    let clients = spec
         .split(',')
         .filter(|s| !s.trim().is_empty())
-        .map(|s| s.trim().parse().expect("--clients takes a comma list of counts"))
-        .collect();
-    assert!(!clients.is_empty(), "--clients lists at least one count");
-    clients
+        .map(|s| s.trim().parse().ok().filter(|&c: &usize| c > 0))
+        .collect::<Option<Vec<usize>>>()
+        .ok_or("--clients takes a comma list of counts >= 1")?;
+    if clients.is_empty() {
+        return Err("--clients lists at least one count".to_owned());
+    }
+    Ok(clients)
 }
 
 fn write_or_die(path: &str, body: &str) {

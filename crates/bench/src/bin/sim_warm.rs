@@ -28,38 +28,50 @@
 use bench::*;
 use facile::job::{prepare, Lane, Sections, Streams, WarmStart};
 use facile::snapshot::LoadedSnapshot;
-use facile::{CompiledStep, SimOptions, TimelineDoc};
+use facile::{CompiledStep, RunDoc, SimOptions, TimelineMetrics};
+use facile_obs::{Warmup, DEFAULT_STEADY_EPS, DEFAULT_STEADY_K};
+
+const CLI: Cli = Cli {
+    usage: "usage: sim_warm [--scale F] [--filter NAME] [--epoch N] [--json-out PATH]",
+    values: &["--scale", "--filter", "--epoch", "--json-out"],
+    switches: &[],
+    files: false,
+};
 use facile_runtime::Image;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// One measured run (cold or warm) under the timeline recorder.
+/// One measured run (cold or warm) under the timeline recorder: its
+/// document's header and timeline section.
 struct Run {
-    doc: TimelineDoc,
-    fast_fraction: f64,
-    insns: u64,
-    cycles: u64,
-    slow_steps: u64,
-    wall_ns: u64,
+    doc: RunDoc,
+    timeline: TimelineMetrics,
 }
 
 impl Run {
     /// Fast fraction of the first retained epoch (epoch 0 unless the
     /// ring dropped — at bench scales it never does).
     fn epoch0_fast_fraction(&self) -> f64 {
-        self.doc
-            .timeline
+        self.timeline
             .epochs
             .first()
             .map_or(0.0, |e| e.fast_fraction())
     }
 
+    fn warmup(&self) -> Option<Warmup> {
+        self.timeline.detect(DEFAULT_STEADY_EPS, DEFAULT_STEADY_K)
+    }
+
     fn steady_state_epoch(&self) -> Option<u64> {
-        self.doc.warmup.as_ref().map(|w| w.steady_state_epoch)
+        self.warmup().map(|w| w.steady_state_epoch)
     }
 
     fn warmup_wall_ns(&self) -> Option<u64> {
-        self.doc.warmup.as_ref().map(|w| w.warmup_wall_ns)
+        self.warmup().map(|w| w.warmup_wall_ns)
+    }
+
+    fn fast_fraction(&self) -> f64 {
+        self.doc.sim.fast_forwarded_fraction()
     }
 }
 
@@ -85,15 +97,9 @@ fn run_one(
     }
     let o = lane.drive(None);
     assert!(o.halt.is_some(), "workload did not halt");
-    let run = Run {
-        fast_fraction: o.metrics.sim.fast_forwarded_fraction(),
-        insns: o.metrics.sim.insns,
-        cycles: o.metrics.sim.cycles,
-        slow_steps: o.metrics.sim.slow_steps,
-        wall_ns: o.wall_ns,
-        doc: o.timeline.expect("timeline recorder was attached"),
-    };
-    (run, lane)
+    let mut doc = o.doc;
+    let timeline = doc.timeline.take().expect("timeline recorder was attached");
+    (Run { doc, timeline }, lane)
 }
 
 struct Row {
@@ -106,17 +112,18 @@ struct Row {
 }
 
 fn main() {
-    let scale = arg_f64("--scale", 0.1);
-    let epoch = arg_f64("--epoch", 10_000.0).max(1.0) as u64;
-    let filter = arg_str("--filter");
-    let json_out = arg_str("--json-out");
+    let args = CLI.parse();
+    let scale = args.get("--scale", 0.1);
+    let epoch = args.get("--epoch", 10_000u64).max(1);
+    let filter = args.str("--filter");
+    let json_out = args.str("--json-out");
 
     let step = compile_facile(FacileSim::Ooo);
     let mut rows: Vec<Row> = Vec::new();
 
     for w in facile_workloads::suite() {
-        if let Some(f) = &filter {
-            if !w.name.contains(f.as_str()) {
+        if let Some(f) = filter {
+            if !w.name.contains(f) {
                 continue;
             }
         }
@@ -128,8 +135,8 @@ fn main() {
 
         let (warm, warm_lane) = run_one(&step, &image, w.name, epoch, Some(&snap));
         assert_eq!(
-            (warm.insns, warm.cycles),
-            (cold.insns, cold.cycles),
+            (warm.doc.sim.insns, warm.doc.sim.cycles),
+            (cold.doc.sim.insns, cold.doc.sim.cycles),
             "{}: warm run must replay the cold run's architected results",
             w.name
         );
@@ -140,11 +147,11 @@ fn main() {
              epoch0 {:.4} -> {:.4}, warm slow steps {}",
             w.name,
             bytes.len(),
-            cold.fast_fraction,
-            warm.fast_fraction,
+            cold.fast_fraction(),
+            warm.fast_fraction(),
             cold.epoch0_fast_fraction(),
             warm.epoch0_fast_fraction(),
-            warm.slow_steps,
+            warm.doc.sim.slow_steps,
         );
 
         rows.push(Row {
@@ -181,14 +188,14 @@ fn main() {
             "{:>10} {:>10} {:>9.4} {:>9.4} {:>9.4} {:>9.4} {:>7} {:>7} {:>11} {:>11}",
             r.name,
             r.snap_bytes,
-            r.cold.fast_fraction,
-            r.warm.fast_fraction,
+            r.cold.fast_fraction(),
+            r.warm.fast_fraction(),
             r.cold.epoch0_fast_fraction(),
             r.warm.epoch0_fast_fraction(),
             ss(r.cold.steady_state_epoch()),
             ss(r.warm.steady_state_epoch()),
-            format!("{:.1}ms", r.cold.wall_ns as f64 / 1e6),
-            format!("{:.1}ms", r.warm.wall_ns as f64 / 1e6),
+            format!("{:.1}ms", r.cold.doc.wall_ns as f64 / 1e6),
+            format!("{:.1}ms", r.warm.doc.wall_ns as f64 / 1e6),
         );
     }
     let mean_cold_e0 = rows.iter().map(|r| r.cold.epoch0_fast_fraction()).sum::<f64>()
@@ -215,19 +222,17 @@ fn main() {
                     "{{\"fast_fraction\":{:.6},\"epoch0_fast_fraction\":{:.6},\
                      \"steady_state_epoch\":{},\"warmup_steps\":{},\"warmup_wall_ns\":{},\
                      \"slow_steps\":{},\"insns\":{},\"wall_ns\":{}}}",
-                    run.fast_fraction,
+                    run.fast_fraction(),
                     run.epoch0_fast_fraction(),
                     run.steady_state_epoch()
                         .map_or("null".to_owned(), |v| v.to_string()),
-                    run.doc
-                        .warmup
-                        .as_ref()
+                    run.warmup()
                         .map_or("null".to_owned(), |w| w.warmup_steps.to_string()),
                     run.warmup_wall_ns()
                         .map_or("null".to_owned(), |v| v.to_string()),
-                    run.slow_steps,
-                    run.insns,
-                    run.wall_ns,
+                    run.doc.sim.slow_steps,
+                    run.doc.sim.insns,
+                    run.doc.wall_ns,
                 )
             };
             let _ = write!(
@@ -243,7 +248,7 @@ fn main() {
             );
         }
         let _ = write!(s, "]}}");
-        match std::fs::write(&path, &s) {
+        match std::fs::write(path, &s) {
             Ok(()) => eprintln!("wrote {path}"),
             Err(e) => {
                 eprintln!("cannot write {path}: {e}");

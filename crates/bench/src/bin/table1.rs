@@ -5,15 +5,21 @@
 //! synthetic runs sit lower — the per-benchmark ORDER is the
 //! reproduction target (gcc/go worst, tight FP loops best).
 //!
-//! Usage: table1 [--scale F] [--metrics-out table1.jsonl]
-//!               [--profile-out table1-prof.jsonl]
+//! Usage: table1 [--scale F] [--obs-out table1.jsonl] [--obs SECTIONS]
 
 use bench::*;
 
+const CLI: Cli = Cli {
+    usage: "usage: table1 [--scale F] [--obs-out runs.jsonl] [--obs SECTIONS]",
+    values: &["--scale", "--obs-out", "--obs"],
+    switches: &[],
+    files: false,
+};
+
 fn main() {
-    let scale = arg_f64("--scale", 1.0);
-    let mut sink = DocSink::metrics();
-    let mut prof = DocSink::profile();
+    let args = CLI.parse();
+    let scale = args.get("--scale", 1.0);
+    let mut sink = DocSink::new(&args, "metrics");
     println!("Table 1: percentage of instructions fast-forwarded (Facile OOO)\n");
     println!("{:<14} {:>12} {:>10} {:>10}", "benchmark", "insns", "ff%", "paper%");
     let paper: &[(&str, f64)] = &[
@@ -36,17 +42,15 @@ fn main() {
             CachePolicy::Clear,
             w.name,
             &mut sink,
-            &mut prof,
         );
         let p = paper.iter().find(|(n, _)| *n == w.name).map(|(_, v)| *v).unwrap_or(0.0);
         println!(
             "{:<14} {:>12} {:>10.3} {:>10.3}",
             w.name,
-            r.insns,
-            100.0 * r.fast_fraction,
+            r.sim.insns,
+            100.0 * r.sim.fast_forwarded_fraction(),
             p
         );
     }
     sink.finish();
-    prof.finish();
 }

@@ -5,15 +5,21 @@
 //! Absolute sizes scale with run length; the reproduction target is the
 //! per-benchmark ordering and the integer-suite spread.
 //!
-//! Usage: table2 [--scale F] [--metrics-out table2.jsonl]
-//!               [--profile-out table2-prof.jsonl]
+//! Usage: table2 [--scale F] [--obs-out table2.jsonl] [--obs SECTIONS]
 
 use bench::*;
 
+const CLI: Cli = Cli {
+    usage: "usage: table2 [--scale F] [--obs-out runs.jsonl] [--obs SECTIONS]",
+    values: &["--scale", "--obs-out", "--obs"],
+    switches: &[],
+    files: false,
+};
+
 fn main() {
-    let scale = arg_f64("--scale", 1.0);
-    let mut sink = DocSink::metrics();
-    let mut prof = DocSink::profile();
+    let args = CLI.parse();
+    let scale = args.get("--scale", 1.0);
+    let mut sink = DocSink::new(&args, "metrics");
     println!("Table 2: memoized data (Facile OOO, unbounded action cache)\n");
     println!("{:<14} {:>12} {:>12} {:>12}", "benchmark", "insns", "MiB", "paper MB");
     let paper: &[(&str, f64)] = &[
@@ -36,17 +42,15 @@ fn main() {
             CachePolicy::Clear,
             w.name,
             &mut sink,
-            &mut prof,
         );
         let p = paper.iter().find(|(n, _)| *n == w.name).map(|(_, v)| *v).unwrap_or(0.0);
         println!(
             "{:<14} {:>12} {:>12.1} {:>12.1}",
             w.name,
-            r.insns,
-            r.memo_bytes as f64 / (1 << 20) as f64,
+            r.sim.insns,
+            r.cache.bytes_total as f64 / (1 << 20) as f64,
             p
         );
     }
     sink.finish();
-    prof.finish();
 }

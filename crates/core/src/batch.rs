@@ -14,23 +14,22 @@
 //!
 //! Workers pull jobs from an atomic dispenser, so *completion* order is
 //! scheduling-dependent — but every outcome is stored at its submission
-//! index and the merged documents are folded in submission order. Two
-//! runs of the same batch produce byte-identical merged
-//! [`MetricsDoc`]/[`ProfileDoc`] JSON (modulo wall-clock fields),
-//! regardless of thread count.
+//! index and the merged document is folded in submission order. Two
+//! runs of the same batch produce a byte-identical merged [`RunDoc`]
+//! (modulo wall-clock fields), regardless of thread count.
 //!
 //! # Exactness
 //!
-//! Each job's metrics registry observes that job's full event stream, so
-//! per-job documents satisfy the PR 3 exactness invariants
-//! (Σ row insns == sim.insns, Σ row misses == sim.misses). Merging adds
-//! both sides of each invariant, so the batch documents satisfy them
-//! too — `sim_prof --check` accepts a merged profile as readily as a
-//! single-lane one.
+//! Each job's recorders observe that job's full event stream, so
+//! per-job documents satisfy every section's exactness invariant
+//! (Σ row insns == sim.insns, Σ epoch deltas == final counters, …).
+//! Merging adds both sides of each invariant, so the batch document
+//! satisfies them too — `sim_obs --check` accepts a merged document as
+//! readily as a single-lane one.
 
 use crate::job::{execute, shielded};
 pub use crate::job::{BatchJob, JobOutcome, ProfileSource, Sections};
-use crate::{CompiledStep, HotDoc, MetricsDoc, ProfileDoc, SimError, TimelineDoc};
+use crate::{CompiledStep, RunDoc, SimError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -44,9 +43,9 @@ pub struct BatchConfig {
     /// Worker threads; `0` means one per available CPU, capped at the
     /// job count.
     pub threads: usize,
-    /// The documents every lane collects (see [`Sections`]); the batch
-    /// folds each wanted one into a merged document. The default wants
-    /// the metrics documents with their registry.
+    /// The sections every lane collects (see [`Sections`]); the batch
+    /// folds the lanes' documents into one merged document. The default
+    /// wants the metrics section.
     pub sections: Sections,
     /// Per-job completion heartbeat (e.g. `facilec batch --progress`).
     pub progress: Option<ProgressFn>,
@@ -77,19 +76,12 @@ impl Default for BatchConfig {
 pub struct BatchResult {
     /// Outcomes, indexed exactly like the submitted job list.
     pub jobs: Vec<JobOutcome>,
-    /// All job documents folded in submission order.
-    pub merged_metrics: MetricsDoc,
-    /// Folded profile, when the profile section was wanted.
-    pub merged_profile: Option<ProfileDoc>,
-    /// Folded hot-chain document, when the hot section was wanted.
-    /// Folding happens in submission order, so it is bit-for-bit what a
-    /// single recorder observing the lanes back-to-back would hold.
-    pub merged_hot: Option<HotDoc>,
-    /// Folded timeline, when the timeline section was wanted. Lane
-    /// timelines concatenate in submission order (all-integer epoch
-    /// records make the fold bit-for-bit deterministic) and the
-    /// steady-state detector reruns over the concatenation.
-    pub merged_timeline: Option<TimelineDoc>,
+    /// Every job's document folded in submission order and labelled
+    /// `batch(N jobs)`. Each section is bit-for-bit what one recorder
+    /// observing the lanes back to back would hold (timelines
+    /// concatenate and the steady-state detector reruns over the
+    /// concatenation).
+    pub merged: RunDoc,
     /// Batch wall-clock (pool start to last worker join), nanoseconds.
     pub wall_ns: u64,
     /// Worker threads actually used.
@@ -121,7 +113,7 @@ pub enum BatchError {
         /// The underlying simulation error.
         error: SimError,
     },
-    /// Profile documents disagreed on the action-table shape.
+    /// Profile sections disagreed on the action-table shape.
     Merge(String),
 }
 
@@ -207,42 +199,14 @@ pub fn run_batch(
         }
     }
 
-    // Sections are shared by every lane, so each document kind is
-    // all-or-nothing across the batch.
-    let label = format!("batch({n} jobs)");
-    let mut merged_metrics = done[0].metrics.clone();
-    merged_metrics.label.clone_from(&label);
-    let mut merged_profile = done[0].profile.clone();
-    let mut merged_hot = done[0].hot.clone();
-    let mut merged_timeline = done[0].timeline.clone();
-    if let Some(p) = merged_profile.as_mut() {
-        p.label.clone_from(&label);
-    }
-    if let Some(h) = merged_hot.as_mut() {
-        h.label.clone_from(&label);
-    }
-    if let Some(t) = merged_timeline.as_mut() {
-        t.label.clone_from(&label);
-    }
+    let mut merged = done[0].doc.clone();
+    merged.label = format!("batch({n} jobs)");
     for j in &done[1..] {
-        merged_metrics.merge(&j.metrics);
-        if let (Some(mp), Some(p)) = (merged_profile.as_mut(), &j.profile) {
-            mp.merge(p).map_err(BatchError::Merge)?;
-        }
-        if let (Some(mh), Some(h)) = (merged_hot.as_mut(), &j.hot) {
-            mh.merge(h);
-        }
-        if let (Some(mt), Some(t)) = (merged_timeline.as_mut(), &j.timeline) {
-            mt.merge(t);
-        }
+        merged.merge(&j.doc).map_err(BatchError::Merge)?;
     }
-
     Ok(BatchResult {
         jobs: done,
-        merged_metrics,
-        merged_profile,
-        merged_hot,
-        merged_timeline,
+        merged,
         wall_ns,
         threads,
     })
@@ -314,27 +278,28 @@ mod tests {
         assert_eq!(result.threads, 4);
         assert_eq!(result.jobs.len(), 8);
         for (i, j) in result.jobs.iter().enumerate() {
-            assert_eq!(j.label, format!("job{i}"), "submission order held");
+            assert_eq!(j.doc.label, format!("job{i}"), "submission order held");
             assert!(j.halt.is_some(), "every lane halts");
-            assert!(j.metrics.sim.misses > 0, "every lane misses at least once");
+            assert!(j.doc.sim.misses > 0, "every lane misses at least once");
         }
         let sum = |f: fn(&JobOutcome) -> u64| result.jobs.iter().map(f).sum::<u64>();
-        let m = &result.merged_metrics;
-        assert_eq!(m.sim.insns, sum(|j| j.metrics.sim.insns));
-        assert_eq!(m.sim.misses, sum(|j| j.metrics.sim.misses));
-        assert_eq!(m.sim.fast_insns, sum(|j| j.metrics.sim.fast_insns));
-        assert_eq!(m.cache.bytes_total, sum(|j| j.metrics.cache.bytes_total));
+        let m = &result.merged;
+        assert_eq!(m.label, "batch(8 jobs)");
+        assert_eq!(m.sim.insns, sum(|j| j.doc.sim.insns));
+        assert_eq!(m.sim.misses, sum(|j| j.doc.sim.misses));
+        assert_eq!(m.sim.fast_insns, sum(|j| j.doc.sim.fast_insns));
+        assert_eq!(m.cache.bytes_total, sum(|j| j.doc.cache.bytes_total));
         let reg = m.metrics.as_ref().expect("observed batch carries a registry");
         let per_job: u64 = result
             .jobs
             .iter()
-            .map(|j| j.metrics.metrics.as_ref().unwrap().action_replays.iter().sum::<u64>())
+            .map(|j| j.doc.metrics.as_ref().unwrap().action_replays.iter().sum::<u64>())
             .sum();
         assert_eq!(reg.action_replays.iter().sum::<u64>(), per_job);
     }
 
     /// The merged profile keeps the exactness invariants the
-    /// `sim_prof --check` gate enforces: attributed insns/misses equal
+    /// `sim_obs --check` gate enforces: attributed insns/misses equal
     /// the (summed) simulation counters.
     #[test]
     fn merged_profile_passes_the_exactness_gate() {
@@ -352,10 +317,12 @@ mod tests {
             ..BatchConfig::default()
         };
         let result = run_batch(step, jobs(4), &config).expect("batch runs");
-        let p = result.merged_profile.as_ref().expect("profiled batch");
-        assert_eq!(p.attributed_insns(), result.merged_metrics.sim.insns);
-        assert_eq!(p.attributed_misses(), result.merged_metrics.sim.misses);
-        assert!(p.sim.insns > 0);
+        let m = &result.merged;
+        let p = m.profile.as_ref().expect("profiled batch");
+        assert_eq!(p.attributed_insns(), m.sim.insns);
+        assert_eq!(p.attributed_misses(), m.sim.misses);
+        assert!(m.sim.insns > 0);
+        assert_eq!(m.check(), Vec::<String>::new());
     }
 
     /// The merged hot-chain aggregate is bit-for-bit what one flight
@@ -375,10 +342,11 @@ mod tests {
             ..BatchConfig::default()
         };
         let result = run_batch(step.clone(), jobs(6), &config).expect("batch runs");
-        let merged = result.merged_hot.as_ref().expect("hot batch");
-        assert!(merged.hot.bursts > 0, "lanes fast-forward");
+        let merged = &result.merged;
+        let hot = merged.hot.as_ref().expect("hot batch");
+        assert!(hot.bursts > 0, "lanes fast-forward");
         for j in &result.jobs {
-            assert!(j.hot.is_some(), "every lane carries a hot doc");
+            assert!(j.doc.hot.is_some(), "every lane carries a hot section");
         }
 
         // One recorder, six sequential lanes.
@@ -402,17 +370,15 @@ mod tests {
             sim.attach_obs(single.clone());
             sim.run_steps(job.max_steps);
             // The recorder sees the event stream; supertrace counters
-            // are runtime totals folded in at snapshot time, exactly as
-            // `hot_doc` does per lane.
+            // are runtime totals the header snapshots per lane.
             trace.merge(&crate::obs::snapshot_trace(&sim.trace_stats()));
         }
-        let mut expected = single.hot().unwrap();
-        expected.trace = trace;
-        assert_eq!(merged.hot, expected);
+        assert_eq!(hot, &single.hot().unwrap());
+        assert_eq!(merged.trace, trace);
         // The merged counters recount too (full sampling).
-        assert_eq!(merged.hot.burst_steps.sum(), merged.sim.fast_steps);
-        assert_eq!(merged.hot.burst_insns.sum(), merged.sim.fast_insns);
-        assert_eq!(merged.hot.exits.iter().sum::<u64>(), merged.hot.bursts);
+        assert_eq!(merged.check(), Vec::<String>::new());
+        assert_eq!(hot.burst_steps.sum(), merged.sim.fast_steps);
+        assert_eq!(hot.burst_insns.sum(), merged.sim.fast_insns);
     }
 
     /// The merged timeline is exactly the submission-order fold of the
@@ -431,20 +397,18 @@ mod tests {
             ..BatchConfig::default()
         };
         let result = run_batch(step, jobs(6), &config).expect("batch runs");
-        let merged = result.merged_timeline.as_ref().expect("timeline batch");
-        merged.recount().expect("merged doc recounts");
+        let merged = &result.merged;
+        assert!(merged.timeline.is_some(), "timeline batch");
+        assert_eq!(merged.check(), Vec::<String>::new(), "merged doc recounts");
         for j in &result.jobs {
-            let t = j.timeline.as_ref().expect("every lane carries a timeline");
-            t.recount().expect("lane doc recounts");
-            assert!(
-                t.timeline.epochs_total() > 1,
-                "budget-sliced lanes close several epochs"
-            );
+            let t = j.doc.timeline.as_ref().expect("every lane carries a timeline");
+            assert_eq!(j.doc.check(), Vec::<String>::new(), "lane doc recounts");
+            assert!(t.epochs_total() > 1, "budget-sliced lanes close several epochs");
         }
-        let mut expected = result.jobs[0].timeline.clone().expect("lane 0 timeline");
+        let mut expected = result.jobs[0].doc.clone();
         expected.label = "batch(6 jobs)".to_owned();
         for j in &result.jobs[1..] {
-            expected.merge(j.timeline.as_ref().expect("lane timeline"));
+            expected.merge(&j.doc).expect("same program");
         }
         assert_eq!(merged.to_json(), expected.to_json(), "fold is bit-for-bit");
     }
@@ -503,28 +467,29 @@ mod tests {
         let warm = run_batch(step, batch_jobs, &config).expect("warm batch");
 
         for (c, w) in cold.jobs.iter().zip(&warm.jobs) {
+            let (c, w) = (&c.doc, &w.doc);
             assert_eq!(
-                (c.metrics.sim.insns, c.metrics.sim.cycles),
-                (w.metrics.sim.insns, w.metrics.sim.cycles),
+                (c.sim.insns, c.sim.cycles),
+                (w.sim.insns, w.sim.cycles),
                 "warm lane {} must match its cold twin architecturally",
                 w.label
             );
             // The whole point of sharing: no lane re-records the graph.
-            assert_eq!(w.metrics.sim.slow_steps, 0, "{} replays from step 0", w.label);
-            assert_eq!(w.metrics.cache.nodes_created, 0);
-            assert_eq!(w.metrics.cache.bytes_frozen, payload);
-            assert!(w.metrics.cache.frozen_gens > 0);
+            assert_eq!(w.sim.slow_steps, 0, "{} replays from step 0", w.label);
+            assert_eq!(w.cache.nodes_created, 0);
+            assert_eq!(w.cache.bytes_frozen, payload);
+            assert!(w.cache.frozen_gens > 0);
         }
         // The digest-mismatched lane declined the snapshot and ran cold.
         let other_lane = &warm.jobs[4];
-        assert_eq!(other_lane.metrics.cache.bytes_frozen, 0);
-        assert!(other_lane.metrics.sim.slow_steps > 0, "cold lane records");
+        assert_eq!(other_lane.doc.cache.bytes_frozen, 0);
+        assert!(other_lane.doc.sim.slow_steps > 0, "cold lane records");
         assert!(other_lane.halt.is_some());
         // Merged warm counters are the per-lane sum (4 pinned images).
-        assert_eq!(warm.merged_metrics.cache.bytes_frozen, 4 * payload);
+        assert_eq!(warm.merged.cache.bytes_frozen, 4 * payload);
         assert_eq!(
-            warm.merged_metrics.cache.frozen_gens,
-            warm.jobs.iter().map(|j| j.metrics.cache.frozen_gens).sum::<u64>()
+            warm.merged.cache.frozen_gens,
+            warm.jobs.iter().map(|j| j.doc.cache.frozen_gens).sum::<u64>()
         );
     }
 
@@ -540,7 +505,7 @@ mod tests {
             threads: 3,
             progress: Some(Box::new(move |o: &JobOutcome| {
                 assert!(o.halt.is_some(), "heartbeat carries the halt");
-                assert!(o.label.starts_with("job"));
+                assert!(o.doc.label.starts_with("job"));
                 c.fetch_add(1, Ordering::SeqCst);
                 s.fetch_add(o.steps, Ordering::SeqCst);
             })),
@@ -576,7 +541,7 @@ mod tests {
         let config = BatchConfig {
             threads: 2,
             progress: Some(Box::new(|o: &JobOutcome| {
-                if o.label == "job1" {
+                if o.doc.label == "job1" {
                     panic!("deliberate test panic in job1's heartbeat");
                 }
             })),
@@ -618,8 +583,8 @@ mod tests {
         ArchHost::new().bind(&mut sim).expect("binds");
         sim.run_steps(u64::MAX >> 1);
         for j in &result.jobs {
-            assert_eq!(j.digest, sim.memory().digest(), "{} digest", j.label);
-            assert_eq!(j.out, sim.trace().to_vec(), "{} out trace", j.label);
+            assert_eq!(j.digest, sim.memory().digest(), "{} digest", j.doc.label);
+            assert_eq!(j.out, sim.trace().to_vec(), "{} out trace", j.doc.label);
         }
     }
 
@@ -641,10 +606,10 @@ mod tests {
             &BatchConfig { threads: 1, ..BatchConfig::default() },
         )
         .expect("serial batch");
-        assert_eq!(wide.merged_metrics.sim, serial.merged_metrics.sim);
+        assert_eq!(wide.merged.sim, serial.merged.sim);
         assert_eq!(
-            wide.merged_metrics.metrics.as_ref().map(|m| &m.action_replays),
-            serial.merged_metrics.metrics.as_ref().map(|m| &m.action_replays),
+            wide.merged.metrics.as_ref().map(|m| &m.action_replays),
+            serial.merged.metrics.as_ref().map(|m| &m.action_replays),
         );
     }
 }

@@ -20,37 +20,36 @@
 //! Observability (with `--run`):
 //!
 //! ```text
-//! --metrics-out <path>   # write a facile-obs/v1 metrics JSON document
-//! --trace-out <path>     # stream the structured trace as JSONL
-//! --profile-out <path>   # write a facile-prof/v1 source profile
-//! --hot-out <path>       # write a facile-hot/v1 replay flight-recorder doc
+//! --obs-out <path>       # write the facile-run/v2 run document
+//! --obs <sections>       # its sections: metrics,profile,hot,timeline
+//!                        #   (comma-separated; default metrics)
 //! --hot-sample <N>       # record 1-in-N fast bursts (default 1: exact)
-//! --timeline-out <path>  # write a facile-timeline/v1 epoch time-series doc
-//! --timeline-stream <p>  # stream one JSONL line per closed epoch, live
 //! --timeline-epoch <N>   # epoch interval in steps (default 100000)
+//! --trace-out <path>     # stream the structured trace as JSONL, live
+//! --timeline-stream <p>  # stream one JSONL line per closed epoch, live
 //! ```
 //!
-//! With a timeline attached the run is driven in epoch-sized budget
-//! slices, so replay bursts exit near epoch boundaries and the
-//! time-series stays uniform; `sim_timeline` (in the bench crate)
-//! renders warm-up curves and checks the epoch-delta exactness gate.
-//! Each flag attaches only the recorder it needs; `sim_report` (in the
-//! bench crate) renders paper-style tables from the metrics documents.
+//! Each section attaches only the recorder it needs. With a timeline
+//! attached the run is driven in epoch-sized budget slices, so replay
+//! bursts exit near epoch boundaries and the time-series stays uniform.
+//! `sim_obs` (in the bench crate) renders every view — paper-style
+//! tables, profiles, hot chains, warm-up curves — from the documents
+//! alone and checks every section's exactness gate.
 //!
 //! Batch mode runs many independent jobs over one compiled simulator
 //! across a worker pool, sharing the compiled step read-only:
 //!
 //! ```text
 //! facilec --builtin ooo batch --jobs jobs.txt --threads 4 \
-//!         [--metrics-out m.jsonl] [--profile-out p.jsonl]
+//!         [--obs-out runs.jsonl] [--obs metrics,profile]
 //! ```
 //!
 //! The jobs file lists one job per line — `<prog.asm> [max-steps]`
-//! (blank lines and `#` comments skipped). Outputs are JSONL: one
+//! (blank lines and `#` comments skipped). `--obs-out` writes JSONL: one
 //! document per job in submission order, then the merged batch
-//! document; `sim_report`/`sim_prof` accept any line. `--hot-out` and
-//! `--timeline-out` work in batch mode too, and `--progress` prints one
-//! JSONL heartbeat line to stderr as each job completes.
+//! document, which `sim_obs --check` refolds from the lanes.
+//! `--progress` prints one JSONL heartbeat line to stderr as each job
+//! completes.
 //!
 //! `--run` is a batch of one: both go through `facile::job`, so a run's
 //! documents equal the per-job documents of a one-line batch (modulo
@@ -74,14 +73,11 @@
 //! A flag the chosen mode would ignore is an error, never silently
 //! dropped (see `MODE_FLAGS`).
 
-use facile::batch::{run_batch, BatchConfig, BatchResult, JobOutcome, ProgressFn};
+use facile::batch::{run_batch, BatchConfig, JobOutcome, ProgressFn};
 use facile::hosts::initial_args;
 use facile::job::{self, BatchJob, ProfileSource, Sections, Streams, WarmStart};
 use facile::snapshot::LoadedSnapshot;
-use facile::{
-    compile_source, CachePolicy, CompiledStep, CompilerOptions, HotDoc, MetricsDoc, ProfileDoc,
-    SimOptions, TimelineDoc,
-};
+use facile::{compile_source, CachePolicy, CompiledStep, CompilerOptions, RunDoc, SimOptions};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -119,11 +115,9 @@ const MODE_FLAGS: &[(&str, &[Mode])] = {
         ("--trace-out", &[Run]),
         ("--timeline-stream", &[Run]),
         ("--cache-save", &[Run]),
-        ("--metrics-out", &[Run, Batch]),
-        ("--profile-out", &[Run, Batch]),
-        ("--hot-out", &[Run, Batch]),
+        ("--obs-out", &[Run, Batch]),
+        ("--obs", &[Run, Batch]),
         ("--hot-sample", &[Run, Batch]),
-        ("--timeline-out", &[Run, Batch]),
         ("--timeline-epoch", &[Run, Batch, Serve]),
         ("--cache-load", &[Run, Batch, Serve]),
         ("--cache-capacity", &[Run, Batch, Serve]),
@@ -145,18 +139,17 @@ usage: facilec <file.fac> [--emit ast|ir|bta|actions|stats]
                [--cache-capacity BYTES] [--cache-policy clear|generational]
                [--supertrace on|off] [--supertrace-threshold N]
                [--cache-save snap.facsnap] [--cache-load snap.facsnap]
-               [--metrics-out m.json] [--trace-out t.jsonl]
-               [--profile-out prof.json]
-               [--hot-out hot.json] [--hot-sample N]
-               [--timeline-out tl.json] [--timeline-stream tl.jsonl]
-               [--timeline-epoch N]
+               [--obs-out run.json] [--obs metrics,profile,hot,timeline]
+               [--hot-sample N] [--timeline-epoch N]
+               [--trace-out t.jsonl] [--timeline-stream tl.jsonl]
        facilec --builtin ooo batch --jobs jobs.txt [--threads K]
-               [--steps N] [--metrics-out m.jsonl] [--profile-out p.jsonl]
-               [--hot-out hot.jsonl] [--hot-sample N] [--progress]
-               [--timeline-out tl.jsonl] [--timeline-epoch N]
+               [--steps N] [--obs-out runs.jsonl] [--obs SECTIONS]
+               [--hot-sample N] [--timeline-epoch N] [--progress]
                [--cache-load snap.facsnap]
+         --obs-out writes one facile-run/v2 document; --obs lists its
+         sections (default metrics)
          jobs file: one `prog.asm [max-steps]` per line;
-         outputs are JSONL, per-job docs then the merged batch doc;
+         batch --obs-out is JSONL, per-job docs then the merged doc;
          --progress prints a JSONL heartbeat per job to stderr
          --cache-save writes a facile-snap/v1 action-cache snapshot
          after the run; --cache-load warm-starts from one (a stale or
@@ -178,11 +171,9 @@ struct Cli {
     steps: u64,
     options: SimOptions,
     trace_out: Option<String>,
-    metrics_out: Option<String>,
-    profile_out: Option<String>,
-    hot_out: Option<String>,
+    obs_out: Option<String>,
+    obs: Option<String>,
     hot_sample: u64,
-    timeline_out: Option<String>,
     timeline_stream: Option<String>,
     timeline_epoch: u64,
     cache_save: Option<String>,
@@ -246,11 +237,9 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Option<Cli>, Strin
         steps: u64::MAX >> 1,
         options: SimOptions::default(),
         trace_out: None,
-        metrics_out: None,
-        profile_out: None,
-        hot_out: None,
+        obs_out: None,
+        obs: None,
         hot_sample: 1,
-        timeline_out: None,
         timeline_stream: None,
         timeline_epoch: facile::TimelineConfig::default().epoch_steps,
         cache_save: None,
@@ -306,11 +295,9 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Option<Cli>, Strin
             "--cache-save" => cli.cache_save = Some(value(it, flag, "a path")?),
             "--cache-load" => cli.cache_load = Some(value(it, flag, "a path")?),
             "--trace-out" => cli.trace_out = Some(value(it, flag, "a path")?),
-            "--metrics-out" => cli.metrics_out = Some(value(it, flag, "a path")?),
-            "--profile-out" => cli.profile_out = Some(value(it, flag, "a path")?),
-            "--hot-out" => cli.hot_out = Some(value(it, flag, "a path")?),
+            "--obs-out" => cli.obs_out = Some(value(it, flag, "a path")?),
+            "--obs" => cli.obs = Some(value(it, flag, "a section list")?),
             "--hot-sample" => cli.hot_sample = number(it, flag, "a period >= 1", 1)?,
-            "--timeline-out" => cli.timeline_out = Some(value(it, flag, "a path")?),
             "--timeline-stream" => cli.timeline_stream = Some(value(it, flag, "a path")?),
             "--timeline-epoch" => cli.timeline_epoch = number(it, flag, "a step count >= 1", 1)?,
             f if !f.starts_with('-') => cli.file = Some(f.to_owned()),
@@ -333,6 +320,9 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Option<Cli>, Strin
                 ));
             }
         }
+    }
+    if cli.obs.is_some() && cli.obs_out.is_none() {
+        return Err("--obs requires --obs-out".to_owned());
     }
     Ok(Some(cli))
 }
@@ -396,18 +386,24 @@ impl Cli {
         }
     }
 
-    /// The documents the output flags ask every job for.
-    fn sections(&self, src: &str) -> Sections {
-        Sections {
-            metrics: self.metrics_out.is_some(),
-            profile: self
-                .profile_out
-                .as_ref()
-                .map(|_| Arc::new(self.profile_source(src))),
-            hot: self.hot_out.as_ref().map(|_| self.hot_sample),
-            timeline: (self.timeline_out.is_some() || self.timeline_stream.is_some())
-                .then_some(self.timeline_epoch),
+    /// The sections every job records: the `--obs` list when a
+    /// document is written, plus the timeline a `--timeline-stream`
+    /// needs.
+    fn sections(&self, src: &str) -> Result<Sections, String> {
+        let names = match (&self.obs_out, &self.obs) {
+            (None, _) => "",
+            (Some(_), None) => "metrics",
+            (Some(_), Some(list)) => list,
+        };
+        let source = Arc::new(self.profile_source(src));
+        let names = names.split(',').filter(|n| !n.is_empty());
+        let mut sections =
+            Sections::from_names(names, Some(&source), self.hot_sample, self.timeline_epoch)
+                .map_err(|e| format!("--obs: {e}"))?;
+        if self.timeline_stream.is_some() {
+            sections.timeline = Some(self.timeline_epoch);
         }
+        Ok(sections)
     }
 
     /// Assembles one job: `prog` under this simulator's initial
@@ -448,44 +444,17 @@ fn warn_cold(path: &str, why: &str) {
     eprintln!("facilec: warning: --cache-load {path}: {why}; starting cold");
 }
 
-/// Writes `docs` as JSONL to `path`, when the flag was given.
-fn write_jsonl(path: &Option<String>, docs: impl Iterator<Item = String>) -> Result<(), String> {
-    let Some(path) = path else { return Ok(()) };
-    let text: String = docs.map(|d| d + "\n").collect();
+/// Writes one document per job, then the batch's merged document when
+/// there is one, as JSONL to `--obs-out`.
+fn write_docs(cli: &Cli, jobs: &[JobOutcome], merged: Option<&RunDoc>) -> Result<(), String> {
+    let Some(path) = &cli.obs_out else { return Ok(()) };
+    let text: String = jobs
+        .iter()
+        .map(|j| &j.doc)
+        .chain(merged)
+        .map(|d| d.to_json() + "\n")
+        .collect();
     std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
-}
-
-/// Writes every requested document kind: one line per job, then the
-/// batch's merged document when there is one.
-fn write_docs(cli: &Cli, jobs: &[JobOutcome], batch: Option<&BatchResult>) -> Result<(), String> {
-    write_jsonl(
-        &cli.metrics_out,
-        jobs.iter()
-            .map(|j| &j.metrics)
-            .chain(batch.map(|b| &b.merged_metrics))
-            .map(MetricsDoc::to_json),
-    )?;
-    write_jsonl(
-        &cli.profile_out,
-        jobs.iter()
-            .filter_map(|j| j.profile.as_ref())
-            .chain(batch.and_then(|b| b.merged_profile.as_ref()))
-            .map(ProfileDoc::to_json),
-    )?;
-    write_jsonl(
-        &cli.hot_out,
-        jobs.iter()
-            .filter_map(|j| j.hot.as_ref())
-            .chain(batch.and_then(|b| b.merged_hot.as_ref()))
-            .map(HotDoc::to_json),
-    )?;
-    write_jsonl(
-        &cli.timeline_out,
-        jobs.iter()
-            .filter_map(|j| j.timeline.as_ref())
-            .chain(batch.and_then(|b| b.merged_timeline.as_ref()))
-            .map(TimelineDoc::to_json),
-    )
 }
 
 /// Opens a live JSONL sink, when the flag was given.
@@ -505,7 +474,7 @@ fn run_cmd(cli: &Cli, step: &Arc<CompiledStep>, src: &str) -> Result<ExitCode, S
         timeline: create(&cli.timeline_stream)?,
     };
     let warm = cli.warm();
-    let mut lane = job::prepare(step, job, &cli.sections(src), warm.as_deref(), streams)
+    let mut lane = job::prepare(step, job, &cli.sections(src)?, warm.as_deref(), streams)
         .map_err(|e| e.to_string())?;
     if let (WarmStart::Declined(why), Some(path)) = (lane.warm(), &cli.cache_load) {
         warn_cold(path, why);
@@ -523,7 +492,7 @@ fn run_cmd(cli: &Cli, step: &Arc<CompiledStep>, src: &str) -> Result<ExitCode, S
     }
     write_docs(cli, std::slice::from_ref(&o), None)?;
 
-    let (sim, cache) = (&o.metrics.sim, &o.metrics.cache);
+    let (sim, cache) = (&o.doc.sim, &o.doc.cache);
     println!("halted:      {:?}", o.halt);
     println!("insns:       {}", sim.insns);
     println!("cycles:      {}", sim.cycles);
@@ -536,7 +505,7 @@ fn run_cmd(cli: &Cli, step: &Arc<CompiledStep>, src: &str) -> Result<ExitCode, S
     );
     println!(
         "sim speed:   {:.0} insn/s",
-        sim.insns as f64 / (o.wall_ns as f64 / 1e9)
+        sim.insns as f64 / (o.doc.wall_ns as f64 / 1e9)
     );
     if !o.out.is_empty() {
         println!("out:         {:?}", o.out);
@@ -547,12 +516,13 @@ fn run_cmd(cli: &Cli, step: &Arc<CompiledStep>, src: &str) -> Result<ExitCode, S
 /// The `--progress` heartbeat: one JSONL line per completed job, with
 /// the lane's latest closed epoch when a timeline is attached.
 fn heartbeat(o: &JobOutcome) {
-    let epoch = o
+    let d = &o.doc;
+    let epoch = d
         .timeline
         .as_ref()
         .and_then(|t| {
-            let last = t.timeline.epochs.last()?;
-            Some((t.timeline.epochs_total().saturating_sub(1), last))
+            let last = t.epochs.last()?;
+            Some((t.epochs_total().saturating_sub(1), last))
         })
         .map(|(i, e)| {
             format!(
@@ -564,11 +534,11 @@ fn heartbeat(o: &JobOutcome) {
         .unwrap_or_default();
     eprintln!(
         "{{\"job\":\"{}\",\"wall_ns\":{},\"steps\":{},\"steps_per_sec\":{:.0},\"fast_fraction\":{:.6}{epoch}}}",
-        o.label.replace('\\', "\\\\").replace('"', "\\\""),
-        o.wall_ns,
+        d.label.replace('\\', "\\\\").replace('"', "\\\""),
+        d.wall_ns,
         o.steps,
-        o.steps as f64 / (o.wall_ns.max(1) as f64 / 1e9),
-        o.metrics.sim.fast_forwarded_fraction(),
+        o.steps as f64 / (d.wall_ns.max(1) as f64 / 1e9),
+        d.sim.fast_forwarded_fraction(),
     );
 }
 
@@ -602,22 +572,22 @@ fn batch_cmd(cli: &Cli, step: Arc<CompiledStep>, src: &str) -> Result<ExitCode, 
     }
     let config = BatchConfig {
         threads: cli.threads,
-        sections: cli.sections(src),
+        sections: cli.sections(src)?,
         progress: cli.progress.then(|| Box::new(heartbeat) as ProgressFn),
         warm: cli.warm(),
     };
     let n = jobs.len();
     let result = run_batch(step, jobs, &config).map_err(|e| format!("batch failed: {e}"))?;
-    write_docs(cli, &result.jobs, Some(&result))?;
+    write_docs(cli, &result.jobs, Some(&result.merged))?;
 
     println!("batch:       {n} jobs on {} threads", result.threads);
     for j in &result.jobs {
         println!(
             "  {:<28} {:>12} insns  {:>10} steps  {:.0} steps/s  {}",
-            j.label,
-            j.metrics.sim.insns,
+            j.doc.label,
+            j.doc.sim.insns,
             j.steps,
-            j.steps as f64 / (j.wall_ns.max(1) as f64 / 1e9),
+            j.steps as f64 / (j.doc.wall_ns.max(1) as f64 / 1e9),
             match j.halt {
                 Some(h) => format!("{h:?}"),
                 None => "step-budget".to_owned(),
@@ -626,9 +596,9 @@ fn batch_cmd(cli: &Cli, step: Arc<CompiledStep>, src: &str) -> Result<ExitCode, 
     }
     println!(
         "  merged:    {} insns, {} misses, {} cache KiB",
-        result.merged_metrics.sim.insns,
-        result.merged_metrics.sim.misses,
-        result.merged_metrics.cache.bytes_total >> 10
+        result.merged.sim.insns,
+        result.merged.sim.misses,
+        result.merged.cache.bytes_total >> 10
     );
     println!(
         "  aggregate: {:.0} steps/s over {:.3} s wall",

@@ -8,24 +8,24 @@
 //! * **Prepare** constructs the simulation over the shared compiled
 //!   step, binds the standard micro-architecture components
 //!   ([`ArchHost`]), attaches exactly the recorders the wanted
-//!   [`Sections`] need — no observer at all when no document is wanted —
+//!   [`Sections`] need — no observer at all when no section is wanted —
 //!   and warm-starts from a snapshot when one is offered and fits,
 //!   reporting what became of it ([`WarmStart`]).
 //! * **Drive** runs the job to its step budget, slicing the budget into
 //!   epoch-sized pieces only when a timeline is wanted (replay bursts
 //!   run to their whole budget, so an unsliced run of a tight loop would
 //!   close one giant epoch), reports every closed epoch to an optional
-//!   callback, and collects the [`JobOutcome`] with the wanted documents.
+//!   callback, and collects the [`JobOutcome`] with its run document.
 //!
 //! Callers that need the live [`Simulation`] between the steps or
 //! afterwards — `facilec run --cache-save`, the warm-start benchmark —
 //! hold the [`Lane`] and borrow it with [`Lane::sim`].
 
 use crate::hosts::ArchHost;
-use crate::obs::{hot_doc, metrics_doc, profile_doc, timeline_doc};
+use crate::obs::run_doc;
 use crate::{
-    CompiledStep, HotConfig, HotDoc, MetricsDoc, ObsConfig, ObsHandle, ProfileDoc, SimError,
-    SimOptions, Simulation, TimelineConfig, TimelineDoc,
+    CompiledStep, HotConfig, ObsConfig, ObsHandle, RunDoc, SimError, SimOptions, Simulation,
+    TimelineConfig,
 };
 use facile_obs::EpochRecord;
 use facile_runtime::{HaltReason, Image, Target};
@@ -56,14 +56,14 @@ pub struct ProfileSource {
     pub src: String,
 }
 
-/// Which per-job documents a job collects. The metrics document's plain
-/// counters are always collected (they cost nothing); everything else
-/// is recorded only when wanted, and each wanted section attaches the
-/// one recorder it needs.
+/// Which sections of the run document a job collects. The header's
+/// plain counters are always collected (they cost nothing); every
+/// section is recorded only when wanted, and each wanted section
+/// attaches the one recorder it needs.
 #[derive(Clone, Default)]
 pub struct Sections {
     /// Attach the metrics registry (per-action counts, latency
-    /// histograms, event-ring accounting) to the metrics document.
+    /// histograms, event-ring accounting) as the `metrics` section.
     pub metrics: bool,
     /// Build the source profile against this source (needs the
     /// registry, so it attaches one too).
@@ -76,11 +76,55 @@ pub struct Sections {
     pub timeline: Option<u64>,
 }
 
+/// The section names, as `--obs` lists and serve `want` arrays spell
+/// them.
+pub const SECTION_NAMES: [&str; 4] = ["metrics", "profile", "hot", "timeline"];
+
 impl Sections {
+    /// Parses section names (`metrics`, `profile`, `hot`, `timeline`):
+    /// a profile resolves its spans against `source`, the hot section
+    /// samples 1-in-`hot_sample` bursts and the timeline closes an epoch
+    /// every `epoch_steps` steps.
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, or `profile` without a source.
+    pub fn from_names<'a>(
+        names: impl IntoIterator<Item = &'a str>,
+        source: Option<&Arc<ProfileSource>>,
+        hot_sample: u64,
+        epoch_steps: u64,
+    ) -> Result<Sections, String> {
+        let mut s = Sections::default();
+        for name in names {
+            match name {
+                "metrics" => s.metrics = true,
+                "profile" => {
+                    let src = source.ok_or("the profile section needs the simulator source")?;
+                    s.profile = Some(src.clone());
+                }
+                "hot" => s.hot = Some(hot_sample),
+                "timeline" => s.timeline = Some(epoch_steps),
+                other => {
+                    return Err(format!(
+                        "unknown section `{other}`; sections are {}",
+                        SECTION_NAMES.join("|")
+                    ))
+                }
+            }
+        }
+        Ok(s)
+    }
+
+    /// Whether no section is wanted.
+    pub fn is_empty(&self) -> bool {
+        !self.metrics && self.profile.is_none() && self.hot.is_none() && self.timeline.is_none()
+    }
+
     /// The observer these sections need, or `None` when the job can run
     /// unobserved. `trace` asks for the event ring on behalf of a live
     /// trace stream.
-    fn obs_config(&self, trace: bool) -> Option<ObsConfig> {
+    pub(crate) fn obs_config(&self, trace: bool) -> Option<ObsConfig> {
         let registry = self.metrics || self.profile.is_some();
         if !(registry || trace || self.hot.is_some() || self.timeline.is_some()) {
             return None;
@@ -136,29 +180,19 @@ pub type EpochCallback<'a> = Option<&'a dyn Fn(u64, &EpochRecord)>;
 
 /// What one finished job produced.
 pub struct JobOutcome {
-    /// The job's label, copied through.
-    pub label: String,
     /// Why (whether) the simulation halted within its step budget.
     pub halt: Option<HaltReason>,
     /// Steps executed (slow + fast).
     pub steps: u64,
-    /// This lane's wall-clock, nanoseconds.
-    pub wall_ns: u64,
     /// Digest of the lane's final target memory — the bit-identity
     /// witness drivers compare across execution paths (batch vs serve
     /// vs a direct run of the same job).
     pub digest: u64,
     /// The program's `out` values, in emission order.
     pub out: Vec<i64>,
-    /// The per-job metrics document (with the registry iff the metrics
-    /// or profile section was wanted).
-    pub metrics: MetricsDoc,
-    /// The per-job profile document, when profiling was wanted.
-    pub profile: Option<ProfileDoc>,
-    /// The per-job hot-chain document, when the recorder was wanted.
-    pub hot: Option<HotDoc>,
-    /// The per-job epoch timeline, when a timeline was wanted.
-    pub timeline: Option<TimelineDoc>,
+    /// The job's run document: its label, wall-clock and counters, plus
+    /// the wanted sections.
+    pub doc: RunDoc,
 }
 
 /// A prepared job: the wired simulation plus what driving needs.
@@ -166,8 +200,7 @@ pub struct Lane {
     sim: Simulation,
     label: String,
     max_steps: u64,
-    timeline: Option<u64>,
-    profile: Option<Arc<ProfileSource>>,
+    sections: Sections,
     warm: WarmStart,
 }
 
@@ -220,8 +253,7 @@ pub fn prepare(
         sim,
         label: job.label,
         max_steps: job.max_steps,
-        timeline: sections.timeline,
-        profile: sections.profile.clone(),
+        sections: sections.clone(),
         warm,
     })
 }
@@ -259,7 +291,7 @@ impl Lane {
     pub fn drive(&mut self, epoch_cb: EpochCallback<'_>) -> JobOutcome {
         let sim = &mut self.sim;
         let t0 = std::time::Instant::now();
-        let halt = match self.timeline {
+        let halt = match self.sections.timeline {
             Some(epoch) => {
                 let slice = epoch.max(1);
                 let mut left = self.max_steps;
@@ -289,26 +321,13 @@ impl Lane {
             None => sim.run_steps(self.max_steps),
         };
         let wall_ns = t0.elapsed().as_nanos() as u64;
-        let label = &self.label;
-        // The timeline document flushes the final partial epoch, so it
-        // goes first.
-        let timeline = self
-            .timeline
-            .and_then(|_| timeline_doc(label, sim, wall_ns));
+        let doc = run_doc(&self.label, sim, wall_ns, &self.sections);
         JobOutcome {
-            label: label.clone(),
             halt,
             steps: sim.stats().fast_steps + sim.stats().slow_steps,
-            wall_ns,
             digest: sim.memory().digest(),
             out: sim.trace().to_vec(),
-            metrics: metrics_doc(label, sim, wall_ns),
-            profile: self
-                .profile
-                .as_ref()
-                .map(|p| profile_doc(label, &p.file, &p.src, sim, wall_ns)),
-            hot: hot_doc(label, sim, wall_ns),
-            timeline,
+            doc,
         }
     }
 }
@@ -382,20 +401,18 @@ mod tests {
         assert!(!bare.sim().obs().enabled(), "no document, no observer");
         let mut bare = bare;
         let plain = bare.drive(None);
-        assert!(plain.metrics.metrics.is_none());
-        assert!(plain.hot.is_none() && plain.timeline.is_none() && plain.profile.is_none());
+        let d = &plain.doc;
+        assert!(d.metrics.is_none() && d.profile.is_none());
+        assert!(d.hot.is_none() && d.timeline.is_none());
 
         let hot = Sections {
             hot: Some(1),
             ..Sections::default()
         };
         let o = execute(&step, job(LOOP_ASM), &hot, None, None).expect("runs");
-        assert!(
-            o.metrics.metrics.is_none(),
-            "the hot section needs no registry"
-        );
-        assert!(o.hot.is_some());
-        assert_eq!((o.digest, o.metrics.sim), (plain.digest, plain.metrics.sim));
+        assert!(o.doc.metrics.is_none(), "the hot section needs no registry");
+        assert!(o.doc.hot.is_some());
+        assert_eq!((o.digest, o.doc.sim), (plain.digest, plain.doc.sim));
     }
 
     /// The epoch callback sees every closed epoch once, in order, and
@@ -410,7 +427,7 @@ mod tests {
             ..Sections::default()
         };
         let o = execute(&step, job(LOOP_ASM), &sections, None, Some(&cb)).expect("runs");
-        let total = o.timeline.expect("timeline wanted").timeline.epochs_total();
+        let total = o.doc.timeline.expect("timeline wanted").epochs_total();
         let seen = std::mem::take(&mut *seen.lock().unwrap());
         assert!(seen.len() > 1, "a 16-step epoch closes several times");
         assert!(
@@ -427,6 +444,20 @@ mod tests {
         };
         execute(&step, job(LOOP_ASM), &Sections::default(), None, Some(&cb)).expect("runs");
         assert_eq!(silent.into_inner(), 0, "no timeline, no epochs");
+    }
+
+    #[test]
+    fn section_names_parse_strictly() {
+        let src = Arc::new(ProfileSource {
+            file: "f.fac".to_owned(),
+            src: String::new(),
+        });
+        let s = Sections::from_names(SECTION_NAMES, Some(&src), 4, 32).expect("all four");
+        assert!(s.metrics && s.profile.is_some());
+        assert_eq!((s.hot, s.timeline), (Some(4), Some(32)));
+        let err = Sections::from_names(["metrics", "hto"], Some(&src), 1, 1).err();
+        assert!(err.unwrap().contains("unknown section `hto`"));
+        assert!(Sections::from_names(["profile"], None, 1, 1).is_err());
     }
 
     /// Prepare reports what became of the offered snapshot: used when
@@ -456,10 +487,10 @@ mod tests {
         .expect("prepares");
         assert_eq!(warm.warm(), &WarmStart::Used);
         let o = warm.drive(None);
-        assert_eq!(o.metrics.sim.slow_steps, 0, "replays from the first step");
+        assert_eq!(o.doc.sim.slow_steps, 0, "replays from the first step");
         assert_eq!(
-            (o.digest, o.metrics.sim.cycles),
-            (cold.digest, cold.metrics.sim.cycles)
+            (o.digest, o.doc.sim.cycles),
+            (cold.digest, cold.doc.sim.cycles)
         );
 
         let other = LOOP_ASM.replace("120", "90");

@@ -55,15 +55,15 @@
 //!
 //! [`job`] is the one path a simulation job takes, whichever front end
 //! submits it: prepare (construct, bind, attach the recorders the
-//! wanted documents need, warm-start) and drive (run, slicing into
-//! timeline epochs only when asked, collect the documents). `facilec
+//! wanted sections need, warm-start) and drive (run, slicing into
+//! timeline epochs only when asked, collect the run document). `facilec
 //! run` is a batch of one through it.
 //!
 //! [`batch`] runs many independent jobs over one compiled simulator
 //! across a worker pool: the `CompiledStep` is `Arc`-shared read-only,
-//! each lane owns its machine state and action cache, and per-job
-//! metrics/profile documents merge into batch documents that satisfy
-//! the same exactness invariants as a single run. `facilec batch` and
+//! each lane owns its machine state and action cache, and per-job run
+//! documents merge into one batch document that satisfies the same
+//! exactness invariants as a single run. `facilec batch` and
 //! the `sim_batch` bench binary are the command-line fronts.
 //!
 //! # Simulation as a service
@@ -86,8 +86,8 @@ pub use facile_bta::LiftConfig;
 pub use facile_codegen::{CodegenConfig, CompiledStep};
 pub use facile_lang::{Diagnostic, Diagnostics, Severity};
 pub use facile_obs::{
-    ActionRow, BurstExit, EpochRecord, HotConfig, HotDoc, HotMetrics, MetricsDoc, ObsConfig,
-    ObsHandle, ProfileDoc, SimObserver, TimelineConfig, TimelineDoc, TimelineMetrics, TraceEvent,
+    ActionRow, BurstExit, EpochRecord, HotConfig, HotMetrics, ObsConfig, ObsHandle, Profile,
+    RunDoc, SimObserver, TimelineConfig, TimelineMetrics, TraceEvent,
 };
 pub use facile_runtime::{CachePolicy, CacheStats, HaltReason, Image, Memory, SimStats, Target};
 pub use facile_vm::snapshot;

@@ -558,7 +558,14 @@ fn serve_conn(stream: TcpStream, writer: &Arc<ConnWriter>, shared: &Arc<Shared>)
                 continue;
             }
         };
-        let id = req.get("id").and_then(Value::as_u64);
+        let id = match uint(&req, "id") {
+            Ok(id) => id,
+            Err(e) => {
+                shared.count(|c| c.bad_requests += 1);
+                writer.send(&error_frame(None, "bad_request", &e));
+                continue;
+            }
+        };
         match req.get("op").and_then(Value::as_str) {
             Some("ping") => {
                 writer.send("{\"ok\":true,\"op\":\"pong\"}");
@@ -586,98 +593,17 @@ fn serve_conn(stream: TcpStream, writer: &Arc<ConnWriter>, shared: &Arc<Shared>)
 /// structured rejection.
 fn handle_sim(req: &Value, id: Option<u64>, writer: &Arc<ConnWriter>, shared: &Arc<Shared>) {
     let id = id.unwrap_or(0);
-    let Some(asm) = req.get("asm").and_then(Value::as_str) else {
-        shared.count(|c| c.bad_requests += 1);
-        writer.send(&error_frame(Some(id), "bad_request", "`sim` requires `asm`"));
-        return;
-    };
-    let image = match facile_isa::assemble_image(asm, 0x1_0000, vec![]) {
-        Ok(i) => i,
-        Err(e) => {
+    let (job, want, heartbeat) = match decode_sim(req, id, shared) {
+        Ok(decoded) => decoded,
+        Err((code, message)) => {
             shared.count(|c| c.bad_requests += 1);
-            writer.send(&error_frame(Some(id), "asm_error", &e.to_string()));
+            writer.send(&error_frame(Some(id), code, &message));
             return;
         }
     };
-    let label = req
-        .get("label")
-        .and_then(Value::as_str)
-        .map_or_else(|| format!("serve-job{id}"), str::to_owned);
-    let max_steps = req
-        .get("max_steps")
-        .and_then(Value::as_u64)
-        .unwrap_or(u64::MAX >> 1)
-        .min(u64::MAX >> 1);
-    let mut options = shared.options;
-    if let Some(o) = req.get("options") {
-        if let Some(v) = o.get("memoize") {
-            options.memoize = matches!(v, Value::Bool(true));
-        }
-        if let Some(v) = o.get("supertrace") {
-            options.supertrace = matches!(v, Value::Bool(true));
-        }
-        if let Some(n) = o.get("supertrace_threshold").and_then(Value::as_u64) {
-            options.supertrace_threshold = n.max(1);
-        }
-        if let Some(n) = o.get("cache_capacity").and_then(Value::as_u64) {
-            options.cache_capacity = Some(n);
-        }
-        match o.get("cache_policy").and_then(Value::as_str) {
-            Some("clear") => options.cache_policy = CachePolicy::Clear,
-            Some("generational") => options.cache_policy = CachePolicy::Generational,
-            Some(other) => {
-                shared.count(|c| c.bad_requests += 1);
-                writer.send(&error_frame(
-                    Some(id),
-                    "bad_request",
-                    &format!("unknown cache_policy `{other}`"),
-                ));
-                return;
-            }
-            None => {}
-        }
-    }
-    let mut want = Sections::default();
-    if let Some(arr) = req.get("want").and_then(Value::as_arr) {
-        for w in arr {
-            match w.as_str() {
-                Some("metrics") => want.metrics = true,
-                Some("profile") => match &shared.source {
-                    Some(src) => want.profile = Some(src.clone()),
-                    None => {
-                        shared.count(|c| c.bad_requests += 1);
-                        writer.send(&error_frame(
-                            Some(id),
-                            "bad_request",
-                            "this daemon has no source attached; profile documents unavailable",
-                        ));
-                        return;
-                    }
-                },
-                Some("hot") => want.hot = Some(1),
-                Some("timeline") => want.timeline = Some(shared.epoch_steps),
-                _ => {
-                    shared.count(|c| c.bad_requests += 1);
-                    writer.send(&error_frame(
-                        Some(id),
-                        "bad_request",
-                        "`want` entries are metrics|profile|hot|timeline",
-                    ));
-                    return;
-                }
-            }
-        }
-    }
-    let heartbeat = matches!(req.get("heartbeat"), Some(Value::Bool(true)));
     let queued = QueuedJob {
         id,
-        job: BatchJob {
-            label,
-            args: initial_args::for_arch(&shared.arch, image.entry),
-            image,
-            options,
-            max_steps,
-        },
+        job,
         want,
         heartbeat,
         conn: writer.clone(),
@@ -709,6 +635,95 @@ fn handle_sim(req: &Value, id: Option<u64>, writer: &Arc<ConnWriter>, shared: &A
             ));
         }
     }
+}
+
+/// The optional member `key` of `obj` decoded by `as_t`: absent is
+/// `None`, a present value of the wrong type is an error — never a
+/// silent default or coercion.
+fn field<'a, T>(
+    obj: &'a Value,
+    key: &str,
+    want: &str,
+    as_t: impl FnOnce(&'a Value) -> Option<T>,
+) -> Result<Option<T>, String> {
+    obj.get(key)
+        .map(|v| as_t(v).ok_or_else(|| format!("`{key}` must be {want}")))
+        .transpose()
+}
+
+fn uint(obj: &Value, key: &str) -> Result<Option<u64>, String> {
+    field(obj, key, "a non-negative integer", Value::as_u64)
+}
+
+fn flag(obj: &Value, key: &str) -> Result<Option<bool>, String> {
+    field(obj, key, "true or false", |v| match v {
+        Value::Bool(b) => Some(*b),
+        _ => None,
+    })
+}
+
+/// Decodes a `sim` request into its job, the wanted sections and
+/// whether it asked for heartbeats; an `Err` carries the error code and
+/// message of the rejection frame.
+fn decode_sim(
+    req: &Value,
+    id: u64,
+    shared: &Shared,
+) -> Result<(BatchJob, Sections, bool), (&'static str, String)> {
+    let bad = |message: String| ("bad_request", message);
+    let asm = field(req, "asm", "a string", Value::as_str)
+        .map_err(bad)?
+        .ok_or_else(|| bad("`sim` requires `asm`".to_owned()))?;
+    let image = facile_isa::assemble_image(asm, 0x1_0000, vec![])
+        .map_err(|e| ("asm_error", e.to_string()))?;
+    let label = field(req, "label", "a string", Value::as_str)
+        .map_err(bad)?
+        .map_or_else(|| format!("serve-job{id}"), str::to_owned);
+    let max_steps = uint(req, "max_steps")
+        .map_err(bad)?
+        .unwrap_or(u64::MAX >> 1)
+        .min(u64::MAX >> 1);
+    let mut options = shared.options;
+    if let Some(o) = req.get("options") {
+        if !matches!(o, Value::Obj(_)) {
+            return Err(bad("`options` must be an object".to_owned()));
+        }
+        if let Some(b) = flag(o, "memoize").map_err(bad)? {
+            options.memoize = b;
+        }
+        if let Some(b) = flag(o, "supertrace").map_err(bad)? {
+            options.supertrace = b;
+        }
+        if let Some(n) = uint(o, "supertrace_threshold").map_err(bad)? {
+            options.supertrace_threshold = n.max(1);
+        }
+        if let Some(n) = uint(o, "cache_capacity").map_err(bad)? {
+            options.cache_capacity = Some(n);
+        }
+        match field(o, "cache_policy", "`clear` or `generational`", Value::as_str).map_err(bad)? {
+            Some("clear") => options.cache_policy = CachePolicy::Clear,
+            Some("generational") => options.cache_policy = CachePolicy::Generational,
+            Some(other) => return Err(bad(format!("unknown cache_policy `{other}`"))),
+            None => {}
+        }
+    }
+    let names = field(req, "want", "an array", Value::as_arr)
+        .map_err(bad)?
+        .unwrap_or_default()
+        .iter()
+        .map(|w| w.as_str().ok_or_else(|| bad("`want` entries must be strings".to_owned())))
+        .collect::<Result<Vec<&str>, _>>()?;
+    let want = Sections::from_names(names, shared.source.as_ref(), 1, shared.epoch_steps)
+        .map_err(bad)?;
+    let heartbeat = flag(req, "heartbeat").map_err(bad)?.unwrap_or(false);
+    let job = BatchJob {
+        label,
+        args: initial_args::for_arch(&shared.arch, image.entry),
+        image,
+        options,
+        max_steps,
+    };
+    Ok((job, want, heartbeat))
 }
 
 /// Runs one queued job on a worker: the job pipeline every batch lane
@@ -746,7 +761,12 @@ fn run_job(shared: &Arc<Shared>, q: QueuedJob) {
         execute(&shared.step, job, &sections, shared.warm.as_deref(), cb)
     });
     match outcome {
-        Ok(o) => {
+        Ok(mut o) => {
+            // A heartbeat-only job records a timeline too; embed it only
+            // when it was asked for.
+            if want.timeline.is_none() {
+                o.doc.timeline = None;
+            }
             shared.count(|c| c.completed += 1);
             if !conn.send(&result_frame(id, &o, &want)) {
                 shared.count(|c| c.disconnects += 1);
@@ -766,12 +786,13 @@ fn run_job(shared: &Arc<Shared>, q: QueuedJob) {
 }
 
 /// Renders one result frame: the scalar outcome (digest as a hex
-/// string — JSON numbers are lossy past 2^53), plus any requested
-/// documents embedded verbatim.
+/// string — JSON numbers are lossy past 2^53), plus the job's run
+/// document under `obs` when any section was requested.
 fn result_frame(id: u64, o: &JobOutcome, want: &Sections) -> String {
+    let d = &o.doc;
     let mut s = String::with_capacity(256);
     let _ = write!(s, "{{\"ok\":true,\"op\":\"result\",\"id\":{id},\"label\":");
-    escape_into(&mut s, &o.label);
+    escape_into(&mut s, &d.label);
     let _ = write!(
         s,
         ",\"halt\":{},\"steps\":{},\"wall_ns\":{},\"digest\":\"{:016x}\",\
@@ -781,12 +802,12 @@ fn result_frame(id: u64, o: &JobOutcome, want: &Sections) -> String {
             None => "null".to_owned(),
         },
         o.steps,
-        o.wall_ns,
+        d.wall_ns,
         o.digest,
-        o.metrics.sim.insns,
-        o.metrics.sim.cycles,
-        o.metrics.sim.misses,
-        o.metrics.sim.fast_forwarded_fraction(),
+        d.sim.insns,
+        d.sim.cycles,
+        d.sim.misses,
+        d.sim.fast_forwarded_fraction(),
     );
     for (i, v) in o.out.iter().enumerate() {
         if i > 0 {
@@ -797,23 +818,9 @@ fn result_frame(id: u64, o: &JobOutcome, want: &Sections) -> String {
         let _ = write!(s, "\"{v}\"");
     }
     s.push(']');
-    if want.metrics {
-        s.push_str(",\"metrics\":");
-        s.push_str(&o.metrics.to_json());
-    }
-    if let Some(p) = &o.profile {
-        s.push_str(",\"profile\":");
-        s.push_str(&p.to_json());
-    }
-    if let Some(h) = &o.hot {
-        s.push_str(",\"hot\":");
-        s.push_str(&h.to_json());
-    }
-    // A heartbeat-only job records a timeline too; embed it only when
-    // it was asked for.
-    if let (Some(t), Some(_)) = (&o.timeline, want.timeline) {
-        s.push_str(",\"timeline\":");
-        s.push_str(&t.to_json());
+    if !want.is_empty() {
+        s.push_str(",\"obs\":");
+        s.push_str(&d.to_json());
     }
     s.push('}');
     s
@@ -1011,10 +1018,9 @@ mod tests {
         );
         let digest = result.get("digest").and_then(Value::as_str).unwrap();
         assert_eq!(digest.len(), 16, "16 hex digits");
-        assert!(
-            result.get("metrics").and_then(|m| m.get("schema")).is_some(),
-            "requested metrics doc is embedded"
-        );
+        let doc = result.get("obs").expect("requested document is embedded");
+        let doc = facile_obs::RunDoc::from_value(doc).expect("embedded document parses");
+        assert!(doc.metrics.is_some() && doc.hot.is_none(), "exactly the wanted sections");
 
         let stats = c.request("{\"op\":\"stats\"}").expect("stats");
         let serve = ServeCounters::from_value(stats.get("serve").expect("serve object"));
@@ -1092,5 +1098,57 @@ mod tests {
         server.shutdown_trigger().trigger();
         let counters = server.join();
         assert_eq!(counters.heartbeats, epochs.len() as u64);
+    }
+
+    /// A frame nested deeper than the JSON parser's cap is an ordinary
+    /// `bad_request`, not a stack overflow that aborts the daemon; the
+    /// same server then completes a normal job.
+    #[test]
+    fn deeply_nested_frame_is_a_bad_request() {
+        let server = server();
+        let mut c = ServeClient::connect(server.addr()).expect("connects");
+        let err = c.request(&"[".repeat(200_000)).expect("error frame");
+        assert_eq!(err.get("error").and_then(Value::as_str), Some("bad_request"));
+        assert!(
+            err.get("message").and_then(Value::as_str).unwrap().contains("nesting too deep"),
+            "{err:?}"
+        );
+        let result = c
+            .submit_and_wait(&sim_request(2, "after", LOOP_ASM, &[], false))
+            .expect("result frame");
+        assert_eq!(result.get("op").and_then(Value::as_str), Some("result"));
+        server.shutdown_trigger().trigger();
+        assert_eq!(server.join().completed, 1);
+    }
+
+    /// Ill-typed numeric fields are rejected, never coerced: a negative
+    /// step budget must not run a 0-step job that reports success, nor a
+    /// negative capacity become capacity 0.
+    #[test]
+    fn ill_typed_numeric_fields_are_bad_requests() {
+        let server = server();
+        let mut c = ServeClient::connect(server.addr()).expect("connects");
+        let asm = {
+            let mut s = String::new();
+            escape_into(&mut s, LOOP_ASM);
+            s
+        };
+        for (extra, field) in [
+            ("\"max_steps\":-1", "max_steps"),
+            ("\"options\":{\"cache_capacity\":-5}", "cache_capacity"),
+            ("\"max_steps\":2.5", "max_steps"),
+            ("\"options\":{\"supertrace_threshold\":\"8\"}", "supertrace_threshold"),
+        ] {
+            let body = format!("{{\"op\":\"sim\",\"id\":4,\"asm\":{asm},{extra}}}");
+            let err = c.submit_and_wait(&body).expect("error frame");
+            assert_eq!(err.get("error").and_then(Value::as_str), Some("bad_request"), "{extra}");
+            let message = err.get("message").and_then(Value::as_str).unwrap();
+            assert!(message.contains(field), "{extra}: {message}");
+        }
+        let err = c.request("{\"op\":\"ping\",\"id\":-3}").expect("error frame");
+        assert_eq!(err.get("error").and_then(Value::as_str), Some("bad_request"));
+        server.shutdown_trigger().trigger();
+        let counters = server.join();
+        assert_eq!((counters.accepted, counters.bad_requests), (0, 5));
     }
 }

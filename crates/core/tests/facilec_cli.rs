@@ -68,31 +68,32 @@ const LOOP_ASM: &str = "addi r1, r0, 200\n\
      halt\n";
 
 #[test]
-fn run_emits_parseable_metrics_and_trace() {
+fn run_emits_parseable_document_and_trace() {
     let dir = std::env::temp_dir().join("facilec_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
     let asm = dir.join("loop.asm");
     std::fs::write(&asm, LOOP_ASM).unwrap();
-    let metrics = dir.join("loop_metrics.json");
+    let metrics = dir.join("loop_run.json");
     let trace = dir.join("loop_trace.jsonl");
     let (ok, _, stderr) = facilec(&[
         "--builtin",
         "functional",
         "--run",
         asm.to_str().unwrap(),
-        "--metrics-out",
+        "--obs-out",
         metrics.to_str().unwrap(),
         "--trace-out",
         trace.to_str().unwrap(),
     ]);
     assert!(ok, "{stderr}");
 
-    let doc = facile::MetricsDoc::from_json(&std::fs::read_to_string(&metrics).unwrap())
-        .expect("metrics file holds a facile-obs/v1 document");
+    let doc = facile::RunDoc::from_json(&std::fs::read_to_string(&metrics).unwrap())
+        .expect("--obs-out holds a facile-run/v2 document");
+    assert!(doc.profile.is_none() && doc.hot.is_none() && doc.timeline.is_none());
     assert!(doc.sim.insns > 200, "the loop executes: {:?}", doc.sim);
     assert_eq!(doc.sim.fast_insns + doc.sim.slow_insns, doc.sim.insns);
     assert_eq!(doc.sim.misses, doc.sim.recoveries);
-    let m = doc.metrics.expect("observed run carries the derived registry");
+    let m = doc.metrics.expect("--obs defaults to the metrics section");
     assert_eq!(m.action_replays.iter().sum::<u64>(), doc.sim.actions_replayed);
 
     // Every trace line is standalone JSON with an "ev" discriminator,
@@ -113,10 +114,29 @@ fn run_emits_parseable_metrics_and_trace() {
 }
 
 #[test]
-fn metrics_out_without_run_fails() {
-    let (ok, _, stderr) = facilec(&["--builtin", "functional", "--metrics-out", "/dev/null"]);
+fn obs_out_without_run_fails() {
+    let (ok, _, stderr) = facilec(&["--builtin", "functional", "--obs-out", "/dev/null"]);
     assert!(!ok);
     assert!(stderr.contains("require --run"), "{stderr}");
+}
+
+/// `--obs` names sections strictly and only makes sense with a document
+/// to write.
+#[test]
+fn obs_sections_are_checked() {
+    let dir = std::env::temp_dir().join("facilec_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let asm = dir.join("obs.asm");
+    std::fs::write(&asm, LOOP_ASM).unwrap();
+    let asm = asm.to_str().unwrap();
+    let (ok, stdout, stderr) = facilec(&[
+        "--builtin", "functional", "--run", asm, "--obs-out", "/dev/null", "--obs", "metrics,hto",
+    ]);
+    assert!(!ok && stdout.is_empty());
+    assert!(stderr.contains("unknown section `hto`"), "{stderr}");
+    let (ok, _, stderr) = facilec(&["--builtin", "functional", "--run", asm, "--obs", "hot"]);
+    assert!(!ok);
+    assert!(stderr.contains("--obs requires --obs-out"), "{stderr}");
 }
 
 /// A document with its wall-clock fields (every key ending in `_ns`:
@@ -140,8 +160,8 @@ fn normalized(doc: &str) -> facile_obs::json::Value {
 }
 
 /// `--run` is a batch of one: the same program through `--run` and
-/// through a one-line `batch` jobs file produces the same metrics,
-/// profile, hot-chain and timeline documents, up to wall-clock fields.
+/// through a one-line `batch` jobs file produces the same document —
+/// every section — up to wall-clock fields.
 #[test]
 fn run_documents_equal_a_one_job_batch() {
     let dir = std::env::temp_dir().join("facilec_cli_test");
@@ -150,47 +170,35 @@ fn run_documents_equal_a_one_job_batch() {
     std::fs::write(&asm, LOOP_ASM).unwrap();
     let jobs = dir.join("one_jobs.txt");
     std::fs::write(&jobs, format!("{}\n", asm.display())).unwrap();
-    let kinds = ["metrics", "profile", "hot", "timeline"];
-    let outs = |mode: &str| -> Vec<String> {
-        kinds
-            .iter()
-            .map(|k| dir.join(format!("one_{mode}_{k}.json")).display().to_string())
-            .collect()
-    };
-    let (run_outs, batch_outs) = (outs("run"), outs("batch"));
-    let with_outs = |mut args: Vec<String>, paths: &[String]| {
-        for (k, p) in kinds.iter().zip(paths) {
-            args.push(format!("--{k}-out"));
-            args.push(p.clone());
-        }
-        args.extend(["--timeline-epoch".to_owned(), "32".to_owned()]);
-        args
-    };
-    let base = |mode: &[&str]| -> Vec<String> {
-        ["--builtin", "ooo"].iter().chain(mode).map(|s| s.to_string()).collect()
-    };
+    let (run_out, batch_out) = (dir.join("one_run.json"), dir.join("one_batch.jsonl"));
     let asm_path = asm.display().to_string();
     let jobs_path = jobs.display().to_string();
-    for args in [
-        with_outs(base(&["--run", &asm_path]), &run_outs),
-        with_outs(base(&["batch", "--jobs", &jobs_path, "--threads", "1"]), &batch_outs),
+    for (mode, out) in [
+        (vec!["--run", &asm_path], &run_out),
+        (vec!["batch", "--jobs", &jobs_path, "--threads", "1"], &batch_out),
     ] {
-        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let mut args = vec!["--builtin", "ooo"];
+        args.extend(mode);
+        let out = out.to_str().unwrap();
+        args.extend(["--obs-out", out, "--obs", "metrics,profile,hot,timeline"]);
+        args.extend(["--timeline-epoch", "32"]);
         let (ok, _, stderr) = facilec(&args);
         assert!(ok, "{args:?}: {stderr}");
     }
-    for ((kind, run), batch) in kinds.iter().zip(&run_outs).zip(&batch_outs) {
-        let run = std::fs::read_to_string(run).unwrap();
-        let batch = std::fs::read_to_string(batch).unwrap();
-        let lines: Vec<&str> = batch.lines().collect();
-        assert_eq!(lines.len(), 2, "{kind}: the job's document, then the merged one");
-        assert_eq!(run.lines().count(), 1, "{kind}: one document per run");
-        assert_eq!(
-            normalized(run.trim_end()),
-            normalized(lines[0]),
-            "{kind}: --run and a one-job batch disagree"
-        );
-    }
+    let run = std::fs::read_to_string(run_out).unwrap();
+    let batch = std::fs::read_to_string(batch_out).unwrap();
+    let lines: Vec<&str> = batch.lines().collect();
+    assert_eq!(lines.len(), 2, "the job's document, then the merged one");
+    assert_eq!(run.lines().count(), 1, "one document per run");
+    let doc = facile::RunDoc::from_json(&run).expect("parses");
+    assert!(doc.metrics.is_some() && doc.profile.is_some());
+    assert!(doc.hot.is_some() && doc.timeline.is_some());
+    assert_eq!(doc.check(), Vec::<String>::new());
+    assert_eq!(
+        normalized(run.trim_end()),
+        normalized(lines[0]),
+        "--run and a one-job batch disagree"
+    );
 }
 
 /// A flag the chosen mode would ignore, or two modes at once, is an
@@ -201,10 +209,8 @@ fn flags_the_mode_ignores_are_rejected() {
         (&["batch", "--jobs", "j.txt", "--trace-out", "t.jsonl"], "--trace-out"),
         (&["batch", "--jobs", "j.txt", "--cache-save", "s.facsnap"], "--cache-save"),
         (&["batch", "--jobs", "j.txt", "--timeline-stream", "t.jsonl"], "--timeline-stream"),
-        (&["serve", "--metrics-out", "m.json"], "--metrics-out"),
-        (&["serve", "--profile-out", "p.json"], "--profile-out"),
-        (&["serve", "--hot-out", "h.json"], "--hot-out"),
-        (&["serve", "--timeline-out", "t.json"], "--timeline-out"),
+        (&["serve", "--obs-out", "d.json"], "--obs-out"),
+        (&["serve", "--obs", "hot"], "--obs"),
         (&["serve", "--trace-out", "t.jsonl"], "--trace-out"),
         (&["serve", "--cache-save", "s.facsnap"], "--cache-save"),
         (&["serve", "--jobs", "j.txt"], "--jobs"),

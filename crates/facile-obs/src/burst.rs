@@ -36,12 +36,8 @@
 //! [`CompiledStep`]: ../facile_codegen/struct.CompiledStep.html
 
 use crate::hist::LogHistogram;
-use crate::json::{escape_into, parse, ParseError, Value};
-use crate::report::SimStatsSnapshot;
+use crate::run::{write_list, At, DocError, SimStatsSnapshot};
 use std::fmt::Write as _;
-
-/// Schema tag written into every hot-chain document.
-pub const HOT_SCHEMA: &str = "facile-hot/v1";
 
 /// Maximum replayed actions folded into a chain signature. Bursts
 /// sharing their first `CHAIN_DEPTH` actions share a signature; the
@@ -57,6 +53,11 @@ pub const HOT_CHAIN_CAP: usize = 64;
 /// overflows is by definition polymorphic, which is all a linearizer
 /// needs to know.
 pub const SITE_TARGET_CAP: usize = 4;
+
+/// Bound on the INDEX-site action numbers a document may name: far
+/// above any compiled action table, low enough that a corrupt site
+/// number cannot make the reader allocate gigabytes.
+const MAX_SITE: u32 = 1 << 16;
 
 /// Seed for the rolling chain signature (the FNV-1a offset basis).
 pub const SIG_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -226,43 +227,6 @@ impl SiteRow {
     }
 }
 
-/// Supertrace (superaction compilation) counters: how many hot chains
-/// the VM linearized into direct-threaded trace buffers and how much
-/// replay work ran inside them. Mirrors the VM's `TraceStats`
-/// (redeclared here so this crate stays dependency-free); populated by
-/// drivers from `Simulation::trace_stats()` at snapshot time rather
-/// than from the event stream, so sampled recorders stay exact.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceCounters {
-    /// Supertraces built from hot chains.
-    pub built: u64,
-    /// Build attempts abandoned (chain too short, unstable hints, …).
-    pub build_failed: u64,
-    /// Times replay entered a supertrace.
-    pub enters: u64,
-    /// Entries that bailed on a guard back to the generic loop.
-    pub bails: u64,
-    /// Supertraces dropped because eviction retired their nodes.
-    pub invalidated: u64,
-    /// Steps (INDEX crossings) completed inside supertraces.
-    pub steps: u64,
-    /// Instructions retired inside supertraces.
-    pub insns: u64,
-}
-
-impl TraceCounters {
-    /// Adds another snapshot field-wise (batch-lane fold).
-    pub fn merge(&mut self, other: &TraceCounters) {
-        self.built = self.built.saturating_add(other.built);
-        self.build_failed = self.build_failed.saturating_add(other.build_failed);
-        self.enters = self.enters.saturating_add(other.enters);
-        self.bails = self.bails.saturating_add(other.bails);
-        self.invalidated = self.invalidated.saturating_add(other.invalidated);
-        self.steps = self.steps.saturating_add(other.steps);
-        self.insns = self.insns.saturating_add(other.insns);
-    }
-}
-
 /// Grows `v` with defaults so `v[i]` exists, and returns `&mut v[i]`.
 fn at_mut<T: Default + Clone>(v: &mut Vec<T>, i: usize) -> &mut T {
     if v.len() <= i {
@@ -295,9 +259,6 @@ pub struct HotMetrics {
     /// Per-INDEX-site dispatch profiles, indexed by site action number
     /// (sparse sites stay `Default`).
     pub sites: Vec<SiteRow>,
-    /// Supertrace counters for the run (zero when superaction
-    /// compilation is off or the producer predates it).
-    pub trace: TraceCounters,
 }
 
 impl HotMetrics {
@@ -314,7 +275,6 @@ impl HotMetrics {
             chain_overflow: 0,
             chain_overflow_insns: 0,
             sites: Vec::new(),
-            trace: TraceCounters::default(),
         }
     }
 
@@ -444,233 +404,153 @@ impl HotMetrics {
             }
             mine.target_overflow = mine.target_overflow.saturating_add(theirs.target_overflow);
         }
-        self.trace.merge(&other.trace);
-    }
-}
-
-/// One run's hot-chain document, as written by `--hot-out`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HotDoc {
-    /// Human label for the run (workload/config name).
-    pub label: String,
-    /// Snapshot of the runtime counters (the recount reference).
-    pub sim: SimStatsSnapshot,
-    /// Wall-clock duration of the run, nanoseconds.
-    pub wall_ns: u64,
-    /// The burst/chain aggregate.
-    pub hot: HotMetrics,
-}
-
-impl HotDoc {
-    /// Folds another lane's document into this one: the label is kept
-    /// (batch drivers relabel the merged document), `sim` adds
-    /// field-wise, `wall_ns` takes the maximum (concurrent lanes
-    /// overlap) and the aggregates fold per [`HotMetrics::merge`].
-    pub fn merge(&mut self, other: &HotDoc) {
-        self.sim.merge(&other.sim);
-        self.wall_ns = self.wall_ns.max(other.wall_ns);
-        self.hot.merge(&other.hot);
     }
 
-    /// Serializes the document as one JSON object. Chain signatures are
-    /// written as hex strings: JSON numbers are doubles and cannot carry
-    /// a full `u64` exactly.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(2048 + self.hot.chains.len() * 160);
-        s.push_str("{\"schema\":");
-        escape_into(&mut s, HOT_SCHEMA);
-        s.push_str(",\"label\":");
-        escape_into(&mut s, &self.label);
-        let _ = write!(s, ",\"wall_ns\":{},\"sim\":{{", self.wall_ns);
-        let mut first = true;
-        for (k, v) in [
-            ("cycles", self.sim.cycles),
-            ("insns", self.sim.insns),
-            ("fast_insns", self.sim.fast_insns),
-            ("slow_insns", self.sim.slow_insns),
-            ("fast_steps", self.sim.fast_steps),
-            ("slow_steps", self.sim.slow_steps),
-            ("misses", self.sim.misses),
-            ("recoveries", self.sim.recoveries),
-            ("actions_replayed", self.sim.actions_replayed),
-            ("ext_calls", self.sim.ext_calls),
-        ] {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(s, "\"{k}\":{v}");
+    /// The recount gate: every invariant the recorder promises,
+    /// verified against the run's counters. Exit counters sum to the
+    /// burst count, the histograms hold one entry per burst, every
+    /// non-evicted burst is tabled or counted as overflow, dispatches
+    /// recount the steps histogram, and in exact mode (`sample_every`
+    /// 1, nothing skipped) the burst histograms recount the runtime's
+    /// fast-path counters bit for bit. Returns every violation.
+    pub fn check(&self, sim: &SimStatsSnapshot) -> Vec<String> {
+        let evicted = self.exits[BurstExit::Evicted as usize];
+        let tabled_insns = self.chains.iter().fold(0u64, |a, c| a.saturating_add(c.insns));
+        let mut pairs = vec![
+            ("sum(exits) vs bursts", self.exits.iter().sum::<u64>(), self.bursts),
+            ("burst_steps count vs bursts", self.burst_steps.count(), self.bursts),
+            ("burst_insns count vs bursts", self.burst_insns.count(), self.bursts),
+            (
+                "tabled replays + overflow vs non-evicted bursts",
+                self.tabled_replays().saturating_add(self.chain_overflow),
+                self.bursts.saturating_sub(evicted),
+            ),
+            (
+                "tabled insns + overflow insns vs recorded insns",
+                tabled_insns.saturating_add(self.chain_overflow_insns),
+                self.burst_insns.sum(),
+            ),
+            // Every completed INDEX crossing in a sampled burst records
+            // exactly one dispatch.
+            (
+                "total dispatches vs recorded steps",
+                self.total_dispatches(),
+                self.burst_steps.sum(),
+            ),
+        ];
+        if self.sample_every == 1 && self.bursts_skipped == 0 {
+            pairs.push(("sum(burst steps) vs sim.fast_steps", self.burst_steps.sum(), sim.fast_steps));
+            pairs.push(("sum(burst insns) vs sim.fast_insns", self.burst_insns.sum(), sim.fast_insns));
         }
-        let h = &self.hot;
-        let t = &h.trace;
+        pairs
+            .into_iter()
+            .filter(|(_, got, want)| got != want)
+            .map(|(what, got, want)| format!("{what}: {got} != {want}"))
+            .collect()
+    }
+
+    /// Writes the aggregate as one JSON object. Chain signatures are
+    /// hex strings: JSON numbers are doubles and cannot carry a full
+    /// `u64` exactly.
+    pub(crate) fn write_json(&self, s: &mut String) {
         let _ = write!(
             s,
-            "}},\"hot\":{{\"sample_every\":{},\"bursts\":{},\"bursts_skipped\":{},\
-             \"trace\":{{\"built\":{},\"build_failed\":{},\"enters\":{},\"bails\":{},\
-             \"invalidated\":{},\"steps\":{},\"insns\":{}}},\"exits\":{{",
-            h.sample_every,
-            h.bursts,
-            h.bursts_skipped,
-            t.built,
-            t.build_failed,
-            t.enters,
-            t.bails,
-            t.invalidated,
-            t.steps,
-            t.insns
+            "{{\"sample_every\":{},\"bursts\":{},\"bursts_skipped\":{},\"exits\":{{",
+            self.sample_every, self.bursts, self.bursts_skipped,
         );
         for (i, exit) in BurstExit::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", exit.label(), h.exits[*exit as usize]);
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(s, "{sep}\"{}\":{}", exit.label(), self.exits[*exit as usize]);
         }
         let _ = write!(
             s,
             "}},\"burst_steps\":{},\"burst_insns\":{},\"chain_depth\":{},\"chain_cap\":{},\
-             \"chain_overflow\":{},\"chain_overflow_insns\":{},\"chains\":[",
-            h.burst_steps.to_json(),
-            h.burst_insns.to_json(),
+             \"chain_overflow\":{},\"chain_overflow_insns\":{},\"chains\":",
+            self.burst_steps.to_json(),
+            self.burst_insns.to_json(),
             CHAIN_DEPTH,
             HOT_CHAIN_CAP,
-            h.chain_overflow,
-            h.chain_overflow_insns
+            self.chain_overflow,
+            self.chain_overflow_insns
         );
-        for (i, c) in h.chains.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
+        write_list(s, &self.chains, |s, c| {
             let _ = write!(
                 s,
                 "{{\"sig\":\"{:016x}\",\"entry_action\":{},\"entry_gen\":{},\"entry_idx\":{},\
-                 \"replays\":{},\"steps\":{},\"insns\":{},\"path\":[",
+                 \"replays\":{},\"steps\":{},\"insns\":{},\"path\":",
                 c.sig, c.entry_action, c.entry_gen, c.entry_idx, c.replays, c.steps, c.insns
             );
-            for (j, a) in c.path.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
+            write_list(s, &c.path, |s, a| {
                 let _ = write!(s, "{a}");
-            }
-            s.push_str("]}");
-        }
-        s.push_str("],\"sites\":[");
-        let mut first_site = true;
-        for (action, site) in h.sites.iter().enumerate() {
-            if site.dispatches == 0 && site.target_overflow == 0 {
-                continue;
-            }
-            if !first_site {
-                s.push(',');
-            }
-            first_site = false;
+            });
+            s.push('}');
+        });
+        let live: Vec<(usize, &SiteRow)> = self
+            .sites
+            .iter()
+            .enumerate()
+            .filter(|(_, site)| site.dispatches > 0 || site.target_overflow > 0)
+            .collect();
+        s.push_str(",\"sites\":");
+        write_list(s, &live, |s, (action, site)| {
             let _ = write!(
                 s,
-                "{{\"action\":{},\"dispatches\":{},\"target_overflow\":{},\"targets\":[",
-                action, site.dispatches, site.target_overflow
+                "{{\"action\":{action},\"dispatches\":{},\"target_overflow\":{},\"targets\":",
+                site.dispatches, site.target_overflow
             );
-            for (j, (t, n)) in site.targets.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
+            write_list(s, &site.targets, |s, (t, n)| {
                 let _ = write!(s, "[{t},{n}]");
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}}");
-        s
-    }
-
-    /// Rebuilds a document from its parsed JSON value.
-    pub fn from_value(v: &Value) -> Option<HotDoc> {
-        if v.get("schema")?.as_str()? != HOT_SCHEMA {
-            return None;
-        }
-        let u = |o: &Value, k: &str| o.get(k).and_then(Value::as_u64);
-        let sim_v = v.get("sim")?;
-        let sim = SimStatsSnapshot {
-            cycles: u(sim_v, "cycles")?,
-            insns: u(sim_v, "insns")?,
-            fast_insns: u(sim_v, "fast_insns")?,
-            slow_insns: u(sim_v, "slow_insns")?,
-            fast_steps: u(sim_v, "fast_steps")?,
-            slow_steps: u(sim_v, "slow_steps")?,
-            misses: u(sim_v, "misses")?,
-            recoveries: u(sim_v, "recoveries")?,
-            actions_replayed: u(sim_v, "actions_replayed")?,
-            ext_calls: u(sim_v, "ext_calls")?,
-        };
-        let h = v.get("hot")?;
-        let mut hot = HotMetrics::new(u(h, "sample_every")?);
-        hot.bursts = u(h, "bursts")?;
-        hot.bursts_skipped = u(h, "bursts_skipped")?;
-        // Optional: documents written before superaction compilation
-        // carry no "trace" object and parse with zeroed counters.
-        if let Some(t) = h.get("trace") {
-            hot.trace = TraceCounters {
-                built: u(t, "built")?,
-                build_failed: u(t, "build_failed")?,
-                enters: u(t, "enters")?,
-                bails: u(t, "bails")?,
-                invalidated: u(t, "invalidated")?,
-                steps: u(t, "steps")?,
-                insns: u(t, "insns")?,
-            };
-        }
-        let exits = h.get("exits")?;
-        for exit in BurstExit::ALL {
-            hot.exits[exit as usize] = u(exits, exit.label())?;
-        }
-        hot.burst_steps = LogHistogram::from_json(h.get("burst_steps")?)?;
-        hot.burst_insns = LogHistogram::from_json(h.get("burst_insns")?)?;
-        hot.chain_overflow = u(h, "chain_overflow")?;
-        hot.chain_overflow_insns = u(h, "chain_overflow_insns")?;
-        for c in h.get("chains")?.as_arr()? {
-            hot.chains.push(ChainRow {
-                sig: u64::from_str_radix(c.get("sig")?.as_str()?, 16).ok()?,
-                path: c
-                    .get("path")?
-                    .as_arr()?
-                    .iter()
-                    .map(|a| a.as_u64().map(|n| n as u32))
-                    .collect::<Option<Vec<u32>>>()?,
-                entry_action: u(c, "entry_action")? as u32,
-                entry_gen: u(c, "entry_gen")? as u32,
-                entry_idx: u(c, "entry_idx")? as u32,
-                replays: u(c, "replays")?,
-                steps: u(c, "steps")?,
-                insns: u(c, "insns")?,
             });
-        }
-        for site in h.get("sites")?.as_arr()? {
-            let row = at_mut(&mut hot.sites, u(site, "action")? as usize);
-            row.dispatches = u(site, "dispatches")?;
-            row.target_overflow = u(site, "target_overflow")?;
-            row.targets = site
-                .get("targets")?
-                .as_arr()?
-                .iter()
-                .filter_map(|p| {
-                    let p = p.as_arr()?;
-                    Some((p.first()?.as_u64()? as u32, p.get(1)?.as_u64()?))
-                })
-                .collect();
-        }
-        Some(HotDoc {
-            label: v.get("label")?.as_str()?.to_string(),
-            sim,
-            wall_ns: u(v, "wall_ns")?,
-            hot,
-        })
+            s.push('}');
+        });
+        s.push('}');
     }
 
-    /// Parses a document from JSON text.
-    pub fn from_json(text: &str) -> Result<HotDoc, ParseError> {
-        let v = parse(text)?;
-        HotDoc::from_value(&v).ok_or(ParseError {
-            msg: "not a facile-hot/v1 document",
-            at: 0,
-        })
+    pub(crate) fn read(at: &At<'_>) -> Result<HotMetrics, DocError> {
+        let mut hot = HotMetrics::new(at.u64_at("sample_every")?);
+        hot.bursts = at.u64_at("bursts")?;
+        hot.bursts_skipped = at.u64_at("bursts_skipped")?;
+        let exits = at.get("exits")?;
+        for exit in BurstExit::ALL {
+            hot.exits[exit as usize] = exits.u64_at(exit.label())?;
+        }
+        hot.burst_steps = LogHistogram::read(&at.get("burst_steps")?)?;
+        hot.burst_insns = LogHistogram::read(&at.get("burst_insns")?)?;
+        hot.chain_overflow = at.u64_at("chain_overflow")?;
+        hot.chain_overflow_insns = at.u64_at("chain_overflow_insns")?;
+        hot.chains = at.get("chains")?.list(|c| {
+            let sig = c.get("sig")?;
+            Ok(ChainRow {
+                sig: u64::from_str_radix(sig.str()?, 16).map_err(|_| sig.err("expected a hex signature"))?,
+                path: c.get("path")?.list(At::u32)?,
+                entry_action: c.get("entry_action")?.u32()?,
+                entry_gen: c.get("entry_gen")?.u32()?,
+                entry_idx: c.get("entry_idx")?.u32()?,
+                replays: c.u64_at("replays")?,
+                steps: c.u64_at("steps")?,
+                insns: c.u64_at("insns")?,
+            })
+        })?;
+        for (action, row) in at.get("sites")?.list(|site| {
+            // Sites index a dense table; an action number past any real
+            // action table is corrupt input, not an allocation request.
+            let at_action = site.get("action")?;
+            let action = at_action.u32()?;
+            if action >= MAX_SITE {
+                return Err(at_action.err("site action out of range"));
+            }
+            Ok((
+                action,
+                SiteRow {
+                    dispatches: site.u64_at("dispatches")?,
+                    target_overflow: site.u64_at("target_overflow")?,
+                    targets: site.get("targets")?.list(|p| p.pair(At::u32, At::u64))?,
+                },
+            ))
+        })? {
+            *at_mut(&mut hot.sites, action as usize) = row;
+        }
+        Ok(hot)
     }
 }
 
@@ -815,97 +695,78 @@ mod tests {
         assert_eq!(a.tabled_replays() + a.chain_overflow, a.bursts);
     }
 
-    fn sample_doc() -> HotDoc {
+    fn sample() -> HotMetrics {
         let mut hot = HotMetrics::new(1);
         for r in busy_stream() {
             hot.observe_burst(&r);
         }
         hot.index_dispatch(2, 0);
         hot.index_dispatch(2, 3);
-        HotDoc {
-            label: "126.gcc".into(),
-            sim: SimStatsSnapshot {
-                cycles: 100,
-                insns: 4000,
-                fast_insns: 3900,
-                slow_insns: 100,
-                fast_steps: 180,
-                slow_steps: 5,
-                misses: 10,
-                recoveries: 10,
-                actions_replayed: 300,
-                ext_calls: 0,
-            },
-            wall_ns: 12_000,
-            hot,
-        }
+        hot
+    }
+
+    fn json(h: &HotMetrics) -> String {
+        let mut s = String::new();
+        h.write_json(&mut s);
+        s
     }
 
     #[test]
-    fn document_round_trips() {
-        let mut d = sample_doc();
-        d.hot.trace = TraceCounters {
-            built: 3,
-            build_failed: 1,
-            enters: 500,
-            bails: 2,
-            invalidated: 1,
-            steps: 4000,
-            insns: 9000,
-        };
-        let back = HotDoc::from_json(&d.to_json()).unwrap();
-        assert_eq!(back, d);
+    fn section_round_trips() {
+        let h = sample();
+        let v = crate::json::parse(&json(&h)).unwrap();
+        assert_eq!(HotMetrics::read(&At::root(&v)).unwrap(), h);
     }
 
     #[test]
-    fn pre_supertrace_documents_parse_with_zero_trace_counters() {
-        let d = sample_doc();
-        let json = d.to_json();
-        // Strip the "trace" object the way a PR-6 producer would never
-        // have written it.
-        let start = json.find(",\"trace\":{").unwrap();
-        let end = json[start + 1..].find('}').unwrap() + start + 2;
-        let old = format!("{}{}", &json[..start], &json[end..]);
-        let back = HotDoc::from_json(&old).unwrap();
-        assert_eq!(back.hot.trace, TraceCounters::default());
-        assert_eq!(back, d);
-    }
-
-    #[test]
-    fn wrong_schema_is_rejected() {
-        let json = sample_doc().to_json().replace(HOT_SCHEMA, "facile-hot/v0");
-        assert!(HotDoc::from_json(&json).is_err());
-    }
-
-    #[test]
-    fn merged_documents_equal_a_single_registry_run() {
+    fn check_recounts_the_stream_and_reports_every_violation() {
         let stream = busy_stream();
-        let mut single = sample_doc();
-        single.hot = HotMetrics::new(1);
+        let mut h = HotMetrics::new(1);
         for r in &stream {
-            single.hot.observe_burst(r);
+            h.observe_burst(r);
+            // One dispatch per completed crossing, as the engine records.
+            for _ in 0..r.steps {
+                h.index_dispatch(1, 2);
+            }
         }
-        single.sim.merge(&sample_doc().sim);
+        let sim = SimStatsSnapshot {
+            fast_steps: h.burst_steps.sum(),
+            fast_insns: h.burst_insns.sum(),
+            ..SimStatsSnapshot::default()
+        };
+        assert_eq!(h.check(&sim), Vec::<String>::new());
+        h.bursts += 1;
+        h.chain_overflow_insns += 1;
+        let errs = h.check(&sim);
+        assert_eq!(errs.len(), 5, "{errs:?}");
+        assert!(errs[0].starts_with("sum(exits) vs bursts"));
+        assert!(errs[4].starts_with("tabled insns + overflow insns"));
+    }
 
-        let mut lane_a = sample_doc();
-        lane_a.hot = HotMetrics::new(1);
-        let mut lane_b = sample_doc();
-        lane_b.hot = HotMetrics::new(1);
+    #[test]
+    fn merged_sections_serialize_like_a_single_registry_run() {
+        let stream = busy_stream();
+        let mut single = HotMetrics::new(1);
+        for r in &stream {
+            single.observe_burst(r);
+        }
+        let mut lane_a = HotMetrics::new(1);
+        let mut lane_b = HotMetrics::new(1);
         let (first, second) = stream.split_at(3);
         for r in first {
-            lane_a.hot.observe_burst(r);
+            lane_a.observe_burst(r);
         }
         for r in second {
-            lane_b.hot.observe_burst(r);
+            lane_b.observe_burst(r);
         }
         lane_a.merge(&lane_b);
-        assert_eq!(lane_a.to_json(), single.to_json());
+        assert_eq!(json(&lane_a), json(&single));
     }
 
     #[test]
     fn ranked_chains_order_by_cost() {
-        let d = sample_doc();
-        let ranked = d.hot.ranked_chains();
+        let h = sample();
+        let ranked = h.ranked_chains();
         assert!(!ranked.is_empty());
         for w in ranked.windows(2) {
             assert!(w[0].insns >= w[1].insns);

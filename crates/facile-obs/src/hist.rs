@@ -151,19 +151,19 @@ impl LogHistogram {
         s
     }
 
-    /// Rebuilds a histogram from its parsed JSON object.
-    pub fn from_json(v: &crate::json::Value) -> Option<LogHistogram> {
-        let mut h = LogHistogram::new();
-        h.count = v.get("count")?.as_u64()?;
-        h.sum = v.get("sum")?.as_u64()?;
-        h.max = v.get("max")?.as_u64()?;
-        for (i, b) in v.get("buckets")?.as_arr()?.iter().enumerate() {
-            if i >= BUCKETS {
-                return None;
-            }
-            h.buckets[i] = b.as_u64()?;
+    /// Rebuilds a histogram from its JSON object.
+    pub(crate) fn read(at: &crate::run::At<'_>) -> Result<LogHistogram, crate::run::DocError> {
+        let buckets = at.get("buckets")?;
+        let counts = buckets.list(crate::run::At::u64)?;
+        if counts.len() > BUCKETS {
+            return Err(buckets.err("more than 65 buckets"));
         }
-        Some(h)
+        let mut h = LogHistogram::new();
+        h.count = at.u64_at("count")?;
+        h.sum = at.u64_at("sum")?;
+        h.max = at.u64_at("max")?;
+        h.buckets[..counts.len()].copy_from_slice(&counts);
+        Ok(h)
     }
 }
 
@@ -245,7 +245,7 @@ mod tests {
         }
         let j = h.to_json();
         let v = crate::json::parse(&j).unwrap();
-        assert_eq!(LogHistogram::from_json(&v), Some(h));
+        assert_eq!(LogHistogram::read(&crate::run::At::root(&v)), Ok(h));
     }
 
     #[test]
@@ -253,6 +253,6 @@ mod tests {
         let h = LogHistogram::new();
         assert_eq!(h.to_json(), "{\"count\":0,\"sum\":0,\"max\":0,\"buckets\":[]}");
         let v = crate::json::parse(&h.to_json()).unwrap();
-        assert_eq!(LogHistogram::from_json(&v), Some(h));
+        assert_eq!(LogHistogram::read(&crate::run::At::root(&v)), Ok(h));
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! The workspace builds fully offline, so no serde: this module holds the
 //! small subset of JSON the observability pipeline needs — enough to
-//! write metrics documents and for `sim_report` to read them back. Both
+//! write run documents and for `sim_obs` to read them back. Both
 //! directions are exact for the documents this workspace produces; the
-//! parser additionally accepts any well-formed JSON so traces and
-//! metrics can be post-processed by external tools first.
+//! parser additionally accepts any well-formed JSON (nested at most
+//! [`MAX_DEPTH`] deep) so traces and documents can be post-processed by
+//! external tools first.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -53,16 +54,22 @@ impl Value {
         }
     }
 
-    /// The number as `u64` (truncating), if this is a number.
+    /// The number as `u64`, if this is a whole number in `0..=2^53` —
+    /// the range a JSON double carries exactly. Negative, fractional and
+    /// larger numbers are `None`, never silently coerced.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().map(|n| n as u64)
+        self.as_i64()
+            .and_then(|n| u64::try_from(n).ok())
     }
 
-    /// The number as `i64` (truncating), if this is a number. Unlike
-    /// [`as_u64`](Self::as_u64) this preserves negative values, which
-    /// miss-attribution records can carry.
+    /// The number as `i64`, if this is a whole number within ±2^53.
+    /// Unlike [`as_u64`](Self::as_u64) this admits negative values,
+    /// which miss-attribution records can carry.
     pub fn as_i64(&self) -> Option<i64> {
-        self.as_f64().map(|n| n as i64)
+        const EXACT: f64 = (1u64 << 53) as f64;
+        self.as_f64()
+            .filter(|n| n.fract() == 0.0 && n.abs() <= EXACT)
+            .map(|n| n as i64)
     }
 
     /// The elements, if this is an array.
@@ -91,12 +98,19 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. Run documents nest
+/// six levels at most (a serve result frame embedding a document's
+/// per-action miss values); the cap keeps hostile input from
+/// overflowing the stack of the recursive parser.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document; trailing whitespace is allowed, trailing
-/// garbage is an error.
+/// garbage and nesting deeper than [`MAX_DEPTH`] are errors.
 pub fn parse(src: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         b: src.as_bytes(),
         i: 0,
+        depth: 0,
     };
     p.ws();
     let v = p.value()?;
@@ -110,6 +124,7 @@ pub fn parse(src: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -148,8 +163,19 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Value::Bool(true)),
             Some(b'f') => self.lit("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                self.depth += 1;
+                if self.depth > MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                let v = if self.b[self.i] == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
         }
@@ -196,12 +222,17 @@ impl Parser<'_> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.b[self.i..];
-                    let txt = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = txt.chars().next().unwrap();
-                    s.push(ch);
-                    self.i += ch.len_utf8();
+                    // Consume the run up to the next quote or escape in
+                    // one step. Both are ASCII, so the run ends on a
+                    // character boundary; validating only the run keeps
+                    // long strings linear.
+                    let start = self.i;
+                    while !matches!(self.b.get(self.i), None | Some(b'"' | b'\\')) {
+                        self.i += 1;
+                    }
+                    let run = std::str::from_utf8(&self.b[start..self.i])
+                        .map_err(|_| ParseError { msg: "invalid UTF-8", at: start })?;
+                    s.push_str(run);
                 }
             }
         }
@@ -331,6 +362,41 @@ mod tests {
         assert!(parse("12 34").is_err());
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn integers_are_never_coerced() {
+        assert_eq!(parse("-1").unwrap().as_u64(), None);
+        assert_eq!(parse("2.5").unwrap().as_u64(), None);
+        assert_eq!(parse("1e300").unwrap().as_u64(), None);
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), Some(1 << 53));
+        assert_eq!(parse("9007199254740994").unwrap().as_u64(), None);
+        assert_eq!(parse("-7").unwrap().as_i64(), Some(-7));
+        assert_eq!(parse("-7.5").unwrap().as_i64(), None);
+        assert_eq!(parse("3.0").unwrap().as_u64(), Some(3));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1_000_000);
+        let err = parse(&deep).unwrap_err();
+        assert_eq!(err.msg, "nesting too deep");
+        assert_eq!(err.at, MAX_DEPTH);
+        let objs = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert_eq!(parse(&objs).unwrap_err().msg, "nesting too deep");
+        // At the cap itself the parser still accepts the document.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A frame-sized string: quadratic scanning would not finish.
+        let body = "add r1, r2, r3\n\u{e9}".repeat(1 << 16);
+        let mut doc = String::new();
+        escape_into(&mut doc, &body);
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(body.as_str()));
+        assert_eq!(parse("\"a\u{1F600}b\\n\"").unwrap().as_str(), Some("a\u{1F600}b\n"));
     }
 
     #[test]

@@ -21,19 +21,22 @@
 //! * [`observer::SimObserver`] / [`observer::ObsHandle`] — the hook
 //!   surface the engines call. A disabled handle (the default) costs one
 //!   null-check per hook site.
-//! * [`report::MetricsDoc`] — the JSON document `--metrics-out` writes
-//!   and `sim_report` renders into the paper's Table 1 / Table 2 layout,
-//!   via the offline reader/writer in [`json`].
-//! * [`burst::HotMetrics`] — the replay flight recorder: per-burst
-//!   length/exit telemetry, a capped hot-chain table keyed by a
-//!   bounded-depth action-path signature, and per-INDEX-site dispatch
-//!   stability, exported as the `facile-hot/v1` document
-//!   ([`burst::HotDoc`]) `--hot-out` writes and `sim_hot` renders.
-//! * [`timeline::TimelineMetrics`] — temporal telemetry: fixed-interval
-//!   epoch snapshots of counter deltas with a steady-state detector,
-//!   exported as the `facile-timeline/v1` document
-//!   ([`timeline::TimelineDoc`]) `--timeline-out` writes and
-//!   `sim_timeline` renders.
+//! * [`run::RunDoc`] — the one `facile-run/v2` document every front end
+//!   writes (`--obs-out`, serve result frames, the bench binaries) and
+//!   `sim_obs` renders: a header of runtime counter snapshots plus the
+//!   optional `metrics`, `profile`, `hot` and `timeline` sections, with
+//!   one parser, one [`merge`](run::RunDoc::merge) and one
+//!   [`check`](run::RunDoc::check) that runs every section's exactness
+//!   gate, via the offline reader/writer in [`json`].
+//! * [`profile::Profile`] — the `profile` section: exact per-action cost
+//!   and miss attribution keyed by Facile source location.
+//! * [`burst::HotMetrics`] — the replay flight recorder (the `hot`
+//!   section): per-burst length/exit telemetry, a capped hot-chain table
+//!   keyed by a bounded-depth action-path signature, and per-INDEX-site
+//!   dispatch stability.
+//! * [`timeline::TimelineMetrics`] — temporal telemetry (the `timeline`
+//!   section): fixed-interval epoch snapshots of counter deltas with a
+//!   steady-state detector.
 //!
 //! This crate is dependency-free and sits *below* `facile-runtime`, so
 //! the action cache itself can announce clears; snapshot conversion from
@@ -44,13 +47,12 @@
 //! [`observer::ObsHandle`] is `Send` (an `Arc<Mutex<_>>` around the
 //! core; a disabled handle stays a null-check), so observed simulations
 //! can run on worker threads. Per-worker results fold together:
-//! [`metrics::Metrics::merge`], [`hist::LogHistogram::merge`],
-//! [`report::MetricsDoc::merge`] and [`profile::ProfileDoc::merge`] add
-//! counters, histograms and per-action vectors so that K registries
-//! over a partitioned event stream reproduce the combined registry
-//! bit-for-bit — the exactness invariants (Σ row insns == sim.insns,
-//! Σ row misses == sim.misses) survive the fold, and `sim_prof --check`
-//! accepts a merged document.
+//! [`run::RunDoc::merge`] adds counters, histograms and per-action
+//! vectors so that K registries over a partitioned event stream
+//! reproduce the combined registry bit-for-bit — every section's
+//! exactness invariant (Σ row insns == sim.insns, Σ epoch deltas ==
+//! final counters, …) survives the fold, and `sim_obs --check` accepts
+//! a merged document exactly like a single-lane one.
 
 pub mod burst;
 pub mod event;
@@ -59,25 +61,24 @@ pub mod json;
 pub mod metrics;
 pub mod observer;
 pub mod profile;
-pub mod report;
 pub mod ring;
+pub mod run;
 pub mod serve;
 pub mod timeline;
 
 pub use burst::{
-    fold_sig, BurstExit, BurstRecord, ChainRow, HotConfig, HotDoc, HotMetrics, SiteRow,
-    TraceCounters, CHAIN_DEPTH, ENTRY_UNKNOWN, HOT_CHAIN_CAP, HOT_SCHEMA, SIG_SEED,
-    SITE_TARGET_CAP,
+    fold_sig, BurstExit, BurstRecord, ChainRow, HotConfig, HotMetrics, SiteRow, CHAIN_DEPTH,
+    ENTRY_UNKNOWN, HOT_CHAIN_CAP, SIG_SEED, SITE_TARGET_CAP,
 };
 pub use event::{EngineTag, TraceEvent};
 pub use hist::LogHistogram;
 pub use metrics::Metrics;
 pub use observer::{ObsConfig, ObsHandle, SimObserver};
-pub use profile::{ActionRow, LineCost, ProfileDoc, PROF_SCHEMA};
-pub use report::{CacheStatsSnapshot, MetricsDoc, SimStatsSnapshot, SCHEMA};
+pub use profile::{ActionRow, LineCost, Profile};
 pub use ring::EventRing;
+pub use run::{CacheStatsSnapshot, DocError, RunDoc, SimStatsSnapshot, TraceCounters, SCHEMA};
 pub use serve::{ServeCounters, SERVE_SCHEMA};
 pub use timeline::{
-    EpochRecord, TimelineConfig, TimelineDoc, TimelineMetrics, Warmup, DEFAULT_EPOCH_CAP,
-    DEFAULT_EPOCH_STEPS, DEFAULT_STEADY_EPS, DEFAULT_STEADY_K, TIMELINE_SCHEMA,
+    EpochRecord, TimelineConfig, TimelineMetrics, Warmup, DEFAULT_EPOCH_CAP, DEFAULT_EPOCH_STEPS,
+    DEFAULT_STEADY_EPS, DEFAULT_STEADY_K,
 };

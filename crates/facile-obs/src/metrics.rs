@@ -10,6 +10,8 @@
 
 use crate::event::TraceEvent;
 use crate::hist::LogHistogram;
+use crate::run::{write_list, At, DocError};
+use std::fmt::Write as _;
 
 /// Most distinct divergent values kept per action in
 /// [`Metrics::miss_values`]; further values collapse into the overflow
@@ -274,6 +276,90 @@ impl Metrics {
         self.action_misses
             .iter()
             .fold(0u64, |a, &b| a.saturating_add(b))
+    }
+
+    pub(crate) fn write_json(&self, s: &mut String) {
+        let scalars = [
+            ("engine_switches", self.engine_switches),
+            ("misses", self.misses),
+            ("recoveries", self.recoveries),
+            ("need_slow", self.need_slow),
+            ("cache_clears", self.cache_clears),
+            ("bytes_at_last_clear", self.bytes_at_last_clear),
+            ("cache_evictions", self.cache_evictions),
+            ("bytes_evicted", self.bytes_evicted),
+            ("trace_builds", self.trace_builds),
+            ("trace_invalidations", self.trace_invalidations),
+            ("ext_calls", self.ext_calls),
+            ("dropped_events", self.dropped_events),
+            ("ring_capacity", self.ring_capacity),
+            ("miss_value_overflow", self.miss_value_overflow),
+        ];
+        s.push('{');
+        for (i, (k, v)) in scalars.iter().enumerate() {
+            let _ = write!(s, "{}\"{k}\":{v}", if i > 0 { "," } else { "" });
+        }
+        for (k, counts) in [
+            ("action_replays", &self.action_replays),
+            ("action_fast_insns", &self.action_fast_insns),
+            ("action_slow_visits", &self.action_slow_visits),
+            ("action_slow_insns", &self.action_slow_insns),
+            ("action_misses", &self.action_misses),
+        ] {
+            let _ = write!(s, ",\"{k}\":");
+            write_list(s, counts, |s, c| {
+                let _ = write!(s, "{c}");
+            });
+        }
+        s.push_str(",\"miss_values\":");
+        write_list(s, &self.miss_values, |s, vals| {
+            write_list(s, vals, |s, (v, c)| {
+                let _ = write!(s, "[{v},{c}]");
+            });
+        });
+        for (k, h) in [
+            ("slow_step_ns", &self.slow_step_ns),
+            ("fast_burst_ns", &self.fast_burst_ns),
+            ("fast_burst_steps", &self.fast_burst_steps),
+            ("recovery_depth", &self.recovery_depth),
+        ] {
+            let _ = write!(s, ",\"{k}\":{}", h.to_json());
+        }
+        s.push('}');
+    }
+
+    pub(crate) fn read(at: &At<'_>) -> Result<Metrics, DocError> {
+        let u = |k: &str| at.u64_at(k);
+        let v = |k: &str| at.get(k)?.list(At::u64);
+        let h = |k: &str| LogHistogram::read(&at.get(k)?);
+        Ok(Metrics {
+            action_replays: v("action_replays")?,
+            action_fast_insns: v("action_fast_insns")?,
+            action_slow_visits: v("action_slow_visits")?,
+            action_slow_insns: v("action_slow_insns")?,
+            action_misses: v("action_misses")?,
+            miss_values: at
+                .get("miss_values")?
+                .list(|vals| vals.list(|p| p.pair(At::i64, At::u64)))?,
+            miss_value_overflow: u("miss_value_overflow")?,
+            slow_step_ns: h("slow_step_ns")?,
+            fast_burst_ns: h("fast_burst_ns")?,
+            fast_burst_steps: h("fast_burst_steps")?,
+            recovery_depth: h("recovery_depth")?,
+            engine_switches: u("engine_switches")?,
+            misses: u("misses")?,
+            recoveries: u("recoveries")?,
+            need_slow: u("need_slow")?,
+            cache_clears: u("cache_clears")?,
+            bytes_at_last_clear: u("bytes_at_last_clear")?,
+            cache_evictions: u("cache_evictions")?,
+            bytes_evicted: u("bytes_evicted")?,
+            trace_builds: u("trace_builds")?,
+            trace_invalidations: u("trace_invalidations")?,
+            ext_calls: u("ext_calls")?,
+            dropped_events: u("dropped_events")?,
+            ring_capacity: u("ring_capacity")?,
+        })
     }
 }
 

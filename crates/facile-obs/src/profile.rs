@@ -1,14 +1,14 @@
-//! The source-level profile document: exact cost and miss attribution
+//! The source-level profile section: exact cost and miss attribution
 //! keyed by Facile source location.
 //!
-//! A [`ProfileDoc`] is produced at the end of an observed, memoizing run
+//! A [`Profile`] is produced at the end of an observed, memoizing run
 //! by joining three things the pipeline keeps separate:
 //!
 //! * the per-action **debug-info table** the compiler ships alongside the
 //!   action table (source span, guard span, construct kind, binding-time
 //!   operand signature — resolved to line/column by the caller, since
 //!   this crate sits below the compiler and never sees source text),
-//! * the per-action **cost counters** from [`Metrics`]
+//! * the per-action **cost counters** from [`Metrics`](crate::Metrics)
 //!   (`action_fast_insns` / `action_slow_insns` / replays / visits), and
 //! * the per-action **miss attribution** (`action_misses`,
 //!   `miss_values`).
@@ -18,19 +18,16 @@
 //! engines, and miss recovery re-executes only the run-time-static slice
 //! (which retires nothing). Summing `fast_insns + slow_insns` over the
 //! rows therefore reproduces `sim.insns` bit-for-bit; summing `misses`
-//! reproduces `sim.misses`.
+//! reproduces `sim.misses` ([`Profile::check`]).
 //!
 //! Rendering helpers fold the rows into the three report shapes
-//! `sim_prof` prints: a flat per-line profile, folded stacks
+//! `sim_obs` prints: a flat per-line profile, folded stacks
 //! (flamegraph-compatible `a;b;c count` lines), and a top-k
 //! miss-attribution table.
 
-use crate::json::{escape_into, parse, ParseError, Value};
-use crate::report::SimStatsSnapshot;
+use crate::json::escape_into;
+use crate::run::{write_list, At, DocError, SimStatsSnapshot};
 use std::fmt::Write as _;
-
-/// Schema tag written into every profile document.
-pub const PROF_SCHEMA: &str = "facile-prof/v1";
 
 /// One action's resolved source site and attributed costs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -73,19 +70,21 @@ impl ActionRow {
     pub fn insns(&self) -> u64 {
         self.fast_insns.saturating_add(self.slow_insns)
     }
+
+    /// Whether `other` describes the same compiled site.
+    fn same_site(&self, other: &ActionRow) -> bool {
+        (self.action, &self.kind, self.line, self.col, self.end_line)
+            == (other.action, &other.kind, other.line, other.col, other.end_line)
+            && (self.guard_line, self.guard_col, self.ph_operands, self.reg_operands)
+                == (other.guard_line, other.guard_col, other.ph_operands, other.reg_operands)
+    }
 }
 
-/// One run's source-level profile, as written by `--profile-out`.
-#[derive(Clone, Debug, Default)]
-pub struct ProfileDoc {
-    /// Human label for the run (workload/config name).
-    pub label: String,
+/// The `profile` section of a run document.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Profile {
     /// Source file name the rows' lines refer to.
     pub file: String,
-    /// Snapshot of the runtime counters (the exactness reference).
-    pub sim: SimStatsSnapshot,
-    /// Wall-clock duration of the run, nanoseconds.
-    pub wall_ns: u64,
     /// One row per action, in action-number order.
     pub rows: Vec<ActionRow>,
     /// Misses whose divergent value exceeded the per-action tracking cap
@@ -108,7 +107,7 @@ pub struct LineCost {
     pub actions: u32,
 }
 
-impl ProfileDoc {
+impl Profile {
     /// Total instructions attributed across all rows — equals
     /// `sim.insns` for a run observed end to end.
     pub fn attributed_insns(&self) -> u64 {
@@ -142,7 +141,7 @@ impl ProfileDoc {
     /// Folded-stack (flamegraph-collapsed) form: one
     /// `label;kind;file:line count` line per action with a nonzero
     /// instruction attribution, using the guard line as the leaf frame.
-    pub fn folded_stacks(&self) -> String {
+    pub fn folded_stacks(&self, label: &str) -> String {
         let mut s = String::new();
         for r in &self.rows {
             if r.insns() == 0 {
@@ -151,7 +150,7 @@ impl ProfileDoc {
             let _ = writeln!(
                 s,
                 "{};{};{}:{} {}",
-                self.label,
+                label,
                 r.kind,
                 self.file,
                 r.guard_line,
@@ -170,22 +169,14 @@ impl ProfileDoc {
         rows
     }
 
-    /// Folds another profile of the **same compiled program** into this
-    /// one: per-row costs (replays, insns, visits, misses, miss values)
-    /// add element-wise, the `sim` snapshot adds field-wise, and
-    /// `wall_ns` takes the maximum (concurrent lanes overlap).
-    ///
-    /// Both documents must describe the same action table: the same
+    /// Whether `other` profiles the **same compiled program**: the same
     /// number of rows with identical action numbers, kinds, spans and
-    /// operand signatures. The exactness invariants survive the merge —
-    /// Σ row insns still equals the (summed) `sim.insns`, Σ row misses
-    /// the (summed) `sim.misses` — so a merged batch document passes
-    /// `sim_prof --check` unchanged.
+    /// operand signatures.
     ///
     /// # Errors
     ///
-    /// Describes the first shape mismatch; `self` is unchanged on error.
-    pub fn merge(&mut self, other: &ProfileDoc) -> Result<(), String> {
+    /// Describes the first shape mismatch.
+    pub fn compatible(&self, other: &Profile) -> Result<(), String> {
         if self.rows.len() != other.rows.len() {
             return Err(format!(
                 "action tables differ: {} rows vs {}",
@@ -193,23 +184,20 @@ impl ProfileDoc {
                 other.rows.len()
             ));
         }
-        for (mine, theirs) in self.rows.iter().zip(other.rows.iter()) {
-            let same_site = mine.action == theirs.action
-                && mine.kind == theirs.kind
-                && mine.line == theirs.line
-                && mine.col == theirs.col
-                && mine.end_line == theirs.end_line
-                && mine.guard_line == theirs.guard_line
-                && mine.guard_col == theirs.guard_col
-                && mine.ph_operands == theirs.ph_operands
-                && mine.reg_operands == theirs.reg_operands;
-            if !same_site {
-                return Err(format!(
-                    "action {} resolves to different sites (different compiled programs?)",
-                    mine.action
-                ));
-            }
+        match self.rows.iter().zip(&other.rows).find(|(a, b)| !a.same_site(b)) {
+            Some((mine, _)) => Err(format!(
+                "action {} resolves to different sites (different compiled programs?)",
+                mine.action
+            )),
+            None => Ok(()),
         }
+    }
+
+    /// Folds a [`compatible`](Self::compatible) profile into this one:
+    /// per-row costs (replays, insns, visits, misses, miss values) add
+    /// element-wise, so Σ row insns still equals the summed `sim.insns`
+    /// and Σ row misses the summed `sim.misses`.
+    pub fn merge(&mut self, other: &Profile) {
         for (mine, theirs) in self.rows.iter_mut().zip(other.rows.iter()) {
             mine.replays = mine.replays.saturating_add(theirs.replays);
             mine.fast_insns = mine.fast_insns.saturating_add(theirs.fast_insns);
@@ -224,59 +212,50 @@ impl ProfileDoc {
                 }
             }
         }
-        self.sim.merge(&other.sim);
-        self.wall_ns = self.wall_ns.max(other.wall_ns);
         self.miss_value_overflow = self
             .miss_value_overflow
             .saturating_add(other.miss_value_overflow);
-        Ok(())
     }
 
-    /// Serializes the document as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024 + self.rows.len() * 128);
-        s.push_str("{\"schema\":");
-        escape_into(&mut s, PROF_SCHEMA);
-        s.push_str(",\"label\":");
-        escape_into(&mut s, &self.label);
-        s.push_str(",\"file\":");
-        escape_into(&mut s, &self.file);
-        let _ = write!(
-            s,
-            ",\"wall_ns\":{},\"miss_value_overflow\":{},\"sim\":{{",
-            self.wall_ns, self.miss_value_overflow
-        );
-        let mut first = true;
-        for (k, v) in [
-            ("cycles", self.sim.cycles),
-            ("insns", self.sim.insns),
-            ("fast_insns", self.sim.fast_insns),
-            ("slow_insns", self.sim.slow_insns),
-            ("fast_steps", self.sim.fast_steps),
-            ("slow_steps", self.sim.slow_steps),
-            ("misses", self.sim.misses),
-            ("recoveries", self.sim.recoveries),
-            ("actions_replayed", self.sim.actions_replayed),
-            ("ext_calls", self.sim.ext_calls),
-        ] {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(s, "\"{k}\":{v}");
+    /// The exactness gate: attributed instructions sum to `sim.insns`,
+    /// attributed misses to `sim.misses`, and every row resolves to a
+    /// real source position. Returns every violation.
+    pub fn check(&self, sim: &SimStatsSnapshot) -> Vec<String> {
+        let mut errs = Vec::new();
+        if self.attributed_insns() != sim.insns {
+            errs.push(format!(
+                "attributed insns {} != sim.insns {}",
+                self.attributed_insns(),
+                sim.insns
+            ));
         }
-        s.push_str("},\"actions\":[");
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        if self.attributed_misses() != sim.misses {
+            errs.push(format!(
+                "attributed misses {} != sim.misses {}",
+                self.attributed_misses(),
+                sim.misses
+            ));
+        }
+        for r in &self.rows {
+            if r.line < 1 || r.col < 1 || r.guard_line < 1 || r.guard_col < 1 {
+                errs.push(format!("action {} has an unresolvable span", r.action));
             }
+        }
+        errs
+    }
+
+    pub(crate) fn write_json(&self, s: &mut String) {
+        s.push_str("{\"file\":");
+        escape_into(s, &self.file);
+        let _ = write!(s, ",\"miss_value_overflow\":{},\"actions\":", self.miss_value_overflow);
+        write_list(s, &self.rows, |s, r| {
             let _ = write!(s, "{{\"action\":{},\"kind\":", r.action);
-            escape_into(&mut s, &r.kind);
+            escape_into(s, &r.kind);
             let _ = write!(
                 s,
                 ",\"line\":{},\"col\":{},\"end_line\":{},\"guard_line\":{},\"guard_col\":{},\
                  \"ph\":{},\"reg\":{},\"replays\":{},\"fast_insns\":{},\"slow_visits\":{},\
-                 \"slow_insns\":{},\"misses\":{},\"miss_values\":[",
+                 \"slow_insns\":{},\"misses\":{},\"miss_values\":",
                 r.line,
                 r.col,
                 r.end_line,
@@ -290,94 +269,48 @@ impl ProfileDoc {
                 r.slow_insns,
                 r.misses
             );
-            for (j, (v, c)) in r.miss_values.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
+            write_list(s, &r.miss_values, |s, (v, c)| {
                 let _ = write!(s, "[{v},{c}]");
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Rebuilds a document from its parsed JSON value.
-    pub fn from_value(v: &Value) -> Option<ProfileDoc> {
-        if v.get("schema")?.as_str()? != PROF_SCHEMA {
-            return None;
-        }
-        let u = |o: &Value, k: &str| o.get(k).and_then(Value::as_u64);
-        let sim_v = v.get("sim")?;
-        let sim = SimStatsSnapshot {
-            cycles: u(sim_v, "cycles")?,
-            insns: u(sim_v, "insns")?,
-            fast_insns: u(sim_v, "fast_insns")?,
-            slow_insns: u(sim_v, "slow_insns")?,
-            fast_steps: u(sim_v, "fast_steps")?,
-            slow_steps: u(sim_v, "slow_steps")?,
-            misses: u(sim_v, "misses")?,
-            recoveries: u(sim_v, "recoveries")?,
-            actions_replayed: u(sim_v, "actions_replayed")?,
-            ext_calls: u(sim_v, "ext_calls")?,
-        };
-        let mut rows = Vec::new();
-        for r in v.get("actions")?.as_arr()? {
-            rows.push(ActionRow {
-                action: u(r, "action")? as u32,
-                kind: r.get("kind")?.as_str()?.to_string(),
-                line: u(r, "line")? as u32,
-                col: u(r, "col")? as u32,
-                end_line: u(r, "end_line")? as u32,
-                guard_line: u(r, "guard_line")? as u32,
-                guard_col: u(r, "guard_col")? as u32,
-                ph_operands: u(r, "ph")? as u32,
-                reg_operands: u(r, "reg")? as u32,
-                replays: u(r, "replays")?,
-                fast_insns: u(r, "fast_insns")?,
-                slow_visits: u(r, "slow_visits")?,
-                slow_insns: u(r, "slow_insns")?,
-                misses: u(r, "misses")?,
-                miss_values: r
-                    .get("miss_values")?
-                    .as_arr()?
-                    .iter()
-                    .filter_map(|p| {
-                        let p = p.as_arr()?;
-                        Some((p.first()?.as_i64()?, p.get(1)?.as_u64()?))
-                    })
-                    .collect(),
             });
-        }
-        Some(ProfileDoc {
-            label: v.get("label")?.as_str()?.to_string(),
-            file: v.get("file")?.as_str()?.to_string(),
-            sim,
-            wall_ns: u(v, "wall_ns")?,
-            rows,
-            miss_value_overflow: u(v, "miss_value_overflow").unwrap_or(0),
-        })
+            s.push('}');
+        });
+        s.push('}');
     }
 
-    /// Parses a document from JSON text.
-    pub fn from_json(text: &str) -> Result<ProfileDoc, ParseError> {
-        let v = parse(text)?;
-        ProfileDoc::from_value(&v).ok_or(ParseError {
-            msg: "not a facile-prof/v1 profile document",
-            at: 0,
+    pub(crate) fn read(at: &At<'_>) -> Result<Profile, DocError> {
+        Ok(Profile {
+            file: at.get("file")?.str()?.to_owned(),
+            miss_value_overflow: at.u64_at("miss_value_overflow")?,
+            rows: at.get("actions")?.list(|r| {
+                let u32_at = |k: &str| r.get(k)?.u32();
+                Ok(ActionRow {
+                    action: u32_at("action")?,
+                    kind: r.get("kind")?.str()?.to_owned(),
+                    line: u32_at("line")?,
+                    col: u32_at("col")?,
+                    end_line: u32_at("end_line")?,
+                    guard_line: u32_at("guard_line")?,
+                    guard_col: u32_at("guard_col")?,
+                    ph_operands: u32_at("ph")?,
+                    reg_operands: u32_at("reg")?,
+                    replays: r.u64_at("replays")?,
+                    fast_insns: r.u64_at("fast_insns")?,
+                    slow_visits: r.u64_at("slow_visits")?,
+                    slow_insns: r.u64_at("slow_insns")?,
+                    misses: r.u64_at("misses")?,
+                    miss_values: r.get("miss_values")?.list(|p| p.pair(At::i64, At::u64))?,
+                })
+            })?,
         })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample() -> ProfileDoc {
-        ProfileDoc {
-            label: "functional loop".into(),
-            file: "functional.fac".into(),
-            sim: SimStatsSnapshot {
+    pub(crate) fn sample_sim() -> SimStatsSnapshot {
+        SimStatsSnapshot {
                 cycles: 10,
                 insns: 30,
                 fast_insns: 25,
@@ -388,8 +321,12 @@ mod tests {
                 recoveries: 3,
                 actions_replayed: 18,
                 ext_calls: 0,
-            },
-            wall_ns: 5_000,
+        }
+    }
+
+    pub(crate) fn sample() -> Profile {
+        Profile {
+            file: "functional.fac".into(),
             rows: vec![
                 ActionRow {
                     action: 0,
@@ -432,19 +369,23 @@ mod tests {
 
     #[test]
     fn totals_match_sim_counters() {
-        let p = sample();
-        assert_eq!(p.attributed_insns(), p.sim.insns);
-        assert_eq!(p.attributed_misses(), p.sim.misses);
+        let (p, sim) = (sample(), sample_sim());
+        assert_eq!(p.attributed_insns(), sim.insns);
+        assert_eq!(p.attributed_misses(), sim.misses);
+        assert!(p.check(&sim).is_empty());
     }
 
     #[test]
-    fn document_round_trips() {
-        let p = sample();
-        let back = ProfileDoc::from_json(&p.to_json()).unwrap();
-        assert_eq!(back.label, p.label);
-        assert_eq!(back.file, p.file);
-        assert_eq!(back.sim, p.sim);
-        assert_eq!(back.rows, p.rows);
+    fn check_reports_every_violation() {
+        let mut p = sample();
+        p.rows[0].fast_insns += 1;
+        p.rows[1].misses += 1;
+        p.rows[1].guard_col = 0;
+        let errs = p.check(&sample_sim());
+        assert_eq!(errs.len(), 3, "{errs:?}");
+        assert!(errs[0].contains("attributed insns 31 != sim.insns 30"));
+        assert!(errs[1].contains("attributed misses"));
+        assert!(errs[2].contains("action 1 has an unresolvable span"));
     }
 
     #[test]
@@ -459,7 +400,7 @@ mod tests {
 
     #[test]
     fn folded_stacks_are_flamegraph_shaped() {
-        let folded = sample().folded_stacks();
+        let folded = sample().folded_stacks("functional loop");
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0], "functional loop;plain;functional.fac:4 20");
@@ -482,45 +423,37 @@ mod tests {
     }
 
     #[test]
-    fn wrong_schema_is_rejected() {
-        let json = sample().to_json().replace(PROF_SCHEMA, "facile-prof/v0");
-        assert!(ProfileDoc::from_json(&json).is_err());
-    }
-
-    #[test]
     fn merge_preserves_the_exactness_invariants() {
-        let mut a = sample();
-        let mut b = sample();
+        let (mut a, mut a_sim) = (sample(), sample_sim());
+        let (mut b, mut b_sim) = (sample(), sample_sim());
         // Give the second lane different costs on the same sites.
-        b.sim.insns = 60;
-        b.sim.fast_insns = 40;
-        b.sim.slow_insns = 20;
-        b.sim.misses = 1;
+        b_sim.insns = 60;
+        b_sim.fast_insns = 40;
+        b_sim.slow_insns = 20;
+        b_sim.misses = 1;
         b.rows[0].fast_insns = 30;
         b.rows[0].slow_insns = 10;
         b.rows[1].fast_insns = 10;
         b.rows[1].slow_insns = 10;
         b.rows[1].misses = 1;
         b.rows[1].miss_values = vec![(1, 1)];
-        assert_eq!(b.attributed_insns(), b.sim.insns);
-        a.merge(&b).unwrap();
-        assert_eq!(a.sim.insns, 90);
-        assert_eq!(a.attributed_insns(), a.sim.insns, "Σinsns == sim.insns survives");
-        assert_eq!(a.attributed_misses(), a.sim.misses, "Σmisses == sim.misses survives");
+        assert_eq!(b.attributed_insns(), b_sim.insns);
+        a.compatible(&b).unwrap();
+        a.merge(&b);
+        a_sim.merge(&b_sim);
+        assert_eq!(a_sim.insns, 90);
+        assert!(a.check(&a_sim).is_empty(), "Σinsns/Σmisses == sim survive");
         assert_eq!(a.rows[1].miss_values, vec![(1, 3), (-4, 1)]);
-        assert_eq!(a.wall_ns, 5_000);
     }
 
     #[test]
-    fn merge_rejects_mismatched_action_tables() {
-        let mut a = sample();
+    fn mismatched_action_tables_are_incompatible() {
+        let a = sample();
         let mut b = sample();
         b.rows.pop();
-        assert!(a.merge(&b).unwrap_err().contains("rows"));
+        assert!(a.compatible(&b).unwrap_err().contains("rows"));
         let mut c = sample();
         c.rows[1].guard_line = 99;
-        let before = a.rows.clone();
-        assert!(a.merge(&c).unwrap_err().contains("different sites"));
-        assert_eq!(a.rows, before, "failed merge leaves the document unchanged");
+        assert!(a.compatible(&c).unwrap_err().contains("different sites"));
     }
 }

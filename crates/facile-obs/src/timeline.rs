@@ -1,7 +1,7 @@
 //! Temporal telemetry: fixed-interval epoch snapshots of the run.
 //!
-//! Every aggregate document this crate produces ([`MetricsDoc`],
-//! [`HotDoc`](crate::HotDoc)) is an end-of-run roll-up, but the paper's
+//! Every other section of a run document ([`RunDoc`](crate::RunDoc))
+//! is an end-of-run roll-up, but the paper's
 //! central claim — memoization makes simulation *converge* from slow
 //! recording to fast replay — is a temporal phenomenon. The timeline
 //! subsystem makes it visible: the driver closes an **epoch** every
@@ -18,7 +18,7 @@
 //! flushes the final partial epoch at snapshot time, so
 //!
 //! ```text
-//! Σ epoch deltas  ==  final counters        (checked by sim_timeline --check)
+//! Σ epoch deltas  ==  final counters        (checked by sim_obs --check)
 //! ```
 //!
 //! bit for bit, with no float in the stored records (per-epoch
@@ -38,17 +38,11 @@
 //! Merging follows the crate's deterministic-partition discipline:
 //! lane timelines concatenate in submission order through the same
 //! capped push path a live stream takes, so a batch's merged document
-//! is bit-for-bit the fold of its lanes (`sim_timeline --merge-check`).
-//!
-//! [`MetricsDoc`]: crate::MetricsDoc
+//! is bit-for-bit the fold of its lanes (`sim_obs --check` refolds
+//! batch files).
 
-use crate::json::{escape_into, parse, ParseError, Value};
-use crate::report::{CacheStatsSnapshot, SimStatsSnapshot};
-use crate::TraceCounters;
+use crate::run::{counters, write_list, At, CacheStatsSnapshot, DocError, SimStatsSnapshot, TraceCounters};
 use std::fmt::Write as _;
-
-/// Schema tag written into every timeline document.
-pub const TIMELINE_SCHEMA: &str = "facile-timeline/v1";
 
 /// Default epoch interval in simulator steps.
 pub const DEFAULT_EPOCH_STEPS: u64 = 100_000;
@@ -90,31 +84,32 @@ impl Default for TimelineConfig {
     }
 }
 
-/// One closed epoch: pure counter deltas since the previous close.
-/// All integers — per-epoch rates and fractions are derived at render
-/// time so documents stay exactly mergeable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EpochRecord {
-    /// Fast (replayed) steps completed this epoch.
-    pub fast_steps: u64,
-    /// Slow (recorded) steps completed this epoch.
-    pub slow_steps: u64,
-    /// Instructions retired by the fast engine this epoch.
-    pub fast_insns: u64,
-    /// Instructions retired by the slow engine this epoch.
-    pub slow_insns: u64,
-    /// Action-cache misses this epoch.
-    pub misses: u64,
-    /// Bytes newly memoized this epoch (delta of `bytes_total`).
-    pub cache_bytes: u64,
-    /// Storage generations evicted this epoch.
-    pub cache_evictions: u64,
-    /// Supertrace entries this epoch.
-    pub trace_enters: u64,
-    /// Supertrace guard bails this epoch.
-    pub trace_bails: u64,
-    /// Wall-clock spent in this epoch, nanoseconds.
-    pub wall_ns: u64,
+counters! {
+    /// One closed epoch: pure counter deltas since the previous close.
+    /// All integers — per-epoch rates and fractions are derived at
+    /// render time so documents stay exactly mergeable.
+    pub struct EpochRecord {
+        /// Fast (replayed) steps completed this epoch.
+        fast_steps,
+        /// Slow (recorded) steps completed this epoch.
+        slow_steps,
+        /// Instructions retired by the fast engine this epoch.
+        fast_insns,
+        /// Instructions retired by the slow engine this epoch.
+        slow_insns,
+        /// Action-cache misses this epoch.
+        misses,
+        /// Bytes newly memoized this epoch (delta of `bytes_total`).
+        cache_bytes,
+        /// Storage generations evicted this epoch.
+        cache_evictions,
+        /// Supertrace entries this epoch.
+        trace_enters,
+        /// Supertrace guard bails this epoch.
+        trace_bails,
+        /// Wall-clock spent in this epoch, nanoseconds.
+        wall_ns,
+    }
 }
 
 impl EpochRecord {
@@ -150,74 +145,18 @@ impl EpochRecord {
         *self == EpochRecord::default()
     }
 
-    /// Adds another record field-wise (overflow accounting and merges).
-    pub fn add(&mut self, other: &EpochRecord) {
-        self.fast_steps = self.fast_steps.saturating_add(other.fast_steps);
-        self.slow_steps = self.slow_steps.saturating_add(other.slow_steps);
-        self.fast_insns = self.fast_insns.saturating_add(other.fast_insns);
-        self.slow_insns = self.slow_insns.saturating_add(other.slow_insns);
-        self.misses = self.misses.saturating_add(other.misses);
-        self.cache_bytes = self.cache_bytes.saturating_add(other.cache_bytes);
-        self.cache_evictions = self.cache_evictions.saturating_add(other.cache_evictions);
-        self.trace_enters = self.trace_enters.saturating_add(other.trace_enters);
-        self.trace_bails = self.trace_bails.saturating_add(other.trace_bails);
-        self.wall_ns = self.wall_ns.saturating_add(other.wall_ns);
-    }
-
-    /// The stored fields in serialization order.
-    fn fields(&self) -> [(&'static str, u64); 10] {
-        [
-            ("fast_steps", self.fast_steps),
-            ("slow_steps", self.slow_steps),
-            ("fast_insns", self.fast_insns),
-            ("slow_insns", self.slow_insns),
-            ("misses", self.misses),
-            ("cache_bytes", self.cache_bytes),
-            ("cache_evictions", self.cache_evictions),
-            ("trace_enters", self.trace_enters),
-            ("trace_bails", self.trace_bails),
-            ("wall_ns", self.wall_ns),
-        ]
-    }
-
-    fn write_json(&self, s: &mut String) {
-        s.push('{');
-        for (i, (k, v)) in self.fields().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{k}\":{v}");
-        }
-        s.push('}');
-    }
-
-    fn from_value(v: &Value) -> Option<EpochRecord> {
-        let u = |k: &str| v.get(k).and_then(Value::as_u64);
-        Some(EpochRecord {
-            fast_steps: u("fast_steps")?,
-            slow_steps: u("slow_steps")?,
-            fast_insns: u("fast_insns")?,
-            slow_insns: u("slow_insns")?,
-            misses: u("misses")?,
-            cache_bytes: u("cache_bytes")?,
-            cache_evictions: u("cache_evictions")?,
-            trace_enters: u("trace_enters")?,
-            trace_bails: u("trace_bails")?,
-            wall_ns: u("wall_ns")?,
-        })
-    }
-
     /// One live-stream JSONL line for this epoch (`--timeline-stream`):
     /// the stored deltas plus the derived `steps` and `fast_fraction`,
     /// tagged with the epoch's absolute index.
     pub fn stream_json(&self, index: u64) -> String {
-        let mut s = String::with_capacity(256);
-        let _ = write!(s, "{{\"epoch\":{index},\"steps\":{}", self.steps());
-        for (k, v) in self.fields() {
-            let _ = write!(s, ",\"{k}\":{v}");
-        }
-        let _ = write!(s, ",\"fast_fraction\":{:.6}}}", self.fast_fraction());
-        s
+        let mut fields = String::with_capacity(256);
+        self.write_json(&mut fields);
+        format!(
+            "{{\"epoch\":{index},\"steps\":{},{},\"fast_fraction\":{:.6}}}",
+            self.steps(),
+            &fields[1..fields.len() - 1],
+            self.fast_fraction()
+        )
     }
 }
 
@@ -280,11 +219,11 @@ impl TimelineMetrics {
     /// Folds one closed epoch into the aggregate, evicting the oldest
     /// retained epoch into `dropped_sum` when the ring is full.
     pub fn observe_epoch(&mut self, rec: &EpochRecord) {
-        self.totals.add(rec);
+        self.totals.merge(rec);
         if self.epochs.len() >= self.cap {
             let evicted = self.epochs.remove(0);
             self.dropped = self.dropped.saturating_add(1);
-            self.dropped_sum.add(&evicted);
+            self.dropped_sum.merge(&evicted);
         }
         self.epochs.push(*rec);
     }
@@ -293,7 +232,7 @@ impl TimelineMetrics {
     pub fn retained_sum(&self) -> EpochRecord {
         let mut sum = EpochRecord::default();
         for e in &self.epochs {
-            sum.add(e);
+            sum.merge(e);
         }
         sum
     }
@@ -309,16 +248,92 @@ impl TimelineMetrics {
     pub fn merge(&mut self, other: &TimelineMetrics) {
         self.epoch_steps = self.epoch_steps.max(other.epoch_steps);
         self.dropped = self.dropped.saturating_add(other.dropped);
-        self.dropped_sum.add(&other.dropped_sum);
-        self.totals.add(&other.totals);
+        self.dropped_sum.merge(&other.dropped_sum);
+        self.totals.merge(&other.totals);
         for rec in &other.epochs {
             if self.epochs.len() >= self.cap {
                 let evicted = self.epochs.remove(0);
                 self.dropped = self.dropped.saturating_add(1);
-                self.dropped_sum.add(&evicted);
+                self.dropped_sum.merge(&evicted);
             }
             self.epochs.push(*rec);
         }
+    }
+
+    /// The exactness gate: every counter in `totals` recounts the
+    /// corresponding final counter bit for bit, and the retained epochs
+    /// plus the overflow accounting recount `totals`. Returns every
+    /// violation.
+    pub fn check(
+        &self,
+        sim: &SimStatsSnapshot,
+        cache: &CacheStatsSnapshot,
+        trace: &TraceCounters,
+    ) -> Vec<String> {
+        let t = &self.totals;
+        let mut errs: Vec<String> = [
+            ("fast_steps", t.fast_steps, sim.fast_steps),
+            ("slow_steps", t.slow_steps, sim.slow_steps),
+            ("fast_insns", t.fast_insns, sim.fast_insns),
+            ("slow_insns", t.slow_insns, sim.slow_insns),
+            ("misses", t.misses, sim.misses),
+            ("cache_bytes", t.cache_bytes, cache.bytes_total),
+            ("cache_evictions", t.cache_evictions, cache.evictions),
+            ("trace_enters", t.trace_enters, trace.enters),
+            ("trace_bails", t.trace_bails, trace.bails),
+        ]
+        .into_iter()
+        .filter(|(_, got, want)| got != want)
+        .map(|(what, got, want)| format!("{what}: epochs sum to {got}, counters say {want}"))
+        .collect();
+        let mut ring = self.dropped_sum;
+        ring.merge(&self.retained_sum());
+        if ring != *t {
+            errs.push(format!(
+                "ring accounting: retained + dropped epochs sum to {} steps, totals say {}",
+                ring.steps(),
+                t.steps()
+            ));
+        }
+        errs
+    }
+
+    /// Writes the timeline as one JSON object, with the steady-state
+    /// detector's verdict (default tolerance and window) as a derived
+    /// `warmup` member. Everything stored is an integer except the
+    /// verdict's `tail_mean`/`eps`, written with fixed precision so
+    /// identical folds serialize identically.
+    pub(crate) fn write_json(&self, s: &mut String) {
+        let _ = write!(
+            s,
+            "{{\"epoch_steps\":{},\"cap\":{},\"dropped\":{},\"dropped_sum\":",
+            self.epoch_steps, self.cap, self.dropped
+        );
+        self.dropped_sum.write_json(s);
+        s.push_str(",\"totals\":");
+        self.totals.write_json(s);
+        s.push_str(",\"epochs\":");
+        write_list(s, &self.epochs, |s, e| e.write_json(s));
+        if let Some(w) = self.detect(DEFAULT_STEADY_EPS, DEFAULT_STEADY_K) {
+            let _ = write!(
+                s,
+                ",\"warmup\":{{\"steady_state_epoch\":{},\"warmup_steps\":{},\
+                 \"warmup_wall_ns\":{},\"tail_mean\":{:.6},\"eps\":{:.6},\"k\":{}}}",
+                w.steady_state_epoch, w.warmup_steps, w.warmup_wall_ns, w.tail_mean, w.eps, w.k
+            );
+        }
+        s.push('}');
+    }
+
+    /// Reads a timeline back; the derived `warmup` member is ignored
+    /// (readers rerun [`detect`](Self::detect)).
+    pub(crate) fn read(at: &At<'_>) -> Result<TimelineMetrics, DocError> {
+        let mut t = TimelineMetrics::new(at.u64_at("epoch_steps")?, at.u64_at("cap")? as usize);
+        t.dropped = at.u64_at("dropped")?;
+        t.dropped_sum = EpochRecord::read(&at.get("dropped_sum")?)?;
+        t.totals = EpochRecord::read(&at.get("totals")?)?;
+        t.epochs = at.get("epochs")?.list(EpochRecord::read)?;
+        Ok(t)
     }
 
     /// Runs the steady-state detector over the retained epochs.
@@ -353,7 +368,7 @@ impl TimelineMetrics {
         }
         let mut warm = self.dropped_sum;
         for e in &self.epochs[..first_steady] {
-            warm.add(e);
+            warm.merge(e);
         }
         Some(Warmup {
             steady_state_epoch: self.dropped.saturating_add(first_steady as u64),
@@ -362,268 +377,6 @@ impl TimelineMetrics {
             tail_mean,
             eps,
             k: k as u64,
-        })
-    }
-}
-
-/// One run's timeline document, as written by `--timeline-out`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TimelineDoc {
-    /// Human label for the run (workload/config name).
-    pub label: String,
-    /// Snapshot of the final simulation counters (recount reference).
-    pub sim: SimStatsSnapshot,
-    /// Snapshot of the final action-cache counters.
-    pub cache: CacheStatsSnapshot,
-    /// Snapshot of the final supertrace counters.
-    pub trace: TraceCounters,
-    /// Wall-clock duration of the whole run, nanoseconds.
-    pub wall_ns: u64,
-    /// The epoch aggregate.
-    pub timeline: TimelineMetrics,
-    /// The detector's verdict over the retained epochs (`None` when
-    /// the run never settled or produced too few epochs).
-    pub warmup: Option<Warmup>,
-}
-
-impl TimelineDoc {
-    /// Folds another lane's document after this one: the label is kept
-    /// (batch drivers relabel the merged document), counter snapshots
-    /// add field-wise, `wall_ns` takes the maximum (concurrent lanes
-    /// overlap), the timelines concatenate per
-    /// [`TimelineMetrics::merge`], and the detector reruns over the
-    /// merged epochs with the same parameters.
-    pub fn merge(&mut self, other: &TimelineDoc) {
-        self.sim.merge(&other.sim);
-        self.cache.merge(&other.cache);
-        self.trace.merge(&other.trace);
-        self.wall_ns = self.wall_ns.max(other.wall_ns);
-        self.timeline.merge(&other.timeline);
-        let (eps, k) = self
-            .warmup
-            .map_or((DEFAULT_STEADY_EPS, DEFAULT_STEADY_K), |w| {
-                (w.eps, w.k as usize)
-            });
-        self.warmup = self.timeline.detect(eps, k);
-    }
-
-    /// The `sim_timeline --check` exactness contract: every counter in
-    /// `totals` recounts the corresponding final counter bit for bit,
-    /// and the retained epochs plus the overflow accounting recount
-    /// `totals`. Returns the first violated invariant.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first failed recount.
-    pub fn recount(&self) -> Result<(), String> {
-        let eq = |what: &str, got: u64, want: u64| {
-            if got == want {
-                Ok(())
-            } else {
-                Err(format!("{what}: epochs sum to {got}, counters say {want}"))
-            }
-        };
-        let t = &self.timeline.totals;
-        eq("fast_steps", t.fast_steps, self.sim.fast_steps)?;
-        eq("slow_steps", t.slow_steps, self.sim.slow_steps)?;
-        eq("fast_insns", t.fast_insns, self.sim.fast_insns)?;
-        eq("slow_insns", t.slow_insns, self.sim.slow_insns)?;
-        eq("misses", t.misses, self.sim.misses)?;
-        eq("cache_bytes", t.cache_bytes, self.cache.bytes_total)?;
-        eq("cache_evictions", t.cache_evictions, self.cache.evictions)?;
-        eq("trace_enters", t.trace_enters, self.trace.enters)?;
-        eq("trace_bails", t.trace_bails, self.trace.bails)?;
-        // Warm-start counters are set once at snapshot install, before
-        // epoch 0, and never flow through epoch deltas (frozen bytes
-        // live outside `bytes_total`); the two must agree on coldness.
-        if (self.cache.bytes_frozen == 0) != (self.cache.frozen_gens == 0) {
-            return Err(format!(
-                "warm-start counters inconsistent: bytes_frozen {} with frozen_gens {}",
-                self.cache.bytes_frozen, self.cache.frozen_gens
-            ));
-        }
-        let mut ring = self.timeline.dropped_sum;
-        ring.add(&self.timeline.retained_sum());
-        if ring != *t {
-            return Err(format!(
-                "ring accounting: retained + dropped epochs sum to {} steps, totals say {}",
-                ring.steps(),
-                t.steps()
-            ));
-        }
-        Ok(())
-    }
-
-    /// Serializes the document as one JSON object. Everything stored is
-    /// an integer except the detector's `tail_mean`/`eps`, written with
-    /// fixed precision so identical folds serialize identically.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024 + self.timeline.epochs.len() * 200);
-        s.push_str("{\"schema\":");
-        escape_into(&mut s, TIMELINE_SCHEMA);
-        s.push_str(",\"label\":");
-        escape_into(&mut s, &self.label);
-        let _ = write!(s, ",\"wall_ns\":{},\"sim\":{{", self.wall_ns);
-        let mut first = true;
-        for (k, v) in [
-            ("cycles", self.sim.cycles),
-            ("insns", self.sim.insns),
-            ("fast_insns", self.sim.fast_insns),
-            ("slow_insns", self.sim.slow_insns),
-            ("fast_steps", self.sim.fast_steps),
-            ("slow_steps", self.sim.slow_steps),
-            ("misses", self.sim.misses),
-            ("recoveries", self.sim.recoveries),
-            ("actions_replayed", self.sim.actions_replayed),
-            ("ext_calls", self.sim.ext_calls),
-        ] {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(s, "\"{k}\":{v}");
-        }
-        s.push_str("},\"cache\":{");
-        first = true;
-        for (k, v) in [
-            ("nodes_created", self.cache.nodes_created),
-            ("entries_created", self.cache.entries_created),
-            ("clears", self.cache.clears),
-            ("bytes_current", self.cache.bytes_current),
-            ("bytes_total", self.cache.bytes_total),
-            ("bytes_peak", self.cache.bytes_peak),
-            ("bytes_cleared", self.cache.bytes_cleared),
-            ("evictions", self.cache.evictions),
-            ("bytes_evicted", self.cache.bytes_evicted),
-            ("bytes_frozen", self.cache.bytes_frozen),
-            ("frozen_gens", self.cache.frozen_gens),
-        ] {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(s, "\"{k}\":{v}");
-        }
-        let tr = &self.trace;
-        let _ = write!(
-            s,
-            "}},\"trace\":{{\"built\":{},\"build_failed\":{},\"enters\":{},\"bails\":{},\
-             \"invalidated\":{},\"steps\":{},\"insns\":{}}}",
-            tr.built, tr.build_failed, tr.enters, tr.bails, tr.invalidated, tr.steps, tr.insns
-        );
-        let t = &self.timeline;
-        let _ = write!(
-            s,
-            ",\"timeline\":{{\"epoch_steps\":{},\"cap\":{},\"dropped\":{},\"dropped_sum\":",
-            t.epoch_steps, t.cap, t.dropped
-        );
-        t.dropped_sum.write_json(&mut s);
-        s.push_str(",\"totals\":");
-        t.totals.write_json(&mut s);
-        s.push_str(",\"epochs\":[");
-        for (i, e) in t.epochs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            e.write_json(&mut s);
-        }
-        s.push_str("]}");
-        if let Some(w) = &self.warmup {
-            let _ = write!(
-                s,
-                ",\"warmup\":{{\"steady_state_epoch\":{},\"warmup_steps\":{},\
-                 \"warmup_wall_ns\":{},\"tail_mean\":{:.6},\"eps\":{:.6},\"k\":{}}}",
-                w.steady_state_epoch, w.warmup_steps, w.warmup_wall_ns, w.tail_mean, w.eps, w.k
-            );
-        }
-        s.push('}');
-        s
-    }
-
-    /// Rebuilds a document from its parsed JSON value.
-    pub fn from_value(v: &Value) -> Option<TimelineDoc> {
-        if v.get("schema")?.as_str()? != TIMELINE_SCHEMA {
-            return None;
-        }
-        let u = |o: &Value, k: &str| o.get(k).and_then(Value::as_u64);
-        let sim_v = v.get("sim")?;
-        let sim = SimStatsSnapshot {
-            cycles: u(sim_v, "cycles")?,
-            insns: u(sim_v, "insns")?,
-            fast_insns: u(sim_v, "fast_insns")?,
-            slow_insns: u(sim_v, "slow_insns")?,
-            fast_steps: u(sim_v, "fast_steps")?,
-            slow_steps: u(sim_v, "slow_steps")?,
-            misses: u(sim_v, "misses")?,
-            recoveries: u(sim_v, "recoveries")?,
-            actions_replayed: u(sim_v, "actions_replayed")?,
-            ext_calls: u(sim_v, "ext_calls")?,
-        };
-        let cache_v = v.get("cache")?;
-        let cache = CacheStatsSnapshot {
-            nodes_created: u(cache_v, "nodes_created")?,
-            entries_created: u(cache_v, "entries_created")?,
-            clears: u(cache_v, "clears")?,
-            bytes_current: u(cache_v, "bytes_current")?,
-            bytes_total: u(cache_v, "bytes_total")?,
-            bytes_peak: u(cache_v, "bytes_peak")?,
-            bytes_cleared: u(cache_v, "bytes_cleared")?,
-            evictions: u(cache_v, "evictions").unwrap_or(0),
-            bytes_evicted: u(cache_v, "bytes_evicted").unwrap_or(0),
-            // New-in-v1.3 warm-start counters (snapshot persistence).
-            bytes_frozen: u(cache_v, "bytes_frozen").unwrap_or(0),
-            frozen_gens: u(cache_v, "frozen_gens").unwrap_or(0),
-        };
-        let tr = v.get("trace")?;
-        let trace = TraceCounters {
-            built: u(tr, "built")?,
-            build_failed: u(tr, "build_failed")?,
-            enters: u(tr, "enters")?,
-            bails: u(tr, "bails")?,
-            invalidated: u(tr, "invalidated")?,
-            steps: u(tr, "steps")?,
-            insns: u(tr, "insns")?,
-        };
-        let t = v.get("timeline")?;
-        let mut timeline = TimelineMetrics::new(u(t, "epoch_steps")?, u(t, "cap")? as usize);
-        timeline.dropped = u(t, "dropped")?;
-        timeline.dropped_sum = EpochRecord::from_value(t.get("dropped_sum")?)?;
-        timeline.totals = EpochRecord::from_value(t.get("totals")?)?;
-        for e in t.get("epochs")?.as_arr()? {
-            timeline.epochs.push(EpochRecord::from_value(e)?);
-        }
-        let warmup = match v.get("warmup") {
-            None => None,
-            Some(w) => Some(Warmup {
-                steady_state_epoch: u(w, "steady_state_epoch")?,
-                warmup_steps: u(w, "warmup_steps")?,
-                warmup_wall_ns: u(w, "warmup_wall_ns")?,
-                tail_mean: w.get("tail_mean")?.as_f64()?,
-                eps: w.get("eps")?.as_f64()?,
-                k: u(w, "k")?,
-            }),
-        };
-        Some(TimelineDoc {
-            label: v.get("label")?.as_str()?.to_string(),
-            sim,
-            cache,
-            trace,
-            wall_ns: u(v, "wall_ns")?,
-            timeline,
-            warmup,
-        })
-    }
-
-    /// Parses a document from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// Malformed JSON or a value that is not a timeline document.
-    pub fn from_json(text: &str) -> Result<TimelineDoc, ParseError> {
-        let v = parse(text)?;
-        TimelineDoc::from_value(&v).ok_or(ParseError {
-            msg: "not a facile-timeline/v1 document",
-            at: 0,
         })
     }
 }
@@ -674,7 +427,7 @@ mod tests {
         assert_eq!(t.dropped, 0);
         let mut want = EpochRecord::default();
         for e in &stream {
-            want.add(e);
+            want.merge(e);
         }
         assert_eq!(t.totals, want);
         assert_eq!(t.retained_sum(), want);
@@ -690,7 +443,7 @@ mod tests {
         assert_eq!(t.epochs.len(), 4);
         assert_eq!(t.dropped, stream.len() as u64 - 4);
         let mut ring = t.dropped_sum;
-        ring.add(&t.retained_sum());
+        ring.merge(&t.retained_sum());
         assert_eq!(ring, t.totals, "nothing lost to the cap");
         // The retained epochs are the newest ones.
         assert_eq!(t.epochs[3], *stream.last().unwrap());
@@ -752,116 +505,96 @@ mod tests {
         assert!(short.detect(DEFAULT_STEADY_EPS, DEFAULT_STEADY_K).is_none());
     }
 
-    fn sample_doc() -> TimelineDoc {
+    /// A warming timeline and header counters it recounts exactly.
+    fn sample() -> (TimelineMetrics, SimStatsSnapshot, CacheStatsSnapshot, TraceCounters) {
         let mut timeline = TimelineMetrics::new(64, DEFAULT_EPOCH_CAP);
         for e in warming_stream() {
             timeline.observe_epoch(&e);
         }
         let t = timeline.totals;
-        let warmup = timeline.detect(DEFAULT_STEADY_EPS, DEFAULT_STEADY_K);
-        TimelineDoc {
-            label: "126.gcc".into(),
-            sim: SimStatsSnapshot {
-                cycles: 0,
-                insns: t.insns(),
-                fast_insns: t.fast_insns,
-                slow_insns: t.slow_insns,
-                fast_steps: t.fast_steps,
-                slow_steps: t.slow_steps,
-                misses: t.misses,
-                recoveries: t.misses,
-                actions_replayed: 0,
-                ext_calls: 0,
-            },
-            cache: CacheStatsSnapshot {
-                nodes_created: 10,
-                entries_created: 10,
-                clears: 0,
-                bytes_current: t.cache_bytes,
-                bytes_total: t.cache_bytes,
-                bytes_peak: t.cache_bytes,
-                bytes_cleared: 0,
-                evictions: t.cache_evictions,
-                bytes_evicted: 0,
-                bytes_frozen: 0,
-                frozen_gens: 0,
-            },
-            trace: TraceCounters {
-                built: 1,
-                build_failed: 0,
-                enters: t.trace_enters,
-                bails: t.trace_bails,
-                invalidated: 0,
-                steps: 0,
-                insns: 0,
-            },
-            wall_ns: 20_000,
-            timeline,
-            warmup,
-        }
+        let sim = SimStatsSnapshot {
+            insns: t.insns(),
+            fast_insns: t.fast_insns,
+            slow_insns: t.slow_insns,
+            fast_steps: t.fast_steps,
+            slow_steps: t.slow_steps,
+            misses: t.misses,
+            recoveries: t.misses,
+            ..SimStatsSnapshot::default()
+        };
+        let cache = CacheStatsSnapshot {
+            bytes_total: t.cache_bytes,
+            evictions: t.cache_evictions,
+            ..CacheStatsSnapshot::default()
+        };
+        let trace = TraceCounters {
+            built: 1,
+            enters: t.trace_enters,
+            bails: t.trace_bails,
+            ..TraceCounters::default()
+        };
+        (timeline, sim, cache, trace)
+    }
+
+    fn json(t: &TimelineMetrics) -> String {
+        let mut s = String::new();
+        t.write_json(&mut s);
+        s
     }
 
     #[test]
-    fn document_round_trips() {
-        let d = sample_doc();
-        let back = TimelineDoc::from_json(&d.to_json()).unwrap();
-        assert_eq!(back, d);
-        assert_eq!(back.to_json(), d.to_json());
+    fn section_round_trips_with_the_derived_verdict() {
+        let (t, ..) = sample();
+        let text = json(&t);
+        let v = crate::json::parse(&text).unwrap();
+        let back = TimelineMetrics::read(&At::root(&v)).unwrap();
+        assert_eq!(back, t);
+        assert_eq!(json(&back), text);
+        let w = v.get("warmup").expect("the stream settles");
+        assert_eq!(w.get("steady_state_epoch").and_then(crate::json::Value::as_u64), Some(3));
     }
 
     #[test]
-    fn wrong_schema_is_rejected() {
-        let json = sample_doc()
-            .to_json()
-            .replace(TIMELINE_SCHEMA, "facile-timeline/v0");
-        assert!(TimelineDoc::from_json(&json).is_err());
+    fn check_accepts_exact_timelines_and_reports_every_violation() {
+        let (t, mut sim, cache, trace) = sample();
+        assert!(t.check(&sim, &cache, &trace).is_empty());
+        sim.fast_insns += 1;
+        sim.misses += 1;
+        let errs = t.check(&sim, &cache, &trace);
+        assert_eq!(errs.len(), 2, "{errs:?}");
+        assert!(errs[0].starts_with("fast_insns: epochs sum to"));
+        assert!(errs[1].starts_with("misses: epochs sum to"));
+        let (mut bad, sim, ..) = sample();
+        bad.epochs.pop();
+        let errs = bad.check(&sim, &cache, &trace);
+        assert!(errs.iter().any(|e| e.starts_with("ring accounting")), "{errs:?}");
     }
 
     #[test]
-    fn recount_accepts_exact_documents_and_rejects_tampered_ones() {
-        let d = sample_doc();
-        d.recount().expect("sample doc is exact by construction");
-        let mut bad = d.clone();
-        bad.sim.fast_insns += 1;
-        assert!(bad.recount().is_err());
-        let mut bad = d;
-        bad.timeline.epochs.pop();
-        assert!(bad.recount().is_err(), "ring accounting violation");
-    }
-
-    #[test]
-    fn merged_documents_equal_a_single_registry_fold() {
+    fn merged_sections_serialize_like_a_single_registry_fold() {
         let stream = warming_stream();
-        let mut single = sample_doc();
-        single.timeline = TimelineMetrics::new(64, DEFAULT_EPOCH_CAP);
+        let mut single = TimelineMetrics::new(64, DEFAULT_EPOCH_CAP);
         for e in &stream {
-            single.timeline.observe_epoch(e);
+            single.observe_epoch(e);
         }
-        single.sim.merge(&sample_doc().sim);
-        single.cache.merge(&sample_doc().cache);
-        single.trace.merge(&sample_doc().trace);
-        single.warmup = single.timeline.detect(DEFAULT_STEADY_EPS, DEFAULT_STEADY_K);
-
-        let mut lane_a = sample_doc();
-        lane_a.timeline = TimelineMetrics::new(64, DEFAULT_EPOCH_CAP);
-        let mut lane_b = sample_doc();
-        lane_b.timeline = TimelineMetrics::new(64, DEFAULT_EPOCH_CAP);
+        let mut lane_a = TimelineMetrics::new(64, DEFAULT_EPOCH_CAP);
+        let mut lane_b = TimelineMetrics::new(64, DEFAULT_EPOCH_CAP);
         let (first, second) = stream.split_at(4);
         for e in first {
-            lane_a.timeline.observe_epoch(e);
+            lane_a.observe_epoch(e);
         }
         for e in second {
-            lane_b.timeline.observe_epoch(e);
+            lane_b.observe_epoch(e);
         }
         lane_a.merge(&lane_b);
-        assert_eq!(lane_a.to_json(), single.to_json());
+        assert_eq!(json(&lane_a), json(&single));
     }
 
     #[test]
     fn stream_json_carries_the_derived_fields() {
         let e = epoch(900, 100);
         let line = e.stream_json(7);
-        let v = parse(&line).unwrap();
+        let v = crate::json::parse(&line).unwrap();
         assert_eq!(v.get("epoch").unwrap().as_u64(), Some(7));
         assert_eq!(v.get("steps").unwrap().as_u64(), Some(e.steps()));
         assert_eq!(v.get("fast_insns").unwrap().as_u64(), Some(900));

@@ -76,7 +76,8 @@ const BLACKLIST_CAP: usize = 64;
 const BAIL_CHECK_MIN: u64 = 64;
 
 /// Lifecycle and coverage counters for the supertrace compiler,
-/// surfaced through `Simulation::trace_stats`, `HotDoc` and `sim_hot`.
+/// surfaced through `Simulation::trace_stats`, the run document's `trace`
+/// header and `sim_obs`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Traces compiled.

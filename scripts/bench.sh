@@ -76,7 +76,7 @@ echo "==> obs_overhead --scale $SCALE --reps $REPS (disabled / sampled / full / 
 # like with like (the <= 2% disabled-handle budget in
 # docs/OBSERVABILITY.md). The timeline mode measures epoch sampling
 # with the run driven in epoch-sized budget slices, exactly as
-# `facilec --timeline-out` drives it.
+# `facilec --obs timeline` drives it.
 ./target/release/obs_overhead --scale "$SCALE" --reps "$REPS" \
     --fastsim BENCH_fastsim.json --json-out BENCH_obs.json
 

@@ -5,18 +5,18 @@
 #
 # Runs the repo's tier-1 gate (ROADMAP.md) with --offline, lints the
 # instrumented crates at deny-warnings, smoke-tests that
-# `facilec --run --metrics-out` emits a parseable facile-obs/v1 document,
-# and gates the fast-replay hot path: a small fig11 workload must
+# `facilec --run --obs-out` emits a parseable facile-run/v2 document whose
+# every section passes `sim_obs --check` (and that a tampered copy fails
+# it, naming each broken section), and gates the fast-replay hot path: a small fig11 workload must
 # fast-forward at least as much as the seed did, steady-state replay
 # must be allocation-free (docs/PERFORMANCE.md), and superaction
 # compilation must be architecturally invisible (supertrace on/off and
 # slow-only runs produce bit-identical results and digests). The replay flight
-# recorder must pass the sim_hot --check recount on single runs and on
-# batch-merged documents, its top-10 hot chains must explain >= 50% of
-# gcc-like fast-path instructions, and watching the simulator must stay
-# cheap (obs_overhead). Batch mode must produce merged documents that
-# pass the sim_prof --check exactness gate (and beat serial throughput
-# on multi-core hosts); its empty-list/panicking-callback edge cases
+# recorder's top-10 hot chains must explain >= 50% of gcc-like
+# fast-path instructions, and watching the simulator must stay cheap
+# (obs_overhead). Batch mode must produce a merged document that
+# refolds bit-for-bit from its lanes and passes every sim_obs --check
+# gate (and beat serial throughput on multi-core hosts); its empty-list/panicking-callback edge cases
 # must stay structured errors. The serve daemon must round-trip jobs
 # from concurrent clients with digests bit-identical to in-process
 # runs and drain cleanly over the protocol (docs/SERVING.md). Rustdoc
@@ -49,7 +49,7 @@ cargo clippy --offline -q \
     -p facile-obs -p facile-runtime -p facile-vm -p facile -p bench \
     --all-targets -- -D warnings
 
-echo "==> smoke: facilec --run --metrics-out emits parseable JSON"
+echo "==> smoke: facilec --run --obs-out emits a parseable run document"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cat > "$tmp/loop.asm" <<'EOF'
@@ -62,44 +62,39 @@ out r2
 halt
 EOF
 ./target/release/facilec --builtin functional --run "$tmp/loop.asm" \
-    --metrics-out "$tmp/metrics.json" --trace-out "$tmp/trace.jsonl" > /dev/null
-./target/release/sim_report "$tmp/metrics.json" > /dev/null
-grep -q '"schema":"facile-obs/v1"' "$tmp/metrics.json"
+    --obs-out "$tmp/metrics.json" --trace-out "$tmp/trace.jsonl" > /dev/null
+./target/release/sim_obs "$tmp/metrics.json" > /dev/null
+grep -q '"schema":"facile-run/v2"' "$tmp/metrics.json"
 grep -q '"ev":"halt"' "$tmp/trace.jsonl"
 
-echo "==> smoke: sim_prof exactness gate on a profiled run"
-# --check asserts the profiler's contract (docs/PROFILING.md): every
-# attributed action resolves to a real source span, attributed
-# instructions sum exactly to sim.insns, misses to sim.misses.
-./target/release/facilec --builtin functional --run "$tmp/loop.asm" \
-    --profile-out "$tmp/prof.json" > /dev/null
-grep -q '"schema":"facile-prof/v1"' "$tmp/prof.json"
-./target/release/sim_prof "$tmp/prof.json" --check
-./target/release/sim_prof "$tmp/prof.json" --folded | grep -q ':'
-
-echo "==> smoke: sim_hot exactness gate on a flight-recorded run"
-# --check asserts the flight recorder's contract (docs/OBSERVABILITY.md):
-# exit counters sum to the burst count, dispatches recount the steps
-# histogram, and in exact mode the burst histograms recount the
-# runtime's fast-path counters bit for bit.
+echo "==> smoke: every section of one run passes sim_obs --check"
+# --check runs every section's exactness gate against the shared header
+# (docs/OBSERVABILITY.md): profile rows resolve to real source spans
+# and sum exactly to sim.insns/sim.misses; the flight recorder's exit
+# counters sum to the burst count, dispatches recount the steps
+# histogram and (exact mode) the burst histograms recount the fast-path
+# counters; the epoch deltas, retained plus dropped, telescope exactly
+# to the final simulation, cache and supertrace counters.
 ./target/release/facilec --builtin ooo --run "$tmp/loop.asm" \
-    --hot-out "$tmp/hot.json" > /dev/null
-grep -q '"schema":"facile-hot/v1"' "$tmp/hot.json"
-./target/release/sim_hot "$tmp/hot.json" --check
-./target/release/sim_hot "$tmp/hot.json" | grep -q 'hot chains'
-
-echo "==> smoke: sim_timeline exactness gate on an epoch-sampled run"
-# --check asserts the timeline's contract (docs/OBSERVABILITY.md):
-# the epoch deltas, retained plus dropped, telescope exactly to the
-# final simulation, cache and supertrace counters, and the ring
-# overflow accounting balances.
-./target/release/facilec --builtin ooo --run "$tmp/loop.asm" \
-    --timeline-out "$tmp/tl.json" --timeline-stream "$tmp/tl.jsonl" \
-    --timeline-epoch 32 > /dev/null
-grep -q '"schema":"facile-timeline/v1"' "$tmp/tl.json"
-./target/release/sim_timeline "$tmp/tl.json" --check
-./target/release/sim_timeline "$tmp/tl.json" | grep -q 'fast-fraction per epoch'
+    --obs-out "$tmp/d.json" --obs metrics,profile,hot,timeline \
+    --timeline-stream "$tmp/tl.jsonl" --timeline-epoch 32 > /dev/null
+./target/release/sim_obs "$tmp/d.json" --check
+./target/release/sim_obs "$tmp/d.json" --folded | grep -q ':'
+./target/release/sim_obs "$tmp/d.json" > "$tmp/views.txt"
+grep -q 'hot chains' "$tmp/views.txt"
+grep -q 'fast-fraction per epoch' "$tmp/views.txt"
 grep -q '"epoch":0,' "$tmp/tl.jsonl"
+# Negative gate: one counter edited in the profile and one in the hot
+# section must fail --check with both sections named, not just the first.
+sed -e 's/"fast_insns":\([0-9]*\),"slow_visits"/"fast_insns":1\1,"slow_visits"/' \
+    -e 's/"bursts":\([0-9]*\),"bursts_skipped"/"bursts":1\1,"bursts_skipped"/' \
+    "$tmp/d.json" > "$tmp/tampered.json"
+if ./target/release/sim_obs "$tmp/tampered.json" --check 2> "$tmp/tampered.err" > /dev/null; then
+    echo "verify: sim_obs --check accepted a tampered document"; exit 1
+fi
+grep -q ': profile: ' "$tmp/tampered.err" && grep -q ': hot: ' "$tmp/tampered.err" \
+    || { echo "verify: sim_obs --check did not name both tampered sections"; \
+         cat "$tmp/tampered.err"; exit 1; }
 
 echo "==> smoke: action-cache snapshot round-trip (docs/PERSISTENCE.md)"
 # A cold run saves its cache; a warm run loads it and must print the
@@ -179,9 +174,10 @@ echo "==> perf smoke: steady-state replay is allocation-free"
 cargo test -q --offline -p facile-vm --test alloc_free_replay
 
 echo "==> smoke: batch merged documents pass the exactness gate"
-# Four jobs over one compiled step on four worker threads; the merged
-# profile must satisfy the same sim_prof --check contract as a
-# single-lane run, and the merged metrics document must carry the batch
+# Four jobs over one compiled step on four worker threads. sim_obs
+# --check runs every section's gate on each lane and on the merged
+# document, and refolds the lanes in order demanding byte-equality with
+# the trailing merged document; the merged header must carry the batch
 # label with the summed counters (4 x 304 insns for this loop).
 cat > "$tmp/jobs.txt" <<EOF
 $tmp/loop.asm
@@ -190,44 +186,35 @@ $tmp/loop.asm
 $tmp/loop.asm
 EOF
 ./target/release/facilec --builtin functional batch --jobs "$tmp/jobs.txt" \
-    --threads 4 --metrics-out "$tmp/batch_m.jsonl" \
-    --profile-out "$tmp/batch_p.jsonl" \
-    --hot-out "$tmp/batch_h.jsonl" \
-    --timeline-out "$tmp/batch_tl.jsonl" --timeline-epoch 32 \
+    --threads 4 --obs-out "$tmp/batch.jsonl" \
+    --obs metrics,profile,hot,timeline --timeline-epoch 32 \
     --progress 2> "$tmp/progress.jsonl" > /dev/null
-tail -n 1 "$tmp/batch_p.jsonl" > "$tmp/batch_merged_prof.json"
-./target/release/sim_prof "$tmp/batch_merged_prof.json" --check
-tail -n 1 "$tmp/batch_m.jsonl" | grep -q '"label":"batch(4 jobs)"'
-tail -n 1 "$tmp/batch_m.jsonl" | grep -q '"insns":1216'
-# The per-job and merged hot-chain documents must all pass the sim_hot
-# recount, and the heartbeat must have reported every completed job.
-./target/release/sim_hot "$tmp/batch_h.jsonl" --check
-tail -n 1 "$tmp/batch_h.jsonl" | grep -q '"label":"batch(4 jobs)"'
+./target/release/sim_obs "$tmp/batch.jsonl" --check > "$tmp/batch_check.txt"
+grep -q '4 lanes refold into `batch(4 jobs)`' "$tmp/batch_check.txt" \
+    || { echo "verify: batch lanes were not refolded"; exit 1; }
+tail -n 1 "$tmp/batch.jsonl" | grep -q '"label":"batch(4 jobs)"'
+tail -n 1 "$tmp/batch.jsonl" | grep -q '"sim":{"cycles":[0-9]*,"insns":1216,'
+# The heartbeat must have reported every completed job, and with a
+# timeline attached each must carry the lane's latest epoch.
 [ "$(grep -c '"steps_per_sec"' "$tmp/progress.jsonl")" -eq 4 ] \
     || { echo "verify: batch --progress did not report 4 jobs"; exit 1; }
-# The timeline lanes must refold bit-for-bit into the trailing merged
-# document, every document must recount, and with a timeline attached
-# the heartbeats must carry each lane's latest epoch.
-./target/release/sim_timeline "$tmp/batch_tl.jsonl" --check
-./target/release/sim_timeline "$tmp/batch_tl.jsonl" --merge-check
-tail -n 1 "$tmp/batch_tl.jsonl" | grep -q '"label":"batch(4 jobs)"'
 [ "$(grep -c '"epoch_fast_fraction"' "$tmp/progress.jsonl")" -eq 4 ] \
     || { echo "verify: batch --progress heartbeats lack epoch fields"; exit 1; }
 # Warm batch: every lane installs the same read-only snapshot
-# (copy-on-write, docs/PERSISTENCE.md) and the merged documents must
-# satisfy the same exactness gates with identical summed counters.
+# (copy-on-write, docs/PERSISTENCE.md) and the merged document must
+# satisfy the same gates with identical summed counters.
 ./target/release/facilec --builtin functional --run "$tmp/loop.asm" \
     --cache-save "$tmp/func.facsnap" > /dev/null
 ./target/release/facilec --builtin functional batch --jobs "$tmp/jobs.txt" \
     --threads 4 --cache-load "$tmp/func.facsnap" \
-    --metrics-out "$tmp/warm_m.jsonl" \
-    --timeline-out "$tmp/warm_tl.jsonl" --timeline-epoch 32 > /dev/null
-tail -n 1 "$tmp/warm_m.jsonl" | grep -q '"insns":1216'
-tail -n 1 "$tmp/warm_m.jsonl" | grep -q '"slow_steps":0'
-./target/release/sim_timeline "$tmp/warm_tl.jsonl" --check
-./target/release/sim_timeline "$tmp/warm_tl.jsonl" --merge-check
+    --obs-out "$tmp/warm.jsonl" --obs metrics,timeline --timeline-epoch 32 > /dev/null
+tail -n 1 "$tmp/warm.jsonl" | grep -q '"sim":{"cycles":[0-9]*,"insns":1216,'
+tail -n 1 "$tmp/warm.jsonl" | grep -q '"sim":{[^}]*"slow_steps":0,'
+./target/release/sim_obs "$tmp/warm.jsonl" --check > "$tmp/warm_check.txt"
+grep -q '4 lanes refold' "$tmp/warm_check.txt" \
+    || { echo "verify: warm batch lanes were not refolded"; exit 1; }
 # The merged document pins one snapshot image per lane.
-tail -n 1 "$tmp/warm_tl.jsonl" | grep -q '"frozen_gens":4' \
+tail -n 1 "$tmp/warm.jsonl" | grep -q '"frozen_gens":4' \
     || { echo "verify: warm batch lanes did not pin the shared snapshot"; exit 1; }
 
 echo "==> regression: batch driver edge cases are structured errors"

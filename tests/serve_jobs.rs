@@ -10,7 +10,7 @@
 use facile::batch::{run_batch, BatchConfig, BatchJob};
 use facile::hosts::initial_args;
 use facile::serve::{sim_request, ServeClient, ServeConfig, Server};
-use facile::{compile_source, CompiledStep, CompilerOptions, MetricsDoc, SimOptions};
+use facile::{compile_source, CompiledStep, CompilerOptions, RunDoc, SimOptions};
 use facile_obs::json::Value;
 use std::sync::Arc;
 
@@ -48,7 +48,7 @@ fn busy_asm(iters_hi16: i64) -> String {
 /// (wall-clock measurements, the documented "modulo wall-clock
 /// fields" caveat of batch determinism) — so equality is equality of
 /// every architectural counter, step histogram and per-action vector.
-fn normalized(doc: &MetricsDoc) -> String {
+fn normalized(doc: &RunDoc) -> String {
     let mut d = doc.clone();
     d.label = "normalized".to_owned();
     d.wall_ns = 0;
@@ -140,12 +140,13 @@ fn eight_concurrent_clients_match_facilec_batch_bit_for_bit() {
             .map(|v| v.as_str().expect("out string").parse().expect("out value"))
             .collect();
         assert_eq!(out, b.out, "job {i}: identical out traces");
-        let doc = MetricsDoc::from_value(r.get("metrics").expect("metrics embedded"))
-            .expect("metrics doc parses");
+        let doc = RunDoc::from_value(r.get("obs").expect("document embedded"))
+            .expect("embedded document parses");
+        assert!(doc.metrics.is_some(), "job {i}: the wanted section is there");
         assert_eq!(
             normalized(&doc),
-            normalized(&b.metrics),
-            "job {i}: per-job metrics documents are bit-identical"
+            normalized(&b.doc),
+            "job {i}: per-job documents are bit-identical"
         );
         serve_docs.push(doc);
     }
@@ -154,11 +155,11 @@ fn eight_concurrent_clients_match_facilec_batch_bit_for_bit() {
     // reproduces the batch driver's merged document exactly.
     let mut merged = serve_docs[0].clone();
     for d in &serve_docs[1..] {
-        merged.merge(d);
+        merged.merge(d).expect("same program");
     }
     assert_eq!(
         normalized(&merged),
-        normalized(&batch.merged_metrics),
+        normalized(&batch.merged),
         "merged documents are bit-identical across drivers"
     );
 

@@ -5,6 +5,7 @@
 //! events and compare field by field.
 
 use facile::hosts::{initial_args, ArchHost};
+use facile::job::{ProfileSource, Sections};
 use facile::{
     compile_source, CachePolicy, CompilerOptions, ObsConfig, ObsHandle, SimOptions, Simulation,
     Target, TraceEvent,
@@ -427,8 +428,8 @@ fn cache_evict_events_recount_to_cache_stats() {
 /// configurations — slow-only, mixed replay, supertrace compilation
 /// engaged, and mid-run `trim_cache` — the timeline's epoch deltas
 /// (retained plus dropped) must telescope exactly to the final
-/// simulation, cache and supertrace counters. `TimelineDoc::recount`
-/// is the single checker; any drift is an instrumentation bug.
+/// simulation, cache and supertrace counters. `RunDoc::check` is the
+/// single checker; any drift is an instrumentation bug.
 #[test]
 fn timeline_epoch_deltas_recount_exactly() {
     let run = |label: &str, options: SimOptions, trim_at: Option<u64>| {
@@ -446,7 +447,11 @@ fn timeline_epoch_deltas_recount_exactly() {
         )
         .expect("simulation constructs");
         ArchHost::new().bind(&mut sim).expect("externals bind");
-        facile::obs::observe_timeline(&mut sim, 24);
+        let sections = Sections {
+            timeline: Some(24),
+            ..Sections::default()
+        };
+        facile::obs::observe(&mut sim, &sections);
         // Budget-sliced driving, as every timeline front end drives it.
         let mut slices = 0u64;
         while sim.halted().is_none() {
@@ -456,11 +461,10 @@ fn timeline_epoch_deltas_recount_exactly() {
                 sim.trim_cache(0);
             }
         }
-        let doc = facile::obs::timeline_doc(label, &mut sim, 1).expect("timeline attached");
-        doc.recount()
-            .unwrap_or_else(|e| panic!("{label}: epoch recount failed: {e}"));
+        let doc = facile::obs::run_doc(label, &mut sim, 1, &sections);
+        assert_eq!(doc.check(), Vec::<String>::new(), "{label}: epoch recount failed");
         assert!(
-            doc.timeline.epochs_total() > 2,
+            doc.timeline.as_ref().expect("timeline attached").epochs_total() > 2,
             "{label}: several epochs closed"
         );
         doc
@@ -517,12 +521,17 @@ fn timeline_on_off_architectural_digests_agree() {
         sim
     };
     let mut with = build();
-    facile::obs::observe_timeline(&mut with, 16);
+    let sections = Sections {
+        timeline: Some(16),
+        ..Sections::default()
+    };
+    facile::obs::observe(&mut with, &sections);
     while with.halted().is_none() {
         with.run_steps(16);
     }
-    let doc = facile::obs::timeline_doc("on", &mut with, 1).expect("timeline attached");
-    doc.recount().expect("sampled run recounts");
+    let doc = facile::obs::run_doc("on", &mut with, 1, &sections);
+    assert!(doc.timeline.is_some(), "timeline attached");
+    assert_eq!(doc.check(), Vec::<String>::new(), "sampled run recounts");
 
     let mut without = build();
     without.run_steps(u64::MAX >> 1);
@@ -537,19 +546,18 @@ fn timeline_on_off_architectural_digests_agree() {
     );
 }
 
-/// `--profile-out` must be a pure read-out: stats, program output and
+/// The profile section must be a pure read-out: stats, program output and
 /// final target memory are bit-for-bit identical with and without it,
 /// and the profile it yields satisfies the exactness contract.
 #[test]
 fn profiling_does_not_perturb_the_simulation() {
     let (observed, _obs) = observed_run("functional");
-    let prof = facile::obs::profile_doc(
-        "loop",
-        "functional.fac",
-        &facile::sims::functional_source(),
-        &observed,
-        0,
-    );
+    let source = ProfileSource {
+        file: "functional.fac".to_owned(),
+        src: facile::sims::functional_source(),
+    };
+    let registry = observed.obs().metrics().expect("registry attached");
+    let prof = facile::obs::profile(&source, observed.compiled(), &registry);
 
     let image = assemble_image(LOOP_ASM, 0x1_0000, vec![]).expect("assembles");
     let step = compile_source(
