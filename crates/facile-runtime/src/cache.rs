@@ -19,7 +19,7 @@
 //! under one of two [`CachePolicy`]s:
 //!
 //! * [`CachePolicy::Clear`] — the paper's §6.2 clear-on-full: drop
-//!   everything and re-memoize from scratch.
+//!   every unpinned generation and re-memoize from scratch.
 //! * [`CachePolicy::Generational`] — partial eviction: storage is
 //!   segmented into *generations* (see below) and only the coldest
 //!   generations are retired when the budget is exceeded.
@@ -39,6 +39,17 @@
 //! current arena and opening a fresh one — can happen mid-recording and
 //! invalidates nothing, because links are generation-tagged and cross
 //! generations freely.
+//!
+//! Every generation has one type, [`GenStorage`] (nodes, successor
+//! links, slab), held either *owned* — the generations this cache
+//! records into — or *shared* behind an `Arc` — the generations of a
+//! warm-start image installed by [`ActionCache::install_frozen`]. Both
+//! sit in one vector and resolve through one hot-hinted lookup. Shared
+//! generations are pinned for the run: never written, never evicted,
+//! never cleared, so their own links skip the residency check. Links
+//! recorded *from* a shared node go to a private copy-on-write overlay,
+//! which each lookup on a shared node also tries when the node's own
+//! links miss.
 //!
 //! # Hot-path layout (docs/PERFORMANCE.md)
 //!
@@ -83,7 +94,7 @@ pub struct NodeId {
 impl NodeId {
     /// Reassembles an id from its generation sequence number and index —
     /// the snapshot decoder's constructor. An id that does not resolve
-    /// against the frozen set is rejected by
+    /// within the decoded image is rejected by
     /// [`FrozenGensBuilder::finish`], never dereferenced.
     pub fn from_parts(gen: u32, idx: u32) -> NodeId {
         NodeId { gen, idx }
@@ -159,27 +170,22 @@ impl TestList {
 
     /// Immutable lookup (no inline-cache update).
     pub fn get(&self, value: i64) -> Option<NodeId> {
-        if let Some(&(v, n)) = self.items.get(self.hot as usize) {
-            if v == value {
-                return Some(n);
-            }
-        }
         self.position(value).map(|i| self.items[i].1)
     }
 
     /// Lookup that refreshes the hot index on success.
     fn get_hot(&mut self, value: i64) -> Option<NodeId> {
-        if let Some(&(v, n)) = self.items.get(self.hot as usize) {
-            if v == value {
-                return Some(n);
-            }
-        }
         let i = self.position(value)?;
         self.hot = i as u32;
         Some(self.items[i].1)
     }
 
+    /// Position of `value`: the hot index first, then a linear scan for
+    /// small lists or a binary search for large ones.
     fn position(&self, value: i64) -> Option<usize> {
+        if self.items.get(self.hot as usize).is_some_and(|&(v, _)| v == value) {
+            return Some(self.hot as usize);
+        }
         if self.items.len() <= LINEAR_MAX {
             self.items.iter().position(|&(v, _)| v == value)
         } else {
@@ -246,6 +252,43 @@ impl IndexList {
     /// Whether no successor was recorded yet.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
+    }
+
+    /// Inserts (or, after an eviction left the link's target stale,
+    /// replaces) the `sig -> target` link, copying `sig` into `slab` (the
+    /// slab this list's ranges resolve against), keeping the sorted
+    /// invariant for large lists and pointing the hot index at it.
+    /// Returns whether a *new* link was added (byte accounting); skips
+    /// the link — safely, the entry-table fallback still resolves the
+    /// crossing — when `slab` cannot absorb `sig` within `limit` offsets.
+    fn insert(&mut self, slab: &mut Vec<i64>, sig: &[i64], target: NodeId, limit: usize) -> bool {
+        if let Some(i) = index_position(slab, self, sig) {
+            self.items[i].1 = target;
+            self.hot = i as u32;
+            return false;
+        }
+        if slab.len() + sig.len() > limit {
+            return false;
+        }
+        let range = SlabRange {
+            off: slab.len() as u32,
+            len: sig.len() as u32,
+        };
+        slab.extend_from_slice(sig);
+        if self.items.len() == LINEAR_MAX {
+            self.items
+                .sort_unstable_by(|&(a, _), &(b, _)| range_of(slab, a).cmp(range_of(slab, b)));
+        }
+        let at = if self.items.len() < LINEAR_MAX {
+            self.items.len()
+        } else {
+            self.items
+                .binary_search_by(|&(r, _)| range_of(slab, r).cmp(sig))
+                .unwrap_err()
+        };
+        self.items.insert(at, (range, target));
+        self.hot = at as u32;
+        true
     }
 }
 
@@ -322,11 +365,11 @@ pub struct CacheStats {
     /// `bytes_total == bytes_current + bytes_cleared + bytes_evicted`.
     pub bytes_evicted: u64,
     /// Snapshot payload bytes installed by [`ActionCache::install_frozen`]
-    /// (warm start). Frozen storage is read-only and pinned, so it is
+    /// (warm start). Installed storage is shared and pinned, so it is
     /// accounted here, *outside* `bytes_current` and the capacity
     /// budget — the byte invariant above is untouched by warm starts.
     pub bytes_frozen: u64,
-    /// Frozen generations pinned by a warm start (0 when cold).
+    /// Shared generations pinned by a warm start (0 when cold).
     pub frozen_gens: u64,
 }
 
@@ -464,10 +507,20 @@ impl EntryTable {
     }
 }
 
-/// One storage generation: a sealed or recording arena of nodes, links
-/// and slab data.
-#[derive(Clone, Debug)]
-struct Generation {
+/// Largest generation sequence number a snapshot image may carry. A warm
+/// start numbers its own generations above the image's, so the bound
+/// leaves every warm run at least 2^31 fresh sequence numbers; an image
+/// past it is rejected at load (docs/PERSISTENCE.md).
+pub const MAX_IMAGE_SEQ: u32 = u32::MAX / 2;
+
+/// The storage of one generation: its nodes, their successor links and
+/// the slab their data ranges and INDEX signatures resolve against.
+///
+/// A cache owns the storage of the generations it records into; the
+/// generations of an installed image share theirs behind an `Arc` and
+/// are never written. Storage is plain data (`Send + Sync`).
+#[derive(Clone, Debug, Default)]
+pub struct GenStorage {
     /// Globally monotonic sequence number (never reused).
     seq: u32,
     nodes: Vec<Node>,
@@ -477,37 +530,9 @@ struct Generation {
     /// Contiguous backing store for placeholder data and INDEX link
     /// signatures.
     slab: Vec<i64>,
-    /// Bytes charged to this generation (nodes, links, entries).
-    bytes: u64,
-    /// Touch-clock stamp of the last replay hit that landed here.
-    last_touch: Cell<u64>,
 }
 
-impl Generation {
-    fn new(seq: u32, stamp: u64) -> Generation {
-        Generation {
-            seq,
-            nodes: Vec::new(),
-            succs: Vec::new(),
-            slab: Vec::new(),
-            bytes: 0,
-            last_touch: Cell::new(stamp),
-        }
-    }
-}
-
-/// One generation of an immutable, shareable cache image: the `Cell`-free
-/// twin of `Generation` (no touch clock, no byte ledger), so the whole
-/// image is `Sync` and batch lanes can share it behind one `Arc`.
-#[derive(Clone, Debug)]
-pub struct FrozenGen {
-    seq: u32,
-    nodes: Vec<Node>,
-    succs: Vec<Succ>,
-    slab: Vec<i64>,
-}
-
-impl FrozenGen {
+impl GenStorage {
     /// The generation's (never reused) sequence number.
     pub fn seq(&self) -> u32 {
         self.seq
@@ -530,19 +555,67 @@ impl FrozenGen {
     }
 }
 
-/// An immutable image of an action cache: frozen generations sorted by
-/// sequence number plus the entry registrations that point into them.
+/// A generation's storage: owned when this cache records into it, shared
+/// when it was installed from an image.
+#[derive(Clone, Debug)]
+enum Storage {
+    Owned(GenStorage),
+    Shared(Arc<GenStorage>),
+}
+
+impl std::ops::Deref for Storage {
+    type Target = GenStorage;
+
+    #[inline]
+    fn deref(&self) -> &GenStorage {
+        match self {
+            Storage::Owned(s) => s,
+            Storage::Shared(s) => s,
+        }
+    }
+}
+
+/// One generation of the cache: a sealed or recording arena of nodes,
+/// links and slab data, or a pinned generation of an installed image.
+#[derive(Clone, Debug)]
+struct Generation {
+    /// `store.seq`, kept inline so resolution never leaves the vector.
+    seq: u32,
+    store: Storage,
+    /// Bytes charged to this generation (nodes, links, entries).
+    bytes: u64,
+    /// Touch-clock stamp of the last replay hit that landed here.
+    last_touch: Cell<u64>,
+}
+
+impl Generation {
+    fn owned(seq: u32, stamp: u64) -> Generation {
+        Generation {
+            seq,
+            store: Storage::Owned(GenStorage {
+                seq,
+                ..GenStorage::default()
+            }),
+            bytes: 0,
+            last_touch: Cell::new(stamp),
+        }
+    }
+}
+
+/// An immutable image of an action cache: shared generation storages
+/// sorted by sequence number plus the entry registrations that point
+/// into them.
 ///
 /// This is what [`ActionCache::freeze`] exports, what the snapshot codec
 /// serializes (docs/PERSISTENCE.md), and what
-/// [`ActionCache::install_frozen`] pins under a live cache for a warm
-/// start. It is plain data — `Send + Sync` — so `facilec batch` lanes
-/// share one image behind an `Arc` while each lane layers private
+/// [`ActionCache::install_frozen`] installs as pinned generations for a
+/// warm start. It is plain data — `Send + Sync` — so `facilec batch`
+/// lanes share one image behind an `Arc` while each lane layers private
 /// copy-on-write recording on top.
 #[derive(Clone, Debug, Default)]
 pub struct FrozenGens {
-    /// Frozen generations, sorted by `seq` ascending.
-    gens: Vec<FrozenGen>,
+    /// Generation storages, sorted by `seq` ascending.
+    gens: Vec<Arc<GenStorage>>,
     /// Entry registrations `key -> entry node`, in export order.
     entries: Vec<(Key, NodeId)>,
     /// Serialized payload size (set by the snapshot codec; 0 for images
@@ -551,8 +624,8 @@ pub struct FrozenGens {
 }
 
 impl FrozenGens {
-    /// The frozen generations, sorted by sequence number.
-    pub fn gens(&self) -> &[FrozenGen] {
+    /// The generation storages, sorted by sequence number.
+    pub fn gens(&self) -> &[Arc<GenStorage>] {
         &self.gens
     }
 
@@ -572,12 +645,12 @@ impl FrozenGens {
         self.bytes = bytes;
     }
 
-    /// Number of frozen generations.
+    /// Number of generations.
     pub fn generation_count(&self) -> usize {
         self.gens.len()
     }
 
-    /// Total frozen nodes across all generations.
+    /// Total nodes across all generations.
     pub fn node_count(&self) -> usize {
         self.gens.iter().map(|g| g.nodes.len()).sum()
     }
@@ -587,21 +660,9 @@ impl FrozenGens {
         self.entries.len()
     }
 
-    /// Largest frozen sequence number (`None` for an empty image).
+    /// Largest sequence number (`None` for an empty image).
     pub fn max_seq(&self) -> Option<u32> {
         self.gens.last().map(|g| g.seq)
-    }
-
-    /// Whether sequence number `seq` names a frozen generation.
-    pub fn has_seq(&self, seq: u32) -> bool {
-        self.gens.binary_search_by_key(&seq, |g| g.seq).is_ok()
-    }
-
-    fn node_count_of(&self, seq: u32) -> Option<usize> {
-        self.gens
-            .binary_search_by_key(&seq, |g| g.seq)
-            .ok()
-            .map(|i| self.gens[i].nodes.len())
     }
 }
 
@@ -626,12 +687,12 @@ pub enum FrozenSucc {
 ///
 /// The snapshot decoder streams generations and nodes through this;
 /// [`finish`](Self::finish) then proves every cross-reference resolves
-/// within the frozen set, every slab range is in bounds and every action
+/// within the image, every slab range is in bounds and every action
 /// number is within the compiled step's table — so a corrupted payload
 /// becomes a load error, never a wrong answer or a panic at replay time.
 #[derive(Debug, Default)]
 pub struct FrozenGensBuilder {
-    gens: Vec<FrozenGen>,
+    gens: Vec<GenStorage>,
 }
 
 impl FrozenGensBuilder {
@@ -655,7 +716,7 @@ impl FrozenGensBuilder {
                 ));
             }
         }
-        self.gens.push(FrozenGen {
+        self.gens.push(GenStorage {
             seq,
             nodes: Vec::new(),
             succs: Vec::new(),
@@ -721,9 +782,9 @@ impl FrozenGensBuilder {
 
     /// Validates all cross-references and seals the image.
     ///
-    /// Every successor and entry target must resolve within the frozen
-    /// set (frozen links never dangle: frozen generations are pinned for
-    /// the life of the run), every action number must be below
+    /// Every successor and entry target must resolve within the image
+    /// (installed links never dangle: installed generations are pinned
+    /// for the life of the run), every action number must be below
     /// `action_limit`, and successor lists are re-sorted where the
     /// lookup invariant demands it — the on-disk order is not trusted.
     ///
@@ -731,44 +792,50 @@ impl FrozenGensBuilder {
     ///
     /// A description of the first failed structural check.
     pub fn finish(
-        self,
+        mut self,
         entries: Vec<(Key, NodeId)>,
         action_limit: u32,
     ) -> Result<FrozenGens, String> {
-        let image = FrozenGens {
-            gens: self.gens,
-            entries,
-            bytes: 0,
-        };
+        let gens = &self.gens;
         let resolve = |what: &str, n: NodeId| -> Result<(), String> {
-            match image.node_count_of(n.gen) {
-                Some(count) if n.index() < count => Ok(()),
-                Some(count) => Err(format!(
-                    "{what} target {}:{} out of bounds (generation has {count} nodes)",
-                    n.gen, n.idx
+            match gens.binary_search_by_key(&n.gen, |g| g.seq) {
+                Ok(i) if n.index() < gens[i].nodes.len() => Ok(()),
+                Ok(i) => Err(format!(
+                    "{what} target {}:{} out of bounds (generation has {} nodes)",
+                    n.gen,
+                    n.idx,
+                    gens[i].nodes.len()
                 )),
-                None => Err(format!(
+                Err(_) => Err(format!(
                     "{what} target {}:{} names a generation outside the snapshot",
                     n.gen, n.idx
                 )),
             }
         };
-        for g in &image.gens {
-            for node in &g.nodes {
-                if node.action >= action_limit {
-                    return Err(format!(
-                        "action number {} out of range (step has {action_limit} actions)",
-                        node.action
-                    ));
-                }
+        for g in gens {
+            if let Some(node) = g.nodes.iter().find(|n| n.action >= action_limit) {
+                return Err(format!(
+                    "action number {} out of range (step has {action_limit} actions)",
+                    node.action
+                ));
             }
-            for s in &g.succs {
+            for (i, s) in g.succs.iter().enumerate() {
+                // Plain and test links only ever target a node recorded
+                // after their source, so replay between two INDEX
+                // crossings always ends.
+                let forward = |what: &str, n: NodeId| match resolve(what, n) {
+                    Ok(()) if (n.gen, n.index()) <= (g.seq, i) => Err(format!(
+                        "{what} target {}:{} does not follow its source {}:{i}",
+                        n.gen, n.idx, g.seq
+                    )),
+                    r => r,
+                };
                 match s {
                     Succ::None => {}
-                    Succ::One(n) => resolve("plain link", *n)?,
+                    Succ::One(n) => forward("plain link", *n)?,
                     Succ::Tests(list) => {
                         for &(_, n) in &list.items {
-                            resolve("test link", n)?;
+                            forward("test link", n)?;
                         }
                     }
                     Succ::Index(list) => {
@@ -779,14 +846,13 @@ impl FrozenGensBuilder {
                 }
             }
         }
-        for &(_, n) in &image.entries {
+        for &(_, n) in &entries {
             resolve("entry", n)?;
         }
         // Re-establish the sorted lookup invariant for large lists and
         // reject duplicate discriminators (a decoder must be able to
         // trust lookups, not the writer's ordering).
-        let mut image = image;
-        for g in &mut image.gens {
+        for g in &mut self.gens {
             let slab = &g.slab;
             for s in &mut g.succs {
                 match s {
@@ -812,15 +878,25 @@ impl FrozenGensBuilder {
                 }
             }
         }
-        Ok(image)
+        Ok(FrozenGens {
+            gens: self.gens.into_iter().map(Arc::new).collect(),
+            entries,
+            bytes: 0,
+        })
     }
 }
 
 /// The specialized action cache.
 #[derive(Clone, Debug)]
 pub struct ActionCache {
-    /// Live generations; `gens[cur]` receives new recordings.
+    /// Every resident generation: the shared ones of an installed image
+    /// first (sorted by sequence number, all below every owned one), then
+    /// the owned ones; `gens[cur]` receives new recordings.
     gens: Vec<Generation>,
+    /// How many leading `gens` are shared. Shared generations are
+    /// pinned: never written, evicted or cleared, so their own links
+    /// never dangle and skip the residency check.
+    pinned: usize,
     cur: usize,
     /// Hint: the slot the last resolved [`NodeId`] lived in.
     hot_gen: Cell<u32>,
@@ -838,27 +914,18 @@ pub struct ActionCache {
     /// normally; shrunk by tests to exercise rotation-before-overflow.
     offset_limit: u32,
     stats: CacheStats,
-    /// Bumped on every clear so tools can notice wholesale invalidation.
-    generation: u64,
     /// Observability hook; disabled (free) by default.
     obs: ObsHandle,
-    /// Read-only warm-start image pinned under the live generations
-    /// (see [`install_frozen`](Self::install_frozen)). Shared — batch
-    /// lanes hold clones of one `Arc`. Every frozen sequence number is
-    /// strictly below every live one, frozen generations are never
-    /// touched by eviction, and frozen links only target frozen nodes,
-    /// so frozen resolution never dangles.
-    frozen: Option<Arc<FrozenGens>>,
-    /// Hot-slot hint into `frozen.gens` (twin of `hot_gen`).
-    frozen_hot: Cell<u32>,
-    /// Private copy-on-write delta over the frozen image: links recorded
-    /// *from* frozen nodes after a warm start land here instead of
-    /// mutating the shared image. Lookups probe the frozen base first
-    /// (the common warm hit costs nothing extra) and this map only on a
-    /// base miss. Holds only additions — never copies of frozen links.
+    /// The installed image, kept for its entry registrations (which a
+    /// clear re-registers).
+    image: Option<Arc<FrozenGens>>,
+    /// Private copy-on-write successor records of shared nodes: links
+    /// recorded *from* a shared node land here instead of mutating the
+    /// shared storage. A lookup on a shared node tries the node's own
+    /// links first (the common warm hit costs nothing extra) and this map
+    /// only on a miss. Holds only additions — never copies.
     overlay: HashMap<NodeId, Succ>,
-    /// Backing store for overlay INDEX signatures; `SlabRange`s inside
-    /// `overlay` resolve against this, never against a frozen slab.
+    /// Backing store for overlay INDEX signatures.
     overlay_slab: Vec<i64>,
 }
 
@@ -891,7 +958,8 @@ impl ActionCache {
             _ => u64::MAX,
         };
         ActionCache {
-            gens: vec![Generation::new(0, 0)],
+            gens: vec![Generation::owned(0, 0)],
+            pinned: 0,
             cur: 0,
             hot_gen: Cell::new(0),
             next_seq: 1,
@@ -902,10 +970,8 @@ impl ActionCache {
             gen_budget,
             offset_limit: u32::MAX,
             stats: CacheStats::default(),
-            generation: 0,
             obs: ObsHandle::off(),
-            frozen: None,
-            frozen_hot: Cell::new(0),
+            image: None,
             overlay: HashMap::new(),
             overlay_slab: Vec::new(),
         }
@@ -928,13 +994,6 @@ impl ActionCache {
         self.stats
     }
 
-    /// Current clear-generation; changes whenever the cache is cleared
-    /// wholesale. (Partial evictions do not bump this — staleness of
-    /// individual [`NodeId`]s is tracked per generation instead.)
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Monotonic invalidation epoch: advances whenever *any* resident
     /// node may have become stale — a wholesale clear or a generational
     /// eviction. Consumers that hold [`NodeId`]s outside the cache
@@ -948,11 +1007,10 @@ impl ActionCache {
 
     /// Whether the generation with sequence number `seq` is still
     /// resident (the generation-level form of
-    /// [`is_resident`](Self::is_resident)). Frozen generations are
-    /// resident for the life of the run.
+    /// [`is_resident`](Self::is_resident)).
     #[inline]
     pub fn seq_resident(&self, seq: u32) -> bool {
-        self.gen_slot(seq).is_some() || self.has_frozen_seq(seq)
+        self.gen_slot(seq).is_some()
     }
 
     /// Stamps each generation in `seqs` as recently used. Supertrace
@@ -965,14 +1023,17 @@ impl ActionCache {
         }
     }
 
-    /// Number of live nodes.
+    /// Number of nodes in owned (recorded, unpinned) generations.
     pub fn node_count(&self) -> usize {
-        self.gens.iter().map(|g| g.nodes.len()).sum()
+        self.gens[self.pinned..]
+            .iter()
+            .map(|g| g.store.nodes.len())
+            .sum()
     }
 
-    /// Number of live generations.
+    /// Number of owned (recorded, unpinned) generations.
     pub fn generation_count(&self) -> usize {
-        self.gens.len()
+        self.gens.len() - self.pinned
     }
 
     /// Number of live entries (including registrations whose target was
@@ -989,52 +1050,10 @@ impl ActionCache {
         }
     }
 
-    /// Whether `id` resolves to a live (non-evicted) or frozen node.
+    /// Whether `id` resolves to a resident (non-evicted) node.
     #[inline]
     pub fn is_resident(&self, id: NodeId) -> bool {
-        self.gen_slot(id.gen).is_some() || self.has_frozen_seq(id.gen)
-    }
-
-    /// Whether `seq` names a frozen generation (hot-hint first; frozen
-    /// sequence numbers are always below live ones, so this is one
-    /// compare on the cold-cache common path).
-    #[inline]
-    fn has_frozen_seq(&self, seq: u32) -> bool {
-        match self.frozen.as_deref() {
-            Some(f) => self.frozen_slot(f, seq).is_some(),
-            None => false,
-        }
-    }
-
-    /// Slot of the frozen generation with sequence number `seq`.
-    #[inline]
-    fn frozen_slot(&self, f: &FrozenGens, seq: u32) -> Option<usize> {
-        let hot = self.frozen_hot.get() as usize;
-        if let Some(g) = f.gens.get(hot) {
-            if g.seq == seq {
-                return Some(hot);
-            }
-        }
-        let i = f.gens.binary_search_by_key(&seq, |g| g.seq).ok()?;
-        self.frozen_hot.set(i as u32);
-        Some(i)
-    }
-
-    /// The frozen generation with sequence number `seq`, if any.
-    #[inline]
-    fn frozen_gen(&self, seq: u32) -> Option<&FrozenGen> {
-        let f = self.frozen.as_deref()?;
-        let slot = self.frozen_slot(f, seq)?;
-        Some(&f.gens[slot])
-    }
-
-    /// The frozen generation owning `id`; panics on a stale id.
-    /// Reached only after live resolution failed (replay checks
-    /// residency through the lookup APIs before dereferencing).
-    #[inline]
-    fn frozen_gen_of(&self, id: NodeId) -> &FrozenGen {
-        self.frozen_gen(id.gen)
-            .expect("stale NodeId: its generation was evicted or cleared")
+        self.gen_slot(id.gen).is_some()
     }
 
     /// Slot of the generation with sequence number `seq`, hot-hint first.
@@ -1054,6 +1073,51 @@ impl ActionCache {
         Some(i)
     }
 
+    /// Slot of the generation owning `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is stale (its generation was evicted or cleared);
+    /// replay checks residency through the lookup APIs first.
+    #[inline]
+    fn slot_of(&self, id: NodeId) -> usize {
+        self.gen_slot(id.gen)
+            .expect("stale NodeId: its generation was evicted or cleared")
+    }
+
+    /// Whether a link stored in generation `slot` to `n` may be followed:
+    /// a shared generation's own links never dangle, so only owned ones
+    /// pay the residency check.
+    #[inline]
+    fn follows(&self, slot: usize, n: NodeId) -> bool {
+        slot < self.pinned || self.is_resident(n)
+    }
+
+    /// The overlay record of `id` if it lives in the shared generation
+    /// `slot` (owned nodes never have one).
+    #[inline]
+    fn overlay_of(&self, slot: usize, id: NodeId) -> Option<&Succ> {
+        if slot < self.pinned {
+            self.overlay.get(&id)
+        } else {
+            None
+        }
+    }
+
+    /// The successor record of `id` whose hot index replay refreshes,
+    /// with the slab its INDEX ranges resolve against: the node's own in
+    /// an owned generation, its overlay record (if any) in a shared one.
+    #[inline]
+    fn hot_record(&mut self, slot: usize, id: NodeId) -> Option<(&[i64], &mut Succ)> {
+        match &mut self.gens[slot].store {
+            Storage::Owned(g) => Some((&g.slab[..], &mut g.succs[id.index()])),
+            Storage::Shared(_) => self
+                .overlay
+                .get_mut(&id)
+                .map(|s| (&self.overlay_slab[..], s)),
+        }
+    }
+
     /// Stamps the generation owning `seq` with a fresh touch-clock tick
     /// (eviction coldness; cheap enough for once-per-step call sites).
     #[inline]
@@ -1065,29 +1129,26 @@ impl ActionCache {
         }
     }
 
-    /// Drops all recorded behaviour (the clear-on-full policy, §6.2).
-    /// Outstanding [`NodeId`]s and [`Cursor`]s become invalid; they are
-    /// detected lazily because cleared sequence numbers never recur.
+    /// Drops every unpinned generation (the clear-on-full policy, §6.2).
+    /// Outstanding [`NodeId`]s and [`Cursor`]s into them become invalid;
+    /// they are detected lazily because cleared sequence numbers never
+    /// recur. Installed generations stay, and so do their entries.
     pub fn clear(&mut self) {
         let freed = self.stats.bytes_current;
         let nodes = self.node_count() as u64;
         let seq = self.fresh_seq();
-        self.gens.clear();
-        self.gens.push(Generation::new(seq, self.touch.get()));
-        self.cur = 0;
-        self.hot_gen.set(0);
+        self.gens.truncate(self.pinned);
+        self.gens.push(Generation::owned(seq, self.touch.get()));
+        self.cur = self.pinned;
+        self.hot_gen.set(self.cur as u32);
         self.entries.clear();
-        // The frozen image is read-only, outside the byte budget and
-        // keyed to this run, so a clear keeps it (its entries are
-        // re-registered below); only the private overlay dies — every
-        // overlay target just went stale with the live generations.
+        // Every overlay target was owned, so the overlay dies too.
         self.overlay.clear();
         self.overlay_slab.clear();
         self.stats.bytes_cleared = self.stats.bytes_cleared.saturating_add(freed);
         self.stats.bytes_current = 0;
         self.stats.clears += 1;
-        self.generation += 1;
-        self.reregister_frozen_entries();
+        self.register_image_entries();
         if self.obs.enabled() {
             self.obs.emit(TraceEvent::CacheClear {
                 bytes: freed,
@@ -1103,50 +1164,27 @@ impl ActionCache {
     /// clear-on-full behaviour), `true` means the cursor's generation was
     /// pinned and recording can continue seamlessly.
     pub fn reclaim(&mut self, cursor: &Cursor) -> bool {
-        if !self.over_capacity() {
-            return true;
-        }
-        match self.policy {
-            CachePolicy::Clear => {
-                self.clear();
-                false
-            }
-            CachePolicy::Generational => {
-                let pin_cur = self.gens[self.cur].seq;
-                let pin_cursor = match cursor {
-                    Cursor::AtEntry(_) => None,
-                    Cursor::AfterPlain(n)
-                    | Cursor::AfterTest(n, _)
-                    | Cursor::AfterIndex(n, _, _) => Some(n.gen),
-                };
-                while self.over_capacity() {
-                    let victim = self
-                        .gens
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, g)| g.seq != pin_cur && Some(g.seq) != pin_cursor)
-                        .min_by_key(|(_, g)| g.last_touch.get())
-                        .map(|(i, _)| i);
-                    match victim {
-                        Some(i) => self.evict_gen(i),
-                        // Everything left is pinned; the budget is
-                        // softly exceeded until the next boundary.
-                        None => break,
-                    }
+        match self.capacity {
+            Some(cap) if self.stats.bytes_current > cap => {
+                if self.policy == CachePolicy::Clear {
+                    self.clear();
+                    return false;
                 }
+                self.shrink_to(cap, cursor);
                 true
             }
+            _ => true,
         }
     }
 
     /// Evicts the coldest generations until at most `target` bytes stay
-    /// resident — the memory-pressure release valve behind
-    /// `Simulation::trim_cache`, independent of the capacity policy.
-    /// The recording generation and `cursor`'s generation are pinned
-    /// (recording continues seamlessly), so the target is best-effort:
-    /// pinned bytes stay put. A paused replay position is not pinned;
-    /// evicting it is detected by the engine's residency check and
-    /// healed through the slow path.
+    /// resident — generational reclaim, and the memory-pressure release
+    /// valve behind `Simulation::trim_cache` under either policy.
+    /// Installed generations, the recording generation and `cursor`'s
+    /// generation are pinned (recording continues seamlessly), so the
+    /// target is best-effort: pinned bytes stay put. A paused replay
+    /// position is not pinned; evicting it is detected by the engine's
+    /// residency check and healed through the slow path.
     pub fn shrink_to(&mut self, target: u64, cursor: &Cursor) {
         let pin_cur = self.gens[self.cur].seq;
         let pin_cursor = match cursor {
@@ -1156,21 +1194,19 @@ impl ActionCache {
             }
         };
         while self.stats.bytes_current > target {
-            let victim = self
-                .gens
-                .iter()
-                .enumerate()
-                .filter(|(_, g)| g.seq != pin_cur && Some(g.seq) != pin_cursor)
-                .min_by_key(|(_, g)| g.last_touch.get())
-                .map(|(i, _)| i);
+            let victim = (self.pinned..self.gens.len())
+                .filter(|&i| self.gens[i].seq != pin_cur && Some(self.gens[i].seq) != pin_cursor)
+                .min_by_key(|&i| self.gens[i].last_touch.get());
             match victim {
                 Some(i) => self.evict_gen(i),
+                // Everything left is pinned; the budget is softly
+                // exceeded until the next boundary.
                 None => break,
             }
         }
     }
 
-    /// Retires one generation: releases its bytes and announces the
+    /// Retires one owned generation: releases its bytes and announces the
     /// eviction. Links into it become stale and read as ordinary misses.
     fn evict_gen(&mut self, slot: usize) {
         let g = self.gens.swap_remove(slot);
@@ -1187,7 +1223,7 @@ impl ActionCache {
             self.obs.emit(TraceEvent::CacheEvict {
                 gen: g.seq as u64,
                 bytes: g.bytes,
-                nodes: g.nodes.len() as u64,
+                nodes: g.store.nodes.len() as u64,
                 evictions: self.stats.evictions,
             });
         }
@@ -1208,7 +1244,7 @@ impl ActionCache {
         let seq = self.fresh_seq();
         let t = self.touch.get().wrapping_add(1);
         self.touch.set(t);
-        self.gens.push(Generation::new(seq, t));
+        self.gens.push(Generation::owned(seq, t));
         self.cur = self.gens.len() - 1;
         self.hot_gen.set(self.cur as u32);
     }
@@ -1237,55 +1273,35 @@ impl ActionCache {
     /// # Panics
     ///
     /// Panics if `id` is stale (its generation was evicted or cleared).
+    #[inline]
     pub fn node(&self, id: NodeId) -> Node {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            return self.gens[slot].nodes[id.index()];
-        }
-        self.frozen_gen_of(id).nodes[id.index()]
+        self.gens[self.slot_of(id)].store.nodes[id.index()]
     }
 
     /// The placeholder data of a node, resolved from its generation's
     /// slab.
+    #[inline]
     pub fn node_data(&self, id: NodeId) -> &[i64] {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            let g = &self.gens[slot];
-            return range_of(&g.slab, g.nodes[id.index()].data);
-        }
-        let g = self.frozen_gen_of(id);
+        let g = &self.gens[self.slot_of(id)].store;
         range_of(&g.slab, g.nodes[id.index()].data)
     }
 
-    /// The successor links of a node. For a frozen node this is the
-    /// *base* link set; copy-on-write additions live in the private
-    /// overlay and are only reachable through the lookup methods.
+    /// The successor links of a node. For a shared node this is its own
+    /// link set; copy-on-write additions live in the private overlay and
+    /// are only reachable through the lookup methods.
     pub fn succ(&self, id: NodeId) -> &Succ {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            return &self.gens[slot].succs[id.index()];
-        }
-        &self.frozen_gen_of(id).succs[id.index()]
-    }
-
-    /// The overlay's successor record for a frozen node, if any links
-    /// were recorded on top of it.
-    fn overlay_succ(&self, id: NodeId) -> Option<&Succ> {
-        self.overlay.get(&id)
+        &self.gens[self.slot_of(id)].store.succs[id.index()]
     }
 
     /// Successor of a plain action. A link whose target was evicted
     /// reads as missing.
     pub fn next_plain(&self, id: NodeId) -> Option<NodeId> {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            return match &self.gens[slot].succs[id.index()] {
-                Succ::One(n) if self.is_resident(*n) => Some(*n),
-                _ => None,
-            };
-        }
-        // Frozen node: base first (frozen links never dangle), then the
-        // copy-on-write overlay (targets are live, so filter).
-        match &self.frozen_gen_of(id).succs[id.index()] {
-            Succ::One(n) => Some(*n),
-            Succ::None => match self.overlay_succ(id) {
-                Some(Succ::One(n)) if self.is_resident(*n) => Some(*n),
+        let slot = self.slot_of(id);
+        match self.gens[slot].store.succs[id.index()] {
+            Succ::One(n) => self.follows(slot, n).then_some(n),
+            // Shared, so also try the overlay.
+            Succ::None => match self.overlay_of(slot, id)? {
+                &Succ::One(n) => self.is_resident(n).then_some(n),
                 _ => None,
             },
             _ => None,
@@ -1295,78 +1311,56 @@ impl ActionCache {
     /// Successor of a dynamic result test for `value` (immutable; no
     /// inline-cache update — replay uses [`next_test_hot`](Self::next_test_hot)).
     pub fn next_test(&self, id: NodeId, value: i64) -> Option<NodeId> {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            return match &self.gens[slot].succs[id.index()] {
-                Succ::Tests(list) => list.get(value).filter(|&n| self.is_resident(n)),
-                _ => None,
-            };
+        let slot = self.slot_of(id);
+        let Succ::Tests(list) = &self.gens[slot].store.succs[id.index()] else {
+            return None;
+        };
+        if let Some(n) = list.get(value) {
+            return self.follows(slot, n).then_some(n);
         }
-        match &self.frozen_gen_of(id).succs[id.index()] {
-            Succ::Tests(list) => list.get(value).or_else(|| match self.overlay_succ(id) {
-                Some(Succ::Tests(ov)) => ov.get(value).filter(|&n| self.is_resident(n)),
-                _ => None,
-            }),
+        match self.overlay_of(slot, id)? {
+            Succ::Tests(ov) => ov.get(value).filter(|&n| self.is_resident(n)),
             _ => None,
         }
     }
 
     /// Successor of a dynamic result test for `value`, refreshing the
-    /// node's hot-index inline cache on a hit. A frozen node's base list
-    /// is shared and immutable, so only overlay hits refresh a hot index
-    /// (the snapshot's inline caches stay cold, as documented).
+    /// node's hot-index inline cache on a hit. A shared node's own list
+    /// is never written, so only its overlay hits refresh a hot index
+    /// (an image's inline caches stay cold, as documented).
     pub fn next_test_hot(&mut self, id: NodeId, value: i64) -> Option<NodeId> {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            let n = match &mut self.gens[slot].succs[id.index()] {
-                Succ::Tests(list) => list.get_hot(value)?,
-                _ => return None,
-            };
-            return if self.is_resident(n) { Some(n) } else { None };
-        }
-        match &self.frozen_gen_of(id).succs[id.index()] {
-            Succ::Tests(list) => {
-                if let Some(n) = list.get(value) {
-                    return Some(n);
+        let slot = self.slot_of(id);
+        if slot < self.pinned {
+            match &self.gens[slot].store.succs[id.index()] {
+                Succ::Tests(list) => {
+                    if let Some(n) = list.get(value) {
+                        return Some(n);
+                    }
                 }
+                _ => return None,
             }
-            _ => return None,
         }
-        let n = match self.overlay.get_mut(&id) {
-            Some(Succ::Tests(ov)) => ov.get_hot(value)?,
+        let n = match self.hot_record(slot, id)? {
+            (_, Succ::Tests(list)) => list.get_hot(value)?,
             _ => return None,
         };
-        if self.is_resident(n) {
-            Some(n)
-        } else {
-            None
-        }
+        self.is_resident(n).then_some(n)
     }
 
     /// Node-local successor of an INDEX action for a dynamic signature —
     /// the fast path, no key serialization needed (immutable variant).
     pub fn next_index_local(&self, id: NodeId, sig: &[i64]) -> Option<NodeId> {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            let g = &self.gens[slot];
-            let Succ::Index(list) = &g.succs[id.index()] else {
-                return None;
-            };
-            if let Some(&(r, n)) = list.items.get(list.hot as usize) {
-                if range_of(&g.slab, r) == sig && self.is_resident(n) {
-                    return Some(n);
-                }
-            }
-            return index_position(&g.slab, list, sig)
-                .map(|i| list.items[i].1)
-                .filter(|&n| self.is_resident(n));
-        }
-        let g = self.frozen_gen_of(id);
+        let slot = self.slot_of(id);
+        let g = &self.gens[slot].store;
         let Succ::Index(list) = &g.succs[id.index()] else {
             return None;
         };
         if let Some(i) = index_position(&g.slab, list, sig) {
-            return Some(list.items[i].1);
+            let n = list.items[i].1;
+            return self.follows(slot, n).then_some(n);
         }
-        match self.overlay_succ(id) {
-            Some(Succ::Index(ov)) => index_position(&self.overlay_slab, ov, sig)
+        match self.overlay_of(slot, id)? {
+            Succ::Index(ov) => index_position(&self.overlay_slab, ov, sig)
                 .map(|i| ov.items[i].1)
                 .filter(|&n| self.is_resident(n)),
             _ => None,
@@ -1376,55 +1370,33 @@ impl ActionCache {
     /// [`next_index_local`](Self::next_index_local), refreshing the
     /// node's hot-index inline cache on a hit and stamping the target's
     /// generation as recently used (once-per-step eviction coldness).
-    /// Frozen base lists are shared and stay cold; only overlay hits
+    /// A shared node's own list stays cold; only its overlay hits
     /// refresh a hot index.
     pub fn next_index_local_hot(&mut self, id: NodeId, sig: &[i64]) -> Option<NodeId> {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            let g = &self.gens[slot];
-            let Succ::Index(list) = &g.succs[id.index()] else {
-                return None;
-            };
-            let found = if let Some(&(r, n)) = list.items.get(list.hot as usize) {
-                if range_of(&g.slab, r) == sig {
-                    Some((list.hot as usize, n))
-                } else {
-                    index_position(&g.slab, list, sig).map(|i| (i, list.items[i].1))
+        let slot = self.slot_of(id);
+        if slot < self.pinned {
+            let g = &self.gens[slot].store;
+            match &g.succs[id.index()] {
+                Succ::Index(list) => {
+                    if let Some(i) = index_position(&g.slab, list, sig) {
+                        return Some(list.items[i].1);
+                    }
                 }
-            } else {
-                index_position(&g.slab, list, sig).map(|i| (i, list.items[i].1))
-            };
-            let (i, n) = found?;
-            if !self.is_resident(n) {
-                return None;
-            }
-            let Succ::Index(list) = &mut self.gens[slot].succs[id.index()] else {
-                unreachable!()
-            };
-            list.hot = i as u32;
-            self.touch_seq(n.gen);
-            return Some(n);
-        }
-        {
-            let g = self.frozen_gen_of(id);
-            let Succ::Index(list) = &g.succs[id.index()] else {
-                return None;
-            };
-            if let Some(i) = index_position(&g.slab, list, sig) {
-                return Some(list.items[i].1);
+                _ => return None,
             }
         }
-        let found = match self.overlay.get(&id) {
-            Some(Succ::Index(ov)) => {
-                index_position(&self.overlay_slab, ov, sig).map(|i| (i, ov.items[i].1))
+        let (i, n) = match self.hot_record(slot, id)? {
+            (slab, Succ::Index(list)) => {
+                let i = index_position(slab, list, sig)?;
+                (i, list.items[i].1)
             }
-            _ => None,
+            _ => return None,
         };
-        let (i, n) = found?;
         if !self.is_resident(n) {
             return None;
         }
-        if let Some(Succ::Index(ov)) = self.overlay.get_mut(&id) {
-            ov.hot = i as u32;
+        if let Some((_, Succ::Index(list))) = self.hot_record(slot, id) {
+            list.hot = i as u32;
         }
         self.touch_seq(n.gen);
         Some(n)
@@ -1435,58 +1407,41 @@ impl ActionCache {
     /// at, if the target is still resident. This is the edge a trace
     /// builder should speculate on — it is the last edge replay took.
     pub fn predicted_test(&self, id: NodeId) -> Option<(i64, NodeId)> {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            let Succ::Tests(list) = &self.gens[slot].succs[id.index()] else {
-                return None;
-            };
-            let &(v, n) = list.items.get(list.hot as usize)?;
-            return if self.is_resident(n) { Some((v, n)) } else { None };
-        }
-        // Frozen node: the overlay's hot index is the only one that
-        // moves, so it carries the recency signal when present.
-        if let Some(Succ::Tests(ov)) = self.overlay_succ(id) {
-            if let Some(&(v, n)) = ov.items.get(ov.hot as usize) {
-                if self.is_resident(n) {
-                    return Some((v, n));
-                }
+        let slot = self.slot_of(id);
+        // A shared node's own hot index never moves, so its overlay's
+        // carries the recency signal when present.
+        if let Some(Succ::Tests(ov)) = self.overlay_of(slot, id) {
+            match ov.items.get(ov.hot as usize) {
+                Some(&(v, n)) if self.is_resident(n) => return Some((v, n)),
+                _ => {}
             }
         }
-        let Succ::Tests(list) = &self.frozen_gen_of(id).succs[id.index()] else {
+        let Succ::Tests(list) = &self.gens[slot].store.succs[id.index()] else {
             return None;
         };
         let &(v, n) = list.items.get(list.hot as usize)?;
-        Some((v, n))
+        self.follows(slot, n).then_some((v, n))
     }
 
     /// The hot-hint successor of an INDEX action: the dynamic signature
     /// contents and target entry of the inline-cached link, if the
     /// target is still resident.
     pub fn predicted_index(&self, id: NodeId) -> Option<(&[i64], NodeId)> {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            let g = &self.gens[slot];
-            let Succ::Index(list) = &g.succs[id.index()] else {
-                return None;
-            };
-            let &(r, n) = list.items.get(list.hot as usize)?;
-            return if self.is_resident(n) {
-                Some((range_of(&g.slab, r), n))
-            } else {
-                None
-            };
-        }
-        if let Some(Succ::Index(ov)) = self.overlay_succ(id) {
-            if let Some(&(r, n)) = ov.items.get(ov.hot as usize) {
-                if self.is_resident(n) {
-                    return Some((range_of(&self.overlay_slab, r), n));
+        let slot = self.slot_of(id);
+        if let Some(Succ::Index(ov)) = self.overlay_of(slot, id) {
+            match ov.items.get(ov.hot as usize) {
+                Some(&(r, n)) if self.is_resident(n) => {
+                    return Some((range_of(&self.overlay_slab, r), n))
                 }
+                _ => {}
             }
         }
-        let g = self.frozen_gen_of(id);
+        let g = &self.gens[slot].store;
         let Succ::Index(list) = &g.succs[id.index()] else {
             return None;
         };
         let &(r, n) = list.items.get(list.hot as usize)?;
-        Some((range_of(&g.slab, r), n))
+        self.follows(slot, n).then_some((range_of(&g.slab, r), n))
     }
 
     // ----- recording -----
@@ -1496,18 +1451,18 @@ impl ActionCache {
     /// budget is spent or its `u32` offset space would overflow (the
     /// checked alternative to silently truncating `as u32` casts).
     fn ensure_room(&mut self, extra: usize) {
+        let limit = self.offset_limit as usize;
         assert!(
-            extra <= self.offset_limit as usize,
+            extra <= limit,
             "action payload ({extra} values) exceeds the slab offset width"
         );
         let g = &self.gens[self.cur];
         let over_budget = g.bytes >= self.gen_budget;
-        let over_offset = g.slab.len() + extra > self.offset_limit as usize
-            || g.nodes.len() >= self.offset_limit as usize;
+        let over_offset = g.store.slab.len() + extra > limit || g.store.nodes.len() >= limit;
         // Offset exhaustion always forces a rotation; a spent byte budget
         // only does once the generation holds at least one node (an empty
         // generation over budget would rotate forever).
-        if over_offset || (over_budget && !g.nodes.is_empty()) {
+        if over_offset || (over_budget && !g.store.nodes.is_empty()) {
             self.rotate();
         }
     }
@@ -1536,7 +1491,9 @@ impl ActionCache {
                 .iter()
                 .map(|&v| varint_len(zigzag(v)) as u64)
                 .sum::<u64>();
-        let g = &mut self.gens[self.cur];
+        let Storage::Owned(g) = &mut self.gens[self.cur].store else {
+            unreachable!("the recording generation is owned");
+        };
         let seq = g.seq;
         let idx = g.nodes.len() as u32;
         let range = if data.is_empty() {
@@ -1559,110 +1516,34 @@ impl ActionCache {
         NodeId { gen: seq, idx }
     }
 
-    /// Inserts the `sig -> target` link into an INDEX successor list
-    /// (replacing in place when the signature exists with an evicted
-    /// target), keeping the sorted invariant for large lists. Returns
-    /// whether a *new* link was added (byte accounting); the link is
-    /// skipped — safely, the entry-table fallback still resolves the
-    /// crossing — when the owning generation's slab offset space cannot
-    /// absorb the signature.
-    fn index_insert(&mut self, index_node: NodeId, sig: &[i64], target: NodeId) -> bool {
-        let Some(slot) = self.gen_slot(index_node.gen) else {
-            if self.has_frozen_seq(index_node.gen) {
-                return self.overlay_index_insert(index_node, sig, target);
-            }
-            panic!("stale NodeId: its generation was evicted or cleared");
-        };
-        let limit = self.offset_limit as usize;
-        let Generation { slab, succs, .. } = &mut self.gens[slot];
-        let Succ::Index(list) = &mut succs[index_node.index()] else {
-            unreachable!("index link on non-index node");
-        };
-        if let Some(i) = index_position(slab, list, sig) {
-            // Same signature, target evicted (or re-linked): reuse the
-            // recorded slab range, only the target changes.
-            list.items[i].1 = target;
-            list.hot = i as u32;
-            return false;
+    /// The writable successor record of `n` and the slab its INDEX
+    /// ranges live in: the node's own in an owned generation; for a
+    /// shared node, its copy-on-write overlay record (created from
+    /// `empty` on first use) and the overlay slab.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is stale (a cursor whose generation was evicted).
+    fn succ_mut(&mut self, n: NodeId, empty: fn() -> Succ) -> (&mut Vec<i64>, &mut Succ) {
+        let slot = self.slot_of(n);
+        match &mut self.gens[slot].store {
+            Storage::Owned(g) => (&mut g.slab, &mut g.succs[n.index()]),
+            Storage::Shared(_) => (
+                &mut self.overlay_slab,
+                self.overlay.entry(n).or_insert_with(empty),
+            ),
         }
-        if slab.len() + sig.len() > limit {
-            return false;
-        }
-        let off = slab.len() as u32;
-        slab.extend_from_slice(sig);
-        let range = SlabRange {
-            off,
-            len: sig.len() as u32,
-        };
-        if list.items.len() < LINEAR_MAX {
-            list.hot = list.items.len() as u32;
-            list.items.push((range, target));
-            return true;
-        }
-        // Sorting compares slab contents; `slab` and `succs` are split
-        // borrows of the same generation.
-        if list.items.len() == LINEAR_MAX {
-            list.items
-                .sort_unstable_by(|&(a, _), &(b, _)| range_of(slab, a).cmp(range_of(slab, b)));
-        }
-        let at = list
-            .items
-            .binary_search_by(|&(r, _)| range_of(slab, r).cmp(sig))
-            .unwrap_err();
-        list.items.insert(at, (range, target));
-        list.hot = at as u32;
-        true
     }
 
-    /// [`index_insert`](Self::index_insert) for a *frozen* INDEX node:
-    /// the copy-on-write path. The shared image is never touched; the
-    /// link lands in the private overlay and its signature is copied
-    /// into the overlay slab. Reached only after a lookup missed both
-    /// the frozen base and the overlay for this signature (frozen base
-    /// links never dangle, so a base duplicate is impossible).
-    fn overlay_index_insert(&mut self, index_node: NodeId, sig: &[i64], target: NodeId) -> bool {
-        let list = match self
-            .overlay
-            .entry(index_node)
-            .or_insert_with(|| Succ::Index(IndexList::default()))
-        {
-            Succ::Index(list) => list,
-            other => unreachable!("index link on non-index overlay record: {other:?}"),
+    /// Inserts the `sig -> target` link into INDEX node `n`'s successor
+    /// list; see [`IndexList::insert`].
+    fn index_insert(&mut self, n: NodeId, sig: &[i64], target: NodeId) -> bool {
+        let limit = self.offset_limit as usize;
+        let (slab, succ) = self.succ_mut(n, || Succ::Index(IndexList::default()));
+        let Succ::Index(list) = succ else {
+            unreachable!("index link on non-index node");
         };
-        if let Some(i) = index_position(&self.overlay_slab, list, sig) {
-            // Same signature, target evicted: reuse the recorded range.
-            list.items[i].1 = target;
-            list.hot = i as u32;
-            return false;
-        }
-        if self.overlay_slab.len() + sig.len() > u32::MAX as usize {
-            // Overlay offset space exhausted: skip the link; the
-            // entry-table fallback still resolves the crossing.
-            return false;
-        }
-        let off = self.overlay_slab.len() as u32;
-        self.overlay_slab.extend_from_slice(sig);
-        let range = SlabRange {
-            off,
-            len: sig.len() as u32,
-        };
-        if list.items.len() < LINEAR_MAX {
-            list.hot = list.items.len() as u32;
-            list.items.push((range, target));
-            return true;
-        }
-        let slab = &self.overlay_slab;
-        if list.items.len() == LINEAR_MAX {
-            list.items
-                .sort_unstable_by(|&(a, _), &(b, _)| range_of(slab, a).cmp(range_of(slab, b)));
-        }
-        let at = list
-            .items
-            .binary_search_by(|&(r, _)| range_of(slab, r).cmp(sig))
-            .unwrap_err();
-        list.items.insert(at, (range, target));
-        list.hot = at as u32;
-        true
+        list.insert(slab, sig, target, limit)
     }
 
     fn link(&mut self, cursor: &Cursor, new: NodeId) {
@@ -1670,51 +1551,16 @@ impl ActionCache {
             Cursor::AtEntry(key) => {
                 self.register_entry(key.clone(), new);
             }
-            Cursor::AfterPlain(n) => {
-                if let Some(slot) = self.gen_slot(n.gen) {
-                    debug_assert!(
-                        match &self.gens[slot].succs[n.index()] {
-                            Succ::None => true,
-                            Succ::One(t) => !self.is_resident(*t),
-                            _ => false,
-                        },
-                        "plain link already filled with a live target"
-                    );
-                    self.gens[slot].succs[n.index()] = Succ::One(new);
-                } else if self.has_frozen_seq(n.gen) {
-                    // Frozen cursor node: a recorded base link would have
-                    // replayed (frozen links never dangle), so the base
-                    // is `None` here; the new link is a COW addition. An
-                    // existing overlay link can only have an evicted
-                    // target — overwrite it.
-                    debug_assert!(matches!(
-                        self.frozen_gen_of(*n).succs[n.index()],
-                        Succ::None
-                    ));
-                    self.overlay.insert(*n, Succ::One(new));
-                } else {
-                    panic!("stale cursor: its generation was evicted or cleared");
-                }
-            }
+            // A plain link is only ever (re)written when it is missing or
+            // its target was evicted; a shared node's own link never is,
+            // so its new link is a copy-on-write addition.
+            Cursor::AfterPlain(n) => *self.succ_mut(*n, || Succ::None).1 = Succ::One(new),
             Cursor::AfterTest(n, v) => {
-                let added = if let Some(slot) = self.gen_slot(n.gen) {
-                    match &mut self.gens[slot].succs[n.index()] {
-                        Succ::Tests(list) => list.insert(*v, new),
-                        other => unreachable!("test cursor on non-test node: {other:?}"),
-                    }
-                } else if self.has_frozen_seq(n.gen) {
-                    match self
-                        .overlay
-                        .entry(*n)
-                        .or_insert_with(|| Succ::Tests(TestList::default()))
-                    {
-                        Succ::Tests(list) => list.insert(*v, new),
-                        other => unreachable!("test cursor on non-test overlay record: {other:?}"),
-                    }
-                } else {
-                    panic!("stale cursor: its generation was evicted or cleared");
+                let succ = self.succ_mut(*n, || Succ::Tests(TestList::default())).1;
+                let Succ::Tests(list) = succ else {
+                    unreachable!("test cursor on non-test node");
                 };
-                if added {
+                if list.insert(*v, new) {
                     let bytes = varint_len(zigzag(*v)) as u64 + 4;
                     self.charge(n.gen, bytes);
                 }
@@ -1732,10 +1578,10 @@ impl ActionCache {
     fn register_entry(&mut self, key: Key, node: NodeId) {
         let bytes = key.len() as u64 + ENTRY_OVERHEAD;
         let gens = &self.gens;
-        let frozen = self.frozen.as_deref();
-        let resident =
-            |seq: u32| gens.iter().any(|g| g.seq == seq) || frozen.is_some_and(|f| f.has_seq(seq));
-        if self.entries.insert(key, node, resident) {
+        if self
+            .entries
+            .insert(key, node, |seq| gens.iter().any(|g| g.seq == seq))
+        {
             // Entry bytes are charged to the *target's* generation so an
             // eviction reclaims them along with the nodes they point at.
             self.charge(node.gen, bytes);
@@ -1811,56 +1657,48 @@ impl ActionCache {
         self.capacity
     }
 
-    /// The installed warm-start image, if any.
-    pub fn frozen(&self) -> Option<&Arc<FrozenGens>> {
-        self.frozen.as_ref()
-    }
-
     /// Exports the cache's recorded behaviour as an immutable image:
     /// the checkpoint half of persistence.
     ///
-    /// The export is deterministic for a given cache history. An
-    /// installed frozen base is re-exported first (in sequence order)
-    /// with the private overlay's additions merged in and overlay
-    /// signatures re-copied into the owning generation's slab; live
-    /// generations follow, sorted by sequence number. Links whose
-    /// target is no longer resident are pruned, inline caches are reset
-    /// to cold, and entry registrations keep only resident targets — so
+    /// The export is deterministic for a given cache history: every
+    /// resident generation in sequence order (installed ones with their
+    /// overlay additions merged in and overlay signatures re-copied into
+    /// the exported slab; empty owned ones skipped). Links whose target
+    /// is no longer resident are pruned, inline caches are reset to
+    /// cold, and entry registrations keep only resident targets — so
     /// every reference in the image resolves within the image.
     pub fn freeze(&self) -> FrozenGens {
-        let mut gens: Vec<FrozenGen> = Vec::new();
-        if let Some(f) = self.frozen.as_deref() {
-            for g in &f.gens {
-                let mut slab = g.slab.clone();
-                let mut succs = Vec::with_capacity(g.succs.len());
-                for (idx, base) in g.succs.iter().enumerate() {
-                    let id = NodeId {
-                        gen: g.seq,
-                        idx: idx as u32,
-                    };
-                    succs.push(self.export_frozen_succ(base, self.overlay.get(&id), &mut slab));
-                }
-                gens.push(FrozenGen {
+        // `evict_gen` swap-removes, so the vector's order is a history
+        // artifact — sort by seq for a canonical image.
+        let mut order: Vec<&Generation> = self
+            .gens
+            .iter()
+            .enumerate()
+            .filter(|&(i, g)| i < self.pinned || !g.store.nodes.is_empty())
+            .map(|(_, g)| g)
+            .collect();
+        order.sort_unstable_by_key(|g| g.seq);
+        let gens = order
+            .into_iter()
+            .map(|g| {
+                let mut slab = g.store.slab.clone();
+                let succs: Vec<Succ> = (g.store.succs.iter().enumerate())
+                    .map(|(idx, base)| {
+                        let id = NodeId {
+                            gen: g.seq,
+                            idx: idx as u32,
+                        };
+                        self.export_succ(base, self.overlay.get(&id), &mut slab)
+                    })
+                    .collect();
+                Arc::new(GenStorage {
                     seq: g.seq,
-                    nodes: g.nodes.clone(),
+                    nodes: g.store.nodes.clone(),
                     succs,
                     slab,
-                });
-            }
-        }
-        // `evict_gen` swap-removes, so the live vector's order is a
-        // history artifact — sort by seq for a canonical image.
-        let mut live: Vec<&Generation> = self.gens.iter().filter(|g| !g.nodes.is_empty()).collect();
-        live.sort_unstable_by_key(|g| g.seq);
-        for g in live {
-            let succs = g.succs.iter().map(|s| self.export_live_succ(s)).collect();
-            gens.push(FrozenGen {
-                seq: g.seq,
-                nodes: g.nodes.clone(),
-                succs,
-                slab: g.slab.clone(),
-            });
-        }
+                })
+            })
+            .collect();
         let mut entries = Vec::new();
         for slot in &self.entries.slots {
             if slot.node == EntryTable::VACANT {
@@ -1886,22 +1724,27 @@ impl ActionCache {
         image
     }
 
-    /// One frozen successor record merged with its overlay delta, for
-    /// [`freeze`](Self::freeze). Overlay INDEX signatures are re-copied
-    /// into `slab` (the exported generation's slab, of which the frozen
-    /// base slab is a prefix, so base ranges stay valid).
-    fn export_frozen_succ(&self, base: &Succ, ov: Option<&Succ>, slab: &mut Vec<i64>) -> Succ {
-        match base {
-            Succ::None => match ov {
-                Some(Succ::One(n)) if self.is_resident(*n) => Succ::One(*n),
-                _ => Succ::None,
-            },
-            Succ::One(n) => Succ::One(*n),
-            Succ::Tests(list) => {
-                let mut items = list.items.clone();
-                if let Some(Succ::Tests(ovl)) = ov {
-                    for &(v, n) in &ovl.items {
-                        if self.is_resident(n) && !items.iter().any(|&(bv, _)| bv == v) {
+    /// One successor record for [`freeze`](Self::freeze): `base` with
+    /// stale targets pruned (order is kept, so sorted lists stay sorted),
+    /// merged with the overlay additions `ov`, whose INDEX signatures are
+    /// re-copied into `slab` (the exported generation's slab, of which the
+    /// base slab is a prefix, so base ranges stay valid). Inline caches
+    /// reset to cold.
+    fn export_succ(&self, base: &Succ, ov: Option<&Succ>, slab: &mut Vec<i64>) -> Succ {
+        let live = |n: NodeId| self.is_resident(n);
+        match (base, ov) {
+            // The overlay only ever fills a `None` base.
+            (&Succ::One(n), _) | (Succ::None, Some(&Succ::One(n))) if live(n) => Succ::One(n),
+            (Succ::Tests(list), ov) => {
+                let mut items: Vec<(i64, NodeId)> = list
+                    .items
+                    .iter()
+                    .copied()
+                    .filter(|&(_, n)| live(n))
+                    .collect();
+                if let Some(Succ::Tests(ov)) = ov {
+                    for &(v, n) in &ov.items {
+                        if live(n) && !items.iter().any(|&(bv, _)| bv == v) {
                             items.push((v, n));
                         }
                     }
@@ -1911,23 +1754,26 @@ impl ActionCache {
                 }
                 Succ::Tests(TestList { items, hot: 0 })
             }
-            Succ::Index(list) => {
-                let mut items = list.items.clone();
-                if let Some(Succ::Index(ovl)) = ov {
-                    for &(r, n) in &ovl.items {
-                        if !self.is_resident(n) {
-                            continue;
+            (Succ::Index(list), ov) => {
+                let mut items: Vec<(SlabRange, NodeId)> = list
+                    .items
+                    .iter()
+                    .copied()
+                    .filter(|&(_, n)| live(n))
+                    .collect();
+                if let Some(Succ::Index(ov)) = ov {
+                    for &(r, n) in &ov.items {
+                        let sig = range_of(&self.overlay_slab, r);
+                        if live(n) && !items.iter().any(|&(br, _)| range_of(slab, br) == sig) {
+                            items.push((
+                                SlabRange {
+                                    off: slab.len() as u32,
+                                    len: r.len,
+                                },
+                                n,
+                            ));
+                            slab.extend_from_slice(sig);
                         }
-                        let dup = {
-                            let sig = range_of(&self.overlay_slab, r);
-                            items.iter().any(|&(br, _)| range_of(slab, br) == sig)
-                        };
-                        if dup {
-                            continue;
-                        }
-                        let off = slab.len() as u32;
-                        slab.extend_from_slice(range_of(&self.overlay_slab, r));
-                        items.push((SlabRange { off, len: r.len }, n));
                     }
                 }
                 if items.len() > LINEAR_MAX {
@@ -1937,68 +1783,45 @@ impl ActionCache {
                 }
                 Succ::Index(IndexList { items, hot: 0 })
             }
+            _ => Succ::None,
         }
     }
 
-    /// One live successor record with stale targets pruned and the
-    /// inline cache reset, for [`freeze`](Self::freeze). Filtering
-    /// preserves order, so large lists stay sorted.
-    fn export_live_succ(&self, s: &Succ) -> Succ {
-        match s {
-            Succ::None => Succ::None,
-            Succ::One(n) => {
-                if self.is_resident(*n) {
-                    Succ::One(*n)
-                } else {
-                    Succ::None
-                }
-            }
-            Succ::Tests(list) => {
-                let items = list
-                    .items
-                    .iter()
-                    .copied()
-                    .filter(|&(_, n)| self.is_resident(n))
-                    .collect();
-                Succ::Tests(TestList { items, hot: 0 })
-            }
-            Succ::Index(list) => {
-                let items = list
-                    .items
-                    .iter()
-                    .copied()
-                    .filter(|&(_, n)| self.is_resident(n))
-                    .collect();
-                Succ::Index(IndexList { items, hot: 0 })
-            }
-        }
-    }
-
-    /// Pins a frozen image under this cache: the warm-start half of
-    /// persistence. Only legal on a cache that has never recorded — the
-    /// live (empty) generation is renumbered above the frozen range so
-    /// sequence numbers stay globally unique, which also keeps frozen
-    /// generations invisible to eviction (it only scans live storage).
+    /// Installs an image's generations as shared, pinned generations of
+    /// this cache: the warm-start half of persistence. Only legal on a
+    /// cache that has never recorded — the recording generation is
+    /// renumbered above the image so sequence numbers stay globally
+    /// unique.
     ///
     /// # Errors
     ///
     /// A static description when a snapshot is already installed, the
-    /// cache has recorded state, or the sequence space is exhausted.
+    /// cache has recorded state, or the image's sequence numbers exceed
+    /// [`MAX_IMAGE_SEQ`].
     pub fn install_frozen(&mut self, snap: Arc<FrozenGens>) -> Result<(), &'static str> {
-        if self.frozen.is_some() {
+        if self.image.is_some() {
             return Err("a snapshot is already installed");
         }
         if self.stats.nodes_created != 0 || self.entries.len != 0 {
             return Err("cache is not empty");
         }
         if let Some(max_seq) = snap.max_seq() {
-            self.next_seq = max_seq
-                .checked_add(1)
-                .ok_or("snapshot sequence space exhausted")?;
+            if max_seq > MAX_IMAGE_SEQ {
+                return Err("snapshot sequence space exhausted");
+            }
+            self.next_seq = max_seq + 1;
             let seq = self.fresh_seq();
-            self.gens.clear();
-            self.gens.push(Generation::new(seq, self.touch.get()));
-            self.cur = 0;
+            self.gens = (snap.gens.iter())
+                .map(|s| Generation {
+                    seq: s.seq,
+                    store: Storage::Shared(Arc::clone(s)),
+                    bytes: 0,
+                    last_touch: Cell::new(0),
+                })
+                .collect();
+            self.pinned = self.gens.len();
+            self.gens.push(Generation::owned(seq, self.touch.get()));
+            self.cur = self.pinned;
             self.hot_gen.set(0);
         }
         let (bytes, gens, nodes, entries) = (
@@ -2009,9 +1832,8 @@ impl ActionCache {
         );
         self.stats.bytes_frozen = bytes;
         self.stats.frozen_gens = gens;
-        self.frozen = Some(snap);
-        self.frozen_hot.set(0);
-        self.reregister_frozen_entries();
+        self.image = Some(snap);
+        self.register_image_entries();
         if self.obs.enabled() {
             self.obs.emit(TraceEvent::SnapshotLoad {
                 bytes,
@@ -2023,21 +1845,18 @@ impl ActionCache {
         Ok(())
     }
 
-    /// (Re-)registers the frozen image's entries in the entry table —
-    /// at install, and again after a clear emptied the table. Frozen
+    /// (Re-)registers the installed image's entries in the entry table —
+    /// at install, and again after a clear emptied the table. Installed
     /// storage is accounted through `bytes_frozen`, so no bytes are
     /// charged and `entries_created` is not bumped.
-    fn reregister_frozen_entries(&mut self) {
-        let Some(f) = self.frozen.clone() else {
+    fn register_image_entries(&mut self) {
+        let Some(image) = self.image.clone() else {
             return;
         };
-        for (key, node) in f.entries() {
-            let gens = &self.gens;
-            let frozen = self.frozen.as_deref();
-            let resident = |seq: u32| {
-                gens.iter().any(|g| g.seq == seq) || frozen.is_some_and(|fz| fz.has_seq(seq))
-            };
-            self.entries.insert(key.clone(), *node, resident);
+        let gens = &self.gens;
+        for (key, node) in image.entries() {
+            self.entries
+                .insert(key.clone(), *node, |seq| gens.iter().any(|g| g.seq == seq));
         }
     }
 }
@@ -2070,9 +1889,14 @@ fn range_of(slab: &[i64], r: SlabRange) -> &[i64] {
     &slab[r.off as usize..(r.off + r.len) as usize]
 }
 
-/// Position of `sig` in an INDEX successor list: linear scan for small
-/// lists, binary search by signature content for large ones.
+/// Position of `sig` in an INDEX successor list whose ranges resolve
+/// against `slab`: the hot index first, then a linear scan for small
+/// lists or a binary search by signature content for large ones.
 fn index_position(slab: &[i64], list: &IndexList, sig: &[i64]) -> Option<usize> {
+    let hot = list.hot as usize;
+    if list.items.get(hot).is_some_and(|&(r, _)| range_of(slab, r) == sig) {
+        return Some(hot);
+    }
     if list.items.len() <= LINEAR_MAX {
         list.items
             .iter()
@@ -2261,7 +2085,7 @@ mod tests {
         assert_eq!(after.clears, 1);
         assert_eq!(after.bytes_total, before.bytes_total, "total is monotonic");
         assert_eq!(c.entry(&key(1)), None);
-        assert_ne!(c.generation(), 0);
+        assert_ne!(c.stats().clears, 0);
         assert_bytes_invariant(&c);
     }
 
@@ -2900,10 +2724,50 @@ mod tests {
         // Duplicate test values in a beyond-linear list.
         let mut b = FrozenGensBuilder::new();
         b.begin_gen(0, vec![]).unwrap();
-        let this = NodeId::from_parts(0, 0);
-        let dups: Vec<(i64, NodeId)> = (0..=LINEAR_MAX as i64).map(|_| (7, this)).collect();
+        let next = NodeId::from_parts(0, 1);
+        let dups: Vec<(i64, NodeId)> = (0..=LINEAR_MAX as i64).map(|_| (7, next)).collect();
         b.push_node(0, 0, 0, FrozenSucc::Tests(dups)).unwrap();
+        b.push_node(0, 0, 0, FrozenSucc::None).unwrap();
         assert!(b.finish(vec![], 16).is_err());
+
+        // Plain and test links must point forward: a link back to an
+        // earlier node (or to itself) could loop replay inside a step.
+        for succ in [
+            FrozenSucc::One(NodeId::from_parts(0, 0)),
+            FrozenSucc::One(NodeId::from_parts(0, 1)),
+            FrozenSucc::Tests(vec![(1, NodeId::from_parts(0, 0))]),
+        ] {
+            let mut b = FrozenGensBuilder::new();
+            b.begin_gen(0, vec![]).unwrap();
+            b.push_node(0, 0, 0, FrozenSucc::None).unwrap();
+            b.push_node(0, 0, 0, succ).unwrap();
+            assert!(b.finish(vec![], 16).is_err());
+        }
+        // INDEX links cross steps, so they may point anywhere.
+        let mut b = FrozenGensBuilder::new();
+        b.begin_gen(0, vec![5]).unwrap();
+        b.push_node(
+            0,
+            0,
+            0,
+            FrozenSucc::Index(vec![(0, 1, NodeId::from_parts(0, 0))]),
+        )
+        .unwrap();
+        assert!(b.finish(vec![], 16).is_ok());
+    }
+
+    #[test]
+    fn install_bounds_the_image_sequence_space() {
+        for (seq, fits) in [(MAX_IMAGE_SEQ, true), (MAX_IMAGE_SEQ + 1, false)] {
+            let mut b = FrozenGensBuilder::new();
+            b.begin_gen(seq, vec![]).unwrap();
+            let image = Arc::new(b.finish(vec![], 16).unwrap());
+            let mut c = ActionCache::new();
+            assert_eq!(c.install_frozen(image).is_ok(), fits, "seq {seq}");
+            // Either way the cache keeps recording with fresh numbers.
+            let n = c.record_plain(&mut Cursor::AtEntry(key(1)), 0, &[]);
+            assert!(c.is_resident(n));
+        }
     }
 
     #[test]

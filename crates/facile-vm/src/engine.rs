@@ -739,9 +739,10 @@ impl Simulation {
         &self.cache
     }
 
-    /// Installs a frozen action-cache image as this simulation's
-    /// read-only warm-start base. New recordings layer on top
-    /// copy-on-write; the shared image is never written.
+    /// Installs an action-cache image's generations as shared, pinned
+    /// generations of this simulation's cache (the warm start). New
+    /// recordings layer on top copy-on-write; the shared image is never
+    /// written.
     ///
     /// Validity (digest / policy / fingerprint) is the caller's problem
     /// — use [`crate::snapshot::LoadedSnapshot::validate`]. This method

@@ -58,12 +58,14 @@
 //! ```
 
 use crate::engine::Simulation;
-use facile_codegen::CompiledStep;
+use facile_codegen::{ActionCode, ActionKind, CompiledStep, FOp, FOperand, KeyPlanArg};
 use facile_obs::TraceEvent;
-use facile_runtime::cache::{CachePolicy, FrozenGens, FrozenGensBuilder, FrozenSucc, Succ};
+use facile_runtime::cache::{
+    CachePolicy, FrozenGens, FrozenGensBuilder, FrozenSucc, Succ, MAX_IMAGE_SEQ,
+};
 use facile_runtime::key::{hash_bytes, Key};
 use facile_runtime::NodeId;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: &[u8; 8] = b"FACSNAP1";
@@ -162,6 +164,12 @@ pub struct LoadedSnapshot {
     /// Eviction policy the image was recorded under.
     pub policy: CachePolicy,
     image: Arc<FrozenGens>,
+    /// The node walk's verdict against the action table this snapshot
+    /// was recorded for (the one its `step_fingerprint` names): made by
+    /// the first `validate` that gets that far and reused by every later
+    /// one, so a daemon that validates once per job walks the image
+    /// once.
+    nodes_checked: OnceLock<Result<(), SnapshotError>>,
 }
 
 impl LoadedSnapshot {
@@ -172,8 +180,9 @@ impl LoadedSnapshot {
 
     /// Checks that this snapshot may warm-start `sim`: target digest,
     /// compiled-step fingerprint, cache capacity and policy must all
-    /// match, and every recorded action number must exist in the step's
-    /// action table.
+    /// match, every recorded action number must exist in the step's
+    /// action table, and every node's data must feed each placeholder
+    /// its action reads on replay.
     ///
     /// # Errors
     ///
@@ -195,19 +204,132 @@ impl LoadedSnapshot {
         if self.policy != sim.action_cache().policy() {
             return Err(SnapshotError::PolicyMismatch);
         }
-        // Belt and braces under a matching fingerprint; decisive if a
-        // caller skips the fingerprint on purpose.
-        let limit = sim.compiled().action_count() as u32;
-        for g in self.image.gens() {
-            if let Some(n) = g.nodes().iter().find(|n| n.action >= limit) {
+        self.nodes_checked
+            .get_or_init(|| check_nodes(&self.image, sim.compiled()))
+            .clone()
+    }
+}
+
+/// Walks every node of `image` once against `step`'s action table: its
+/// action number must exist (belt and braces under a matching
+/// fingerprint), and its data must feed every placeholder the action
+/// reads. Each action's reads fold to one word for the common case — the
+/// data length they need — or `RUNS` when its nodes must be walked run by
+/// run, so most nodes cost one lookup and one compare.
+fn check_nodes(image: &FrozenGens, step: &CompiledStep) -> Result<(), SnapshotError> {
+    const RUNS: u32 = u32::MAX;
+    let shapes: Vec<Vec<u32>> = step.actions.iter().map(ph_shape).collect();
+    let needs: Vec<u32> = (shapes.iter())
+        .map(|shape| if let [need] = shape[..] { need } else { RUNS })
+        .collect();
+    for g in image.gens() {
+        for (i, n) in g.nodes().iter().enumerate() {
+            let fed = match needs.get(n.action as usize) {
+                None => {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "action number {} out of range (step has {} actions)",
+                        n.action,
+                        needs.len()
+                    )))
+                }
+                Some(&RUNS) => feeds(
+                    &shapes[n.action as usize],
+                    &g.slab()[n.data.off()..n.data.off() + n.data.len()],
+                ),
+                Some(&need) => n.data.len() >= need as usize,
+            };
+            if !fed {
                 return Err(SnapshotError::Corrupt(format!(
-                    "action number {} out of range (step has {limit} actions)",
+                    "node {}:{i} data ({} values) does not feed action {}",
+                    g.seq(),
+                    n.data.len(),
                     n.action
                 )));
             }
         }
-        Ok(())
     }
+    Ok(())
+}
+
+/// How replaying `code` reads its node's placeholder data, in order:
+/// `shape[0]` single placeholders, then for each further entry one
+/// length-prefixed run (a `LiftAgg` or a `QueueRt` key part) followed by
+/// that many singles. Replay stops at a `Halt` op, so reads past one
+/// never happen (and are not recorded).
+fn ph_shape(code: &ActionCode) -> Vec<u32> {
+    fn phs<'a>(ops: impl IntoIterator<Item = &'a FOperand>) -> u32 {
+        ops.into_iter()
+            .filter(|o| matches!(o, FOperand::Ph))
+            .count() as u32
+    }
+    // The last entry counts the singles since the last run.
+    let mut shape = vec![0u32];
+    let bump = |shape: &mut Vec<u32>, n: u32| *shape.last_mut().expect("never empty") += n;
+    for op in &code.ops {
+        let n = match op {
+            FOp::Bin { a, b, .. } => phs([a, b]),
+            FOp::Un { a: x, .. }
+            | FOp::Copy { src: x, .. }
+            | FOp::StoreGlobal { src: x, .. }
+            | FOp::ElemGet { idx: x, .. }
+            | FOp::ArrFill { fill: x, .. }
+            | FOp::FetchToken { stream: x, .. }
+            | FOp::MemLoad { addr: x, .. }
+            | FOp::CountCycles { n: x }
+            | FOp::CountInsns { n: x }
+            | FOp::Trace { v: x }
+            | FOp::Halt { code: x } => phs([x]),
+            FOp::ElemSet { idx: x, src: y, .. }
+            | FOp::MemStore {
+                addr: x, src: y, ..
+            } => phs([x, y]),
+            FOp::Queue { args, .. } => phs(args.iter().flatten()),
+            FOp::CallExt { args, .. } => phs(args),
+            FOp::LiftVar { .. } | FOp::LiftGlobal { .. } => 1,
+            FOp::LiftAgg { .. } => {
+                shape.push(0);
+                0
+            }
+            FOp::LoadGlobal { .. } | FOp::AggCopy { .. } => 0,
+        };
+        bump(&mut shape, n);
+        if matches!(op, FOp::Halt { .. }) {
+            return shape;
+        }
+    }
+    match &code.kind {
+        ActionKind::Plain => {}
+        ActionKind::Test { src } => bump(&mut shape, phs([src])),
+        ActionKind::Index { plan } => {
+            for arg in plan {
+                match arg {
+                    KeyPlanArg::ScalarRt => bump(&mut shape, 1),
+                    KeyPlanArg::ScalarDyn(op) => bump(&mut shape, phs([op])),
+                    KeyPlanArg::QueueRt => shape.push(0),
+                    KeyPlanArg::QueueDyn(_) => {}
+                }
+            }
+        }
+    }
+    shape
+}
+
+/// Whether `data` feeds every read of an action with placeholder
+/// `shape` (see [`ph_shape`]): each run's length prefix is non-negative
+/// and the run lies inside `data`.
+fn feeds(shape: &[u32], data: &[i64]) -> bool {
+    let (last, runs) = shape.split_last().expect("never empty");
+    let mut ph = 0usize;
+    for &singles in runs {
+        ph += singles as usize;
+        match data.get(ph) {
+            Some(&len) if len >= 0 && len as u64 <= (data.len() - ph - 1) as u64 => {
+                ph += 1 + len as usize;
+            }
+            _ => return false,
+        }
+    }
+    ph + *last as usize <= data.len()
 }
 
 // ---- encoding -----------------------------------------------------------
@@ -317,8 +439,9 @@ pub fn encode(
     h.buf
 }
 
-/// Freezes `sim`'s action cache (frozen base + copy-on-write overlay +
-/// live recordings, folded into one canonical image) and serializes it
+/// Freezes `sim`'s action cache (installed generations with their
+/// copy-on-write overlay, then recorded ones, folded into one canonical
+/// image) and serializes it
 /// with the simulation's own validity header. Emits a
 /// [`TraceEvent::SnapshotSave`] when observability is attached.
 pub fn save(sim: &Simulation) -> Vec<u8> {
@@ -462,13 +585,17 @@ pub fn parse(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError> {
     let mut b = FrozenGensBuilder::new();
     for _ in 0..gen_count {
         let seq = r.u32()?;
+        if seq > MAX_IMAGE_SEQ {
+            return Err(SnapshotError::Corrupt(format!(
+                "generation sequence number {seq} exceeds the bound {MAX_IMAGE_SEQ}"
+            )));
+        }
         let node_count = r.u32()?;
         let slab_len = r.u32()?;
         check_count(slab_len, 8, payload.len() - r.pos)?;
-        let mut slab = Vec::with_capacity(slab_len as usize);
-        for _ in 0..slab_len {
-            slab.push(r.i64()?);
-        }
+        let slab = (r.take(slab_len as usize * 8)?.chunks_exact(8))
+            .map(|w| i64::from_le_bytes(w.try_into().expect("chunks of 8 bytes")))
+            .collect();
         b.begin_gen(seq, slab).map_err(SnapshotError::Corrupt)?;
         check_count(node_count, 12, payload.len() - r.pos)?;
         let mut nodes = Vec::with_capacity(node_count as usize);
@@ -537,5 +664,6 @@ pub fn parse(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError> {
         capacity,
         policy,
         image: Arc::new(image),
+        nodes_checked: OnceLock::new(),
     })
 }

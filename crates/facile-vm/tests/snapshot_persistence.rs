@@ -11,10 +11,12 @@ use facile_codegen::{compile, CodegenConfig};
 use facile_ir::lower::lower;
 use facile_lang::diag::Diagnostics;
 use facile_lang::parser::parse;
+use facile_runtime::cache::{FrozenGensBuilder, FrozenSucc, Succ};
 use facile_runtime::{Image, Target};
 use facile_sema::analyze as sema;
 use facile_vm::engine::{ArgValue, SimOptions, Simulation};
 use facile_vm::snapshot::{self, SnapshotError, HEADER_LEN};
+use std::sync::Arc;
 
 /// A branchy looping simulator: INDEX actions chain the steps, the
 /// verified external forks TEST successors, memory and the trace carry
@@ -315,4 +317,73 @@ fn lanes_share_one_image_copy_on_write_across_threads() {
     );
     // The shared image itself never grew.
     assert_eq!(snap.image().node_count(), base_nodes);
+}
+
+#[test]
+fn a_snapshot_cannot_exhaust_the_sequence_space() {
+    // One generation at the top of the sequence space, encoded under the
+    // simulation's own header: everything matches, but a warm start
+    // would have no sequence numbers left for its own generations.
+    let mut sim = branchy_sim(SimOptions::default());
+    let mut b = FrozenGensBuilder::new();
+    b.begin_gen(u32::MAX - 1, vec![]).unwrap();
+    let image = b.finish(vec![], u32::MAX).unwrap();
+    let bytes = snapshot::encode(
+        &image,
+        sim.warm_digest(),
+        snapshot::step_fingerprint(sim.compiled()),
+        None,
+        facile_runtime::CachePolicy::Clear,
+    );
+    assert!(
+        matches!(snapshot::parse(&bytes), Err(SnapshotError::Corrupt(_))),
+        "the decoder bounds snapshot sequence numbers"
+    );
+    // The cache guards installs that never went through the decoder.
+    assert!(sim.warm_start(Arc::new(image)).is_err());
+    sim.run_steps(100_000);
+    let mut control = branchy_sim(SimOptions::default());
+    control.run_steps(100_000);
+    assert_eq!(fingerprint(&sim), fingerprint(&control));
+}
+
+#[test]
+fn short_node_data_is_rejected_before_replay() {
+    // Re-encode a recorded image with every node's data range emptied.
+    // The image is structurally sound (every range is in bounds), but
+    // replay would read placeholders that are not there.
+    let snap = snapshot::parse(&recorded_snapshot()).unwrap();
+    let image = snap.image();
+    let mut b = FrozenGensBuilder::new();
+    for g in image.gens() {
+        b.begin_gen(g.seq(), g.slab().to_vec()).unwrap();
+        for (i, n) in g.nodes().iter().enumerate() {
+            let succ = match g.succ(i) {
+                Succ::None => FrozenSucc::None,
+                Succ::One(n) => FrozenSucc::One(*n),
+                Succ::Tests(list) => FrozenSucc::Tests(list.items().to_vec()),
+                Succ::Index(list) => FrozenSucc::Index(
+                    list.items()
+                        .iter()
+                        .map(|&(r, n)| (r.off() as u32, r.len() as u32, n))
+                        .collect(),
+                ),
+            };
+            b.push_node(n.action, 0, 0, succ).unwrap();
+        }
+    }
+    let emptied = b.finish(image.entries().to_vec(), u32::MAX).unwrap();
+    let bytes = snapshot::encode(
+        &emptied,
+        snap.target_digest,
+        snap.step_fingerprint,
+        snap.capacity,
+        snap.policy,
+    );
+    let short = snapshot::parse(&bytes).expect("structurally sound");
+    let sim = branchy_sim(SimOptions::default());
+    assert!(
+        matches!(short.validate(&sim), Err(SnapshotError::Corrupt(_))),
+        "validate proves each node's data feeds its action's placeholder reads"
+    );
 }
