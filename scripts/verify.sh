@@ -11,7 +11,11 @@
 # fast-forward at least as much as the seed did, steady-state replay
 # must be allocation-free (docs/PERFORMANCE.md), and superaction
 # compilation must be architecturally invisible (supertrace on/off and
-# slow-only runs produce bit-identical results and digests). The replay flight
+# slow-only runs produce bit-identical results and digests). Action-cache
+# snapshots must round-trip: a warm run, and a run warm-started from a
+# snapshot taken part-way through (default options and generational
+# eviction at a small capacity), print the cold run's architectural
+# results (docs/PERSISTENCE.md). The replay flight
 # recorder's top-10 hot chains must explain >= 50% of gcc-like
 # fast-path instructions, and watching the simulator must stay cheap
 # (obs_overhead). Batch mode must produce a merged document that
@@ -116,6 +120,33 @@ cmp -s "$tmp/cold.txt" "$tmp/warm.txt" \
 # first step, no slow-engine recording.
 grep -q 'fast-fwd:    100.000%' "$tmp/warm_full.txt" \
     || { echo "verify: warm-started run was not pure replay"; exit 1; }
+
+echo "==> smoke: a partially warm run records on top of its snapshot"
+# A snapshot taken part-way through a cold run warm-starts a full run:
+# the rest of the run records on top of the installed (shared, pinned)
+# generations and must print the architectural results of a cold full
+# run. Once with default options and once under generational eviction
+# at a small capacity, so eviction runs next to pinned generations.
+for opts in "" "--cache-policy generational --cache-capacity 2048"; do
+    # shellcheck disable=SC2086 # $opts is a list of words
+    ./target/release/facilec --builtin ooo --run "$tmp/loop.asm" $opts \
+        | grep -v 'sim speed\|fast-fwd\|memoized' > "$tmp/part_cold.txt"
+    # shellcheck disable=SC2086
+    ./target/release/facilec --builtin ooo --run "$tmp/loop.asm" $opts \
+        --steps 130 --cache-save "$tmp/part.facsnap" > /dev/null
+    # shellcheck disable=SC2086
+    ./target/release/facilec --builtin ooo --run "$tmp/loop.asm" $opts \
+        --cache-load "$tmp/part.facsnap" 2> "$tmp/part_err.txt" > "$tmp/part_full.txt"
+    ! grep -q 'starting cold' "$tmp/part_err.txt" \
+        || { echo "verify: partial snapshot declined (options: $opts)"; \
+             cat "$tmp/part_err.txt"; exit 1; }
+    grep -q 'memoized: .* in [1-9][0-9]* nodes' "$tmp/part_full.txt" \
+        || { echo "verify: partially warm run recorded nothing (options: $opts)"; exit 1; }
+    grep -v 'sim speed\|fast-fwd\|memoized' "$tmp/part_full.txt" > "$tmp/part_warm.txt"
+    cmp -s "$tmp/part_cold.txt" "$tmp/part_warm.txt" \
+        || { echo "verify: partially warm results differ from cold (options: $opts)"; \
+             diff "$tmp/part_cold.txt" "$tmp/part_warm.txt" || true; exit 1; }
+done
 
 echo "==> smoke: corrupted snapshot header falls back to a cold run"
 # Any header damage must degrade to a clean cold start: a warning on
