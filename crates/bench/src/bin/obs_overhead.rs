@@ -28,7 +28,8 @@
 //!                [--obs-out PATH] [--obs hot,timeline]
 //!
 //! Defaults: scale 0.1, 3 reps (best-of, same methodology as
-//! `fastreplay`), all workloads, sample 64, epoch 10000. `--fastsim`
+//! `fastreplay`; each rep runs the four modes back to back), all
+//! workloads, sample 64, epoch 10000. `--fastsim`
 //! embeds the harmonic-mean comparison against a previously written
 //! `BENCH_fastsim.json`; `--obs-out` writes, per workload, the
 //! full-mode document when `hot` is among the `--obs` sections and the
@@ -110,27 +111,31 @@ fn main() {
         }
         let image = workload_image(&w, scale);
         let options = sim_options(true, None, CachePolicy::Clear);
-        let best = |sections: Sections| -> JobOutcome {
-            let mut best: Option<JobOutcome> = None;
-            for _ in 0..reps {
-                let r = run_facile_job(&step, FacileSim::Ooo, &image, options, w.name, &sections);
-                if best.as_ref().is_none_or(|b| r.doc.wall_ns < b.doc.wall_ns) {
-                    best = Some(r);
-                }
-            }
-            best.expect("at least one rep ran")
-        };
         let hot = |n| Sections {
             hot: Some(n),
             ..Sections::default()
         };
-        let disabled = best(Sections::default());
-        let sampled = best(hot(sample));
-        let full = best(hot(1));
-        let timeline = best(Sections {
-            timeline: Some(epoch),
-            ..Sections::default()
-        });
+        let modes = [
+            Sections::default(),
+            hot(sample),
+            hot(1),
+            Sections {
+                timeline: Some(epoch),
+                ..Sections::default()
+            },
+        ];
+        // Every rep runs each mode once, back to back, so a drift in host
+        // speed lands on all modes alike; each mode keeps its best rep.
+        let mut best: [Option<JobOutcome>; 4] = [None, None, None, None];
+        for _ in 0..reps {
+            for (slot, sections) in best.iter_mut().zip(&modes) {
+                let r = run_facile_job(&step, FacileSim::Ooo, &image, options, w.name, sections);
+                if slot.as_ref().is_none_or(|b| r.doc.wall_ns < b.doc.wall_ns) {
+                    *slot = Some(r);
+                }
+            }
+        }
+        let [disabled, sampled, full, timeline] = best.map(|b| b.expect("at least one rep ran"));
         let meas = |r: &JobOutcome| Meas {
             wall_ns: r.doc.wall_ns,
             steps: r.steps,

@@ -4,11 +4,12 @@
 //! extraction) may change how it computes its results, but not what it
 //! emits: the compiled step decides simulated results, cycle counts and
 //! whether existing `facile-snap/v1` snapshots still load. Each simulator
-//! pins two hashes:
+//! pins three hashes:
 //!
 //! * the compiled output — IR, action table, debug records, slow-engine
 //!   annotations, key layout and the binding-time labels the tools read;
-//! * [`step_fingerprint`], the value stored in every snapshot header.
+//! * [`step_fingerprint`], the value stored in every snapshot header;
+//! * the lowered program the slow engine and miss recovery run.
 
 use facile::sims::{functional_source, inorder_source, ooo_source};
 use facile::{compile_source, CompiledStep, CompilerOptions};
@@ -31,16 +32,27 @@ fn output_hash(step: &CompiledStep) -> u64 {
     hash_bytes(text.as_bytes())
 }
 
-fn check(name: &str, src: &str, output: u64, fingerprint: u64) {
+/// Hash of the lowered program.
+fn program_hash(step: &CompiledStep) -> u64 {
+    hash_bytes(format!("{:?}", step.program).as_bytes())
+}
+
+fn check(name: &str, src: &str, output: u64, fingerprint: u64, program: u64) {
     let step = compile_source(src, &CompilerOptions::default())
         .unwrap_or_else(|e| panic!("{name} compiles: {e}"));
-    let got = (output_hash(&step), step_fingerprint(&step));
+    let got = (
+        output_hash(&step),
+        step_fingerprint(&step),
+        program_hash(&step),
+    );
     assert_eq!(
         got,
-        (output, fingerprint),
-        "{name}: compiled output changed (got output {:#018x}, fingerprint {:#018x})",
+        (output, fingerprint, program),
+        "{name}: compiled output changed (got output {:#018x}, fingerprint {:#018x}, \
+         program {:#018x})",
         got.0,
-        got.1
+        got.1,
+        got.2
     );
 }
 
@@ -51,6 +63,7 @@ fn functional_compiles_to_the_golden_step() {
         &functional_source(),
         0x2003_204e_baed_27d1,
         0x1bc3_1dad_4e28_f6fb,
+        0x0a19_0b0d_8b46_a11b,
     );
 }
 
@@ -61,6 +74,7 @@ fn inorder_compiles_to_the_golden_step() {
         &inorder_source(),
         0x7a37_ec1e_4e38_dc2b,
         0x8d00_e41e_7b28_e346,
+        0xfd52_9947_dac5_a6ac,
     );
 }
 
@@ -71,5 +85,6 @@ fn ooo_compiles_to_the_golden_step() {
         &ooo_source(),
         0x7dcb_3702_d816_3a91,
         0x913c_2d25_c8ed_4405,
+        0x11ad_5a8e_c0b9_85f7,
     );
 }

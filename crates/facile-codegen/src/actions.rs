@@ -22,8 +22,9 @@
 //! engine it produces per-instruction [`InstAnnot`] instrumentation:
 //! where actions start, which operand values to memoize, and what closes
 //! the action — the compiler-added `memoize_*` calls of the paper's
-//! Figure 10.
+//! Figure 10, which [`crate::program::lower`] turns into record ops.
 
+use crate::program::Program;
 use facile_bta::{terminator_dynamic, transfer, Bt, Bta, Env};
 use facile_ir::bitset::BitSet;
 use facile_ir::ir::*;
@@ -395,10 +396,10 @@ pub struct BlockAnnot {
 }
 
 /// A fully compiled step function: shared IR, fast action table, slow
-/// instrumentation.
+/// instrumentation and the lowered program built from them.
 #[derive(Clone, Debug)]
 pub struct CompiledStep {
-    /// The (folded, lifted) IR the slow engine interprets.
+    /// The folded, lifted IR.
     pub ir: IrProgram,
     /// Binding-time analysis matching `ir`.
     pub bta: Bta,
@@ -406,10 +407,12 @@ pub struct CompiledStep {
     pub actions: Vec<ActionCode>,
     /// Per-action source-attribution records (parallel to `actions`).
     pub debug: Vec<ActionDebug>,
-    /// Per-block slow-engine instrumentation.
+    /// Per-block slow-engine instrumentation (the input of the lowering).
     pub blocks: Vec<BlockAnnot>,
     /// `main`'s parameter types (the key layout).
     pub param_types: Vec<Type>,
+    /// The lowered program the slow engine and miss recovery run.
+    pub program: Program,
 }
 
 impl CompiledStep {
@@ -770,6 +773,7 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
     }
     debug_assert_eq!(actions.len(), debug.len());
 
+    let program = crate::program::lower(&ir, &actions, &blocks);
     CompiledStep {
         ir,
         bta,
@@ -777,6 +781,7 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
         debug,
         blocks,
         param_types,
+        program,
     }
 }
 

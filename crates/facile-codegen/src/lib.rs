@@ -8,8 +8,9 @@
 //! the dynamic-action table ([`actions::extract_actions`]) that drives the
 //! two engines in `facile-vm`:
 //!
-//! * the **slow/complete** engine interprets the annotated IR and records
-//!   actions into the specialized action cache, and
+//! * the **slow/complete** engine runs the lowered [`Program`] (built
+//!   once per compile by [`program::lower`]) and records actions into the
+//!   specialized action cache; miss recovery runs the same program, and
 //! * the **fast/residual** engine replays [`ActionCode`] entries.
 //!
 //! # Examples
@@ -38,11 +39,13 @@
 //! ```
 
 pub mod actions;
+pub mod program;
 
 pub use actions::{
     ActionCode, ActionDebug, ActionKind, BlockAnnot, Closes, CompiledStep, DebugKind, FOp,
     FOperand, InstAnnot, KeyPlanArg, LiftWhat, Resume,
 };
+pub use program::{AggSlots, Op, Program};
 
 use facile_bta::{insert_lifts, LiftConfig};
 use facile_ir::fold::fold_constants;

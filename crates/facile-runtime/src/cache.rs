@@ -1546,31 +1546,33 @@ impl ActionCache {
         list.insert(slab, sig, target, limit)
     }
 
-    fn link(&mut self, cursor: &Cursor, new: NodeId) {
+    /// Links `new` after `cursor`, consuming it: an entry key moves into
+    /// the entry table instead of being copied.
+    fn link(&mut self, cursor: Cursor, new: NodeId) {
         match cursor {
             Cursor::AtEntry(key) => {
-                self.register_entry(key.clone(), new);
+                self.register_entry(key, new);
             }
             // A plain link is only ever (re)written when it is missing or
             // its target was evicted; a shared node's own link never is,
             // so its new link is a copy-on-write addition.
-            Cursor::AfterPlain(n) => *self.succ_mut(*n, || Succ::None).1 = Succ::One(new),
+            Cursor::AfterPlain(n) => *self.succ_mut(n, || Succ::None).1 = Succ::One(new),
             Cursor::AfterTest(n, v) => {
-                let succ = self.succ_mut(*n, || Succ::Tests(TestList::default())).1;
+                let succ = self.succ_mut(n, || Succ::Tests(TestList::default())).1;
                 let Succ::Tests(list) = succ else {
                     unreachable!("test cursor on non-test node");
                 };
-                if list.insert(*v, new) {
-                    let bytes = varint_len(zigzag(*v)) as u64 + 4;
+                if list.insert(v, new) {
+                    let bytes = varint_len(zigzag(v)) as u64 + 4;
                     self.charge(n.gen, bytes);
                 }
             }
             Cursor::AfterIndex(n, key, sig) => {
-                if self.index_insert(*n, sig, new) {
+                if self.index_insert(n, &sig, new) {
                     let bytes = key.len() as u64 + 4;
                     self.charge(n.gen, bytes);
                 }
-                self.register_entry(key.clone(), new);
+                self.register_entry(key, new);
             }
         }
     }
@@ -1592,8 +1594,8 @@ impl ActionCache {
     /// Records a plain action at the cursor; advances the cursor.
     pub fn record_plain(&mut self, cursor: &mut Cursor, action: u32, data: &[i64]) -> NodeId {
         let id = self.new_node(action, data, Succ::None);
-        self.link(cursor, id);
-        *cursor = Cursor::AfterPlain(id);
+        let prev = std::mem::replace(cursor, Cursor::AfterPlain(id));
+        self.link(prev, id);
         id
     }
 
@@ -1607,8 +1609,8 @@ impl ActionCache {
         value: i64,
     ) -> NodeId {
         let id = self.new_node(action, data, Succ::Tests(TestList::default()));
-        self.link(cursor, id);
-        *cursor = Cursor::AfterTest(id, value);
+        let prev = std::mem::replace(cursor, Cursor::AfterTest(id, value));
+        self.link(prev, id);
         id
     }
 
@@ -1623,8 +1625,8 @@ impl ActionCache {
         sig: Vec<i64>,
     ) -> NodeId {
         let id = self.new_node(action, data, Succ::Index(IndexList::default()));
-        self.link(cursor, id);
-        *cursor = Cursor::AfterIndex(id, next_key, sig);
+        let prev = std::mem::replace(cursor, Cursor::AfterIndex(id, next_key, sig));
+        self.link(prev, id);
         id
     }
 

@@ -141,16 +141,33 @@ impl<'a> KeyReader<'a> {
 
     /// Reads one queue component.
     pub fn queue(&mut self) -> Option<Vec<i64>> {
-        let len = read_varint(self.buf, &mut self.pos)? as usize;
-        // Guard against corrupt lengths.
-        if len > self.buf.len().saturating_sub(self.pos).saturating_add(1) * 10 {
-            return None;
-        }
+        let len = self.queue_len()?;
         let mut out = Vec::with_capacity(len.min(1024));
         for _ in 0..len {
             out.push(unzigzag(read_varint(self.buf, &mut self.pos)?));
         }
         Some(out)
+    }
+
+    /// Reads one queue component, handing each element to `f` in order
+    /// instead of collecting them (decoding straight into storage).
+    /// Returns the element count.
+    pub fn queue_with(&mut self, mut f: impl FnMut(i64)) -> Option<usize> {
+        let len = self.queue_len()?;
+        for _ in 0..len {
+            f(unzigzag(read_varint(self.buf, &mut self.pos)?));
+        }
+        Some(len)
+    }
+
+    /// Reads a queue component's length prefix.
+    fn queue_len(&mut self) -> Option<usize> {
+        let len = read_varint(self.buf, &mut self.pos)? as usize;
+        // Guard against corrupt lengths.
+        if len > self.buf.len().saturating_sub(self.pos).saturating_add(1) * 10 {
+            return None;
+        }
+        Some(len)
     }
 
     /// Whether all bytes have been consumed.

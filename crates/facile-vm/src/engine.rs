@@ -11,16 +11,16 @@
 //!           └──── miss (recovery) / unknown next key ◄───────────────┘
 //! ```
 
+use crate::exec::seed_params;
 use crate::fast::{fast_run, FastOutcome, ReplayScratch};
 use crate::recovery::{recover, RecoveryError};
-use crate::slow::{slow_step, Position, Recording, StepOutcome};
-use crate::state::{ExtFn, MachineState, Store};
+use crate::slow::{slow_step, Recording, SlowScratch, StepOutcome};
+use crate::state::{ExtFn, MachineState};
 use crate::supertrace::{SuperTraceSet, TraceStats};
 use facile_codegen::CompiledStep;
-use facile_ir::ir::Loc;
 use facile_obs::{BurstExit, BurstRecord, EngineTag, EpochRecord, ObsHandle, TraceEvent};
 use facile_runtime::cache::{ActionCache, CachePolicy, Cursor, NodeId};
-use facile_runtime::key::{Key, KeyReader, KeyWriter};
+use facile_runtime::key::{Key, KeyWriter};
 use facile_runtime::{CacheStats, Engine, HaltReason, SimStats, Target};
 use facile_sema::Type;
 
@@ -108,12 +108,13 @@ fn obs_tag(e: Engine) -> EngineTag {
 }
 
 enum Mode {
-    /// Run a slow step for this key.
-    Slow(Key),
+    /// Run a slow step for the key in `Simulation::slow_key`.
+    Slow,
     /// Replay from this node (its entry key lives in `Simulation::fast_key`).
     Fast(NodeId),
-    /// Resume slow execution mid-step after a recovery.
-    SlowResume(Position),
+    /// Resume slow execution mid-step, at this op of the step's program,
+    /// after a recovery.
+    SlowResume(u32),
     /// Simulation over.
     Done,
 }
@@ -144,7 +145,7 @@ struct EpochState {
 
 /// A running fast-forwarding simulation.
 ///
-/// The compiled step function is held behind an [`Arc`]: it is
+/// The compiled step function is held behind an [`Arc`](std::sync::Arc): it is
 /// immutable after compilation, so N concurrent simulations of the same
 /// simulator share one action table and one debug-info table instead of
 /// carrying N copies. Everything mutable — machine state, action cache,
@@ -161,8 +162,13 @@ pub struct Simulation {
     /// Key of the entry `Mode::Fast` replays; updated in place by the
     /// fast engine so steady-state replay never allocates key storage.
     fast_key: Key,
+    /// Key of the step `Mode::Slow` runs; a reused buffer, like
+    /// `fast_key`.
+    slow_key: Key,
     /// Reusable replay buffers (see [`ReplayScratch`]).
     scratch: ReplayScratch,
+    /// Reusable slow-step buffers (see [`SlowScratch`]).
+    slow_scratch: SlowScratch,
     /// Compiled supertraces + hotness bookkeeping (see
     /// [`crate::supertrace`]).
     traces: SuperTraceSet,
@@ -224,13 +230,15 @@ impl Simulation {
         let st = MachineState::new(&step.ir, target);
         Ok(Simulation {
             cursor: Cursor::AtEntry(key.clone()),
-            mode: Mode::Slow(key),
+            mode: Mode::Slow,
             memoize: options.memoize,
             step,
             st,
             cache,
             fast_key: Key::default(),
+            slow_key: key,
             scratch: ReplayScratch::new(),
+            slow_scratch: SlowScratch::new(),
             traces: SuperTraceSet::new(
                 options.supertrace && options.memoize,
                 options.supertrace_threshold,
@@ -319,13 +327,13 @@ impl Simulation {
                     self.mode = Mode::Done;
                     return self.st.halted;
                 }
-                Mode::Slow(key) => {
+                Mode::Slow => {
                     // Hand off to the fast engine when this key was
                     // already recorded.
                     if self.memoize {
-                        if let Some(entry) = self.cache.entry(&key) {
+                        if let Some(entry) = self.cache.entry(&self.slow_key) {
                             self.cache.link_existing(&self.cursor, entry);
-                            self.fast_key = key;
+                            std::mem::swap(&mut self.fast_key, &mut self.slow_key);
                             self.mode = Mode::Fast(entry);
                             continue;
                         }
@@ -333,16 +341,19 @@ impl Simulation {
                             // Clear-on-full invalidated the cursor:
                             // recording restarts at the entry. (The
                             // generational policy keeps it valid.)
-                            self.cursor = Cursor::AtEntry(key.clone());
+                            self.cursor = Cursor::AtEntry(self.slow_key.clone());
                         }
                     }
-                    self.seed_params(&key);
+                    let Simulation {
+                        step, st, slow_key, ..
+                    } = self;
+                    seed_params(&step.program, &mut st.regs, &mut st.aggs, slow_key);
                     steps += 1;
-                    self.run_slow_from(Position::entry(&self.step));
+                    self.run_slow_from(self.step.program.entry);
                 }
-                Mode::SlowResume(pos) => {
+                Mode::SlowResume(pc) => {
                     steps += 1;
-                    self.run_slow_from(pos);
+                    self.run_slow_from(pc);
                 }
                 Mode::Fast(node) => {
                     if !self.cache.is_resident(node) {
@@ -362,7 +373,8 @@ impl Simulation {
                             );
                         }
                         self.cursor = Cursor::AtEntry(self.fast_key.clone());
-                        self.mode = Mode::Slow(self.fast_key.clone());
+                        self.slow_key.set_from_bytes(self.fast_key.as_bytes());
+                        self.mode = Mode::Slow;
                         continue;
                     }
                     self.note_engine(Engine::Fast);
@@ -469,7 +481,8 @@ impl Simulation {
                                 });
                             }
                             self.cursor = cursor;
-                            self.mode = Mode::Slow(key);
+                            self.slow_key = key;
+                            self.mode = Mode::Slow;
                         }
                         FastOutcome::Miss { cursor } => {
                             match recover(
@@ -594,9 +607,9 @@ impl Simulation {
         self.epoch_close(total);
     }
 
-    /// Runs one slow step (recording if memoization is on) and updates the
-    /// mode from its outcome.
-    fn run_slow_from(&mut self, pos: Position) {
+    /// Runs one slow step from op `pc` (recording if memoization is on)
+    /// and updates the mode from its outcome.
+    fn run_slow_from(&mut self, pc: u32) {
         self.note_engine(Engine::Slow);
         self.st.engine = Engine::Slow;
         let before = self
@@ -612,13 +625,14 @@ impl Simulation {
         } else {
             None
         };
-        match slow_step(&self.step, &mut self.st, rec, pos) {
+        match slow_step(&self.step, &mut self.st, rec, &mut self.slow_scratch, pc) {
             StepOutcome::Halted => {
                 self.mode = Mode::Done;
             }
-            StepOutcome::Next(key) => {
+            StepOutcome::Next => {
                 self.st.stats.slow_steps = self.st.stats.slow_steps.saturating_add(1);
-                self.mode = Mode::Slow(key);
+                self.slow_key.set_from_bytes(self.slow_scratch.next_key());
+                self.mode = Mode::Slow;
             }
         }
         if let Some((t0, insns0)) = before {
@@ -629,24 +643,6 @@ impl Simulation {
             });
         }
         self.epoch_tick();
-    }
-
-    /// Writes `main`'s parameters into the real state from a key.
-    fn seed_params(&mut self, key: &Key) {
-        let Simulation { step, st, .. } = self;
-        let mut r = KeyReader::new(key);
-        for (p, t) in step.ir.main.params.iter().zip(step.param_types.iter()) {
-            match t {
-                Type::Queue => {
-                    let vals = r.queue().expect("key matches parameter types");
-                    st.agg_mut(Loc::Var(*p)).load_values(&vals);
-                }
-                _ => {
-                    let v = r.scalar().expect("key matches parameter types");
-                    st.set_reg(*p, v);
-                }
-            }
-        }
     }
 
     /// Releases memoized state down to roughly `target_bytes` right

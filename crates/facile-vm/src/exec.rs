@@ -1,112 +1,130 @@
-//! Shared execution of value instructions.
+//! Shared execution of lowered ops.
 //!
-//! The slow engine (on the real state) and miss recovery (on the shadow
-//! state) both interpret IR value instructions; this module is the single
-//! implementation. Arithmetic delegates to `facile_ir::lower::{eval_binop,
-//! eval_unop}` so compiler constant folding, the slow engine and the fast
-//! engine agree bit-for-bit.
+//! The slow engine (on the real state) and miss recovery (on the shadow)
+//! both run the lowered [`facile_codegen::Program`]; `match_op!` is the
+//! single implementation of the ops they run alike: the value ops — pure
+//! transformations of registers, globals and aggregates plus token
+//! fetches — and the rt-static control flow (jumps, branches, switches).
+//! It expands to one `match` holding those arms followed by the caller's
+//! own arms, so every op dispatches once. Arithmetic delegates to
+//! `facile_ir::lower::{eval_binop, eval_unop}` so compiler constant
+//! folding, the slow engine and the fast engine agree bit-for-bit.
 
-use crate::state::Store;
-use facile_ir::ir::{Inst, Loc, Operand, QueueOp};
-use facile_ir::lower::{eval_binop, eval_unop};
+use crate::state::AggStorage;
+use facile_codegen::program::{ParamSlot, Program};
+use facile_runtime::key::{Key, KeyReader};
 
-/// Evaluates an operand against a store.
-#[inline]
-pub fn ev(op: Operand, s: &impl Store) -> i64 {
-    match op {
-        Operand::Const(c) => c,
-        Operand::Var(v) => s.reg(v),
-    }
-}
-
-/// Executes a *value* instruction (pure state transformations on
-/// registers, globals and aggregates plus token fetches). Returns `false`
-/// for instruction kinds that involve the outside world (memory, external
-/// calls, counters, halts, traces, verify, next, lifts) — the caller
-/// handles those.
-pub fn exec_value_inst(inst: &Inst, s: &mut impl Store) -> bool {
-    match inst {
-        Inst::Bin { op, dst, a, b } => {
-            let r = eval_binop(*op, ev(*a, s), ev(*b, s));
-            s.set_reg(*dst, r);
-        }
-        Inst::Un { op, dst, a } => {
-            let r = eval_unop(*op, ev(*a, s));
-            s.set_reg(*dst, r);
-        }
-        Inst::Copy { dst, src } => {
-            let r = ev(*src, s);
-            s.set_reg(*dst, r);
-        }
-        Inst::LoadGlobal { dst, g } => {
-            let r = s.gscalar(*g);
-            s.set_reg(*dst, r);
-        }
-        Inst::StoreGlobal { g, src } => {
-            let r = ev(*src, s);
-            s.set_gscalar(*g, r);
-        }
-        Inst::ElemGet { dst, agg, idx } => {
-            let i = ev(*idx, s);
-            let r = elem_get(s, *agg, i);
-            s.set_reg(*dst, r);
-        }
-        Inst::ElemSet { agg, idx, src } => {
-            let i = ev(*idx, s);
-            let v = ev(*src, s);
-            elem_set(s, *agg, i, v);
-        }
-        Inst::AggCopy { dst, src } => {
-            s.agg_copy(*dst, *src);
-        }
-        Inst::ArrFill { arr, fill } => {
-            let v = ev(*fill, s);
-            s.agg_mut(*arr).fill(v);
-        }
-        Inst::Queue { op, q, args, dst } => {
-            let a0 = args[0].map(|a| ev(a, s)).unwrap_or(0);
-            let a1 = args[1].map(|a| ev(a, s)).unwrap_or(0);
-            let r = s.agg_mut(*q).queue_op(*op, a0, a1);
-            if let Some(d) = dst {
-                s.set_reg(*d, r);
+/// `match $op { <shared arms> $rest }` for an op of `$prog`, over the
+/// pools `$regs`, `$gs` (scalar globals) and `$aggs`, with token fetches
+/// from `$target`; control ops set `$pc`, the index of the next op.
+macro_rules! match_op {
+    ($op:expr, $pc:ident, $prog:expr, $regs:expr, $gs:expr, $aggs:expr, $target:expr, { $($rest:tt)* }) => {{
+        let consts = &$prog.consts[..];
+        use facile_codegen::program::{Op, NO_REG};
+        use facile_ir::lower::{eval_binop, eval_unop};
+        match $op {
+            Op::AddRR { dst, a, b } => {
+                $regs[dst as usize] = $regs[a as usize].wrapping_add($regs[b as usize]);
             }
-        }
-        Inst::FetchToken { dst, stream, .. } => {
-            // Width resolved by the caller-independent convention: the
-            // store fetches little-endian at the address; the bit width
-            // comes from the instruction's token. Callers pass it via
-            // `fetch_bits` (see `exec_fetch`).
-            let _ = (dst, stream);
-            return false;
-        }
-        _ => return false,
-    }
-    true
-}
-
-/// Executes a `FetchToken` with an explicit width.
-pub fn exec_fetch(dst: facile_ir::ir::VarId, stream: Operand, bits: u32, s: &mut impl Store) {
-    let addr = ev(stream, s);
-    let w = s.fetch_token(addr, bits);
-    s.set_reg(dst, w);
-}
-
-/// Queue-aware element read shared by ElemGet on arrays and queues.
-fn elem_get(s: &impl Store, loc: Loc, idx: i64) -> i64 {
-    s.agg(loc).get(idx)
-}
-
-fn elem_set(s: &mut impl Store, loc: Loc, idx: i64, v: i64) {
-    match s.agg_mut(loc) {
-        crate::state::AggStorage::Array(a) => {
-            if idx >= 0 {
-                if let Some(slot) = a.get_mut(idx as usize) {
-                    *slot = v;
+            Op::AddRI { dst, a, imm } => {
+                $regs[dst as usize] = $regs[a as usize].wrapping_add(imm);
+            }
+            Op::SubRR { dst, a, b } => {
+                $regs[dst as usize] = $regs[a as usize].wrapping_sub($regs[b as usize]);
+            }
+            Op::AndRI { dst, a, imm } => $regs[dst as usize] = $regs[a as usize] & imm,
+            Op::ShrRI { dst, a, sh } => $regs[dst as usize] = $regs[a as usize] >> sh,
+            Op::EqRR { dst, a, b } => {
+                $regs[dst as usize] = ($regs[a as usize] == $regs[b as usize]) as i64;
+            }
+            Op::EqRI { dst, a, imm } => $regs[dst as usize] = ($regs[a as usize] == imm) as i64,
+            Op::NeRR { dst, a, b } => {
+                $regs[dst as usize] = ($regs[a as usize] != $regs[b as usize]) as i64;
+            }
+            Op::NeRI { dst, a, imm } => $regs[dst as usize] = ($regs[a as usize] != imm) as i64,
+            Op::LtRR { dst, a, b } => {
+                $regs[dst as usize] = ($regs[a as usize] < $regs[b as usize]) as i64;
+            }
+            Op::LtRI { dst, a, imm } => $regs[dst as usize] = ($regs[a as usize] < imm) as i64,
+            Op::GtRI { dst, a, imm } => $regs[dst as usize] = ($regs[a as usize] > imm) as i64,
+            Op::BinRR { op, dst, a, b } => {
+                $regs[dst as usize] = eval_binop(op, $regs[a as usize], $regs[b as usize]);
+            }
+            Op::BinRI { op, dst, a, imm } => {
+                $regs[dst as usize] = eval_binop(op, $regs[a as usize], imm);
+            }
+            Op::BinIR { op, dst, imm, b } => {
+                $regs[dst as usize] = eval_binop(op, imm, $regs[b as usize]);
+            }
+            Op::Un { op, dst, a } => $regs[dst as usize] = eval_unop(op, $regs[a as usize]),
+            Op::CopyR { dst, src } => $regs[dst as usize] = $regs[src as usize],
+            Op::CopyI { dst, imm } => $regs[dst as usize] = imm,
+            Op::LoadGlobal { dst, g } => $regs[dst as usize] = $gs[g as usize],
+            Op::StoreGlobalR { g, src } => $gs[g as usize] = $regs[src as usize],
+            Op::StoreGlobalI { g, imm } => $gs[g as usize] = imm,
+            Op::ElemGet { dst, agg, idx } => {
+                let i = idx.get(&$regs, consts);
+                $regs[dst as usize] = $aggs[agg as usize].get(i);
+            }
+            Op::ElemSet { agg, idx, src } => {
+                let i = idx.get(&$regs, consts);
+                let v = src.get(&$regs, consts);
+                $aggs[agg as usize].set(i, v);
+            }
+            Op::AggCopy { dst, src } => {
+                $crate::state::agg_copy(&mut $aggs, dst as usize, src as usize);
+            }
+            Op::ArrFill { arr, fill } => {
+                let v = fill.get(&$regs, consts);
+                $aggs[arr as usize].fill(v);
+            }
+            Op::QueueGet { dst, q, idx } => {
+                let i = idx.get(&$regs, consts);
+                $regs[dst as usize] = $aggs[q as usize].queue_get(i);
+            }
+            Op::QueueLen { dst, q } => $regs[dst as usize] = $aggs[q as usize].queue_len(),
+            Op::Queue { op, q, a0, a1, dst } => {
+                let a0 = a0.get(&$regs, consts);
+                let a1 = a1.get(&$regs, consts);
+                let r = $aggs[q as usize].queue_op(op, a0, a1);
+                if dst != NO_REG {
+                    $regs[dst as usize] = r;
                 }
             }
+            Op::FetchToken { dst, addr, bits } => {
+                let a = addr.get(&$regs, consts);
+                $regs[dst as usize] = $target.fetch_token(a as u64, bits) as i64;
+            }
+            Op::Jump { to } => $pc = to as usize,
+            Op::Br { cond, then_, else_ } => {
+                $pc = if $regs[cond as usize] != 0 { then_ } else { else_ } as usize;
+            }
+            Op::Switch { val, table } => {
+                $pc = $prog.switches[table as usize].target($regs[val as usize]) as usize;
+            }
+            $($rest)*
         }
-        q @ crate::state::AggStorage::Queue(_) => {
-            q.queue_op(QueueOp::Set, idx, v);
+    }};
+}
+pub(crate) use match_op;
+
+/// Writes `main`'s parameters from `key` into a register file and
+/// aggregate pool, decoding queue components straight into storage.
+///
+/// # Panics
+///
+/// Panics if `key` does not decode per the parameter types — keys are
+/// built by the engines, never taken from outside.
+pub(crate) fn seed_params(prog: &Program, regs: &mut [i64], aggs: &mut [AggStorage], key: &Key) {
+    let mut r = KeyReader::new(key);
+    for p in &prog.params {
+        match *p {
+            ParamSlot::Reg(i) => {
+                regs[i as usize] = r.scalar().expect("key decodes per the parameter types");
+            }
+            ParamSlot::Queue(s) => aggs[s as usize]
+                .load_key_queue(&mut r)
+                .expect("key decodes per the parameter types"),
         }
     }
 }

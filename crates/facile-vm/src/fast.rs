@@ -13,7 +13,7 @@
 //! boundaries (into a reused buffer), and placeholder data is read
 //! straight out of the cache's contiguous slab. See docs/PERFORMANCE.md.
 
-use crate::state::{MachineState, Store};
+use crate::state::MachineState;
 use crate::supertrace::{self, SuperTraceSet, TraceRun};
 use facile_codegen::{ActionKind, CompiledStep, FOp, FOperand, KeyPlanArg};
 use facile_ir::lower::{eval_binop, eval_unop};

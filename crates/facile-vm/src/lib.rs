@@ -5,13 +5,15 @@
 //! A compiled step function ([`facile_codegen::CompiledStep`]) runs here
 //! under the fast-forwarding regime of the paper:
 //!
-//! * [`slow`] — the slow/complete simulator: interprets the annotated IR,
-//!   recording dynamic actions into the specialized action cache.
+//! * [`slow`] — the slow/complete simulator: runs the step's lowered
+//!   program ([`facile_codegen::Program`]), recording dynamic actions
+//!   into the specialized action cache.
 //! * [`fast`] — the fast/residual simulator: replays recorded actions,
 //!   verifying dynamic result tests.
 //! * [`recovery`] — action-cache miss recovery via shadow re-execution of
-//!   the run-time-static slice (the paper's §6.3 optimization 2: a
-//!   dedicated recovery engine with the dynamic guards compiled out).
+//!   the run-time-static slice of the same program (the paper's §6.3
+//!   optimization 2: a dedicated recovery engine that skips the dynamic
+//!   ops).
 //! * [`supertrace`] — superaction compilation: hot replay chains
 //!   linearized into direct-threaded trace buffers with guarded
 //!   speculation and a bail path back to the generic replay loop.

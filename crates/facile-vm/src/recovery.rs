@@ -8,44 +8,26 @@
 //! *recovery stack*; §6.3 (optimization 2) proposes compiling this mode as
 //! a separate function.
 //!
-//! This module implements that separate recovery engine: it re-executes
-//! only the run-time-static slice of the step — on a fresh
-//! [`ShadowState`], reading nothing from the real state — steering
-//! through dynamic result tests with the recorded values. When the
-//! recovery stack is exhausted (the miss point), every shadow slot that is
-//! run-time static *at that point* is committed to the real state, and
-//! normal slow execution resumes there. Dynamic slots keep the values the
-//! fast engine wrote, which is exactly the paper's hand-off of dynamic
-//! data through shared storage.
+//! This module implements that separate recovery engine: it runs the
+//! step's lowered program ([`facile_codegen::Program`]) over the
+//! simulation's [`Shadow`] — reset for each recovery, reading nothing
+//! from the real state — skipping the ops of dynamic instructions, so
+//! only the run-time-static slice executes, and steering through dynamic
+//! result tests with the recorded values, which it consumes at the
+//! program's record ops. When the recovery stack is exhausted (the miss
+//! point), every shadow slot that is run-time static *at that point* is
+//! committed to the real state, and normal slow execution resumes at the
+//! action's resume op. Dynamic slots keep the values the fast engine
+//! wrote, which is exactly the paper's hand-off of dynamic data through
+//! shared storage.
 
-use crate::exec::{exec_fetch, exec_value_inst};
+use crate::exec::{match_op, seed_params};
 use crate::fast::Replayed;
-use crate::slow::Position;
-use crate::state::{AggLayout, AggStorage, MachineState, ShadowState, Store};
-use facile_codegen::{Closes, CompiledStep, Resume};
-use facile_ir::ir::{Inst, Loc, Terminator, VarKind};
-use facile_obs::{ObsHandle, TraceEvent};
-use facile_runtime::key::{Key, KeyReader};
-use facile_sema::Type;
-
-/// Mutable views of the real state's value slots, split from the layout
-/// and target so the shadow can share the latter.
-struct RealSlots<'a> {
-    regs: &'a mut [i64],
-    var_aggs: &'a mut [AggStorage],
-    gscalars: &'a mut [i64],
-    gaggs: &'a mut [AggStorage],
-    layout: &'a AggLayout,
-}
-
-impl RealSlots<'_> {
-    fn agg_mut(&mut self, loc: Loc) -> &mut AggStorage {
-        match loc {
-            Loc::Var(v) => &mut self.var_aggs[self.layout.var_slot[v.index()] as usize],
-            Loc::Global(g) => &mut self.gaggs[self.layout.global_slot[g.index()] as usize],
-        }
-    }
-}
+use crate::state::{AggStorage, MachineState, Shadow};
+use facile_codegen::CompiledStep;
+use facile_ir::ir::VarKind;
+use facile_obs::TraceEvent;
+use facile_runtime::key::Key;
 
 /// How a recovery attempt failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,213 +88,133 @@ impl std::fmt::Display for RecoveryError {
 
 impl std::error::Error for RecoveryError {}
 
-/// Re-executes the run-time-static slice and commits it; returns where
-/// normal slow execution resumes.
+/// Re-executes the run-time-static slice and commits it; returns the op
+/// of the step's program at which normal slow execution resumes.
 ///
 /// # Errors
 ///
 /// Returns a [`RecoveryError`] if the recovery stack disagrees with the
-/// recorded action numbers (underflow or action mismatch). The real
-/// state is untouched in that case — commits only happen at the final
-/// consistent item — so the driver can surface a diagnosed fault.
+/// recorded action numbers (underflow, action mismatch or overrun). The
+/// real state is untouched in that case — commits only happen at the
+/// final consistent item — so the driver can surface a diagnosed fault.
 pub fn recover(
     step: &CompiledStep,
     st: &mut MachineState,
     entry_key: &Key,
     replayed: &[Replayed],
-) -> Result<Position, RecoveryError> {
+) -> Result<u32, RecoveryError> {
     assert!(!replayed.is_empty(), "recovery needs at least the miss action");
-    let obs = st.obs.clone();
     let step_no = st.obs_step();
-    if obs.enabled() {
-        obs.emit(TraceEvent::RecoveryBegin {
+    if st.obs.enabled() {
+        st.obs.emit(TraceEvent::RecoveryBegin {
             step: step_no,
             depth: replayed.len() as u64,
         });
     }
+    let prog = &step.program;
+    let ops = &prog.ops[..];
     let MachineState {
-        ref mut regs,
-        ref mut var_aggs,
-        ref mut gscalars,
-        ref mut gaggs,
-        ref layout,
+        ref mut shadow,
         ref target,
         ..
     } = *st;
-    let mut real = RealSlots {
-        regs,
-        var_aggs,
-        gscalars,
-        gaggs,
-        layout,
-    };
-    let mut shadow = ShadowState::new(layout, target, &step.ir);
-    seed_params(step, &mut shadow, entry_key);
+    let shadow = shadow.get_or_insert_with(|| Shadow::new(&step.ir));
+    shadow.reset();
+    seed_params(prog, &mut shadow.regs, &mut shadow.aggs, entry_key);
 
-    let mut block = step.ir.main.entry;
-    let mut ii = 0usize;
+    let overrun = || RecoveryError {
+        kind: RecoveryErrorKind::Overrun,
+        action: replayed[replayed.len() - 1].action,
+        step: step_no,
+        depth: replayed.len(),
+    };
     let mut item = 0usize; // next recovery-stack index
     // The action of the most recently consumed item, while its group is
     // still open.
     let mut current: Option<Replayed> = None;
-
+    // The action whose item ends the stack, once reached: the miss point.
+    let miss: u32;
+    let resume: u32;
+    let mut pc = prog.entry as usize;
     loop {
-        let b = &step.ir.main.blocks[block.index()];
-        let annots = &step.blocks[block.index()];
-        while ii < b.insts.len() {
-            let inst = &b.insts[ii];
-            let annot = &annots.insts[ii];
-            if annot.dynamic {
-                if let Some(a) = annot.action_start {
-                    let r = replayed.get(item).ok_or(RecoveryError {
-                        kind: RecoveryErrorKind::Underflow,
-                        action: a,
-                        step: step_no,
-                        depth: replayed.len(),
-                    })?;
-                    if r.action != a {
-                        return Err(RecoveryError {
-                            kind: RecoveryErrorKind::Mismatch {
-                                expected: a,
-                                found: r.action,
-                            },
-                            action: a,
-                            step: step_no,
-                            depth: replayed.len(),
-                        });
-                    }
-                    current = Some(*r);
-                    item += 1;
-                }
-                match annot.closes {
-                    Some(Closes::Verify) => {
-                        let r = current.take().expect("verify closes an open group");
-                        let v = r.value.expect("verify actions record their value");
-                        if let Inst::Verify { dst, .. } = inst {
-                            shadow.set_reg(*dst, v);
-                        }
-                        if item == replayed.len() {
-                            // The miss action: commit and resume after it.
-                            commit(step, &mut real, &shadow, r.action, &obs, step_no);
-                            let Resume::AtInst { block, inst } =
-                                step.actions[r.action as usize].resume
-                            else {
-                                unreachable!("verify resumes at the next instruction")
-                            };
-                            return Ok(Position {
-                                block,
-                                inst: inst as usize,
-                            });
-                        }
-                    }
-                    Some(Closes::Index) => {
-                        unreachable!("INDEX misses are clean boundaries, not recoveries")
-                    }
-                    None => {}
-                }
-                // Dynamic effects were already applied by the fast engine.
-            } else {
-                if !exec_value_inst(inst, &mut shadow) {
-                    match inst {
-                        Inst::FetchToken { dst, stream, token } => exec_fetch(
-                            *dst,
-                            *stream,
-                            step.ir.token_widths[token.index()],
-                            &mut shadow,
-                        ),
-                        other => {
-                            unreachable!("instruction labeled rt-static is not a value op: {other}")
-                        }
-                    }
-                }
-            }
-            ii += 1;
+        // Dynamic effects were already applied by the fast engine.
+        if prog.dynamic[pc] {
+            pc += 1;
+            continue;
         }
-
-        // Block end: a plain group that closes here may be the miss point.
-        if annots.term_action.is_none() {
-            if let Some(r) = current.take() {
-                if item == replayed.len() {
-                    commit(step, &mut real, &shadow, r.action, &obs, step_no);
-                    return Ok(Position {
-                        block,
-                        inst: b.insts.len(),
-                    });
-                }
-            }
-        }
-
-        match &b.term {
-            Terminator::Jump(t) => {
-                block = *t;
-                ii = 0;
-            }
-            Terminator::Branch {
-                cond,
-                then_bb,
-                else_bb,
-            } => {
-                let v = if let Some(a) = annots.term_action {
-                    let r = take_term_item(replayed, &mut item, &mut current, a, step_no)?;
-                    let v = r.value.expect("test actions record their value");
-                    if item == replayed.len() {
-                        commit(step, &mut real, &shadow, a, &obs, step_no);
-                        return Ok(Position {
-                            block: if v != 0 { *then_bb } else { *else_bb },
-                            inst: 0,
-                        });
-                    }
-                    v
-                } else {
-                    crate::exec::ev(*cond, &shadow)
-                };
-                block = if v != 0 { *then_bb } else { *else_bb };
-                ii = 0;
-            }
-            Terminator::Switch {
-                val,
-                cases,
-                default,
-            } => {
-                let v = if let Some(a) = annots.term_action {
-                    let r = take_term_item(replayed, &mut item, &mut current, a, step_no)?;
-                    let v = r.value.expect("test actions record their value");
-                    if item == replayed.len() {
-                        commit(step, &mut real, &shadow, a, &obs, step_no);
-                        let target = cases
-                            .iter()
-                            .find(|(c, _)| *c == v)
-                            .map(|&(_, t)| t)
-                            .unwrap_or(*default);
-                        return Ok(Position {
-                            block: target,
-                            inst: 0,
-                        });
-                    }
-                    v
-                } else {
-                    crate::exec::ev(*val, &shadow)
-                };
-                block = cases
-                    .iter()
-                    .find(|(c, _)| *c == v)
-                    .map(|&(_, t)| t)
-                    .unwrap_or(*default);
-                ii = 0;
-            }
-            Terminator::Return => {
-                // With a consistent stack the miss action always commits
-                // before the step returns; reaching here means the stack
-                // carried extra trailing items.
-                return Err(RecoveryError {
-                    kind: RecoveryErrorKind::Overrun,
-                    action: replayed[replayed.len() - 1].action,
+        let op = ops[pc];
+        pc += 1;
+        match_op!(op, pc, prog, shadow.regs, shadow.gscalars, shadow.aggs, target, {
+            Op::Start { action } => {
+                let r = replayed.get(item).ok_or(RecoveryError {
+                    kind: RecoveryErrorKind::Underflow,
+                    action,
                     step: step_no,
                     depth: replayed.len(),
-                });
+                })?;
+                if r.action != action {
+                    return Err(RecoveryError {
+                        kind: RecoveryErrorKind::Mismatch {
+                            expected: action,
+                            found: r.action,
+                        },
+                        action,
+                        step: step_no,
+                        depth: replayed.len(),
+                    });
+                }
+                current = Some(*r);
+                item += 1;
             }
-        }
+            Op::PhR { .. } | Op::PhG { .. } | Op::PhAgg { .. } => {}
+            Op::CloseVerify { action, dst } => {
+                let r = current.take().expect("verify closes an open group");
+                shadow.regs[dst as usize] = r.value.expect("verify actions record their value");
+                if item == replayed.len() {
+                    // The miss action: commit and resume after it.
+                    (miss, resume) = (action, prog.resume[action as usize]);
+                    break;
+                }
+            }
+            Op::ClosePlain { action } => {
+                // A plain group closing at its block end may be the miss
+                // point.
+                if current.take().is_some() && item == replayed.len() {
+                    (miss, resume) = (action, prog.resume[action as usize]);
+                    break;
+                }
+            }
+            Op::TestClose { action, .. } => {
+                let r = take_term_item(replayed, &mut item, &mut current, action, step_no)?;
+                let v = r.value.expect("test actions record their value");
+                // Take the block's branch with the recorded value.
+                let to = match ops[pc] {
+                    Op::Br { then_, else_, .. } => {
+                        if v != 0 {
+                            then_
+                        } else {
+                            else_
+                        }
+                    }
+                    Op::Switch { table, .. } => prog.switches[table as usize].target(v),
+                    other => unreachable!("a test close precedes its branch, not {other:?}"),
+                };
+                if item == replayed.len() {
+                    (miss, resume) = (action, to);
+                    break;
+                }
+                pc = to as usize;
+            }
+            // With a consistent stack the miss action always commits
+            // before the step ends; reaching its end means the stack
+            // carried extra trailing items. (INDEX misses are clean step
+            // boundaries, never recoveries.)
+            Op::Next { .. } | Op::Ret => return Err(overrun()),
+            other => unreachable!("op labeled rt-static is not a value op: {other:?}"),
+        })
     }
+    commit(step, st, miss);
+    Ok(resume)
 }
 
 /// Consumes the recovery item for a dynamic terminator. The item is the
@@ -352,49 +254,34 @@ fn take_term_item(
     Ok(*r)
 }
 
-/// Writes `main`'s parameters into the shadow from the entry key.
-fn seed_params(step: &CompiledStep, shadow: &mut ShadowState<'_>, key: &Key) {
-    let mut r = KeyReader::new(key);
-    for (p, t) in step.ir.main.params.iter().zip(&step.param_types) {
-        match t {
-            Type::Queue => {
-                let vals = r.queue().expect("key decodes per the parameter types");
-                shadow.agg_mut(Loc::Var(*p)).load_values(&vals);
-            }
-            _ => {
-                let v = r.scalar().expect("key decodes per the parameter types");
-                shadow.set_reg(*p, v);
-            }
-        }
-    }
-}
-
 /// Copies every slot that is run-time static (and live) after `action`
 /// from the shadow to the real state, then announces the end of the
 /// recovery (with the number of slots committed) to the observer.
-fn commit(
-    step: &CompiledStep,
-    real: &mut RealSlots<'_>,
-    shadow: &ShadowState<'_>,
-    action: u32,
-    obs: &ObsHandle,
-    step_no: u64,
-) {
+fn commit(step: &CompiledStep, st: &mut MachineState, action: u32) {
     let code = &step.actions[action as usize];
+    let slots = &step.program.slots;
+    let MachineState {
+        ref mut regs,
+        ref mut gscalars,
+        ref mut aggs,
+        ref shadow,
+        ref obs,
+        ..
+    } = *st;
+    let shadow = shadow.as_ref().expect("the recovery built the shadow");
+    let copy_agg = |aggs: &mut [AggStorage], shadow: &Shadow, slot: u32| {
+        aggs[slot as usize].copy_from(&shadow.aggs[slot as usize]);
+    };
     for &v in code.known_vars_after.iter() {
-        real.regs[v.index()] = shadow.reg(v);
+        regs[v.index()] = shadow.regs[v.index()];
     }
     for &v in code.known_aggs_after.iter() {
-        let src = shadow.agg(Loc::Var(v));
-        real.agg_mut(Loc::Var(v)).copy_from(src);
+        copy_agg(aggs, shadow, slots.var[v.index()]);
     }
     for &g in code.known_globals_after.iter() {
         match step.ir.globals[g.index()].kind() {
-            VarKind::Scalar => real.gscalars[g.index()] = shadow.gscalar(g),
-            _ => {
-                let src = shadow.agg(Loc::Global(g));
-                real.agg_mut(Loc::Global(g)).copy_from(src);
-            }
+            VarKind::Scalar => gscalars[g.index()] = shadow.gscalars[g.index()],
+            _ => copy_agg(aggs, shadow, slots.global[g.index()]),
         }
     }
     if obs.enabled() {
@@ -402,7 +289,7 @@ fn commit(
             + code.known_aggs_after.len()
             + code.known_globals_after.len();
         obs.emit(TraceEvent::RecoveryEnd {
-            step: step_no,
+            step: st.obs_step(),
             action,
             committed: committed as u64,
         });

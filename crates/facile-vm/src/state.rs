@@ -4,14 +4,20 @@
 //! computes everything on it; the fast engine applies only dynamic
 //! effects (run-time-static state is implicit in the recorded
 //! placeholders); miss recovery recomputes the run-time-static slice on a
-//! separate [`ShadowState`] and commits it back. Because both engines use
+//! separate shadow (reused across recoveries) and commits it back.
+//! Registers, scalar globals and aggregates live in three pools indexed
+//! the way the lowered program ([`facile_codegen::Program`]) addresses
+//! them: by variable, by global, and by aggregate slot
+//! ([`AggSlots`]). Because both engines use
 //! the *same* variable numbering, dynamic values written by the fast
 //! engine are directly visible when the slow engine takes over — the
 //! paper's "dynamic data to be passed from the fast simulator to the slow
 //! simulator" (§3.2).
 
+use facile_codegen::AggSlots;
 use facile_ir::ir::{GlobalInit, IrProgram, Loc, QueueOp, VarId, VarKind};
 use facile_obs::{ObsHandle, TraceEvent};
+use facile_runtime::key::KeyReader;
 use facile_runtime::{Engine, HaltReason, SimStats, Target};
 use facile_sema::GlobalId;
 use std::collections::VecDeque;
@@ -108,6 +114,31 @@ impl AggStorage {
         }
     }
 
+    /// `queue_op(QueueOp::Get, idx, _)` without the op dispatch.
+    #[inline]
+    pub fn queue_get(&self, idx: i64) -> i64 {
+        match self {
+            AggStorage::Queue(q) if idx >= 0 => q.get(idx as usize).copied().unwrap_or(0),
+            AggStorage::Queue(_) => 0,
+            AggStorage::Array(_) => {
+                debug_assert!(false, "queue op on array");
+                0
+            }
+        }
+    }
+
+    /// `queue_op(QueueOp::Len, ..)` without the op dispatch.
+    #[inline]
+    pub fn queue_len(&self) -> i64 {
+        match self {
+            AggStorage::Queue(q) => q.len() as i64,
+            AggStorage::Array(_) => {
+                debug_assert!(false, "queue op on array");
+                0
+            }
+        }
+    }
+
     /// Copies contents from `src` (same kind).
     pub fn copy_from(&mut self, src: &AggStorage) {
         match (self, src) {
@@ -155,6 +186,29 @@ impl AggStorage {
         self.len() == 0
     }
 
+    /// Replaces contents with the next queue component of `r` (an array
+    /// takes it as a prefix, zero-filled), decoding straight into the
+    /// storage. `None` when the key is malformed.
+    pub fn load_key_queue(&mut self, r: &mut KeyReader<'_>) -> Option<()> {
+        match self {
+            AggStorage::Array(a) => {
+                let mut n = 0;
+                r.queue_with(|v| {
+                    if let Some(slot) = a.get_mut(n) {
+                        *slot = v;
+                    }
+                    n += 1;
+                })?;
+                a.iter_mut().skip(n).for_each(|x| *x = 0);
+            }
+            AggStorage::Queue(q) => {
+                q.clear();
+                r.queue_with(|v| q.push_back(v))?;
+            }
+        }
+        Some(())
+    }
+
     /// Replaces contents with `vals` (queue) or writes prefix (array).
     pub fn load_values(&mut self, vals: &[i64]) {
         match self {
@@ -199,91 +253,79 @@ impl Iterator for AggIter<'_> {
 
 impl ExactSizeIterator for AggIter<'_> {}
 
-/// Read/write access to registers, globals, aggregates and target text —
-/// the subset of state that run-time-static code touches. Implemented by
-/// both the real [`MachineState`] and the recovery [`ShadowState`].
-pub trait Store {
-    /// Reads a scalar register.
-    fn reg(&self, v: VarId) -> i64;
-    /// Writes a scalar register.
-    fn set_reg(&mut self, v: VarId, val: i64);
-    /// Reads a scalar global.
-    fn gscalar(&self, g: GlobalId) -> i64;
-    /// Writes a scalar global.
-    fn set_gscalar(&mut self, g: GlobalId, val: i64);
-    /// Mutable access to an aggregate.
-    fn agg_mut(&mut self, loc: Loc) -> &mut AggStorage;
-    /// Shared access to an aggregate.
-    fn agg(&self, loc: Loc) -> &AggStorage;
-    /// Fetches a token word from the (immutable) target text.
-    fn fetch_token(&self, addr: i64, bits: u32) -> i64;
-    /// Copies one aggregate onto another (handles the aliasing borrow).
-    fn agg_copy(&mut self, dst: Loc, src: Loc) {
-        if dst == src {
-            return;
-        }
-        let snapshot = self.agg(src).clone();
-        self.agg_mut(dst).copy_from(&snapshot);
-    }
-}
-
 /// An external (Rust) function callable from Facile. `Send` so a fully
 /// wired simulation can move to a batch worker thread; hosts share
 /// their component state through `Arc<Mutex<_>>` (uncontended — each
 /// simulation owns its components).
 pub type ExtFn = Box<dyn FnMut(&[i64]) -> i64 + Send>;
 
-/// Maps variables/globals to aggregate slots.
-#[derive(Clone, Debug)]
-pub struct AggLayout {
-    /// Per-variable slot into the variable aggregate pool (`u32::MAX` for
-    /// scalars).
-    pub var_slot: Vec<u32>,
-    /// Per-global slot into the global aggregate pool.
-    pub global_slot: Vec<u32>,
+/// The initial aggregate pool of `ir`, in [`AggSlots`] order: arrays
+/// zero-filled (globals: their fill value), queues empty.
+fn agg_pool(ir: &IrProgram) -> Vec<AggStorage> {
+    let vars = ir.main.vars.iter().filter_map(|v| match v.kind {
+        VarKind::Scalar => None,
+        VarKind::Array(n) => Some(AggStorage::Array(vec![0; n as usize])),
+        VarKind::Queue => Some(AggStorage::Queue(VecDeque::new())),
+    });
+    let globals = ir.globals.iter().filter_map(|g| match g.init {
+        GlobalInit::Scalar(_) => None,
+        GlobalInit::Array { size, fill } => Some(AggStorage::Array(vec![fill; size as usize])),
+        GlobalInit::Queue => Some(AggStorage::Queue(VecDeque::new())),
+    });
+    vars.chain(globals).collect()
 }
 
-impl AggLayout {
-    /// Builds the layout and initial pools for `ir`.
-    pub fn new(ir: &IrProgram) -> (AggLayout, Vec<AggStorage>, Vec<AggStorage>) {
-        let mut var_slot = vec![u32::MAX; ir.main.vars.len()];
-        let mut var_pool = Vec::new();
-        for (i, v) in ir.main.vars.iter().enumerate() {
-            match v.kind {
-                VarKind::Scalar => {}
-                VarKind::Array(n) => {
-                    var_slot[i] = var_pool.len() as u32;
-                    var_pool.push(AggStorage::Array(vec![0; n as usize]));
-                }
-                VarKind::Queue => {
-                    var_slot[i] = var_pool.len() as u32;
-                    var_pool.push(AggStorage::Queue(VecDeque::new()));
-                }
-            }
+/// Copies `aggs[src]` onto `aggs[dst]` in place.
+pub(crate) fn agg_copy(aggs: &mut [AggStorage], dst: usize, src: usize) {
+    if dst == src {
+        return;
+    }
+    let (d, s) = if dst < src {
+        let (lo, hi) = aggs.split_at_mut(src);
+        (&mut lo[dst], &hi[0])
+    } else {
+        let (lo, hi) = aggs.split_at_mut(dst);
+        (&mut hi[0], &lo[src])
+    };
+    d.copy_from(s);
+}
+
+/// Miss recovery's shadow pools: the same shapes as the machine's,
+/// reset to their initial contents before each recovery so one set of
+/// buffers serves every recovery of a simulation.
+#[derive(Debug)]
+pub struct Shadow {
+    /// Shadow registers.
+    pub regs: Vec<i64>,
+    /// Shadow scalar globals.
+    pub gscalars: Vec<i64>,
+    /// Shadow aggregate pool.
+    pub aggs: Vec<AggStorage>,
+    /// The initial aggregate pool `reset` restores.
+    init: Vec<AggStorage>,
+}
+
+impl Shadow {
+    /// A shadow shaped like `ir`'s machine state.
+    pub fn new(ir: &IrProgram) -> Shadow {
+        let init = agg_pool(ir);
+        Shadow {
+            regs: vec![0; ir.main.vars.len()],
+            gscalars: vec![0; ir.globals.len()],
+            aggs: init.clone(),
+            init,
         }
-        let mut global_slot = vec![u32::MAX; ir.globals.len()];
-        let mut global_pool = Vec::new();
-        for (i, g) in ir.globals.iter().enumerate() {
-            match g.init {
-                GlobalInit::Scalar(_) => {}
-                GlobalInit::Array { size, fill } => {
-                    global_slot[i] = global_pool.len() as u32;
-                    global_pool.push(AggStorage::Array(vec![fill; size as usize]));
-                }
-                GlobalInit::Queue => {
-                    global_slot[i] = global_pool.len() as u32;
-                    global_pool.push(AggStorage::Queue(VecDeque::new()));
-                }
-            }
+    }
+
+    /// Restores the state a fresh shadow starts in: registers and scalar
+    /// globals zero, aggregates initial. Allocation-free once the
+    /// buffers have grown to the largest contents seen.
+    pub fn reset(&mut self) {
+        self.regs.fill(0);
+        self.gscalars.fill(0);
+        for (a, init) in self.aggs.iter_mut().zip(&self.init) {
+            a.copy_from(init);
         }
-        (
-            AggLayout {
-                var_slot,
-                global_slot,
-            },
-            var_pool,
-            global_pool,
-        )
     }
 }
 
@@ -291,14 +333,12 @@ impl AggLayout {
 pub struct MachineState {
     /// Scalar registers, one per IR variable.
     pub regs: Vec<i64>,
-    /// Aggregate storage for aggregate variables.
-    pub var_aggs: Vec<AggStorage>,
     /// Scalar global values.
     pub gscalars: Vec<i64>,
-    /// Aggregate storage for aggregate globals.
-    pub gaggs: Vec<AggStorage>,
-    /// Slot layout shared with the shadow state.
-    pub layout: AggLayout,
+    /// Aggregate storage: aggregate variables, then aggregate globals.
+    pub aggs: Vec<AggStorage>,
+    /// Which aggregate slot each variable and global owns.
+    pub layout: AggSlots,
     /// The loaded target (text + data memory).
     pub target: Target,
     /// Simulation counters.
@@ -316,6 +356,9 @@ pub struct MachineState {
     /// Observability hook; disabled (`ObsHandle::off()`) by default, so
     /// every emit site reduces to one null check.
     pub obs: ObsHandle,
+    /// Miss recovery's shadow, built by the first recovery and reused
+    /// by every later one.
+    pub shadow: Option<Shadow>,
 }
 
 /// Maximum retained trace values.
@@ -325,7 +368,6 @@ impl MachineState {
     /// Creates the state for a compiled program over a loaded target.
     /// External functions start unbound (calls return 0 and count).
     pub fn new(ir: &IrProgram, target: Target) -> Self {
-        let (layout, var_aggs, gaggs) = AggLayout::new(ir);
         let gscalars = ir
             .globals
             .iter()
@@ -341,10 +383,9 @@ impl MachineState {
             .collect();
         MachineState {
             regs: vec![0; ir.main.vars.len()],
-            var_aggs,
             gscalars,
-            gaggs,
-            layout,
+            aggs: agg_pool(ir),
+            layout: AggSlots::new(ir),
             target,
             stats: SimStats::default(),
             engine: Engine::Slow,
@@ -353,6 +394,7 @@ impl MachineState {
             trace_dropped: 0,
             externals,
             obs: ObsHandle::off(),
+            shadow: None,
         }
     }
 
@@ -381,100 +423,46 @@ impl MachineState {
         }
         (self.externals[ext])(args)
     }
-}
 
-impl Store for MachineState {
-    fn reg(&self, v: VarId) -> i64 {
+    /// Reads a scalar register.
+    pub fn reg(&self, v: VarId) -> i64 {
         self.regs[v.index()]
     }
-    fn set_reg(&mut self, v: VarId, val: i64) {
+
+    /// Writes a scalar register.
+    pub fn set_reg(&mut self, v: VarId, val: i64) {
         self.regs[v.index()] = val;
     }
-    fn gscalar(&self, g: GlobalId) -> i64 {
+
+    /// Reads a scalar global.
+    pub fn gscalar(&self, g: GlobalId) -> i64 {
         self.gscalars[g.index()]
     }
-    fn set_gscalar(&mut self, g: GlobalId, val: i64) {
+
+    /// Writes a scalar global.
+    pub fn set_gscalar(&mut self, g: GlobalId, val: i64) {
         self.gscalars[g.index()] = val;
     }
-    fn agg_mut(&mut self, loc: Loc) -> &mut AggStorage {
-        match loc {
-            Loc::Var(v) => &mut self.var_aggs[self.layout.var_slot[v.index()] as usize],
-            Loc::Global(g) => &mut self.gaggs[self.layout.global_slot[g.index()] as usize],
-        }
+
+    /// Mutable access to an aggregate.
+    pub fn agg_mut(&mut self, loc: Loc) -> &mut AggStorage {
+        &mut self.aggs[self.layout.of(loc) as usize]
     }
-    fn agg(&self, loc: Loc) -> &AggStorage {
-        match loc {
-            Loc::Var(v) => &self.var_aggs[self.layout.var_slot[v.index()] as usize],
-            Loc::Global(g) => &self.gaggs[self.layout.global_slot[g.index()] as usize],
-        }
+
+    /// Shared access to an aggregate.
+    pub fn agg(&self, loc: Loc) -> &AggStorage {
+        &self.aggs[self.layout.of(loc) as usize]
     }
-    fn fetch_token(&self, addr: i64, bits: u32) -> i64 {
+
+    /// Fetches a token word from the (immutable) target text.
+    pub fn fetch_token(&self, addr: i64, bits: u32) -> i64 {
         self.target.fetch_token(addr as u64, bits) as i64
     }
-}
 
-/// Recovery shadow: same shapes as the machine, plus a borrowed target
-/// for token fetches. Run-time-static recomputation happens here; the
-/// commit copies known slots back to the real state (see
-/// `facile-vm::recovery`).
-pub struct ShadowState<'a> {
-    /// Shadow registers.
-    pub regs: Vec<i64>,
-    /// Shadow aggregate pool (variables).
-    pub var_aggs: Vec<AggStorage>,
-    /// Shadow scalar globals.
-    pub gscalars: Vec<i64>,
-    /// Shadow aggregate pool (globals).
-    pub gaggs: Vec<AggStorage>,
-    /// Shared layout.
-    pub layout: &'a AggLayout,
-    /// The target, for run-time-static token fetches.
-    pub target: &'a Target,
-}
-
-impl<'a> ShadowState<'a> {
-    /// Builds a shadow with fresh storage shaped like `ir`, sharing the
-    /// real state's layout and target.
-    pub fn new(layout: &'a AggLayout, target: &'a Target, ir: &IrProgram) -> Self {
-        let (_, var_aggs, gaggs) = AggLayout::new(ir);
-        ShadowState {
-            regs: vec![0; ir.main.vars.len()],
-            var_aggs,
-            gscalars: vec![0; ir.globals.len()],
-            gaggs,
-            layout,
-            target,
-        }
-    }
-}
-
-impl Store for ShadowState<'_> {
-    fn reg(&self, v: VarId) -> i64 {
-        self.regs[v.index()]
-    }
-    fn set_reg(&mut self, v: VarId, val: i64) {
-        self.regs[v.index()] = val;
-    }
-    fn gscalar(&self, g: GlobalId) -> i64 {
-        self.gscalars[g.index()]
-    }
-    fn set_gscalar(&mut self, g: GlobalId, val: i64) {
-        self.gscalars[g.index()] = val;
-    }
-    fn agg_mut(&mut self, loc: Loc) -> &mut AggStorage {
-        match loc {
-            Loc::Var(v) => &mut self.var_aggs[self.layout.var_slot[v.index()] as usize],
-            Loc::Global(g) => &mut self.gaggs[self.layout.global_slot[g.index()] as usize],
-        }
-    }
-    fn agg(&self, loc: Loc) -> &AggStorage {
-        match loc {
-            Loc::Var(v) => &self.var_aggs[self.layout.var_slot[v.index()] as usize],
-            Loc::Global(g) => &self.gaggs[self.layout.global_slot[g.index()] as usize],
-        }
-    }
-    fn fetch_token(&self, addr: i64, bits: u32) -> i64 {
-        self.target.fetch_token(addr as u64, bits) as i64
+    /// Copies one aggregate onto another in place.
+    pub fn agg_copy(&mut self, dst: Loc, src: Loc) {
+        let (d, s) = (self.layout.of(dst), self.layout.of(src));
+        agg_copy(&mut self.aggs, d as usize, s as usize);
     }
 }
 

@@ -52,7 +52,7 @@ use crate::fast::{
     dynamic_signature, eval_foperand, exec_fop, index_advance, materialize_entry_key, note_miss,
     FastOutcome, IndexStep, Replayed, ReplayScratch,
 };
-use crate::state::{MachineState, Store};
+use crate::state::MachineState;
 use facile_codegen::{ActionKind, CompiledStep, FOperand};
 use facile_obs::{fold_sig, CHAIN_DEPTH};
 use facile_runtime::cache::{ActionCache, Cursor, NodeId};
