@@ -212,36 +212,36 @@ fn workload_cache_golden() {
 
 const BRANCHY_GOLDEN: &str = "\
 [unbounded]
-cold: nodes=22 entries=7 clears=0 evictions=0 bytes_total=433 bytes_peak=433 slow_insns=7 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=a03092bbc4786ccc
-warm: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=a03092bbc4786ccc
-half: nodes=1 entries=0 clears=0 evictions=0 bytes_total=13 bytes_peak=13 slow_insns=0 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=3b9b0fe32041bc87
-refreeze: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=3b9b0fe32041bc87
+cold: nodes=22 entries=7 clears=0 evictions=0 bytes_total=433 bytes_peak=433 slow_insns=7 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=360cc79bd85c307c
+warm: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=360cc79bd85c307c
+half: nodes=1 entries=0 clears=0 evictions=0 bytes_total=13 bytes_peak=13 slow_insns=0 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=ac555ced51d38066
+refreeze: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=ac555ced51d38066
 [clear]
-cold: nodes=453 entries=151 clears=50 evictions=0 bytes_total=8804 bytes_peak=175 slow_insns=151 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=26bdceec24fdee54
-warm: nodes=408 entries=129 clears=42 evictions=0 bytes_total=7929 bytes_peak=194 slow_insns=129 misses=21 cycles=300 mem=f9b98ea3818eb952 snap=fe48fac3995e51fa
-half: nodes=259 entries=86 clears=28 evictions=0 bytes_total=5138 bytes_peak=180 slow_insns=86 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=18a5ceb8bba7084b
-refreeze: nodes=6 entries=2 clears=0 evictions=0 bytes_total=125 bytes_peak=125 slow_insns=2 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=6ead719df491aa43
+cold: nodes=453 entries=151 clears=50 evictions=0 bytes_total=8804 bytes_peak=175 slow_insns=151 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=54d85ba1254fe80f
+warm: nodes=408 entries=129 clears=42 evictions=0 bytes_total=7929 bytes_peak=194 slow_insns=129 misses=21 cycles=300 mem=f9b98ea3818eb952 snap=3258439cdf77fb11
+half: nodes=259 entries=86 clears=28 evictions=0 bytes_total=5138 bytes_peak=180 slow_insns=86 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=15173b2e4af746bb
+refreeze: nodes=6 entries=2 clears=0 evictions=0 bytes_total=125 bytes_peak=125 slow_insns=2 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=e612aee43fd95ff1
 [generational]
-cold: nodes=453 entries=151 clears=0 evictions=296 bytes_total=9054 bytes_peak=175 slow_insns=151 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=63ab4e82dc507119
-warm: nodes=276 entries=85 clears=0 evictions=164 bytes_total=5399 bytes_peak=194 slow_insns=85 misses=21 cycles=300 mem=f9b98ea3818eb952 snap=86fd319eaba44bbf
-half: nodes=259 entries=86 clears=0 evictions=166 bytes_total=5178 bytes_peak=198 slow_insns=86 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=fc2918ee6684324b
-refreeze: nodes=3 entries=1 clears=0 evictions=0 bytes_total=65 bytes_peak=65 slow_insns=1 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=755423f42c20d0af
+cold: nodes=453 entries=151 clears=0 evictions=296 bytes_total=9054 bytes_peak=175 slow_insns=151 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=091610626a04dbc7
+warm: nodes=276 entries=85 clears=0 evictions=164 bytes_total=5399 bytes_peak=194 slow_insns=85 misses=21 cycles=300 mem=f9b98ea3818eb952 snap=fc7ccf538517ff85
+half: nodes=259 entries=86 clears=0 evictions=166 bytes_total=5178 bytes_peak=198 slow_insns=86 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=20d2535e6f94016e
+refreeze: nodes=3 entries=1 clears=0 evictions=0 bytes_total=65 bytes_peak=65 slow_insns=1 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=f069758889e2acc0
 ";
 
 const GCC_GOLDEN: &str = "\
 [unbounded]
-cold: nodes=5992 entries=1181 clears=0 evictions=0 bytes_total=89872 bytes_peak=89872 slow_insns=1181 misses=200 cycles=24372 mem=bb0ea5928241d393 snap=94f6c5af90599c82
-warm: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=24372 mem=bb0ea5928241d393 snap=0e9171296b9d65e5
-half: nodes=1263 entries=245 clears=0 evictions=0 bytes_total=18917 bytes_peak=18917 slow_insns=245 misses=51 cycles=24372 mem=bb0ea5928241d393 snap=9f299bda24a6ade1
-refreeze: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=24372 mem=bb0ea5928241d393 snap=8527d9feefc29460
+cold: nodes=5992 entries=1181 clears=0 evictions=0 bytes_total=89872 bytes_peak=89872 slow_insns=1181 misses=200 cycles=24372 mem=bb0ea5928241d393 snap=973e8d11815b41ee
+warm: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=24372 mem=bb0ea5928241d393 snap=8b9e7bb7d7e335b3
+half: nodes=1263 entries=245 clears=0 evictions=0 bytes_total=18917 bytes_peak=18917 slow_insns=245 misses=51 cycles=24372 mem=bb0ea5928241d393 snap=2be8f71b1653c948
+refreeze: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=24372 mem=bb0ea5928241d393 snap=0606f2e5ad8263b3
 [clear]
-cold: nodes=24638 entries=5114 clears=22 evictions=0 bytes_total=373898 bytes_peak=16478 slow_insns=5114 misses=428 cycles=24372 mem=bb0ea5928241d393 snap=6588200949642589
-warm: nodes=11248 entries=2204 clears=10 evictions=0 bytes_total=168099 bytes_peak=16460 slow_insns=2204 misses=379 cycles=24372 mem=bb0ea5928241d393 snap=6b8868318b3adf07
-half: nodes=13884 entries=2787 clears=12 evictions=0 bytes_total=209169 bytes_peak=16476 slow_insns=2787 misses=392 cycles=24372 mem=bb0ea5928241d393 snap=96bd877de02c14ae
-refreeze: nodes=9498 entries=1859 clears=8 evictions=0 bytes_total=141912 bytes_peak=16446 slow_insns=1859 misses=323 cycles=24372 mem=bb0ea5928241d393 snap=e54117674f37675b
+cold: nodes=24638 entries=5114 clears=22 evictions=0 bytes_total=373898 bytes_peak=16478 slow_insns=5114 misses=428 cycles=24372 mem=bb0ea5928241d393 snap=3f1de8e94021d9ca
+warm: nodes=11248 entries=2204 clears=10 evictions=0 bytes_total=168099 bytes_peak=16460 slow_insns=2204 misses=379 cycles=24372 mem=bb0ea5928241d393 snap=998a7188cee301de
+half: nodes=13884 entries=2787 clears=12 evictions=0 bytes_total=209169 bytes_peak=16476 slow_insns=2787 misses=392 cycles=24372 mem=bb0ea5928241d393 snap=a231ff210167ee29
+refreeze: nodes=9498 entries=1859 clears=8 evictions=0 bytes_total=141912 bytes_peak=16446 slow_insns=1859 misses=323 cycles=24372 mem=bb0ea5928241d393 snap=ddd158d1f761c711
 [generational]
-cold: nodes=15949 entries=3202 clears=0 evictions=109 bytes_total=240320 bytes_peak=16519 slow_insns=3202 misses=454 cycles=24372 mem=bb0ea5928241d393 snap=144224ed21d78f87
-warm: nodes=9198 entries=1788 clears=0 evictions=59 bytes_total=137346 bytes_peak=16483 slow_insns=1788 misses=341 cycles=24372 mem=bb0ea5928241d393 snap=d22b8e54c3a13979
-half: nodes=10674 entries=2092 clears=0 evictions=70 bytes_total=159640 bytes_peak=16547 slow_insns=2092 misses=370 cycles=24372 mem=bb0ea5928241d393 snap=eead1736cb710f45
-refreeze: nodes=7251 entries=1407 clears=0 evictions=45 bytes_total=108217 bytes_peak=16564 slow_insns=1407 misses=270 cycles=24372 mem=bb0ea5928241d393 snap=ca70166551728f38
+cold: nodes=15949 entries=3202 clears=0 evictions=109 bytes_total=240320 bytes_peak=16519 slow_insns=3202 misses=454 cycles=24372 mem=bb0ea5928241d393 snap=4d754f773ee1b54f
+warm: nodes=9198 entries=1788 clears=0 evictions=59 bytes_total=137346 bytes_peak=16483 slow_insns=1788 misses=341 cycles=24372 mem=bb0ea5928241d393 snap=b4bb2e5729a29064
+half: nodes=10674 entries=2092 clears=0 evictions=70 bytes_total=159640 bytes_peak=16547 slow_insns=2092 misses=370 cycles=24372 mem=bb0ea5928241d393 snap=4419d89f74a92d74
+refreeze: nodes=7251 entries=1407 clears=0 evictions=45 bytes_total=108217 bytes_peak=16564 slow_insns=1407 misses=270 cycles=24372 mem=bb0ea5928241d393 snap=7857022d64303dc6
 ";
