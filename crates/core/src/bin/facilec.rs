@@ -707,8 +707,9 @@ fn emit(kind: &str, step: &CompiledStep) -> Result<ExitCode, String> {
         }
         "actions" => {
             for (i, a) in step.actions.iter().enumerate() {
-                println!("action {i}: {:?} ({} ops)", kind_name(&a.kind), a.ops.len());
-                for op in &a.ops {
+                let ops = &step.program.replay[a.replay.start as usize..a.replay.end as usize];
+                println!("action {i}: {:?} ({} ops)", kind_name(&a.kind), ops.len());
+                for op in ops {
                     println!("    {op:?}");
                 }
             }

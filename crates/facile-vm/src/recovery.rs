@@ -144,7 +144,7 @@ pub fn recover(
         }
         let op = ops[pc];
         pc += 1;
-        match_op!(op, pc, prog, shadow.regs, shadow.gscalars, shadow.aggs, target, {
+        match_op!(op, [pc], prog, shadow.regs, shadow.gscalars, shadow.aggs, target, {
             Op::Start { action } => {
                 let r = replayed.get(item).ok_or(RecoveryError {
                     kind: RecoveryErrorKind::Underflow,

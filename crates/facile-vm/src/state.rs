@@ -1,25 +1,24 @@
 //! Machine state shared by both engines.
 //!
 //! There is exactly one authoritative simulation state. The slow engine
-//! computes everything on it; the fast engine applies only dynamic
-//! effects (run-time-static state is implicit in the recorded
-//! placeholders); miss recovery recomputes the run-time-static slice on a
-//! separate shadow (reused across recoveries) and commits it back.
+//! computes everything on it; the fast engine applies the dynamic
+//! effects, loading each recorded placeholder where recording captured
+//! it (the rest of the run-time-static state stays implicit in the
+//! recorded data); miss recovery recomputes the run-time-static slice on
+//! a separate shadow (reused across recoveries) and commits it back.
 //! Registers, scalar globals and aggregates live in three pools indexed
 //! the way the lowered program ([`facile_codegen::Program`]) addresses
 //! them: by variable, by global, and by aggregate slot
-//! ([`AggSlots`]). Because both engines use
+//! ([`facile_codegen::AggSlots`]). Because both engines use
 //! the *same* variable numbering, dynamic values written by the fast
 //! engine are directly visible when the slow engine takes over — the
 //! paper's "dynamic data to be passed from the fast simulator to the slow
 //! simulator" (§3.2).
 
-use facile_codegen::AggSlots;
-use facile_ir::ir::{GlobalInit, IrProgram, Loc, QueueOp, VarId, VarKind};
+use facile_ir::ir::{GlobalInit, IrProgram, QueueOp, VarKind};
 use facile_obs::{ObsHandle, TraceEvent};
 use facile_runtime::key::KeyReader;
 use facile_runtime::{Engine, HaltReason, SimStats, Target};
-use facile_sema::GlobalId;
 use std::collections::VecDeque;
 
 /// Storage of one aggregate (array or queue).
@@ -337,8 +336,6 @@ pub struct MachineState {
     pub gscalars: Vec<i64>,
     /// Aggregate storage: aggregate variables, then aggregate globals.
     pub aggs: Vec<AggStorage>,
-    /// Which aggregate slot each variable and global owns.
-    pub layout: AggSlots,
     /// The loaded target (text + data memory).
     pub target: Target,
     /// Simulation counters.
@@ -385,7 +382,6 @@ impl MachineState {
             regs: vec![0; ir.main.vars.len()],
             gscalars,
             aggs: agg_pool(ir),
-            layout: AggSlots::new(ir),
             target,
             stats: SimStats::default(),
             engine: Engine::Slow,
@@ -422,47 +418,6 @@ impl MachineState {
             });
         }
         (self.externals[ext])(args)
-    }
-
-    /// Reads a scalar register.
-    pub fn reg(&self, v: VarId) -> i64 {
-        self.regs[v.index()]
-    }
-
-    /// Writes a scalar register.
-    pub fn set_reg(&mut self, v: VarId, val: i64) {
-        self.regs[v.index()] = val;
-    }
-
-    /// Reads a scalar global.
-    pub fn gscalar(&self, g: GlobalId) -> i64 {
-        self.gscalars[g.index()]
-    }
-
-    /// Writes a scalar global.
-    pub fn set_gscalar(&mut self, g: GlobalId, val: i64) {
-        self.gscalars[g.index()] = val;
-    }
-
-    /// Mutable access to an aggregate.
-    pub fn agg_mut(&mut self, loc: Loc) -> &mut AggStorage {
-        &mut self.aggs[self.layout.of(loc) as usize]
-    }
-
-    /// Shared access to an aggregate.
-    pub fn agg(&self, loc: Loc) -> &AggStorage {
-        &self.aggs[self.layout.of(loc) as usize]
-    }
-
-    /// Fetches a token word from the (immutable) target text.
-    pub fn fetch_token(&self, addr: i64, bits: u32) -> i64 {
-        self.target.fetch_token(addr as u64, bits) as i64
-    }
-
-    /// Copies one aggregate onto another in place.
-    pub fn agg_copy(&mut self, dst: Loc, src: Loc) {
-        let (d, s) = (self.layout.of(dst), self.layout.of(src));
-        agg_copy(&mut self.aggs, d as usize, s as usize);
     }
 }
 
