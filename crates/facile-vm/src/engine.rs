@@ -474,14 +474,17 @@ impl Simulation {
                             self.mode = Mode::Fast(node);
                             return None;
                         }
-                        FastOutcome::NeedSlow { key, cursor } => {
+                        FastOutcome::NeedSlow { cursor } => {
                             if self.st.obs.enabled() {
                                 self.st.obs.emit(TraceEvent::NeedSlow {
                                     step: self.st.obs_step(),
                                 });
                             }
+                            let Cursor::AfterIndex(_, key, _) = &cursor else {
+                                unreachable!("a step boundary follows an INDEX node")
+                            };
+                            self.slow_key.set_from_bytes(key.as_bytes());
                             self.cursor = cursor;
-                            self.slow_key = key;
                             self.mode = Mode::Slow;
                         }
                         FastOutcome::Miss { cursor } => {
