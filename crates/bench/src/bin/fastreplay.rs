@@ -72,6 +72,10 @@ struct Row {
     trace_steps: u64,
     /// Supertraces built.
     trace_built: u64,
+    /// Supertrace entries, bails and instructions retired inside traces.
+    trace_enters: u64,
+    trace_bails: u64,
+    trace_insns: u64,
     /// Wall ns of the same workload with superaction compilation off
     /// (the A/B companion measurement; 0 when not measured).
     wall_ns_nost: u64,
@@ -159,6 +163,9 @@ fn main() {
                     memo_bytes: sim.cache_stats().bytes_total,
                     trace_steps: t.steps,
                     trace_built: t.built,
+                    trace_enters: t.enters,
+                    trace_bails: t.bails,
+                    trace_insns: t.insns,
                     wall_ns_nost: 0,
                 };
                 if row.as_ref().is_none_or(|best| rep.wall_ns < best.wall_ns) {
@@ -250,7 +257,7 @@ fn render_json(scale: f64, rows: &[Row], baseline: Option<&str>) -> String {
         }
         let _ = write!(
             s,
-            "{{\"name\":\"{}\",\"insns\":{},\"steps\":{},\"wall_ns\":{},\"steps_per_sec\":{:.1},\"insns_per_sec\":{:.1},\"fast_fraction\":{:.6},\"allocs\":{},\"allocs_per_step\":{:.3},\"memo_bytes\":{},\"trace_steps\":{},\"trace_built\":{},\"trace_coverage\":{:.6},\"wall_ns_nost\":{},\"steps_per_sec_nost\":{:.1}}}",
+            "{{\"name\":\"{}\",\"insns\":{},\"steps\":{},\"wall_ns\":{},\"steps_per_sec\":{:.1},\"insns_per_sec\":{:.1},\"fast_fraction\":{:.6},\"allocs\":{},\"allocs_per_step\":{:.3},\"memo_bytes\":{},\"trace_steps\":{},\"trace_built\":{},\"trace_enters\":{},\"trace_bails\":{},\"trace_insns\":{},\"trace_coverage\":{:.6},\"wall_ns_nost\":{},\"steps_per_sec_nost\":{:.1}}}",
             r.name,
             r.insns,
             r.steps,
@@ -263,6 +270,9 @@ fn render_json(scale: f64, rows: &[Row], baseline: Option<&str>) -> String {
             r.memo_bytes,
             r.trace_steps,
             r.trace_built,
+            r.trace_enters,
+            r.trace_bails,
+            r.trace_insns,
             r.trace_coverage(),
             r.wall_ns_nost,
             r.steps_per_sec_nost(),
