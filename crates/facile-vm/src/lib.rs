@@ -8,8 +8,9 @@
 //! * [`slow`] — the slow/complete simulator: runs the step's lowered
 //!   program ([`facile_codegen::Program`]), recording dynamic actions
 //!   into the specialized action cache.
-//! * [`fast`] — the fast/residual simulator: replays recorded actions,
-//!   verifying dynamic result tests.
+//! * [`fast`] — the fast/residual simulator: replays recorded actions
+//!   by running each one's range of the same program's ops, verifying
+//!   dynamic result tests.
 //! * [`recovery`] — action-cache miss recovery via shadow re-execution of
 //!   the run-time-static slice of the same program (the paper's §6.3
 //!   optimization 2: a dedicated recovery engine that skips the dynamic
