@@ -6,7 +6,7 @@
 //! * **cold** — an empty action cache; the run pays the full warm-up
 //!   (slow-engine recording) before replay dominates. After the run the
 //!   cache is serialized with `facile::snapshot::save` into the
-//!   `facile-snap/v1` format documented in `docs/PERSISTENCE.md`.
+//!   `facile-snap/v2` format documented in `docs/PERSISTENCE.md`.
 //! * **warm** — a fresh simulation over the same image that installs
 //!   the cold run's snapshot (parse → validate → `warm_start`) before
 //!   its first step, exactly as `facilec run --cache-load` does.

@@ -151,7 +151,7 @@ usage: facilec <file.fac> [--emit ast|ir|bta|actions|stats]
          jobs file: one `prog.asm [max-steps]` per line;
          batch --obs-out is JSONL, per-job docs then the merged doc;
          --progress prints a JSONL heartbeat per job to stderr
-         --cache-save writes a facile-snap/v1 action-cache snapshot
+         --cache-save writes a facile-snap/v2 action-cache snapshot
          after the run; --cache-load warm-starts from one (a stale or
          corrupt snapshot falls back to a cold start, never an error;
          batch lanes share one loaded snapshot copy-on-write)

@@ -3,7 +3,7 @@
 //! The middle end (binding-time analysis, lift insertion, action
 //! extraction, lowering) may change how it computes its results, but not
 //! what it emits: the compiled step decides simulated results, cycle
-//! counts and whether existing `facile-snap/v1` snapshots still load.
+//! counts and whether existing `facile-snap/v2` snapshots still load.
 //! Each simulator pins three hashes:
 //!
 //! * the compiled output — IR, action table, debug records, slow-engine

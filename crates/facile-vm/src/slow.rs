@@ -14,8 +14,8 @@ use crate::state::MachineState;
 use facile_codegen::program::KeySrc;
 use facile_codegen::CompiledStep;
 use facile_obs::EngineTag;
-use facile_runtime::cache::{ActionCache, Cursor};
-use facile_runtime::key::{Key, KeyWriter};
+use facile_runtime::cache::{payload_bytes, ActionCache, Cursor};
+use facile_runtime::key::{pack_bytes, varint_len, zigzag, Key, KeyWriter};
 
 /// Result of one slow step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,6 +45,9 @@ pub struct SlowScratch {
     group: Vec<i64>,
     /// Dynamic signature of the INDEX action being recorded.
     sig: Vec<i64>,
+    /// Key bytes of the INDEX action's run-time-static components, in
+    /// order (packed into the group's words on record).
+    tail: Vec<u8>,
     /// External-call argument staging.
     ext_args: Vec<i64>,
     /// The next key, serialized.
@@ -96,6 +99,7 @@ fn run<const REC: bool>(
     let SlowScratch {
         group,
         sig,
+        tail,
         ext_args,
         kw,
     } = scratch;
@@ -166,35 +170,49 @@ fn run<const REC: bool>(
                 let site = &prog.nexts[site as usize];
                 kw.reset();
                 sig.clear();
-                // The key serializes every component; while recording the
-                // run-time-static ones are also memoized (so the fast
-                // engine can rebuild the key) and the dynamic ones form
-                // the signature for node-local INDEX links.
+                tail.clear();
+                // Modeled size of the run-time-static components beyond
+                // their key bytes: the cache charges a queue's length as
+                // a zig-zag varint, the key writes it as a plain one.
+                let mut surcharge = 0u64;
+                // The key serializes every component. While recording,
+                // the run-time-static ones are also memoized as the key
+                // bytes just written (so the fast engine can rebuild the
+                // key) and the dynamic ones form the signature for
+                // node-local INDEX links.
                 for c in &site.comps {
+                    let at = kw.bytes().len();
                     match c.src {
                         KeySrc::Scalar(o) => {
                             let v = o.get(&st.regs, consts);
                             kw.scalar(v);
-                            if REC {
-                                if c.rt { &mut *group } else { &mut *sig }.push(v);
+                            if REC && !c.rt {
+                                sig.push(v);
                             }
                         }
                         KeySrc::Queue(q) => {
                             let a = &st.aggs[q as usize];
                             kw.queue_vals(a.iter());
-                            if REC {
-                                let out = if c.rt { &mut *group } else { &mut *sig };
-                                out.push(a.len() as i64);
-                                out.extend(a.iter());
+                            if REC && c.rt {
+                                let n = a.len() as u64;
+                                surcharge += (varint_len(zigzag(n as i64)) - varint_len(n)) as u64;
+                            } else if REC {
+                                sig.push(a.len() as i64);
+                                sig.extend(a.iter());
                             }
                         }
+                    }
+                    if REC && c.rt {
+                        tail.extend_from_slice(&kw.bytes()[at..]);
                     }
                 }
                 if REC {
                     if let Some(rec) = &mut rec {
+                        let payload = payload_bytes(group) + tail.len() as u64 + surcharge;
+                        pack_bytes(tail, group);
                         let key = Key::from_bytes(kw.bytes());
                         rec.cache
-                            .record_index(rec.cursor, site.action, group, key, sig);
+                            .record_index(rec.cursor, site.action, group, payload, key, sig);
                         action_slow(st, site.action, group_insns0);
                     }
                 }

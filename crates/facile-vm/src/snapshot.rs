@@ -1,4 +1,4 @@
-//! Action-cache persistence: the `facile-snap/v1` on-disk format.
+//! Action-cache persistence: the `facile-snap/v2` on-disk format.
 //!
 //! A snapshot is a serialized [`FrozenGens`] image — the memoized
 //! action graph of a finished (or interrupted) run — plus a validity
@@ -58,20 +58,22 @@
 //! ```
 
 use crate::engine::Simulation;
-use facile_codegen::program::KeySrc;
+use facile_codegen::program::{KeyComp, KeySrc};
 use facile_codegen::{ActionCode, ActionKind, CompiledStep, Op};
 use facile_obs::TraceEvent;
 use facile_runtime::cache::{
     CachePolicy, FrozenGens, FrozenGensBuilder, FrozenSucc, Succ, MAX_IMAGE_SEQ,
 };
-use facile_runtime::key::{hash_bytes, Key};
+use facile_runtime::key::{hash_bytes, Key, PackedReader};
 use facile_runtime::NodeId;
 use std::sync::{Arc, OnceLock};
 
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: &[u8; 8] = b"FACSNAP1";
-/// Format version this module reads and writes.
-pub const VERSION: u32 = 1;
+/// Format version this module reads and writes. Version 2 stores an
+/// INDEX node's run-time-static key components as packed key bytes;
+/// files of any other version are refused, never converted.
+pub const VERSION: u32 = 2;
 /// Fixed header size in bytes (the payload starts here).
 pub const HEADER_LEN: u32 = 64;
 /// `capacity` header sentinel for an unbounded cache.
@@ -84,7 +86,7 @@ pub enum SnapshotError {
     /// The file does not begin with [`MAGIC`].
     BadMagic,
     /// The file's format version is not [`VERSION`].
-    BadVersion(u32),
+    UnsupportedVersion(u32),
     /// The header is self-inconsistent (wrong length field, non-zero
     /// reserved bytes, counts that disagree with the payload).
     BadHeader(String),
@@ -110,7 +112,7 @@ impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SnapshotError::BadMagic => write!(f, "not a facile-snap file (bad magic)"),
-            SnapshotError::BadVersion(v) => {
+            SnapshotError::UnsupportedVersion(v) => {
                 write!(f, "unsupported snapshot version {v} (expected {VERSION})")
             }
             SnapshotError::BadHeader(m) => write!(f, "malformed snapshot header: {m}"),
@@ -210,31 +212,38 @@ impl LoadedSnapshot {
 
 /// Walks every node of `image` once against `step`'s action table: its
 /// action number must exist (belt and braces under a matching
-/// fingerprint), and its data must feed every placeholder the action
-/// reads. Each action's reads fold to one word for the common case — the
-/// data length they need — or `RUNS` when its nodes must be walked run by
-/// run, so most nodes cost one lookup and one compare.
+/// fingerprint), its data must feed every placeholder the action reads,
+/// and an INDEX action's data must end in a packed key tail that decodes
+/// to exactly its site's run-time-static components. Each action's
+/// placeholder reads fold to one word for the common case — the data
+/// length they need — or `RUNS` when its nodes must be walked run by
+/// run, so most placeholder checks cost one lookup and one compare.
 fn check_nodes(image: &FrozenGens, step: &CompiledStep) -> Result<(), SnapshotError> {
     const RUNS: u32 = u32::MAX;
-    let shapes: Vec<Vec<u32>> = step.actions.iter().map(|a| ph_shape(step, a)).collect();
+    let shapes: Vec<(Vec<u32>, Option<&[KeyComp]>)> =
+        step.actions.iter().map(|a| ph_shape(step, a)).collect();
     let needs: Vec<u32> = (shapes.iter())
-        .map(|shape| if let [need] = shape[..] { need } else { RUNS })
+        .map(|(shape, _)| if let [need] = shape[..] { need } else { RUNS })
         .collect();
     for g in image.gens() {
         for (i, n) in g.nodes().iter().enumerate() {
-            let fed = match needs.get(n.action as usize) {
-                None => {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "action number {} out of range (step has {} actions)",
-                        n.action,
-                        needs.len()
-                    )))
-                }
-                Some(&RUNS) => feeds(
-                    &shapes[n.action as usize],
-                    &g.slab()[n.data.off()..n.data.off() + n.data.len()],
-                ),
-                Some(&need) => n.data.len() >= need as usize,
+            let data = &g.slab()[n.data.off()..n.data.off() + n.data.len()];
+            let Some(&need) = needs.get(n.action as usize) else {
+                return Err(SnapshotError::Corrupt(format!(
+                    "action number {} out of range (step has {} actions)",
+                    n.action,
+                    needs.len()
+                )));
+            };
+            let (shape, tail) = &shapes[n.action as usize];
+            let ph = match need {
+                RUNS => feeds(shape, data),
+                need => (need as usize <= data.len()).then_some(need as usize),
+            };
+            let fed = match (ph, tail) {
+                (None, _) => false,
+                (Some(_), None) => true,
+                (Some(ph), Some(comps)) => tail_fits(comps, &data[ph..]),
             };
             if !fed {
                 return Err(SnapshotError::Corrupt(format!(
@@ -249,14 +258,14 @@ fn check_nodes(image: &FrozenGens, step: &CompiledStep) -> Result<(), SnapshotEr
     Ok(())
 }
 
-/// How replaying `code` reads its node's placeholder data, in order:
-/// `shape[0]` single placeholders, then for each further entry one
-/// length-prefixed run (an [`Op::LdAgg`] or a run-time-static queue key
-/// component) followed by that many singles. The reads are the loads of
-/// the action's replay range, then an INDEX action's run-time-static key
-/// components. Replay stops at a `Halt` op, so reads past one never
-/// happen (and are not recorded).
-fn ph_shape(step: &CompiledStep, code: &ActionCode) -> Vec<u32> {
+/// How replaying `code` reads its node's data, in order. The shape lists
+/// the placeholder loads of the action's replay range: `shape[0]` single
+/// placeholders, then for each further entry one length-prefixed run (an
+/// [`Op::LdAgg`]) followed by that many singles. The key components are
+/// an INDEX action's site's, whose run-time-static ones are packed key
+/// bytes after the placeholders. Replay stops at a `Halt` op, so reads
+/// past one never happen (and are not recorded).
+fn ph_shape<'a>(step: &'a CompiledStep, code: &ActionCode) -> (Vec<u32>, Option<&'a [KeyComp]>) {
     // The last entry counts the singles since the last run.
     let mut shape = vec![0u32];
     let bump = |shape: &mut Vec<u32>| *shape.last_mut().expect("never empty") += 1;
@@ -265,25 +274,21 @@ fn ph_shape(step: &CompiledStep, code: &ActionCode) -> Vec<u32> {
         match op {
             Op::LdR { .. } | Op::LdG { .. } => bump(&mut shape),
             Op::LdAgg { .. } => shape.push(0),
-            Op::Halt { .. } => return shape,
+            Op::Halt { .. } => return (shape, None),
             _ => {}
         }
     }
-    if let ActionKind::Index { site } = code.kind {
-        for c in prog.nexts[site as usize].comps.iter().filter(|c| c.rt) {
-            match c.src {
-                KeySrc::Scalar(_) => bump(&mut shape),
-                KeySrc::Queue(_) => shape.push(0),
-            }
-        }
-    }
-    shape
+    let comps = match code.kind {
+        ActionKind::Index { site } => Some(&prog.nexts[site as usize].comps[..]),
+        _ => None,
+    };
+    (shape, comps)
 }
 
-/// Whether `data` feeds every read of an action with placeholder
-/// `shape` (see [`ph_shape`]): each run's length prefix is non-negative
-/// and the run lies inside `data`.
-fn feeds(shape: &[u32], data: &[i64]) -> bool {
+/// Where the placeholders of an action with placeholder `shape` (see
+/// [`ph_shape`]) end in `data`, if `data` feeds every one of them: each
+/// run's length prefix is non-negative and the run lies inside `data`.
+fn feeds(shape: &[u32], data: &[i64]) -> Option<usize> {
     let (last, runs) = shape.split_last().expect("never empty");
     let mut ph = 0usize;
     for &singles in runs {
@@ -292,10 +297,24 @@ fn feeds(shape: &[u32], data: &[i64]) -> bool {
             Some(&len) if len >= 0 && len as u64 <= (data.len() - ph - 1) as u64 => {
                 ph += 1 + len as usize;
             }
-            _ => return false,
+            _ => return None,
         }
     }
-    ph + *last as usize <= data.len()
+    let end = ph + *last as usize;
+    (end <= data.len()).then_some(end)
+}
+
+/// Whether `tail` is exactly the packed key bytes of the run-time-static
+/// components among `comps`: each decodes (a scalar one varint, a queue
+/// a varint length and that many varints) inside the words, and nothing
+/// but zero padding follows the last.
+fn tail_fits(comps: &[KeyComp], tail: &[i64]) -> bool {
+    let mut r = PackedReader::new(tail);
+    comps
+        .iter()
+        .filter(|c| c.rt)
+        .all(|c| r.skip(matches!(c.src, KeySrc::Queue(_))).is_some())
+        && r.at_padded_end()
 }
 
 // ---- encoding -----------------------------------------------------------
@@ -484,7 +503,7 @@ fn check_count(count: u32, at_least_bytes: usize, remaining: usize) -> Result<()
     Ok(())
 }
 
-/// Parses and checksum-verifies a `facile-snap/v1` byte stream into a
+/// Parses and checksum-verifies a `facile-snap/v2` byte stream into a
 /// [`LoadedSnapshot`]. Structural validity (every link target resolves,
 /// slab ranges in bounds, successor lists well-formed) is enforced
 /// here via [`FrozenGensBuilder`]; run validity (digest, fingerprint,
@@ -499,9 +518,9 @@ pub fn parse(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError> {
     if r.take(8).map_err(|_| SnapshotError::BadMagic)? != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = r.u32().map_err(|_| SnapshotError::BadVersion(0))?;
+    let version = r.u32().map_err(|_| SnapshotError::UnsupportedVersion(0))?;
     if version != VERSION {
-        return Err(SnapshotError::BadVersion(version));
+        return Err(SnapshotError::UnsupportedVersion(version));
     }
     let header_len = r
         .u32()

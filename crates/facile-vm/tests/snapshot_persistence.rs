@@ -1,4 +1,4 @@
-//! Action-cache persistence: `facile-snap/v1` round-trips, validity
+//! Action-cache persistence: `facile-snap/v2` round-trips, validity
 //! rejection, and copy-on-write sharing (see `docs/PERSISTENCE.md`).
 //!
 //! The contract under test is fail-safe warm-starting: a valid snapshot
@@ -138,7 +138,7 @@ fn every_header_field_gates_the_load() {
     bad[8] = 9; // version
     assert!(matches!(
         snapshot::parse(&bad),
-        Err(SnapshotError::BadVersion(9))
+        Err(SnapshotError::UnsupportedVersion(9))
     ));
 
     let mut bad = bytes.clone();
@@ -385,5 +385,165 @@ fn short_node_data_is_rejected_before_replay() {
     assert!(
         matches!(short.validate(&sim), Err(SnapshotError::Corrupt(_))),
         "validate proves each node's data feeds its action's placeholder reads"
+    );
+}
+
+/// A looping simulator whose INDEX key tail holds a run-time-static
+/// queue and scalar, packed as key bytes.
+const QUEUED: &str = "ext fun lat(a : int) : int;
+    fun main(iq : queue, pc : int) {
+      iq?push_back(pc % 7);
+      if (iq?len > 3) { iq?pop_front(); }
+      val l = lat(pc)?verify;
+      count_insns(1);
+      val c = mem_ld(0);
+      mem_st(0, c + 1);
+      if (c >= 60) { sim_halt(); }
+      next(iq, (pc + l) % 13);
+    }";
+
+fn queued_sim() -> Simulation {
+    let mut s = Simulation::new(
+        build(QUEUED),
+        Target::load(&Image::default()),
+        &[ArgValue::Queue(vec![]), ArgValue::Scalar(0)],
+        SimOptions::default(),
+    )
+    .unwrap();
+    s.bind_external("lat", |args| 1 + args[0].rem_euclid(3))
+        .unwrap();
+    s
+}
+
+/// Packs key bytes eight to a word, as the cache stores INDEX tails.
+fn packed(bytes: &[u8]) -> Vec<i64> {
+    let mut words = Vec::new();
+    facile_runtime::key::pack_bytes(bytes, &mut words);
+    words
+}
+
+/// Re-encodes `snap` with every INDEX node's key tail replaced by
+/// `craft(tail)`; placeholders and links are kept.
+fn with_tails(
+    snap: &snapshot::LoadedSnapshot,
+    sim: &Simulation,
+    craft: impl Fn(&[i64]) -> Vec<i64>,
+) -> Vec<u8> {
+    let step = sim.compiled();
+    let image = snap.image();
+    let mut b = FrozenGensBuilder::new();
+    for g in image.gens() {
+        let mut slab = g.slab().to_vec();
+        let mut nodes = Vec::new();
+        for (i, n) in g.nodes().iter().enumerate() {
+            let data = &g.slab()[n.data.off()..n.data.off() + n.data.len()];
+            let code = &step.actions[n.action as usize];
+            let (off, len) = match code.kind {
+                facile_codegen::ActionKind::Index { .. } => {
+                    // The tail starts after the replay range's loads.
+                    let mut ph = 0;
+                    let range = code.replay.start as usize..code.replay.end as usize;
+                    for op in &step.program.replay[range] {
+                        match op {
+                            facile_codegen::Op::LdR { .. } | facile_codegen::Op::LdG { .. } => {
+                                ph += 1
+                            }
+                            facile_codegen::Op::LdAgg { .. } => ph += 1 + data[ph] as usize,
+                            _ => {}
+                        }
+                    }
+                    let crafted = [&data[..ph], &craft(&data[ph..])[..]].concat();
+                    let off = slab.len();
+                    slab.extend_from_slice(&crafted);
+                    (off as u32, crafted.len() as u32)
+                }
+                _ => (n.data.off() as u32, n.data.len() as u32),
+            };
+            let succ = match g.succ(i) {
+                Succ::None => FrozenSucc::None,
+                Succ::One(n) => FrozenSucc::One(*n),
+                Succ::Tests(list) => FrozenSucc::Tests(list.items().to_vec()),
+                Succ::Index(list) => FrozenSucc::Index(
+                    list.items()
+                        .iter()
+                        .map(|&(r, n)| (r.off() as u32, r.len() as u32, n))
+                        .collect(),
+                ),
+            };
+            nodes.push((n.action, off, len, succ));
+        }
+        b.begin_gen(g.seq(), slab).unwrap();
+        for (action, off, len, succ) in nodes {
+            b.push_node(action, off, len, succ).unwrap();
+        }
+    }
+    let image = b.finish(image.entries().to_vec(), u32::MAX).unwrap();
+    snapshot::encode(
+        &image,
+        snap.target_digest,
+        snap.step_fingerprint,
+        snap.capacity,
+        snap.policy,
+    )
+}
+
+/// Turns a genuine INDEX key tail into a crafted one.
+type Craft = fn(&[i64]) -> Vec<i64>;
+
+/// The byte length of a genuine `QUEUED` tail: a queue, then a scalar.
+fn genuine_tail_len(tail: &[i64]) -> usize {
+    let mut r = facile_runtime::key::PackedReader::new(tail);
+    r.skip(true).unwrap();
+    r.skip(false).unwrap();
+    r.pos()
+}
+
+#[test]
+fn crafted_index_tails_are_rejected_before_replay() {
+    let mut cold = queued_sim();
+    cold.run_steps(100_000);
+    assert!(cold.halted().is_some());
+    let snap = snapshot::parse(&snapshot::save(&cold)).unwrap();
+    let sim = queued_sim();
+    // Re-encoding the genuine tails is accepted: the rejections below
+    // are the crafts' doing.
+    let same = snapshot::parse(&with_tails(&snap, &sim, <[i64]>::to_vec)).unwrap();
+    same.validate(&sim).unwrap();
+
+    let cases: [(&str, Craft); 6] = [
+        // Queue length 1, then an element whose varint never ends.
+        ("truncated varint", |_| {
+            packed(&[1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80])
+        }),
+        ("a trailing byte", |t| {
+            let mut bytes: Vec<u8> = t.iter().flat_map(|w| w.to_le_bytes()).collect();
+            bytes.truncate(genuine_tail_len(t));
+            bytes.push(1);
+            packed(&bytes)
+        }),
+        ("a trailing word", |t| [t, &[0]].concat()),
+        // 127 elements declared, seven zero bytes to read them from.
+        ("queue length past the words", |_| packed(&[0x7f])),
+        // A queue filling the word exactly; the scalar is missing.
+        ("missing scalar", |_| packed(&[7, 2, 2, 2, 2, 2, 2, 2])),
+        ("missing every component", |_| Vec::new()),
+    ];
+    for (name, craft) in cases {
+        let bytes = with_tails(&snap, &sim, craft);
+        let loaded = snapshot::parse(&bytes).expect("structurally sound");
+        assert!(
+            matches!(loaded.validate(&sim), Err(SnapshotError::Corrupt(_))),
+            "{name}: validate must refuse the tail"
+        );
+    }
+}
+
+#[test]
+fn a_version_1_snapshot_is_refused() {
+    let mut bytes = recorded_snapshot();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(
+        snapshot::parse(&bytes).err(),
+        Some(SnapshotError::UnsupportedVersion(1))
     );
 }

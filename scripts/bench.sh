@@ -80,7 +80,7 @@ echo "==> obs_overhead --scale $SCALE --reps $REPS (disabled / sampled / full / 
 ./target/release/obs_overhead --scale "$SCALE" --reps "$REPS" \
     --fastsim BENCH_fastsim.json --json-out BENCH_obs.json
 
-echo "==> sim_warm --scale $SCALE (cold vs warm-start A/B over facile-snap/v1)"
+echo "==> sim_warm --scale $SCALE (cold vs warm-start A/B over facile-snap/v2)"
 # Each workload runs cold, snapshots its action cache
 # (docs/PERSISTENCE.md), then reruns warm from the snapshot. The warm
 # run must replay the cold run's architected results exactly (the
