@@ -50,8 +50,8 @@
 //! and stale-node execution is impossible by construction.
 
 use crate::fast::{
-    dynamic_signature, index_advance, materialize_entry_key, note_miss, replay_action, FastOutcome,
-    IndexStep, ReplayScratch, Replayed,
+    dynamic_signature, index_advance, materialize_entry_key, note_miss, placeholder_len,
+    replay_action, FastOutcome, IndexStep, ReplayScratch, Replayed,
 };
 use crate::state::MachineState;
 use facile_codegen::{ActionKind, CompiledStep, Rk};
@@ -302,7 +302,11 @@ impl SuperTrace {
                     };
                     let target_action = cache.node(next).action;
                     let sig_r = copy_range(&mut data, sig);
-                    let d = copy_range(&mut data, cache.node_data(node));
+                    // Only the placeholders: trace execution never reads
+                    // the packed key tail, which key rebuilds take from
+                    // the cache's own node.
+                    let all = cache.node_data(node);
+                    let d = copy_range(&mut data, &all[..placeholder_len(step, code, all)]);
                     ops.push(TOp::Index {
                         action,
                         node,
