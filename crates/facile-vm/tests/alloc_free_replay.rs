@@ -1,4 +1,5 @@
-//! Proves the steady-state fast-replay loop is allocation-free.
+//! Proves the steady-state fast-replay loop is allocation-free, and a
+//! warm start's install allocates independent of the snapshot's size.
 //!
 //! A counting global allocator (this integration test is its own binary,
 //! so the allocator is private to it) watches a window of pure replay:
@@ -14,8 +15,10 @@ use facile_lang::diag::Diagnostics;
 use facile_lang::parser::parse;
 use facile_runtime::{Image, Target};
 use facile_vm::engine::{ArgValue, SimOptions, Simulation};
+use facile_vm::snapshot;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 struct CountingAlloc;
 
@@ -42,6 +45,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The allocator counts every thread's allocations, so the tests of
+/// this binary take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// Keys cycle 0..7 with a dynamic memory counter, a dynamic result test
 /// and a dynamic INDEX signature component — the full replay feature set.
 const SRC: &str = "fun main(x : int) {
@@ -53,22 +60,26 @@ const SRC: &str = "fun main(x : int) {
         next((x + 1) % 7);
     }";
 
-#[test]
-fn steady_state_replay_allocates_nothing() {
+fn sim(src: &str) -> Simulation {
     let mut diags = Diagnostics::new();
-    let prog = parse(SRC, &mut diags);
+    let prog = parse(src, &mut diags);
     let syms = facile_sema::analyze(&prog, &mut diags);
-    assert!(!diags.has_errors(), "{}", diags.render_all(SRC));
+    assert!(!diags.has_errors(), "{}", diags.render_all(src));
     let ir = lower(&prog, &syms, &mut diags).expect("lowering succeeds");
     let step = compile(ir, &CodegenConfig::default()).expect("codegen succeeds");
-
-    let mut sim = Simulation::new(
+    Simulation::new(
         step,
         Target::load(&Image::default()),
         &[ArgValue::Scalar(0)],
         SimOptions::default(),
     )
-    .unwrap();
+    .unwrap()
+}
+
+#[test]
+fn steady_state_replay_allocates_nothing() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut sim = sim(SRC);
 
     // Warm up: record all 7 key variants and let replay buffers reach
     // their steady-state capacities.
@@ -108,5 +119,39 @@ fn steady_state_replay_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "steady-state replay performed {allocs} heap allocations in 1000 steps"
+    );
+}
+
+/// Records `SRC` with its keys cycling over `keys` values, then warm
+/// starts three fresh simulations from one parse of its snapshot.
+/// Returns the snapshot's entry count and the most heap allocations one
+/// install made.
+fn install_allocations(keys: u32) -> (usize, u64) {
+    let src = SRC.replace("% 7", &format!("% {keys}"));
+    let mut cold = sim(&src);
+    cold.run_steps(4 * keys as u64);
+    let loaded = snapshot::parse(&snapshot::save(&cold)).expect("own snapshot parses");
+    let mut most = 0;
+    for _ in 0..3 {
+        let mut warm = sim(&src);
+        loaded.validate(&warm).expect("own snapshot validates");
+        let a0 = ALLOCS.load(Ordering::Relaxed);
+        warm.warm_start(loaded.image()).expect("fresh simulation warm-starts");
+        most = most.max(ALLOCS.load(Ordering::Relaxed) - a0);
+        warm.run_steps(keys as u64);
+        assert_eq!(warm.stats().slow_steps, 0, "the install is used");
+    }
+    (loaded.image().entry_count(), most)
+}
+
+#[test]
+fn installing_a_snapshot_allocates_independent_of_its_entries() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (few, small) = install_allocations(7);
+    let (many, large) = install_allocations(700);
+    assert!(many >= 50 * few, "{few} vs {many} entries");
+    assert_eq!(
+        small, large,
+        "an install allocated {small} times for {few} entries, {large} for {many}"
     );
 }
