@@ -274,19 +274,19 @@ fn ooo_cache_golden() {
 const OOO_GOLDEN: &str = "\
 [unbounded]
 cold: nodes=29128 entries=4404 clears=0 evictions=0 bytes_total=1307769 bytes_peak=1307769 slow_insns=4404 misses=167 cycles=19036 mem=1e8287dbe1d096ae snap=c5ce8125bd9f2ba2
-warm: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=19036 mem=1e8287dbe1d096ae snap=8fe7ca20f830047f
-half: nodes=11148 entries=1683 clears=0 evictions=0 bytes_total=482653 bytes_peak=482653 slow_insns=1683 misses=83 cycles=19036 mem=1e8287dbe1d096ae snap=db9548a05842262f
-refreeze: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=19036 mem=1e8287dbe1d096ae snap=514df20d7ca57814
+warm: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=19036 mem=1e8287dbe1d096ae snap=c5ce8125bd9f2ba2
+half: nodes=11148 entries=1683 clears=0 evictions=0 bytes_total=482653 bytes_peak=482653 slow_insns=1683 misses=83 cycles=19036 mem=1e8287dbe1d096ae snap=7cc53ae25a428bd4
+refreeze: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=19036 mem=1e8287dbe1d096ae snap=7cc53ae25a428bd4
 [clear]
 cold: nodes=66648 entries=9998 clears=163 evictions=0 bytes_total=2706180 bytes_peak=16776 slow_insns=9998 misses=101 cycles=19036 mem=1e8287dbe1d096ae snap=999837280bd4b0c5
-warm: nodes=65887 entries=9879 clears=161 evictions=0 bytes_total=2677492 bytes_peak=16776 slow_insns=9879 misses=103 cycles=19036 mem=1e8287dbe1d096ae snap=9fc90fab38cdbada
-half: nodes=63409 entries=9510 clears=156 evictions=0 bytes_total=2590227 bytes_peak=17025 slow_insns=9510 misses=118 cycles=19036 mem=1e8287dbe1d096ae snap=ce5d8e7fd4947acc
-refreeze: nodes=63044 entries=9450 clears=155 evictions=0 bytes_total=2578363 bytes_peak=17025 slow_insns=9450 misses=121 cycles=19036 mem=1e8287dbe1d096ae snap=96bd3f005726265d
+warm: nodes=65887 entries=9879 clears=161 evictions=0 bytes_total=2677492 bytes_peak=16776 slow_insns=9879 misses=103 cycles=19036 mem=1e8287dbe1d096ae snap=a1ecf389d3f625eb
+half: nodes=63409 entries=9510 clears=156 evictions=0 bytes_total=2590227 bytes_peak=17025 slow_insns=9510 misses=118 cycles=19036 mem=1e8287dbe1d096ae snap=ef05db49e0ea26fe
+refreeze: nodes=63044 entries=9450 clears=155 evictions=0 bytes_total=2578363 bytes_peak=17025 slow_insns=9450 misses=121 cycles=19036 mem=1e8287dbe1d096ae snap=8e7d5b78f4f92cb0
 [generational]
 cold: nodes=63802 entries=9552 clears=0 evictions=1220 bytes_total=2600152 bytes_peak=16992 slow_insns=9552 misses=113 cycles=19036 mem=1e8287dbe1d096ae snap=c78d9cdfbde1d74c
-warm: nodes=62500 entries=9346 clears=0 evictions=1196 bytes_total=2552726 bytes_peak=16991 slow_insns=9346 misses=129 cycles=19036 mem=1e8287dbe1d096ae snap=56098e973f06e7c5
-half: nodes=59466 entries=8912 clears=0 evictions=1148 bytes_total=2449229 bytes_peak=17015 slow_insns=8912 misses=145 cycles=19036 mem=1e8287dbe1d096ae snap=5d6f1dbf0572f9f8
-refreeze: nodes=58150 entries=8705 clears=0 evictions=1123 bytes_total=2400880 bytes_peak=17001 slow_insns=8705 misses=159 cycles=19036 mem=1e8287dbe1d096ae snap=c18cd67fe8c8cf7e
+warm: nodes=62500 entries=9346 clears=0 evictions=1196 bytes_total=2552726 bytes_peak=16991 slow_insns=9346 misses=129 cycles=19036 mem=1e8287dbe1d096ae snap=812cea0b0b275a88
+half: nodes=59466 entries=8912 clears=0 evictions=1148 bytes_total=2449229 bytes_peak=17015 slow_insns=8912 misses=145 cycles=19036 mem=1e8287dbe1d096ae snap=72e02e7a2d035972
+refreeze: nodes=58150 entries=8705 clears=0 evictions=1123 bytes_total=2400880 bytes_peak=17001 slow_insns=8705 misses=159 cycles=19036 mem=1e8287dbe1d096ae snap=7fa7a298606b2172
 ";
 
 const BRANCHY_GOLDEN: &str = "\
@@ -299,28 +299,28 @@ refreeze: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow
 cold: nodes=453 entries=151 clears=50 evictions=0 bytes_total=8804 bytes_peak=175 slow_insns=151 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=6c4ec579e1f35efc
 warm: nodes=408 entries=129 clears=42 evictions=0 bytes_total=7929 bytes_peak=194 slow_insns=129 misses=21 cycles=300 mem=f9b98ea3818eb952 snap=f819d1f32d8b131b
 half: nodes=259 entries=86 clears=28 evictions=0 bytes_total=5138 bytes_peak=180 slow_insns=86 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=ddbcba9fafe91e84
-refreeze: nodes=6 entries=2 clears=0 evictions=0 bytes_total=125 bytes_peak=125 slow_insns=2 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=de3f18c9d4a8f7e6
+refreeze: nodes=6 entries=2 clears=0 evictions=0 bytes_total=125 bytes_peak=125 slow_insns=2 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=e9ff5c3cd8d28bd9
 [generational]
 cold: nodes=453 entries=151 clears=0 evictions=296 bytes_total=9054 bytes_peak=175 slow_insns=151 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=d98c9dd693e3c7db
-warm: nodes=276 entries=85 clears=0 evictions=164 bytes_total=5399 bytes_peak=194 slow_insns=85 misses=21 cycles=300 mem=f9b98ea3818eb952 snap=e8a4bc6f69f3d8ba
-half: nodes=259 entries=86 clears=0 evictions=166 bytes_total=5178 bytes_peak=198 slow_insns=86 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=4545f546a2364446
-refreeze: nodes=3 entries=1 clears=0 evictions=0 bytes_total=65 bytes_peak=65 slow_insns=1 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=b73e765bdf0ce336
+warm: nodes=276 entries=85 clears=0 evictions=164 bytes_total=5399 bytes_peak=194 slow_insns=85 misses=21 cycles=300 mem=f9b98ea3818eb952 snap=a7e5fd237ab1ca36
+half: nodes=259 entries=86 clears=0 evictions=166 bytes_total=5178 bytes_peak=198 slow_insns=86 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=ed1a92ae4ac2e3c2
+refreeze: nodes=3 entries=1 clears=0 evictions=0 bytes_total=65 bytes_peak=65 slow_insns=1 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=177b91d01d3b5ed7
 ";
 
 const GCC_GOLDEN: &str = "\
 [unbounded]
 cold: nodes=5992 entries=1181 clears=0 evictions=0 bytes_total=89872 bytes_peak=89872 slow_insns=1181 misses=200 cycles=24372 mem=bb0ea5928241d393 snap=c0d7a92a82640bf3
-warm: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=24372 mem=bb0ea5928241d393 snap=ef907a00f67c60a6
-half: nodes=1263 entries=245 clears=0 evictions=0 bytes_total=18917 bytes_peak=18917 slow_insns=245 misses=51 cycles=24372 mem=bb0ea5928241d393 snap=213499850702003a
-refreeze: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=24372 mem=bb0ea5928241d393 snap=2481a3bfcca89fdc
+warm: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=24372 mem=bb0ea5928241d393 snap=c0d7a92a82640bf3
+half: nodes=1263 entries=245 clears=0 evictions=0 bytes_total=18917 bytes_peak=18917 slow_insns=245 misses=51 cycles=24372 mem=bb0ea5928241d393 snap=c9906b5e1e4a143d
+refreeze: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=24372 mem=bb0ea5928241d393 snap=c9906b5e1e4a143d
 [clear]
 cold: nodes=24638 entries=5114 clears=22 evictions=0 bytes_total=373898 bytes_peak=16478 slow_insns=5114 misses=428 cycles=24372 mem=bb0ea5928241d393 snap=7d2a71ae6c9583e5
-warm: nodes=11248 entries=2204 clears=10 evictions=0 bytes_total=168099 bytes_peak=16460 slow_insns=2204 misses=379 cycles=24372 mem=bb0ea5928241d393 snap=ad801232506d50e0
-half: nodes=13884 entries=2787 clears=12 evictions=0 bytes_total=209169 bytes_peak=16476 slow_insns=2787 misses=392 cycles=24372 mem=bb0ea5928241d393 snap=3d5e404a264fe625
-refreeze: nodes=9498 entries=1859 clears=8 evictions=0 bytes_total=141912 bytes_peak=16446 slow_insns=1859 misses=323 cycles=24372 mem=bb0ea5928241d393 snap=03e4d6889a7ee1a6
+warm: nodes=11248 entries=2204 clears=10 evictions=0 bytes_total=168099 bytes_peak=16460 slow_insns=2204 misses=379 cycles=24372 mem=bb0ea5928241d393 snap=1bb801d6d6d4090c
+half: nodes=13884 entries=2787 clears=12 evictions=0 bytes_total=209169 bytes_peak=16476 slow_insns=2787 misses=392 cycles=24372 mem=bb0ea5928241d393 snap=c78cb1e93e2faf23
+refreeze: nodes=9498 entries=1859 clears=8 evictions=0 bytes_total=141912 bytes_peak=16446 slow_insns=1859 misses=323 cycles=24372 mem=bb0ea5928241d393 snap=091ff13d3925fbac
 [generational]
 cold: nodes=15949 entries=3202 clears=0 evictions=109 bytes_total=240320 bytes_peak=16519 slow_insns=3202 misses=454 cycles=24372 mem=bb0ea5928241d393 snap=6a695914caaa9a27
-warm: nodes=9198 entries=1788 clears=0 evictions=59 bytes_total=137346 bytes_peak=16483 slow_insns=1788 misses=341 cycles=24372 mem=bb0ea5928241d393 snap=1306883a5b88d056
-half: nodes=10674 entries=2092 clears=0 evictions=70 bytes_total=159640 bytes_peak=16547 slow_insns=2092 misses=370 cycles=24372 mem=bb0ea5928241d393 snap=6c7c3774ec495184
-refreeze: nodes=7251 entries=1407 clears=0 evictions=45 bytes_total=108217 bytes_peak=16564 slow_insns=1407 misses=270 cycles=24372 mem=bb0ea5928241d393 snap=1ebfbe429273fa0b
+warm: nodes=9198 entries=1788 clears=0 evictions=59 bytes_total=137346 bytes_peak=16483 slow_insns=1788 misses=341 cycles=24372 mem=bb0ea5928241d393 snap=90c98ba5e99987aa
+half: nodes=10674 entries=2092 clears=0 evictions=70 bytes_total=159640 bytes_peak=16547 slow_insns=2092 misses=370 cycles=24372 mem=bb0ea5928241d393 snap=b15b03496a4d2efc
+refreeze: nodes=7251 entries=1407 clears=0 evictions=45 bytes_total=108217 bytes_peak=16564 slow_insns=1407 misses=270 cycles=24372 mem=bb0ea5928241d393 snap=413f957b5a3e3d3a
 ";
