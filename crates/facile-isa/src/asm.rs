@@ -282,7 +282,10 @@ fn parse_int(s: &str) -> Result<i64, String> {
         body.parse()
     }
     .map_err(|_| format!("invalid integer `{s}`"))?;
-    Ok(if neg { -v } else { v })
+    match neg {
+        true => v.checked_neg().ok_or_else(|| format!("invalid integer `{s}`")),
+        false => Ok(v),
+    }
 }
 
 fn mem_operand(s: &str) -> Result<(i32, u8), String> {
@@ -291,6 +294,7 @@ fn mem_operand(s: &str) -> Result<(i32, u8), String> {
         .ok_or_else(|| format!("expected `offset(reg)`, found `{s}`"))?;
     let close = s
         .rfind(')')
+        .filter(|&close| close > open)
         .ok_or_else(|| format!("expected `offset(reg)`, found `{s}`"))?;
     let off = if s[..open].trim().is_empty() {
         0
@@ -412,6 +416,15 @@ mod tests {
     fn register_out_of_range() {
         let e = assemble("addi r32, r0, 1\n", 0).unwrap_err();
         assert!(e.message.contains("out of range"));
+    }
+
+    #[test]
+    fn malformed_operands_are_errors() {
+        // Each once panicked: a negated i64::MIN, and a `)` before `(`.
+        let e = assemble("addi r1, r0, --9223372036854775808\n", 0).unwrap_err();
+        assert!(e.message.contains("invalid integer"));
+        let e = assemble("ld r1, )(\n", 0).unwrap_err();
+        assert!(e.message.contains("offset(reg)"));
     }
 
     #[test]

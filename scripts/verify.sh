@@ -121,6 +121,27 @@ cmp -s "$tmp/cold.txt" "$tmp/warm.txt" \
 grep -q 'fast-fwd:    100.000%' "$tmp/warm_full.txt" \
     || { echo "verify: warm-started run was not pure replay"; exit 1; }
 
+echo "==> smoke: a refrozen warm cache warm-starts again"
+# The warm run saves its own cache: the installed image's entries are
+# exported first, in image order, then any it recorded. That refreeze
+# must load as well as the cold snapshot: pure replay and the cold
+# run's architectural results. A pure-replay warm run records nothing,
+# so its refreeze is the cold snapshot byte for byte.
+./target/release/facilec --builtin ooo --run "$tmp/loop.asm" \
+    --cache-load "$tmp/loop.facsnap" --cache-save "$tmp/chain.facsnap" > /dev/null
+cmp -s "$tmp/loop.facsnap" "$tmp/chain.facsnap" \
+    || { echo "verify: a pure-replay refreeze changed the snapshot"; exit 1; }
+./target/release/facilec --builtin ooo --run "$tmp/loop.asm" \
+    --cache-load "$tmp/chain.facsnap" 2> "$tmp/chain_err.txt" > "$tmp/chain_full.txt"
+! grep -q 'starting cold' "$tmp/chain_err.txt" \
+    || { echo "verify: refrozen snapshot declined"; cat "$tmp/chain_err.txt"; exit 1; }
+grep -q 'fast-fwd:    100.000%' "$tmp/chain_full.txt" \
+    || { echo "verify: run from the refrozen snapshot was not pure replay"; exit 1; }
+grep -v 'sim speed\|fast-fwd\|memoized' "$tmp/chain_full.txt" > "$tmp/chain.txt"
+cmp -s "$tmp/cold.txt" "$tmp/chain.txt" \
+    || { echo "verify: refrozen-snapshot results differ from cold"; \
+         diff "$tmp/cold.txt" "$tmp/chain.txt" || true; exit 1; }
+
 echo "==> smoke: a partially warm run records on top of its snapshot"
 # A snapshot taken part-way through a cold run warm-starts a full run:
 # the rest of the run records on top of the installed (shared, pinned)
@@ -270,6 +291,16 @@ echo "==> regression: batch driver edge cases are structured errors"
 # back as errors, never as panics/aborts (both test names contain
 # "structured_error"; see crates/core/src/batch.rs).
 cargo test -q --offline -p facile --lib structured_error
+
+echo "==> regression: mutated TRISC assembly is an error, never a panic"
+# serve assembles every job's client-supplied asm; 2,000 seeded
+# mutations of the shipped workloads' asm must all come back as
+# assembler errors (a job's asm_error) or assemble.
+cargo test -q --offline -p facile-workloads --test asm_fuzz -- --nocapture \
+    > "$tmp/asm_fuzz.txt" 2>&1 \
+    || { echo "verify: assembler fuzz failed"; cat "$tmp/asm_fuzz.txt"; exit 1; }
+grep -q 'asm fuzz: 2000 cases, .*, 0 panics' "$tmp/asm_fuzz.txt" \
+    || { echo "verify: assembler fuzz panicked"; cat "$tmp/asm_fuzz.txt"; exit 1; }
 
 echo "==> smoke: facilec serve end-to-end (docs/SERVING.md)"
 # Start the daemon on an ephemeral port, wait for the readiness line,
