@@ -794,7 +794,7 @@ mod tests {
     use super::*;
     use crate::fast::{materialize_entry_key, rebuild_key};
     use facile_codegen::program::KeySrc;
-    use facile_codegen::{compile, ActionKind, CodegenConfig, Op};
+    use facile_codegen::{compile, ActionKind, CodegenConfig};
     use facile_ir::lower::lower;
     use facile_lang::diag::Diagnostics;
     use facile_lang::parser::parse;
@@ -835,21 +835,6 @@ mod tests {
         bound(sim.bind_external("btb_lookup", |a| (mix(a[0] ^ a[1]) >= 20) as i64));
     }
 
-    /// Where a node of `action` stops holding placeholders and starts
-    /// holding its packed key tail: after the loads of its replay range.
-    fn tail_start(step: &CompiledStep, action: u32, data: &[i64]) -> usize {
-        let r = &step.actions[action as usize].replay;
-        let mut ph = 0;
-        for op in &step.program.replay[r.start as usize..r.end as usize] {
-            match op {
-                Op::LdR { .. } | Op::LdG { .. } => ph += 1,
-                Op::LdAgg { .. } => ph += 1 + data[ph] as usize,
-                _ => {}
-            }
-        }
-        ph
-    }
-
     /// Runs `sim` cold one step at a time, at most `max_steps` steps.
     /// After every slow step it checks the INDEX node just recorded:
     /// the key rebuilt from the node's tail with the recorded signature
@@ -878,7 +863,7 @@ mod tests {
                 panic!("action {action} is not an INDEX action");
             };
             let data = sim.cache.node_data(*node);
-            let ph = tail_start(step, action, data);
+            let ph = crate::fast::placeholder_len(step, &step.actions[action as usize], data);
 
             materialize_entry_key(
                 step,
