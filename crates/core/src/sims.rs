@@ -13,8 +13,7 @@
 //! ([`TRISC`]) and the simulator's own step function. The out-of-order
 //! and in-order models call external components (branch predictor, cache
 //! hierarchy) that `facile-arch` provides; bind them with
-//! [`facile_vm::Simulation::bind_external`] — see the `ooo_pipeline`
-//! example.
+//! [`crate::hosts::ArchHost::bind`] — see the `ooo_pipeline` example.
 
 /// The shared TRISC encoding + functional semantics (`trisc.fac`).
 pub const TRISC: &str = include_str!("../sims/trisc.fac");

@@ -15,7 +15,7 @@ use crate::exec::seed_params;
 use crate::fast::{fast_run, FastOutcome, ReplayScratch};
 use crate::recovery::{recover, RecoveryError};
 use crate::slow::{slow_step, Recording, SlowScratch, StepOutcome};
-use crate::state::{ExtFn, MachineState};
+use crate::state::{ExtHost, ExtTable, MachineState};
 use crate::supertrace::{SuperTraceSet, TraceStats};
 use facile_codegen::CompiledStep;
 use facile_obs::{BurstExit, BurstRecord, EngineTag, EpochRecord, ObsHandle, TraceEvent};
@@ -23,6 +23,7 @@ use facile_runtime::cache::{ActionCache, CachePolicy, Cursor, NodeId};
 use facile_runtime::key::{Key, KeyWriter};
 use facile_runtime::{CacheStats, Engine, HaltReason, SimStats, Target};
 use facile_sema::Type;
+use std::any::Any;
 
 /// An initial value for one `main` parameter.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -249,7 +250,10 @@ impl Simulation {
         })
     }
 
-    /// Binds a Rust closure to a declared `ext fun`.
+    /// Binds a Rust closure to a declared `ext fun`, in the simulation's
+    /// closure table ([`ExtTable`]). After [`set_host`](Self::set_host)
+    /// installed another host, the first binding replaces it with a
+    /// fresh table.
     ///
     /// # Errors
     ///
@@ -259,15 +263,27 @@ impl Simulation {
         name: &str,
         f: impl FnMut(&[i64]) -> i64 + Send + 'static,
     ) -> Result<(), SimError> {
-        let idx = self
-            .step
-            .ir
-            .ext_names
+        let names = &self.step.ir.ext_names;
+        let idx = names
             .iter()
             .position(|n| n == name)
             .ok_or_else(|| SimError::UnknownExternal(name.to_owned()))?;
-        self.st.externals[idx] = Box::new(f) as ExtFn;
+        let host: &mut dyn Any = self.st.host.as_mut();
+        match host.downcast_mut::<ExtTable>() {
+            Some(table) => table.bind(idx, Box::new(f)),
+            None => {
+                let mut table = ExtTable::unbound(names.len());
+                table.bind(idx, Box::new(f));
+                self.st.host = Box::new(table);
+            }
+        }
         Ok(())
+    }
+
+    /// Installs `host` as the target of every external call, replacing
+    /// the closure table and any bindings in it.
+    pub fn set_host(&mut self, host: impl ExtHost) {
+        self.st.host = Box::new(host);
     }
 
     /// Attaches an observability handle. Trace events and metrics flow

@@ -34,8 +34,8 @@
 //! worker pool. The compiled step is held as an `Arc<CompiledStep>` and
 //! shared read-only between simulations; everything mutable (machine
 //! state, action cache, replay scratch) is owned per-simulation.
-//! External functions must therefore be `Send`
-//! ([`state::ExtFn`]), and the observability handle is backed by an
+//! The host of its external functions must therefore be `Send`
+//! ([`state::ExtHost`]), and the observability handle is backed by an
 //! uncontended mutex. Nothing here is `Sync`: one simulation, one
 //! thread at a time.
 //!
@@ -79,5 +79,5 @@ pub mod supertrace;
 
 pub use engine::{ArgValue, SimError, SimOptions, Simulation};
 pub use recovery::{RecoveryError, RecoveryErrorKind};
-pub use state::{AggIter, AggStorage, ExtFn, MachineState};
+pub use state::{AggIter, AggStorage, ExtFn, ExtHost, ExtTable, MachineState};
 pub use supertrace::{SuperTraceSet, TraceStats};

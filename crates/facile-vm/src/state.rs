@@ -19,6 +19,7 @@ use facile_ir::ir::{GlobalInit, IrProgram, QueueOp, VarKind};
 use facile_obs::{ObsHandle, TraceEvent};
 use facile_runtime::key::KeyReader;
 use facile_runtime::{Engine, HaltReason, SimStats, Target};
+use std::any::Any;
 use std::collections::VecDeque;
 
 /// Storage of one aggregate (array or queue).
@@ -252,11 +253,49 @@ impl Iterator for AggIter<'_> {
 
 impl ExactSizeIterator for AggIter<'_> {}
 
-/// An external (Rust) function callable from Facile. `Send` so a fully
-/// wired simulation can move to a batch worker thread; hosts share
-/// their component state through `Arc<Mutex<_>>` (uncontended — each
-/// simulation owns its components).
+/// The host of a simulation's external functions: every `ext fun` call
+/// the engines make is one call of [`ExtHost::call`] on the one host the
+/// simulation owns. `Send` so a fully wired simulation can move to a
+/// batch worker thread. A host that owns its components (the shipped
+/// simulators' `facile::hosts::ArchHost`) calls them directly, with no
+/// lock and no box per external.
+pub trait ExtHost: Any + Send {
+    /// Calls external `ext` (its `ExtId` index in the program's
+    /// `ext_names`) with `args`.
+    fn call(&mut self, ext: usize, args: &[i64]) -> i64;
+}
+
+/// One external bound as a Rust closure ([`ExtTable`]).
 pub type ExtFn = Box<dyn FnMut(&[i64]) -> i64 + Send>;
+
+/// The host behind `Simulation::bind_external`: one closure per
+/// external, indexed by `ExtId`. Unbound externals return 0. Each call
+/// through it is two indirect calls, the host's and the closure's, so
+/// hosts on a hot path implement [`ExtHost`] themselves.
+pub struct ExtTable {
+    fns: Vec<ExtFn>,
+}
+
+impl ExtTable {
+    /// A table of `n` unbound externals.
+    pub fn unbound(n: usize) -> ExtTable {
+        ExtTable {
+            fns: (0..n).map(|_| Box::new(|_: &[i64]| 0i64) as ExtFn).collect(),
+        }
+    }
+
+    /// Binds external `ext` to `f`.
+    pub fn bind(&mut self, ext: usize, f: ExtFn) {
+        self.fns[ext] = f;
+    }
+}
+
+impl ExtHost for ExtTable {
+    #[inline]
+    fn call(&mut self, ext: usize, args: &[i64]) -> i64 {
+        (self.fns[ext])(args)
+    }
+}
 
 /// The initial aggregate pool of `ir`, in [`AggSlots`] order: arrays
 /// zero-filled (globals: their fill value), queues empty.
@@ -348,8 +387,8 @@ pub struct MachineState {
     pub trace: Vec<i64>,
     /// Number of trace values dropped after the cap.
     pub trace_dropped: u64,
-    /// Bound external functions, indexed by `ExtId`.
-    pub externals: Vec<ExtFn>,
+    /// The host every external call goes to.
+    pub host: Box<dyn ExtHost>,
     /// Observability hook; disabled (`ObsHandle::off()`) by default, so
     /// every emit site reduces to one null check.
     pub obs: ObsHandle,
@@ -363,7 +402,8 @@ const TRACE_CAP: usize = 1 << 20;
 
 impl MachineState {
     /// Creates the state for a compiled program over a loaded target.
-    /// External functions start unbound (calls return 0 and count).
+    /// External functions start unbound in an [`ExtTable`] (calls return
+    /// 0 and count).
     pub fn new(ir: &IrProgram, target: Target) -> Self {
         let gscalars = ir
             .globals
@@ -372,11 +412,6 @@ impl MachineState {
                 GlobalInit::Scalar(v) => v,
                 _ => 0,
             })
-            .collect();
-        let externals = ir
-            .ext_names
-            .iter()
-            .map(|_| Box::new(|_: &[i64]| 0i64) as ExtFn)
             .collect();
         MachineState {
             regs: vec![0; ir.main.vars.len()],
@@ -388,7 +423,7 @@ impl MachineState {
             halted: None,
             trace: Vec::new(),
             trace_dropped: 0,
-            externals,
+            host: Box::new(ExtTable::unbound(ir.ext_names.len())),
             obs: ObsHandle::off(),
             shadow: None,
         }
@@ -417,7 +452,7 @@ impl MachineState {
                 ext: ext as u32,
             });
         }
-        (self.externals[ext])(args)
+        self.host.call(ext, args)
     }
 }
 
