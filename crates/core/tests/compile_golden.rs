@@ -68,9 +68,9 @@ fn functional_compiles_to_the_golden_step() {
     check(
         "functional",
         &functional_source(),
-        0xda88_a257_43b4_8c16,
+        0x5933_96f0_5bf4_8779,
         0x94a9_2586_3022_5a16,
-        0x9d4e_0fef_0bfa_81c7,
+        0x6f59_a4d6_bdda_42dc,
     );
 }
 
@@ -79,9 +79,9 @@ fn inorder_compiles_to_the_golden_step() {
     check(
         "inorder",
         &inorder_source(),
-        0x729c_cf6b_5b37_ee85,
+        0xbe4d_53da_7008_4c53,
         0xca69_ed72_2b24_0599,
-        0xda6b_9eaa_eaa6_17a2,
+        0x229e_62b7_7429_e25a,
     );
 }
 
@@ -90,9 +90,9 @@ fn ooo_compiles_to_the_golden_step() {
     check(
         "ooo",
         &ooo_source(),
-        0x70c8_0f18_16b1_a18a,
+        0xfcfb_6f65_40b3_1566,
         0x4572_7c5b_6f7f_47a3,
-        0x2af5_1dbf_2de5_83f8,
+        0xa6b7_90bb_8918_8fe9,
     );
 }
 

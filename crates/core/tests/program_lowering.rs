@@ -3,7 +3,8 @@
 //! table index an op carries is in range, every action's resume entry is
 //! the op where the position its `Resume` names starts executing, and
 //! every action's replay range is the slow program's own group — its
-//! placeholder captures as loads, its dynamic ops as they are. The
+//! placeholder captures as loads, its dynamic ops as they are, a load
+//! and the element op it indexes fused into one op. The
 //! engines index with these values unchecked by any other layer.
 
 use facile::sims::{functional_source, inorder_source, ooo_source};
@@ -83,6 +84,15 @@ fn check_ranges(name: &str, step: &CompiledStep) {
             Op::ElemSet { agg: a, idx, src } => {
                 agg(a);
                 rk(idx);
+                rk(src);
+            }
+            Op::LdElemGet { dst, agg: a, r } => {
+                [dst, r].into_iter().for_each(reg);
+                agg(a);
+            }
+            Op::LdElemSet { agg: a, r, src } => {
+                agg(a);
+                reg(r);
                 rk(src);
             }
             Op::AggCopy { dst, src } => {
@@ -242,11 +252,42 @@ fn groups(step: &CompiledStep) -> Vec<Vec<Op>> {
     want
 }
 
+/// `ops` with each fused placeholder load expanded back into its
+/// [`Op::LdR`] and the element op it feeds.
+fn unfused(ops: &[Op]) -> Vec<Op> {
+    let mut out = Vec::with_capacity(ops.len());
+    for &op in ops {
+        match op {
+            Op::LdElemGet { dst, agg, r } => {
+                out.push(Op::LdR { r });
+                out.push(Op::ElemGet {
+                    dst,
+                    agg,
+                    idx: Rk::reg(r),
+                });
+            }
+            Op::LdElemSet { agg, r, src } => {
+                out.push(Op::LdR { r });
+                out.push(Op::ElemSet {
+                    agg,
+                    idx: Rk::reg(r),
+                    src,
+                });
+            }
+            op => out.push(op),
+        }
+    }
+    out
+}
+
 /// Asserts every replay range holds only replay ops — no record op,
 /// group open or close, `Next` or control op — and mirrors its action's
-/// group in the slow program.
-fn check_replay(name: &str, step: &CompiledStep) {
+/// group in the slow program once its fused ops are expanded. Every
+/// load that directly feeds the element op it indexes must be fused.
+/// Returns how many fused ops the program holds.
+fn check_replay(name: &str, step: &CompiledStep) -> usize {
     let p = &step.program;
+    let mut fused = 0;
     for (a, (code, want)) in step.actions.iter().zip(groups(step)).enumerate() {
         let got = &p.replay[code.replay.start as usize..code.replay.end as usize];
         for op in got {
@@ -269,12 +310,26 @@ fn check_replay(name: &str, step: &CompiledStep) {
                 "{name}: action {a} replays {op:?}"
             );
         }
+        let expanded = unfused(got);
         assert_eq!(
-            got,
-            &want[..],
+            expanded, want,
             "{name}: action {a}'s replay ops mirror its group"
         );
+        for pair in got.windows(2) {
+            if let [Op::LdR { r }, Op::ElemGet { idx, .. } | Op::ElemSet { idx, .. }] = *pair {
+                assert_ne!(
+                    idx.as_reg(),
+                    Some(r),
+                    "{name}: action {a} leaves a load of its element index unfused: {got:?}"
+                );
+            }
+        }
+        fused += got
+            .iter()
+            .filter(|o| matches!(o, Op::LdElemGet { .. } | Op::LdElemSet { .. }))
+            .count();
     }
+    fused
 }
 
 /// Skips jump ops (they execute nothing).
@@ -345,6 +400,7 @@ fn shipped_programs_are_in_range_and_resume_and_replay_where_their_actions_say()
         let step = compiled(&src);
         check_ranges(name, &step);
         check_resume(name, &step);
-        check_replay(name, &step);
+        let fused = check_replay(name, &step);
+        assert!(fused > 0, "{name}: no placeholder load was fused");
     }
 }

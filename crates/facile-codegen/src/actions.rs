@@ -653,14 +653,19 @@ mod tests {
         // Two register-add actions plus the decode-failure halt action.
         assert_eq!(plains, 3, "{:#?}", c.actions);
         // Register indices are placeholders in the add ops: loaded from
-        // the node's data before the store.
+        // the node's data before the store, by the store itself when the
+        // load directly precedes it.
         let mut sets = 0;
         for a in &c.actions {
             let ops = replay(&c, a);
             for (i, op) in ops.iter().enumerate() {
-                if let Op::ElemSet { idx, .. } = *op {
-                    assert!(loaded(ops, i, idx), "register index is rt-static: {ops:?}");
-                    sets += 1;
+                match *op {
+                    Op::ElemSet { idx, .. } => {
+                        assert!(loaded(ops, i, idx), "register index is rt-static: {ops:?}");
+                        sets += 1;
+                    }
+                    Op::LdElemSet { .. } => sets += 1,
+                    _ => {}
                 }
             }
         }

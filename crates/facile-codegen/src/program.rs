@@ -35,7 +35,10 @@
 //!   ([`Op::LdR`], [`Op::LdG`], [`Op::LdAgg`]), which writes the
 //!   recorded value back where the capture read it, and every dynamic
 //!   op is copied as is. Replay therefore reads a node's data exactly
-//!   as recording wrote it. The action's kind ([`ActionKind`]) is set at
+//!   as recording wrote it. A register load directly followed by the
+//!   element access it indexes ([`Op::ElemGet`], [`Op::ElemSet`]) is
+//!   one replay op ([`Op::LdElemGet`], [`Op::LdElemSet`]), which still
+//!   writes the register. The action's kind ([`ActionKind`]) is set at
 //!   the op that closes it.
 
 use crate::actions::{ActionCode, ActionKind, BlockAnnot, Closes, LiftWhat, Resume};
@@ -438,6 +441,28 @@ pub enum Op {
         /// Aggregate slot.
         agg: u32,
     },
+    /// Replay: [`Op::LdR`] into `r` fused with the [`Op::ElemGet`] it
+    /// feeds: load the next placeholder into register `r`, then
+    /// `dst = agg[r]`.
+    LdElemGet {
+        /// Destination register.
+        dst: u32,
+        /// Aggregate slot.
+        agg: u32,
+        /// The loaded register, which is the element index.
+        r: u32,
+    },
+    /// Replay: [`Op::LdR`] into `r` fused with the [`Op::ElemSet`] it
+    /// feeds: load the next placeholder into register `r`, then
+    /// `agg[r] = src`.
+    LdElemSet {
+        /// Aggregate slot.
+        agg: u32,
+        /// The loaded register, which is the element index.
+        r: u32,
+        /// Source.
+        src: Rk,
+    },
     /// Record: close `action` as a plain node (a group open at the end
     /// of its block).
     ClosePlain {
@@ -674,13 +699,21 @@ impl Lowerer {
     }
 
     /// Emits `op`; a dynamic op (always inside a group) is also one of
-    /// the group's replay ops.
+    /// the group's replay ops, fused with the group's last replay op
+    /// when that loads its element index ([`fuse`]).
     fn emit(&mut self, op: Op, dynamic: bool) {
         self.ops.push(op);
         self.dynamic.push(dynamic);
         self.pos.push(self.at);
         if dynamic {
-            self.replay.push(op);
+            let last = self.replay.len().checked_sub(1);
+            match last
+                .filter(|&at| at >= self.group as usize)
+                .and_then(|at| Some((at, fuse(self.replay[at], op)?)))
+            {
+                Some((at, fused)) => self.replay[at] = fused,
+                None => self.replay.push(op),
+            }
         }
     }
 
@@ -802,6 +835,24 @@ impl Lowerer {
             Inst::LiftVar { .. } | Inst::LiftGlobal { .. } | Inst::LiftAgg { .. } => return,
         };
         self.emit(op, dy);
+    }
+}
+
+/// The one replay op doing `ld` then `op`, when `ld` is the
+/// placeholder load of the register `op` indexes an element with. The
+/// fused op still writes the register, so no later reader of it changes.
+fn fuse(ld: Op, op: Op) -> Option<Op> {
+    let Op::LdR { r } = ld else {
+        return None;
+    };
+    match op {
+        Op::ElemGet { dst, agg, idx } if idx.as_reg() == Some(r) => {
+            Some(Op::LdElemGet { dst, agg, r })
+        }
+        Op::ElemSet { agg, idx, src } if idx.as_reg() == Some(r) => {
+            Some(Op::LdElemSet { agg, r, src })
+        }
+        _ => None,
     }
 }
 

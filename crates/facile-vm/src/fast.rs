@@ -372,6 +372,19 @@ pub(crate) fn replay_action(
                 st.aggs[agg as usize].load_values(&data[ph + 1..ph + 1 + len]);
                 ph += 1 + len;
             }
+            Op::LdElemGet { dst, agg, r } => {
+                let i = data[ph];
+                ph += 1;
+                st.regs[r as usize] = i;
+                st.regs[dst as usize] = st.aggs[agg as usize].get(i);
+            }
+            Op::LdElemSet { agg, r, src } => {
+                let i = data[ph];
+                ph += 1;
+                st.regs[r as usize] = i;
+                let v = src.get(&st.regs, &prog.consts);
+                st.aggs[agg as usize].set(i, v);
+            }
             _ => unreachable!("replay ranges hold no control, record or next op"),
         })
     }
@@ -391,7 +404,9 @@ pub fn placeholder_len(step: &CompiledStep, code: &ActionCode, data: &[i64]) -> 
     let mut ph = 0usize;
     for op in &step.program.replay[code.replay.start as usize..code.replay.end as usize] {
         match op {
-            Op::LdR { .. } | Op::LdG { .. } => ph += 1,
+            Op::LdR { .. } | Op::LdG { .. } | Op::LdElemGet { .. } | Op::LdElemSet { .. } => {
+                ph += 1
+            }
             Op::LdAgg { .. } => ph += 1 + data.get(ph).map_or(0, |&len| len.max(0) as usize),
             Op::Halt { .. } => break,
             _ => {}

@@ -224,9 +224,11 @@ fn run<const REC: bool>(
                 crate::exec::halt(st, 1, EngineTag::Slow);
                 return StepOutcome::Halted;
             }
-            Op::LdR { .. } | Op::LdG { .. } | Op::LdAgg { .. } => {
-                unreachable!("load ops are replay-only")
-            }
+            Op::LdR { .. }
+            | Op::LdG { .. }
+            | Op::LdAgg { .. }
+            | Op::LdElemGet { .. }
+            | Op::LdElemSet { .. } => unreachable!("load ops are replay-only"),
         })
     }
 }

@@ -274,7 +274,9 @@ fn ph_shape(step: &CompiledStep, code: &ActionCode) -> (Vec<u32>, Option<Vec<boo
     let prog = &step.program;
     for op in &prog.replay[code.replay.start as usize..code.replay.end as usize] {
         match op {
-            Op::LdR { .. } | Op::LdG { .. } => bump(&mut shape),
+            Op::LdR { .. } | Op::LdG { .. } | Op::LdElemGet { .. } | Op::LdElemSet { .. } => {
+                bump(&mut shape)
+            }
             Op::LdAgg { .. } => shape.push(0),
             Op::Halt { .. } => return (shape, None),
             _ => {}
