@@ -251,7 +251,8 @@ impl Simulation {
     }
 
     /// Binds a Rust closure to a declared `ext fun`, in the simulation's
-    /// closure table ([`ExtTable`]). After [`set_host`](Self::set_host)
+    /// closure table, the default host: one boxed closure per external,
+    /// unbound ones returning 0. After [`set_host`](Self::set_host)
     /// installed another host, the first binding replaces it with a
     /// fresh table.
     ///

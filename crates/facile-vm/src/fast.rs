@@ -353,8 +353,8 @@ pub(crate) fn replay_action(
     let insns0 = st.stats.insns;
     let mut ph = 0usize;
     for &op in &prog.replay[range.start as usize..range.end as usize] {
-        // Register loads are about a third of all replay ops: a direct
-        // test keeps them off the indirect dispatch below.
+        // Register loads take a direct test ahead of the indirect
+        // dispatch below.
         if let Op::LdR { r } = op {
             st.regs[r as usize] = data[ph];
             ph += 1;

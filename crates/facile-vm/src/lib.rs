@@ -79,5 +79,5 @@ pub mod supertrace;
 
 pub use engine::{ArgValue, SimError, SimOptions, Simulation};
 pub use recovery::{RecoveryError, RecoveryErrorKind};
-pub use state::{AggIter, AggStorage, ExtFn, ExtHost, ExtTable, MachineState};
+pub use state::{AggIter, AggStorage, ExtFn, ExtHost, MachineState};
 pub use supertrace::{SuperTraceSet, TraceStats};

@@ -265,27 +265,30 @@ pub trait ExtHost: Any + Send {
     fn call(&mut self, ext: usize, args: &[i64]) -> i64;
 }
 
-/// One external bound as a Rust closure ([`ExtTable`]).
+/// One external bound as a Rust closure
+/// (`Simulation::bind_external`).
 pub type ExtFn = Box<dyn FnMut(&[i64]) -> i64 + Send>;
 
 /// The host behind `Simulation::bind_external`: one closure per
 /// external, indexed by `ExtId`. Unbound externals return 0. Each call
 /// through it is two indirect calls, the host's and the closure's, so
 /// hosts on a hot path implement [`ExtHost`] themselves.
-pub struct ExtTable {
+pub(crate) struct ExtTable {
     fns: Vec<ExtFn>,
 }
 
 impl ExtTable {
     /// A table of `n` unbound externals.
-    pub fn unbound(n: usize) -> ExtTable {
+    pub(crate) fn unbound(n: usize) -> ExtTable {
         ExtTable {
-            fns: (0..n).map(|_| Box::new(|_: &[i64]| 0i64) as ExtFn).collect(),
+            fns: (0..n)
+                .map(|_| Box::new(|_: &[i64]| 0i64) as ExtFn)
+                .collect(),
         }
     }
 
     /// Binds external `ext` to `f`.
-    pub fn bind(&mut self, ext: usize, f: ExtFn) {
+    pub(crate) fn bind(&mut self, ext: usize, f: ExtFn) {
         self.fns[ext] = f;
     }
 }
@@ -402,7 +405,7 @@ const TRACE_CAP: usize = 1 << 20;
 
 impl MachineState {
     /// Creates the state for a compiled program over a loaded target.
-    /// External functions start unbound in an [`ExtTable`] (calls return
+    /// External functions start unbound in a closure table (calls return
     /// 0 and count).
     pub fn new(ir: &IrProgram, target: Target) -> Self {
         let gscalars = ir

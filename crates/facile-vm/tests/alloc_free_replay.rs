@@ -6,9 +6,11 @@
 //! after the action cache has recorded every key variant of a cyclic
 //! program, continuing to fast-forward must perform zero heap
 //! allocations — node data is read from the cache slab, dynamic INDEX
-//! signatures and entry keys live in reused scratch buffers, and the
+//! signatures and entry keys live in reused scratch buffers, external
+//! calls stage their arguments in a reused buffer, and the
 //! replayed-action log retains its capacity across steps.
 
+use facile_codegen::program::Op;
 use facile_codegen::{compile, CodegenConfig};
 use facile_ir::lower::lower;
 use facile_lang::diag::Diagnostics;
@@ -16,6 +18,7 @@ use facile_lang::parser::parse;
 use facile_runtime::{Image, Target};
 use facile_vm::engine::{ArgValue, SimOptions, Simulation};
 use facile_vm::snapshot;
+use facile_vm::ExtHost;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -50,15 +53,29 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Keys cycle 0..7 with a dynamic memory counter, a dynamic result test
-/// and a dynamic INDEX signature component — the full replay feature set.
-const SRC: &str = "fun main(x : int) {
+/// and a dynamic INDEX signature component — the full replay feature set
+/// — plus an external call on dynamic data and an array indexed by the
+/// key (a placeholder load fused into its element ops).
+const SRC: &str = "ext fun lat(a : int) : int;
+    val R = array(8){0};
+    fun main(x : int) {
         val c = mem_ld(0);
         mem_st(0, c + 1);
+        R[x] = R[x] + lat(c);
         count_insns(1);
         count_cycles(2);
         if (c >= 100000) { sim_halt(); }
         next((x + 1) % 7);
     }";
+
+/// The external host: a latency from the argument's low bits.
+struct Lat;
+
+impl ExtHost for Lat {
+    fn call(&mut self, _ext: usize, args: &[i64]) -> i64 {
+        1 + (args[0] & 3)
+    }
+}
 
 fn sim(src: &str) -> Simulation {
     let mut diags = Diagnostics::new();
@@ -67,19 +84,26 @@ fn sim(src: &str) -> Simulation {
     assert!(!diags.has_errors(), "{}", diags.render_all(src));
     let ir = lower(&prog, &syms, &mut diags).expect("lowering succeeds");
     let step = compile(ir, &CodegenConfig::default()).expect("codegen succeeds");
-    Simulation::new(
+    let mut sim = Simulation::new(
         step,
         Target::load(&Image::default()),
         &[ArgValue::Scalar(0)],
         SimOptions::default(),
     )
-    .unwrap()
+    .unwrap();
+    sim.set_host(Lat);
+    sim
 }
 
 #[test]
 fn steady_state_replay_allocates_nothing() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut sim = sim(SRC);
+    assert!(
+        (sim.compiled().program.replay.iter())
+            .any(|op| matches!(op, Op::LdElemGet { .. } | Op::LdElemSet { .. })),
+        "no replay op loads its element index"
+    );
 
     // Warm up: record all 7 key variants and let replay buffers reach
     // their steady-state capacities.
@@ -111,6 +135,11 @@ fn steady_state_replay_allocates_nothing() {
         s.slow_steps - warm.slow_steps
     );
     assert_eq!(s.slow_steps, warm.slow_steps, "window hit the slow engine");
+    assert_eq!(
+        s.ext_calls - warm.ext_calls,
+        1_000,
+        "every replayed step calls the host once"
+    );
     let traces = sim.trace_stats();
     assert!(
         traces.enters > traces_warm.enters,
