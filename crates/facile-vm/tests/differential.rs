@@ -10,7 +10,8 @@
 //!
 //! The second case widens the sweep from one program to hundreds:
 //! seeded step functions from `facile-testgen`, each run under every
-//! engine configuration and compared against its memo-off run.
+//! engine configuration — trims and warm starts included — and compared
+//! against its memo-off run.
 
 use facile_codegen::{compile, CodegenConfig};
 use facile_ir::lower::lower;
@@ -20,6 +21,7 @@ use facile_runtime::cache::CachePolicy;
 use facile_runtime::{HaltReason, Image, Rng, Target};
 use facile_testgen::Gen;
 use facile_vm::engine::{ArgValue, SimOptions, Simulation};
+use facile_vm::snapshot;
 
 const SRC: &str = "ext fun lat(a : int) : int;
     fun main(iq : queue, pc : int) {
@@ -127,9 +129,23 @@ struct Observed {
 /// Steps each generated program runs (unless it halts first).
 const GEN_STEPS: u64 = 1000;
 
-/// Runs `step` from key `(x, [])` for [`GEN_STEPS`] steps with `probe`
-/// answering from a seeded stream of small values.
-fn run_generated(
+/// How a configuration drives its run of [`GEN_STEPS`] steps.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Drive {
+    /// Straight through.
+    Plain,
+    /// `trim_cache(0)` half-way through.
+    TrimHalfway,
+    /// Warm-started from the snapshot of a run stopped half-way.
+    WarmHalf,
+    /// Warm-started from the snapshot a [`Drive::WarmHalf`] run saves at
+    /// its end (its refreeze).
+    WarmRefreeze,
+}
+
+/// A simulation of `step` from key `(x, [])`, with `probe` answering
+/// from a seeded stream of small values.
+fn new_generated(
     step: &std::sync::Arc<facile_codegen::CompiledStep>,
     x: i64,
     seed: u64,
@@ -145,9 +161,61 @@ fn run_generated(
     let mut rng = Rng::new(seed);
     sim.bind_external("probe", move |_args| rng.below(4) as i64)
         .unwrap();
-    sim.run_steps(GEN_STEPS);
-    assert!(sim.fault().is_none(), "{:?}", sim.fault());
     sim
+}
+
+/// Warm-starts a fresh simulation from `donor`'s snapshot.
+fn warm_from(
+    donor: &Simulation,
+    step: &std::sync::Arc<facile_codegen::CompiledStep>,
+    x: i64,
+    seed: u64,
+    options: SimOptions,
+) -> Simulation {
+    let snap = snapshot::parse(&snapshot::save(donor)).expect("own snapshot parses");
+    let mut sim = new_generated(step, x, seed, options);
+    snap.validate(&sim).expect("own snapshot validates");
+    sim.warm_start(snap.image()).expect("a fresh simulation warm-starts");
+    sim
+}
+
+/// Runs `step` from key `(x, [])` for [`GEN_STEPS`] steps, driven as
+/// `drive` says. Also says whether the drive took effect: the trim
+/// evicted, the warm start installed a snapshot.
+fn run_generated(
+    step: &std::sync::Arc<facile_codegen::CompiledStep>,
+    x: i64,
+    seed: u64,
+    options: SimOptions,
+    drive: Drive,
+) -> (Simulation, bool) {
+    let half = GEN_STEPS / 2;
+    let mut sim = match drive {
+        Drive::Plain | Drive::TrimHalfway => new_generated(step, x, seed, options),
+        Drive::WarmHalf => {
+            let mut donor = new_generated(step, x, seed, options);
+            donor.run_steps(half);
+            warm_from(&donor, step, x, seed, options)
+        }
+        Drive::WarmRefreeze => {
+            let (donor, _) = run_generated(step, x, seed, options, Drive::WarmHalf);
+            warm_from(&donor, step, x, seed, options)
+        }
+    };
+    let effect = if drive == Drive::TrimHalfway {
+        sim.run_steps(half);
+        let evictions = sim.cache_stats().evictions;
+        sim.trim_cache(0);
+        let evicted = sim.cache_stats().evictions > evictions;
+        sim.run_steps(GEN_STEPS - half);
+        evicted
+    } else {
+        let installed = sim.cache_stats().frozen_gens > 0;
+        sim.run_steps(GEN_STEPS);
+        installed || drive == Drive::Plain
+    };
+    assert!(sim.fault().is_none(), "{:?}", sim.fault());
+    (sim, effect)
 }
 
 fn observed(sim: &Simulation) -> Observed {
@@ -164,10 +232,16 @@ fn observed(sim: &Simulation) -> Observed {
 
 /// Compiler-wide transparency: for 200 generated step functions, every
 /// engine configuration — memoization with supertraces off, supertraces
-/// compiled at the first hot burst, and generational eviction at a
-/// capacity of a few nodes — observes exactly what the memo-off run
-/// observes. Across the sweep, replay, misses, recoveries, supertrace
-/// entries and evictions must all happen, or agreement says little.
+/// compiled at the first hot burst, generational eviction at a capacity
+/// of a few nodes, `trim_cache(0)` half-way through a generational run
+/// (256-byte cache: small generations, so the trim has unpinned ones to
+/// evict), a warm start from a half-run snapshot and one from that warm
+/// run's refreeze — observes exactly what the memo-off run observes.
+/// Across the sweep, replay, misses, recoveries, supertrace entries and
+/// evictions must all happen, and in most runs the trim must evict and
+/// the warm starts must install their snapshots (186, 200 and 200 of
+/// 200 do), or agreement says little. The sweep takes about 1.5 s in a
+/// debug build on a 2-vCPU host.
 #[test]
 fn generated_step_functions_agree_under_every_engine_configuration() {
     let memo = SimOptions {
@@ -182,6 +256,7 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
                 supertrace: false,
                 ..memo
             },
+            Drive::Plain,
         ),
         (
             "supertrace threshold 1",
@@ -189,6 +264,7 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
                 supertrace_threshold: 1,
                 ..memo
             },
+            Drive::Plain,
         ),
         (
             "generational, tiny capacity",
@@ -197,10 +273,23 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
                 cache_policy: CachePolicy::Generational,
                 ..memo
             },
+            Drive::Plain,
         ),
+        (
+            "generational, trim_cache(0) half-way",
+            SimOptions {
+                cache_capacity: Some(256),
+                cache_policy: CachePolicy::Generational,
+                ..memo
+            },
+            Drive::TrimHalfway,
+        ),
+        ("warm from a half-run snapshot", memo, Drive::WarmHalf),
+        ("warm from the warm run's refreeze", memo, Drive::WarmRefreeze),
     ];
     let (mut fast_steps, mut misses, mut recoveries) = (0u64, 0u64, 0u64);
     let (mut enters, mut evictions) = (0u64, 0u64);
+    let (mut trims, mut warm, mut refrozen) = (0u32, 0u32, 0u32);
     for seed in 0..200u64 {
         let src = Gen::sim_program(seed);
         let mut diags = Diagnostics::new();
@@ -218,7 +307,7 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
         );
         let x = (seed % 4) as i64;
         let probes = 0x9e4_0000 + seed;
-        let want = observed(&run_generated(
+        let (slow, _) = run_generated(
             &step,
             x,
             probes,
@@ -226,9 +315,11 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
                 memoize: false,
                 ..memo
             },
-        ));
-        for (name, options) in configs {
-            let sim = run_generated(&step, x, probes, options);
+            Drive::Plain,
+        );
+        let want = observed(&slow);
+        for (name, options, drive) in configs {
+            let (sim, effect) = run_generated(&step, x, probes, options, drive);
             assert_eq!(observed(&sim), want, "seed {seed}, {name}:\n{src}");
             let s = sim.stats();
             fast_steps += s.fast_steps;
@@ -236,11 +327,22 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
             recoveries += s.recoveries;
             enters += sim.trace_stats().enters;
             evictions += sim.cache_stats().evictions;
+            match drive {
+                Drive::Plain => {}
+                Drive::TrimHalfway => trims += effect as u32,
+                Drive::WarmHalf => warm += effect as u32,
+                Drive::WarmRefreeze => refrozen += effect as u32,
+            }
         }
     }
     assert!(
         fast_steps > 0 && misses > 0 && recoveries > 0 && enters > 0 && evictions > 0,
         "replayed steps {fast_steps}, misses {misses}, recoveries {recoveries}, \
          supertrace enters {enters}, evictions {evictions}"
+    );
+    assert!(
+        trims >= 150 && warm >= 150 && refrozen >= 150,
+        "of 200 seeds, trims evicted in {trims}, half-run snapshots installed in {warm}, \
+         refreezes installed in {refrozen}"
     );
 }
