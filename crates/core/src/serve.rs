@@ -364,6 +364,21 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(step: Arc<CompiledStep>, config: ServeConfig) -> Shared {
+        Shared {
+            step,
+            queue: JobQueue::new(config.queue_cap),
+            counters: Mutex::new(ServeCounters::default()),
+            shutdown: AtomicBool::new(false),
+            conns: Mutex::new(Vec::new()),
+            epoch_steps: config.epoch_steps.max(1),
+            arch: config.arch,
+            options: config.options,
+            source: config.source.map(Arc::new),
+            warm: config.warm,
+        }
+    }
+
     fn count(&self, f: impl FnOnce(&mut ServeCounters)) {
         f(&mut self.counters.lock().unwrap_or_else(|e| e.into_inner()));
     }
@@ -420,18 +435,7 @@ impl Server {
         } else {
             config.threads
         };
-        let shared = Arc::new(Shared {
-            step,
-            queue: JobQueue::new(config.queue_cap),
-            counters: Mutex::new(ServeCounters::default()),
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-            epoch_steps: config.epoch_steps.max(1),
-            arch: config.arch,
-            options: config.options,
-            source: config.source.map(Arc::new),
-            warm: config.warm,
-        });
+        let shared = Arc::new(Shared::new(step, config));
 
         let workers = (0..threads)
             .map(|_| {
@@ -1128,11 +1132,7 @@ mod tests {
     fn ill_typed_numeric_fields_are_bad_requests() {
         let server = server();
         let mut c = ServeClient::connect(server.addr()).expect("connects");
-        let asm = {
-            let mut s = String::new();
-            escape_into(&mut s, LOOP_ASM);
-            s
-        };
+        let asm = json_string(LOOP_ASM);
         for (extra, field) in [
             ("\"max_steps\":-1", "max_steps"),
             ("\"options\":{\"cache_capacity\":-5}", "cache_capacity"),
@@ -1150,5 +1150,254 @@ mod tests {
         server.shutdown_trigger().trigger();
         let counters = server.join();
         assert_eq!((counters.accepted, counters.bad_requests), (0, 5));
+    }
+
+    /// SplitMix64, inlined so the request fuzz needs no dependency.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+            from[self.below(from.len())]
+        }
+    }
+
+    /// JSON values a mutated field takes: other types, and numbers that
+    /// are negative, fractional or too large for their field.
+    const VALUES: &[&str] = &[
+        "-1",
+        "0",
+        "0.5",
+        "-0.0",
+        "2.5e3",
+        "1e300",
+        "-1e300",
+        "18446744073709551615",
+        "18446744073709551616",
+        "9007199254740993",
+        "true",
+        "false",
+        "null",
+        "\"\"",
+        "\"8\"",
+        "\"\\u0000\u{e9}\"",
+        "[]",
+        "[1]",
+        "{}",
+        "{\"memoize\":1}",
+    ];
+
+    /// `want` entries: every section, and unknown or ill-typed names.
+    const WANTS: &[&str] = &[
+        "\"metrics\"",
+        "\"profile\"",
+        "\"hot\"",
+        "\"timeline\"",
+        "\"bogus\"",
+        "\"\"",
+        "\"Metrics\"",
+        "1",
+        "null",
+        "[\"metrics\"]",
+    ];
+
+    /// Replacements for an asm operand: integer extremes, broken memory
+    /// operands, stray separators and labels.
+    const OPERANDS: &[&str] = &[
+        "-9223372036854775808",
+        "9223372036854775808",
+        "0x",
+        "r32",
+        "8(r1",
+        ")(",
+        "",
+        ":",
+        "loop:",
+        "nowhere",
+    ];
+
+    /// Object members: key, and value as JSON text.
+    type Members = Vec<(&'static str, String)>;
+
+    /// A valid `sim` request's fields and its `options` object's.
+    fn valid_request() -> (Members, Members) {
+        let fields = vec![
+            ("id", "7".to_owned()),
+            ("label", "\"fuzz\"".to_owned()),
+            ("asm", json_string(LOOP_ASM)),
+            ("max_steps", "1000".to_owned()),
+            ("want", "[\"metrics\",\"timeline\"]".to_owned()),
+            ("heartbeat", "false".to_owned()),
+        ];
+        let options = vec![
+            ("memoize", "true".to_owned()),
+            ("supertrace", "true".to_owned()),
+            ("supertrace_threshold", "8".to_owned()),
+            ("cache_capacity", "4096".to_owned()),
+            ("cache_policy", "\"generational\"".to_owned()),
+        ];
+        (fields, options)
+    }
+
+    fn json_string(text: &str) -> String {
+        let mut s = String::new();
+        escape_into(&mut s, text);
+        s
+    }
+
+    /// Applies one mutation to a line of `asm`.
+    fn mutate_asm(rng: &mut SplitMix, asm: &str) -> String {
+        let mut lines: Vec<String> = asm.lines().map(str::to_owned).collect();
+        let at = rng.below(lines.len());
+        match rng.below(4) {
+            0 => {
+                let line = &lines[at];
+                let keep = line.rfind([',', ' ']).map_or(0, |i| i + 1);
+                lines[at] = format!("{}{}", &line[..keep], rng.pick(OPERANDS));
+            }
+            1 => {
+                let cut = rng.below(lines[at].len() + 1);
+                lines[at].truncate(cut);
+            }
+            2 => {
+                lines.remove(at);
+            }
+            _ => {
+                let line = lines[at].clone();
+                lines.insert(at, line);
+            }
+        }
+        lines.join("\n")
+    }
+
+    /// A valid `sim` request with one to three mutations applied, as
+    /// request text.
+    fn mutated_request(rng: &mut SplitMix) -> String {
+        let (mut fields, mut options) = valid_request();
+        let mut asm = LOOP_ASM.to_owned();
+        let mut options_text = None;
+        for _ in 0..1 + rng.below(3) {
+            match rng.below(8) {
+                0 => {
+                    let at = rng.below(fields.len());
+                    fields[at].1 = rng.pick(VALUES).to_owned();
+                }
+                1 => {
+                    let at = rng.below(options.len());
+                    options[at].1 = rng.pick(VALUES).to_owned();
+                }
+                2 => {
+                    fields.remove(rng.below(fields.len()));
+                }
+                3 => {
+                    options.remove(rng.below(options.len()));
+                }
+                4 => {
+                    let want: Vec<&str> = (0..rng.below(4)).map(|_| rng.pick(WANTS)).collect();
+                    if let Some(f) = fields.iter_mut().find(|f| f.0 == "want") {
+                        f.1 = format!("[{}]", want.join(","));
+                    }
+                }
+                5 => {
+                    asm = mutate_asm(rng, &asm);
+                    if let Some(f) = fields.iter_mut().find(|f| f.0 == "asm") {
+                        f.1 = json_string(&asm);
+                    }
+                }
+                6 => {
+                    let policy = rng.pick(&["\"clear\"", "\"lru\"", "\"\""]);
+                    if let Some(o) = options.iter_mut().find(|o| o.0 == "cache_policy") {
+                        o.1 = policy.to_owned();
+                    }
+                }
+                _ => options_text = Some(rng.pick(VALUES)),
+            }
+        }
+        render(&fields, &options, options_text)
+    }
+
+    /// The request body of `fields` and `options` (or, instead of the
+    /// options object, `options_text`).
+    fn render(
+        fields: &[(&str, String)],
+        options: &[(&str, String)],
+        options_text: Option<&str>,
+    ) -> String {
+        let mut body = String::from("{\"op\":\"sim\"");
+        for (key, value) in fields {
+            let _ = write!(body, ",\"{key}\":{value}");
+        }
+        body.push_str(",\"options\":");
+        match options_text {
+            Some(text) => body.push_str(text),
+            None => {
+                let opts: Vec<String> = (options.iter())
+                    .map(|(k, v)| format!("\"{k}\":{v}"))
+                    .collect();
+                let _ = write!(body, "{{{}}}", opts.join(","));
+            }
+        }
+        body.push('}');
+        body
+    }
+
+    /// What the daemon answers a well-framed request body with, up to
+    /// queueing: its rejection code, or `job` for a decoded job.
+    fn answer(shared: &Shared, body: &str) -> &'static str {
+        let Ok(req) = parse(body) else {
+            return "bad_request";
+        };
+        let Ok(id) = uint(&req, "id") else {
+            return "bad_request";
+        };
+        match decode_sim(&req, id.unwrap_or(0), shared) {
+            Ok(_) => "job",
+            Err((code, _)) => code,
+        }
+    }
+
+    /// Hostile-input fuzz of `sim` request decoding past the JSON
+    /// parser: 2,000 seeded mutations of valid request bodies — field
+    /// types, numbers, `want` names, the asm — must each end as a
+    /// `bad_request`, an `asm_error` or a valid job, never a panic.
+    #[test]
+    fn mutated_sim_requests_decode_to_structured_outcomes() {
+        let src = crate::sims::functional_source();
+        let step = Arc::new(compile_source(&src, &CompilerOptions::default()).unwrap());
+        let shared = Shared::new(step, ServeConfig::default());
+        let (fields, options) = valid_request();
+        assert_eq!(answer(&shared, &render(&fields, &options, None)), "job");
+        let mut rng = SplitMix(0x5e7e_f022);
+        let (mut bad, mut asm, mut jobs, mut panics) = (0, 0, 0, 0);
+        for case in 0..2000 {
+            let body = mutated_request(&mut rng);
+            match std::panic::catch_unwind(|| answer(&shared, &body)) {
+                Ok("bad_request") => bad += 1,
+                Ok("asm_error") => asm += 1,
+                Ok("job") => jobs += 1,
+                Ok(other) => panic!("case {case}: unexpected outcome `{other}`: {body}"),
+                Err(_) => {
+                    panics += 1;
+                    eprintln!("case {case} panicked: {body}");
+                }
+            }
+        }
+        println!(
+            "serve fuzz: 2000 cases, {bad} bad_request, {asm} asm_error, {jobs} jobs, \
+             {panics} panics"
+        );
+        assert_eq!(panics, 0);
+        assert!(bad > 0 && asm > 0 && jobs > 0, "{bad} / {asm} / {jobs}");
     }
 }

@@ -302,6 +302,17 @@ cargo test -q --offline -p facile-workloads --test asm_fuzz -- --nocapture \
 grep -q 'asm fuzz: 2000 cases, .*, 0 panics' "$tmp/asm_fuzz.txt" \
     || { echo "verify: assembler fuzz panicked"; cat "$tmp/asm_fuzz.txt"; exit 1; }
 
+echo "==> regression: mutated serve requests are structured errors, never panics"
+# serve decodes every `sim` request a client sends; 2,000 seeded
+# mutations of valid request bodies (field types, negative, fractional
+# and too-large numbers, `want` names, the asm) must each decode to a
+# bad_request, an asm_error or a valid job.
+cargo test -q --offline -p facile --lib mutated_sim_requests -- --nocapture \
+    > "$tmp/serve_fuzz.txt" 2>&1 \
+    || { echo "verify: serve request fuzz failed"; cat "$tmp/serve_fuzz.txt"; exit 1; }
+grep -q 'serve fuzz: 2000 cases, .*, 0 panics' "$tmp/serve_fuzz.txt" \
+    || { echo "verify: serve request fuzz panicked"; cat "$tmp/serve_fuzz.txt"; exit 1; }
+
 echo "==> smoke: facilec serve end-to-end (docs/SERVING.md)"
 # Start the daemon on an ephemeral port, wait for the readiness line,
 # then drive it with sim_serve: two concurrent clients, four jobs,
