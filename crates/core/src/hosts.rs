@@ -18,10 +18,12 @@ use facile_vm::ExtHost;
 /// The host owns its components by value and, once bound, is the
 /// simulation's one external host ([`ExtHost`]): an external call is one
 /// indirect call into [`ExtHost::call`], a `match` on the component the
-/// external names, and the component's method. A closure per external
-/// behind `Arc<Mutex<_>>` cost 20–23 ns a call on the 2-vCPU benchmark
-/// host, against 4.4–4.8 ns for one direct or `dyn` call, about 1.41
-/// times per replayed step of the FP workloads.
+/// external names, and the component's method. The lock is not cheap
+/// next to the lookups it would guard: in a microbenchmark on a 2-vCPU
+/// x86-64 host, a boxed closure per external behind an uncontended
+/// `Arc<Mutex<_>>` cost 16.6–17.0 ns a call, one `dyn` call into an
+/// owned host and its `match` 2.5–3.0 ns. The FP workloads make about
+/// 1.41 external calls per replayed step.
 pub struct ArchHost {
     /// Cache hierarchy (instruction + data).
     pub hierarchy: Hierarchy,
