@@ -6,11 +6,11 @@
 //! through `Simulation::bind_external`, sharing the components through
 //! `Arc<Mutex<_>>`. Both in-order and out-of-order simulators, on three
 //! workloads and a program of indirect returns (the BTB's only user),
-//! memo on and off, must see the same halt reason,
-//! instruction and cycle counts, final memory and external-call count
-//! under either binding — the in-order model's cycles are checked by
-//! nothing else (`cross_validation` compares the out-of-order model's
-//! against `fastsim`).
+//! memo on and off, must see the same halt reason, instruction and cycle
+//! counts, final memory and external-call count under either binding,
+//! and memo on must see what memo off sees. The in-order model's cycles
+//! are checked by nothing else (`cross_validation` compares the
+//! out-of-order model's against `fastsim`).
 
 use facile::hosts::{initial_args, ArchHost};
 use facile::{compile_source, CompilerOptions, SimOptions, Simulation, Target};
@@ -132,13 +132,15 @@ fn arch_host_matches_the_locked_closure_reference() {
     ] {
         let step = compile_source(&src, &CompilerOptions::default()).expect("compiles");
         for (name, image) in &images {
-            for memoize in [true, false] {
+            let [memo, plain] = [true, false].map(|memoize| {
                 let host = run(&step, arch, image, memoize, false);
                 let reference = run(&step, arch, image, memoize, true);
-                assert!(host.halt.is_some(), "{arch} {name}: never halted");
-                assert!(host.ext_calls > 0, "{arch} {name}: no external calls");
                 assert_eq!(host, reference, "{arch} {name}, memo {memoize}");
-            }
+                host
+            });
+            assert!(memo.halt.is_some(), "{arch} {name}: never halted");
+            assert!(memo.ext_calls > 0, "{arch} {name}: no external calls");
+            assert_eq!(memo, plain, "{arch} {name}: memo on and off disagree");
         }
     }
 }
