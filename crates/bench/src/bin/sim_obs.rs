@@ -337,6 +337,15 @@ fn profile(out: &mut String, d: &RunDoc, p: &Profile, top: usize, k: usize) {
         d.sim.insns,
         p.attributed_misses(),
     );
+    if d.sim.slow_steps > 0 {
+        let _ = writeln!(
+            out,
+            "slow engine: {} ops over {} slow steps ({:.1} ops/step)",
+            p.slow_ops,
+            d.sim.slow_steps,
+            p.slow_ops as f64 / d.sim.slow_steps as f64,
+        );
+    }
     let _ = writeln!(
         out,
         "\n{:>6} {:>14} {:>7} {:>12} {:>10} {:>8}",

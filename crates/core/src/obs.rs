@@ -137,6 +137,7 @@ pub fn profile(source: &ProfileSource, step: &CompiledStep, metrics: &Metrics) -
         file: source.file.clone(),
         rows,
         miss_value_overflow: metrics.miss_value_overflow,
+        slow_ops: metrics.slow_ops,
     }
 }
 

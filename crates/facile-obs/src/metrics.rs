@@ -31,6 +31,9 @@ pub struct Metrics {
     /// Instructions retired while the slow engine executed each action's
     /// group (recording runs only — recovery retires nothing).
     pub action_slow_insns: Vec<u64>,
+    /// Ops of the lowered step program the slow engine executed, every
+    /// slow step counted (miss recovery's shadow execution is not).
+    pub slow_ops: u64,
     /// Action-cache misses charged to each action (the failing dynamic
     /// result test or missing plain successor).
     pub action_misses: Vec<u64>,
@@ -111,6 +114,12 @@ impl Metrics {
         *c = c.saturating_add(1);
         let c = at_mut(&mut self.action_slow_insns, i);
         *c = c.saturating_add(insns);
+    }
+
+    /// Records the ops one slow step executed.
+    #[inline]
+    pub fn slow_ops(&mut self, ops: u64) {
+        self.slow_ops = self.slow_ops.saturating_add(ops);
     }
 
     /// Folds one trace event into the registry.
@@ -211,6 +220,7 @@ impl Metrics {
         add_vec(&mut self.action_slow_visits, &other.action_slow_visits);
         add_vec(&mut self.action_slow_insns, &other.action_slow_insns);
         add_vec(&mut self.action_misses, &other.action_misses);
+        self.slow_ops = self.slow_ops.saturating_add(other.slow_ops);
         if self.miss_values.len() < other.miss_values.len() {
             self.miss_values.resize(other.miss_values.len(), Vec::new());
         }
@@ -294,6 +304,7 @@ impl Metrics {
             ("dropped_events", self.dropped_events),
             ("ring_capacity", self.ring_capacity),
             ("miss_value_overflow", self.miss_value_overflow),
+            ("slow_ops", self.slow_ops),
         ];
         s.push('{');
         for (i, (k, v)) in scalars.iter().enumerate() {
@@ -342,6 +353,7 @@ impl Metrics {
                 .get("miss_values")?
                 .list(|vals| vals.list(|p| p.pair(At::i64, At::u64)))?,
             miss_value_overflow: u("miss_value_overflow")?,
+            slow_ops: u("slow_ops")?,
             slow_step_ns: h("slow_step_ns")?,
             fast_burst_ns: h("fast_burst_ns")?,
             fast_burst_steps: h("fast_burst_steps")?,
@@ -467,6 +479,7 @@ mod tests {
         assert_eq!(a.action_slow_visits, b.action_slow_visits);
         assert_eq!(a.action_slow_insns, b.action_slow_insns);
         assert_eq!(a.action_misses, b.action_misses);
+        assert_eq!(a.slow_ops, b.slow_ops);
         assert_eq!(a.miss_values, b.miss_values);
         assert_eq!(a.miss_value_overflow, b.miss_value_overflow);
         assert_eq!(a.slow_step_ns, b.slow_step_ns);

@@ -308,6 +308,27 @@ impl ObsHandle {
         }
     }
 
+    /// Whether the metrics registry counts per-action costs (and the slow
+    /// engine's ops): fixed at construction, so a driver can pick an
+    /// instrumented code path once and pay nothing when it is off.
+    #[inline]
+    pub fn counts_actions(&self) -> bool {
+        self.counts_actions
+    }
+
+    /// Records the ops one slow step executed.
+    #[inline]
+    pub fn slow_ops(&self, ops: u64) {
+        if !self.counts_actions {
+            return;
+        }
+        if let Some(core) = &self.core {
+            if let Some(m) = &mut locked(core).metrics {
+                m.slow_ops(ops);
+            }
+        }
+    }
+
     /// Decides whether the fast-replay burst about to run should be
     /// recorded by the flight recorder. Counts the burst against the
     /// 1-in-N sampling period either way, so sampling is deterministic

@@ -90,6 +90,9 @@ pub struct Profile {
     /// Misses whose divergent value exceeded the per-action tracking cap
     /// (the values are lost; the miss counts are not).
     pub miss_value_overflow: u64,
+    /// Ops of the lowered step program the slow engine executed over the
+    /// run (divide by `sim.slow_steps` for ops per slow step).
+    pub slow_ops: u64,
 }
 
 /// Flat per-line aggregation of a profile.
@@ -215,6 +218,7 @@ impl Profile {
         self.miss_value_overflow = self
             .miss_value_overflow
             .saturating_add(other.miss_value_overflow);
+        self.slow_ops = self.slow_ops.saturating_add(other.slow_ops);
     }
 
     /// The exactness gate: attributed instructions sum to `sim.insns`,
@@ -247,7 +251,11 @@ impl Profile {
     pub(crate) fn write_json(&self, s: &mut String) {
         s.push_str("{\"file\":");
         escape_into(s, &self.file);
-        let _ = write!(s, ",\"miss_value_overflow\":{},\"actions\":", self.miss_value_overflow);
+        let _ = write!(
+            s,
+            ",\"miss_value_overflow\":{},\"slow_ops\":{},\"actions\":",
+            self.miss_value_overflow, self.slow_ops
+        );
         write_list(s, &self.rows, |s, r| {
             let _ = write!(s, "{{\"action\":{},\"kind\":", r.action);
             escape_into(s, &r.kind);
@@ -281,6 +289,7 @@ impl Profile {
         Ok(Profile {
             file: at.get("file")?.str()?.to_owned(),
             miss_value_overflow: at.u64_at("miss_value_overflow")?,
+            slow_ops: at.u64_at("slow_ops")?,
             rows: at.get("actions")?.list(|r| {
                 let u32_at = |k: &str| r.get(k)?.u32();
                 Ok(ActionRow {
@@ -364,6 +373,7 @@ pub(crate) mod tests {
                 },
             ],
             miss_value_overflow: 0,
+            slow_ops: 410,
         }
     }
 

@@ -71,7 +71,9 @@ impl SlowScratch {
 ///
 /// With `rec` present, dynamic behaviour is recorded into the action
 /// cache at the cursor. `start` is normally the program's entry; after a
-/// miss recovery it is the recovery's resume op.
+/// miss recovery it is the recovery's resume op. When the observer counts
+/// per-action costs, the ops the step executes are counted too
+/// ([`facile_obs::ObsHandle::slow_ops`]).
 pub fn slow_step(
     step: &CompiledStep,
     st: &mut MachineState,
@@ -79,15 +81,18 @@ pub fn slow_step(
     scratch: &mut SlowScratch,
     start: u32,
 ) -> StepOutcome {
-    match rec {
-        Some(rec) => run::<true>(step, st, Some(rec), scratch, start),
-        None => run::<false>(step, st, None, scratch, start),
+    match (rec, st.obs.counts_actions()) {
+        (Some(rec), false) => run::<true, false>(step, st, Some(rec), scratch, start),
+        (None, false) => run::<false, false>(step, st, None, scratch, start),
+        (Some(rec), true) => run::<true, true>(step, st, Some(rec), scratch, start),
+        (None, true) => run::<false, true>(step, st, None, scratch, start),
     }
 }
 
-/// The interpreter, instantiated once with recording (`REC`) and once
-/// without, where every record op is a no-op.
-fn run<const REC: bool>(
+/// The interpreter, instantiated with recording (`REC`) and without,
+/// where every record op is a no-op, and with op counting (`COUNT`) and
+/// without.
+fn run<const REC: bool, const COUNT: bool>(
     step: &CompiledStep,
     st: &mut MachineState,
     mut rec: Option<Recording<'_>>,
@@ -107,16 +112,24 @@ fn run<const REC: bool>(
     // always a dynamic op, so the delta at close is the group's exact
     // instruction cost (profiling attribution; recording runs only).
     let mut group_insns0: u64 = 0;
+    // Ops executed so far (counting runs only).
+    let mut n_ops: u64 = 0;
     let mut pc = start as usize;
     loop {
         let op = ops[pc];
         pc += 1;
+        if COUNT {
+            n_ops += 1;
+        }
         match_effect_op!(op, [pc], prog, st, ext_args, EngineTag::Slow, |action| {
             if REC {
                 if let Some(rec) = &mut rec {
                     rec.cache.record_plain(rec.cursor, action, group);
                     action_slow(st, action, group_insns0);
                 }
+            }
+            if COUNT {
+                st.obs.slow_ops(n_ops);
             }
             return StepOutcome::Halted;
         }, {
@@ -216,12 +229,18 @@ fn run<const REC: bool>(
                         action_slow(st, site.action, group_insns0);
                     }
                 }
+                if COUNT {
+                    st.obs.slow_ops(n_ops);
+                }
                 return StepOutcome::Next;
             }
             Op::Ret => {
                 // A step that falls off the end never called `next`
                 // (halt code 1, `HaltReason::NoNext`).
                 crate::exec::halt(st, 1, EngineTag::Slow);
+                if COUNT {
+                    st.obs.slow_ops(n_ops);
+                }
                 return StepOutcome::Halted;
             }
             Op::LdR { .. }
