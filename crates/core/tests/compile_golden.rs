@@ -70,7 +70,7 @@ fn functional_compiles_to_the_golden_step() {
         &functional_source(),
         0x5933_96f0_5bf4_8779,
         0x94a9_2586_3022_5a16,
-        0x6f59_a4d6_bdda_42dc,
+        0x3229_e771_6106_e633,
     );
 }
 
@@ -81,7 +81,7 @@ fn inorder_compiles_to_the_golden_step() {
         &inorder_source(),
         0xbe4d_53da_7008_4c53,
         0xca69_ed72_2b24_0599,
-        0x229e_62b7_7429_e25a,
+        0x411f_1d38_1b9a_36dd,
     );
 }
 
@@ -92,7 +92,7 @@ fn ooo_compiles_to_the_golden_step() {
         &ooo_source(),
         0xfcfb_6f65_40b3_1566,
         0x4572_7c5b_6f7f_47a3,
-        0xa6b7_90bb_8918_8fe9,
+        0x3650_39d4_b671_f232,
     );
 }
 

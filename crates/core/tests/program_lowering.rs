@@ -6,10 +6,15 @@
 //! placeholder captures as loads, its dynamic ops as they are, a load
 //! and the element op it indexes fused into one op. The
 //! engines index with these values unchecked by any other layer.
+//!
+//! The program is the optimized one (`program::optimize`): every test
+//! close is still directly followed by its branch, and the optimization
+//! leaves what the plain lowering (`program::lower`) emits for replay,
+//! the action table, and the dynamic and record ops as they were.
 
 use facile::sims::{functional_source, inorder_source, ooo_source};
 use facile::{compile_source, CompiledStep, CompilerOptions};
-use facile_codegen::program::{KeySrc, Op, ParamSlot, Rk, NO_REG};
+use facile_codegen::program::{lower, KeySrc, Op, ParamSlot, Rk, NO_REG};
 use facile_codegen::{ActionKind, Resume};
 use facile_ir::ir::{BlockId, Terminator};
 
@@ -175,6 +180,21 @@ fn check_ranges(name: &str, step: &CompiledStep) {
                 jump(then_);
                 jump(else_);
             }
+            Op::BrAndRR { a, b, then_, else_ } | Op::BrLtRR { a, b, then_, else_ } => {
+                [a, b].into_iter().for_each(reg);
+                jump(then_);
+                jump(else_);
+            }
+            Op::BrLtRI {
+                a, then_, else_, ..
+            }
+            | Op::BrEqRI {
+                a, then_, else_, ..
+            } => {
+                reg(a);
+                jump(then_);
+                jump(else_);
+            }
             Op::Switch { val, table } => {
                 reg(val);
                 let t = &p.switches[table as usize];
@@ -302,11 +322,7 @@ fn check_replay(name: &str, step: &CompiledStep) -> usize {
                         | Op::CloseVerify { .. }
                         | Op::TestClose { .. }
                         | Op::Next { .. }
-                        | Op::Jump { .. }
-                        | Op::Br { .. }
-                        | Op::Switch { .. }
-                        | Op::Ret
-                ),
+                ) && !is_control(op),
                 "{name}: action {a} replays {op:?}"
             );
         }
@@ -332,6 +348,40 @@ fn check_replay(name: &str, step: &CompiledStep) -> usize {
     fused
 }
 
+/// Whether `op` transfers control within the step: a jump, a branch
+/// (fused or not), a switch, or the step's return.
+fn is_control(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::Jump { .. }
+            | Op::Br { .. }
+            | Op::BrAndRR { .. }
+            | Op::BrLtRR { .. }
+            | Op::BrLtRI { .. }
+            | Op::BrEqRI { .. }
+            | Op::Switch { .. }
+            | Op::Ret
+    )
+}
+
+/// Asserts every [`Op::TestClose`] is directly followed by the
+/// `Br`/`Switch` it closes on (recovery reads that op at `ops[pc]`), on
+/// the register it records.
+fn check_test_closes(name: &str, step: &CompiledStep) {
+    let ops = &step.program.ops;
+    for (i, op) in ops.iter().enumerate() {
+        if let Op::TestClose { src, .. } = *op {
+            match ops.get(i + 1) {
+                Some(&Op::Br { cond: r, .. } | &Op::Switch { val: r, .. }) => assert_eq!(
+                    r, src,
+                    "{name}: test close {i} and its branch read different registers"
+                ),
+                other => panic!("{name}: test close {i} is followed by {other:?}"),
+            }
+        }
+    }
+}
+
 /// Skips jump ops (they execute nothing).
 fn through_jumps(step: &CompiledStep, mut at: u32) -> u32 {
     while let Op::Jump { to } = step.program.ops[at as usize] {
@@ -351,13 +401,11 @@ fn op_at(step: &CompiledStep, block: BlockId, inst: u32) -> u32 {
     if (inst as usize) < b.insts.len() {
         return here(inst).expect("every instruction lowers to an op") as u32;
     }
-    let term = p.pos.iter().zip(&p.ops).position(|(&at, op)| {
-        at == (block.0, inst)
-            && matches!(
-                op,
-                Op::Jump { .. } | Op::Br { .. } | Op::Switch { .. } | Op::Ret
-            )
-    });
+    let term = p
+        .pos
+        .iter()
+        .zip(&p.ops)
+        .position(|(&at, op)| at == (block.0, inst) && is_control(op));
     match (term, &b.term) {
         (Some(t), _) => t as u32,
         (None, Terminator::Jump(t)) => op_at(step, *t, 0),
@@ -399,8 +447,74 @@ fn shipped_programs_are_in_range_and_resume_and_replay_where_their_actions_say()
     ] {
         let step = compiled(&src);
         check_ranges(name, &step);
+        check_test_closes(name, &step);
         check_resume(name, &step);
         let fused = check_replay(name, &step);
         assert!(fused > 0, "{name}: no placeholder load was fused");
     }
+}
+
+#[test]
+fn optimization_leaves_replay_and_actions_as_the_plain_lowering_has_them() {
+    for (name, src) in [
+        ("functional", functional_source()),
+        ("inorder", inorder_source()),
+        ("ooo", ooo_source()),
+    ] {
+        let step = compiled(&src);
+        let mut actions = step.actions.clone();
+        let plain = lower(&step.ir, &mut actions, &step.blocks);
+        assert_eq!(
+            format!("{actions:?}"),
+            format!("{:?}", step.actions),
+            "{name}: action table"
+        );
+        assert_eq!(plain.replay, step.program.replay, "{name}: replay ops");
+        assert_eq!(plain.nexts, step.program.nexts, "{name}: key sites");
+        assert_eq!(plain.args, step.program.args, "{name}: call arguments");
+        // Dynamic and record ops keep their form and order.
+        let kept = |ops: &[Op], dynamic: &[bool]| -> Vec<Op> {
+            ops.iter()
+                .zip(dynamic)
+                .filter(|&(op, &dy)| dy || is_record(op))
+                .map(|(&op, _)| op)
+                .collect()
+        };
+        assert_eq!(
+            kept(&plain.ops, &plain.dynamic),
+            kept(&step.program.ops, &step.program.dynamic),
+            "{name}: dynamic and record ops"
+        );
+        assert!(
+            step.program.ops.len() <= plain.ops.len(),
+            "{name}: optimization added ops"
+        );
+    }
+}
+
+/// Whether `op` records (or closes) an action.
+fn is_record(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::Start { .. }
+            | Op::PhR { .. }
+            | Op::PhG { .. }
+            | Op::PhAgg { .. }
+            | Op::ClosePlain { .. }
+            | Op::CloseVerify { .. }
+            | Op::TestClose { .. }
+            | Op::Next { .. }
+            | Op::Halt { .. }
+    )
+}
+
+#[test]
+fn the_ooo_program_holds_every_fused_branch() {
+    let step = compiled(&ooo_source());
+    let ops = &step.program.ops;
+    let has = |f: fn(&Op) -> bool| ops.iter().any(f);
+    assert!(has(|o| matches!(o, Op::BrAndRR { .. })), "BrAndRR");
+    assert!(has(|o| matches!(o, Op::BrLtRR { .. })), "BrLtRR");
+    assert!(has(|o| matches!(o, Op::BrLtRI { .. })), "BrLtRI");
+    assert!(has(|o| matches!(o, Op::BrEqRI { .. })), "BrEqRI");
 }

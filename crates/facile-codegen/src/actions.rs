@@ -472,7 +472,8 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
     }
     debug_assert_eq!(actions.len(), debug.len());
 
-    let program = crate::program::lower(&ir, &mut actions, &blocks);
+    let mut program = crate::program::lower(&ir, &mut actions, &blocks);
+    crate::program::optimize(&mut program, &actions);
     CompiledStep {
         ir,
         bta,

@@ -1329,7 +1329,9 @@ impl ActionCache {
 
     /// Evicts the coldest generations until at most `target` bytes stay
     /// resident — generational reclaim, and the memory-pressure release
-    /// valve behind `Simulation::trim_cache` under either policy.
+    /// valve behind `Simulation::trim_cache` under that policy. (Under
+    /// [`CachePolicy::Clear`] the cache is one recording generation,
+    /// which this pins, so it frees nothing; `trim_cache` clears instead.)
     /// Installed generations, the recording generation and `cursor`'s
     /// generation are pinned (recording continues seamlessly), so the
     /// target is best-effort: pinned bytes stay put. A paused replay

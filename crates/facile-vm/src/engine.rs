@@ -671,16 +671,37 @@ impl Simulation {
     /// now, without running any steps. Drivers that pause a simulation
     /// with budget-bounded [`run_steps`](Self::run_steps) calls can
     /// respond to memory pressure while paused instead of waiting for
-    /// the next recording miss to reclaim. The coldest generations go
+    /// the next recording miss to reclaim.
+    ///
+    /// Under [`CachePolicy::Generational`] the coldest generations go
     /// first; the recording generation and the cursor's generation are
     /// pinned, so the target is best-effort and recording continues
-    /// seamlessly. A paused replay position is *not* pinned: the trim
-    /// may evict the generation holding it, in which case the next
-    /// `run_steps` restarts the step through the slow path and the
-    /// flight recorder classifies the stall as an eviction, not a miss.
+    /// seamlessly. Under [`CachePolicy::Clear`] the whole cache is one
+    /// generation, so a cache over the target is cleared and recording
+    /// restarts at the paused step's entry, as on a clear-on-full — unless
+    /// the simulation is paused inside a step resumed after a recovery,
+    /// whose recording is under way: then nothing is released. A paused
+    /// replay position is *not* pinned under either policy: the trim may
+    /// drop the node it replays next, in which case the next `run_steps`
+    /// restarts the step through the slow path and the flight recorder
+    /// classifies the stall as an eviction, not a miss.
     pub fn trim_cache(&mut self, target_bytes: u64) {
-        if self.memoize {
-            self.cache.shrink_to(target_bytes, &self.cursor);
+        if !self.memoize {
+            return;
+        }
+        match self.cache.policy() {
+            CachePolicy::Generational => self.cache.shrink_to(target_bytes, &self.cursor),
+            CachePolicy::Clear => {
+                if self.cache.stats().bytes_current <= target_bytes
+                    || matches!(self.mode, Mode::SlowResume(_))
+                {
+                    return;
+                }
+                self.cache.clear();
+                if matches!(self.mode, Mode::Slow) {
+                    self.cursor = Cursor::AtEntry(self.slow_key.clone());
+                }
+            }
         }
     }
 

@@ -5,7 +5,8 @@
 //! replay (each action's replay range, on the real state). `match_op!` is
 //! the single implementation of the ops they run alike: the value ops —
 //! pure transformations of registers, globals and aggregates plus token
-//! fetches — and the rt-static control flow (jumps, branches, switches).
+//! fetches — and the rt-static control flow (jumps, branches, switches,
+//! and the fused compare-and-branch ops of `program::optimize`).
 //! `match_effect_op!` adds the ops with effects beyond those pools —
 //! external calls, memory, the cycle and instruction counters, the trace
 //! stream and halts — which only the real state sees, so the slow engine
@@ -31,6 +32,20 @@ macro_rules! match_op {
             Op::Jump { to } => $pc = to as usize,
             Op::Br { cond, then_, else_ } => {
                 $pc = if $regs[cond as usize] != 0 { then_ } else { else_ } as usize;
+            }
+            Op::BrAndRR { a, b, then_, else_ } => {
+                let t = $regs[a as usize] & $regs[b as usize] != 0;
+                $pc = if t { then_ } else { else_ } as usize;
+            }
+            Op::BrLtRR { a, b, then_, else_ } => {
+                let t = $regs[a as usize] < $regs[b as usize];
+                $pc = if t { then_ } else { else_ } as usize;
+            }
+            Op::BrLtRI { a, imm, then_, else_ } => {
+                $pc = if $regs[a as usize] < imm { then_ } else { else_ } as usize;
+            }
+            Op::BrEqRI { a, imm, then_, else_ } => {
+                $pc = if $regs[a as usize] == imm { then_ } else { else_ } as usize;
             }
             Op::Switch { val, table } => {
                 $pc = $prog.switches[table as usize].target($regs[val as usize]) as usize;

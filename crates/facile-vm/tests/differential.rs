@@ -11,9 +11,12 @@
 //! The second case widens the sweep from one program to hundreds:
 //! seeded step functions from `facile-testgen`, each run under every
 //! engine configuration — trims and warm starts included — and compared
-//! against its memo-off run.
+//! against its memo-off run. Every configuration runs the one optimized
+//! slow program (`program::optimize`), so each memo-off run is also
+//! compared with a memo-off run of the plain lowering
+//! (`program::lower`).
 
-use facile_codegen::{compile, CodegenConfig};
+use facile_codegen::{compile, CodegenConfig, CompiledStep};
 use facile_ir::lower::lower;
 use facile_lang::diag::Diagnostics;
 use facile_lang::parser::parse;
@@ -181,7 +184,7 @@ fn warm_from(
 
 /// Runs `step` from key `(x, [])` for [`GEN_STEPS`] steps, driven as
 /// `drive` says. Also says whether the drive took effect: the trim
-/// evicted, the warm start installed a snapshot.
+/// released bytes, the warm start installed a snapshot.
 fn run_generated(
     step: &std::sync::Arc<facile_codegen::CompiledStep>,
     x: i64,
@@ -204,11 +207,11 @@ fn run_generated(
     };
     let effect = if drive == Drive::TrimHalfway {
         sim.run_steps(half);
-        let evictions = sim.cache_stats().evictions;
+        let bytes = sim.cache_stats().bytes_current;
         sim.trim_cache(0);
-        let evicted = sim.cache_stats().evictions > evictions;
+        let released = sim.cache_stats().bytes_current < bytes;
         sim.run_steps(GEN_STEPS - half);
-        evicted
+        released
     } else {
         let installed = sim.cache_stats().frozen_gens > 0;
         sim.run_steps(GEN_STEPS);
@@ -216,6 +219,22 @@ fn run_generated(
     };
     assert!(sim.fault().is_none(), "{:?}", sim.fault());
     (sim, effect)
+}
+
+/// Every global's final value: exact for memo-off runs (the fast engine
+/// may leave run-time-static globals stale).
+fn globals(sim: &Simulation) -> Vec<Option<i64>> {
+    let ir = &sim.compiled().ir;
+    ir.globals.iter().map(|g| sim.global_scalar(&g.name)).collect()
+}
+
+/// `step` with the plain lowering (`program::lower`) as its program in
+/// place of the optimized one: the oracle for `program::optimize`.
+fn unoptimized(step: &CompiledStep) -> CompiledStep {
+    let mut plain = step.clone();
+    let mut actions = plain.actions.clone();
+    plain.program = facile_codegen::program::lower(&plain.ir, &mut actions, &plain.blocks);
+    plain
 }
 
 fn observed(sim: &Simulation) -> Observed {
@@ -235,13 +254,15 @@ fn observed(sim: &Simulation) -> Observed {
 /// compiled at the first hot burst, generational eviction at a capacity
 /// of a few nodes, `trim_cache(0)` half-way through a generational run
 /// (256-byte cache: small generations, so the trim has unpinned ones to
-/// evict), a warm start from a half-run snapshot and one from that warm
-/// run's refreeze — observes exactly what the memo-off run observes.
-/// Across the sweep, replay, misses, recoveries, supertrace entries and
-/// evictions must all happen, and in most runs the trim must evict and
-/// the warm starts must install their snapshots (186, 200 and 200 of
-/// 200 do), or agreement says little. The sweep takes about 1.5 s in a
-/// debug build on a 2-vCPU host.
+/// evict) and through a clear-on-full run, a warm start from a half-run
+/// snapshot and one from that warm run's refreeze — observes exactly
+/// what the memo-off run observes, and so does a memo-off run of the
+/// plain lowering, globals included. Across the sweep, replay, misses,
+/// recoveries, supertrace entries and evictions must all happen, and in
+/// most runs the trims must release bytes and the warm starts must
+/// install their snapshots (186, 200, 200 and 200 of 200 do), or
+/// agreement says little. The sweep takes about 2 s in a debug build on
+/// a 2-vCPU host.
 #[test]
 fn generated_step_functions_agree_under_every_engine_configuration() {
     let memo = SimOptions {
@@ -284,12 +305,22 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
             },
             Drive::TrimHalfway,
         ),
+        (
+            "clear, trim_cache(0) half-way",
+            SimOptions {
+                cache_policy: CachePolicy::Clear,
+                ..memo
+            },
+            Drive::TrimHalfway,
+        ),
         ("warm from a half-run snapshot", memo, Drive::WarmHalf),
         ("warm from the warm run's refreeze", memo, Drive::WarmRefreeze),
     ];
     let (mut fast_steps, mut misses, mut recoveries) = (0u64, 0u64, 0u64);
     let (mut enters, mut evictions) = (0u64, 0u64);
-    let (mut trims, mut warm, mut refrozen) = (0u32, 0u32, 0u32);
+    let (mut warm, mut refrozen) = (0u32, 0u32);
+    // Trims that released bytes, generational and clear-on-full.
+    let mut trims = [0u32; 2];
     for seed in 0..200u64 {
         let src = Gen::sim_program(seed);
         let mut diags = Diagnostics::new();
@@ -318,6 +349,23 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
             Drive::Plain,
         );
         let want = observed(&slow);
+        let plain = std::sync::Arc::new(unoptimized(&step));
+        let (reference, _) = run_generated(
+            &plain,
+            x,
+            probes,
+            SimOptions {
+                memoize: false,
+                ..memo
+            },
+            Drive::Plain,
+        );
+        assert_eq!(observed(&reference), want, "seed {seed}, plain lowering:\n{src}");
+        assert_eq!(
+            globals(&reference),
+            globals(&slow),
+            "seed {seed}, plain lowering globals:\n{src}"
+        );
         for (name, options, drive) in configs {
             let (sim, effect) = run_generated(&step, x, probes, options, drive);
             assert_eq!(observed(&sim), want, "seed {seed}, {name}:\n{src}");
@@ -329,7 +377,9 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
             evictions += sim.cache_stats().evictions;
             match drive {
                 Drive::Plain => {}
-                Drive::TrimHalfway => trims += effect as u32,
+                Drive::TrimHalfway => {
+                    trims[(options.cache_policy == CachePolicy::Clear) as usize] += effect as u32
+                }
                 Drive::WarmHalf => warm += effect as u32,
                 Drive::WarmRefreeze => refrozen += effect as u32,
             }
@@ -340,9 +390,94 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
         "replayed steps {fast_steps}, misses {misses}, recoveries {recoveries}, \
          supertrace enters {enters}, evictions {evictions}"
     );
-    assert!(
-        trims >= 150 && warm >= 150 && refrozen >= 150,
-        "of 200 seeds, trims evicted in {trims}, half-run snapshots installed in {warm}, \
-         refreezes installed in {refrozen}"
+    eprintln!(
+        "generated sweep: trims released bytes in {trims:?} (generational, clear), \
+         half-run snapshots installed in {warm}, refreezes in {refrozen} of 200"
     );
+    assert!(
+        trims.iter().all(|&t| t >= 150) && warm >= 150 && refrozen >= 150,
+        "of 200 seeds, trims released bytes in {trims:?} (generational, clear), half-run \
+         snapshots installed in {warm}, refreezes installed in {refrozen}"
+    );
+}
+
+/// Step functions shaped at the edges of `program::optimize`: a compare
+/// result branched on and read again, loop variables incremented at a
+/// join, and a loop whose head is a dynamic test (a jump back to a test
+/// close).
+const OPTIMIZER_EDGES: &[&str] = &[
+    "ext fun probe(a : int) : int;
+     fun main(x : int, iq : queue) {
+       val c = x < 3;
+       if (c) { iq?push_back(1); }
+       iq?push_back(c);
+       if (iq?len > 4) { iq?pop_front(); }
+       count_cycles(iq?get(0) + 1);
+       count_insns(1);
+       trace(iq?get(0));
+       next((x + probe(x)?verify) % 7, iq);
+     }",
+    "ext fun probe(a : int) : int;
+     fun main(x : int, iq : queue) {
+       val i = 0;
+       val n = 0;
+       while (i < 5) {
+         if (x == i) { i = i + 2; n = n + 1; }
+         i = i + 1;
+       }
+       count_cycles(n + 1);
+       count_insns(1);
+       trace(i * 10 + n);
+       next((x + 1 + probe(n)?verify) % 5, iq);
+     }",
+    "ext fun probe(a : int) : int;
+     fun main(x : int, iq : queue) {
+       val c = probe(x);
+       val n = 0;
+       while (c) {
+         n = n + 1;
+         c = probe(n);
+         if (n > 3) { c = 0; }
+       }
+       val j = 0;
+       while (j < 2) { j = j + 1; }
+       if (iq?len < 2) { iq?push_back(j); }
+       count_cycles(n + 1);
+       count_insns(1);
+       trace(n);
+       next((x + n) % 6, iq);
+     }",
+];
+
+/// Each edge program, memo off and memo on, observes what a memo-off run
+/// of its plain lowering observes.
+#[test]
+fn optimizer_edge_cases_agree_with_the_plain_lowering() {
+    for (k, src) in OPTIMIZER_EDGES.iter().enumerate() {
+        let mut diags = Diagnostics::new();
+        let prog = parse(src, &mut diags);
+        let syms = facile_sema::analyze(&prog, &mut diags);
+        assert!(!diags.has_errors(), "program {k}: {}", diags.render_all(src));
+        let ir = lower(&prog, &syms, &mut diags).expect("lowering succeeds");
+        let step = std::sync::Arc::new(compile(ir, &CodegenConfig::default()).expect("compiles"));
+        let plain = std::sync::Arc::new(unoptimized(&step));
+        assert_ne!(step.program.ops, plain.program.ops, "program {k}: nothing optimized");
+        for x in 0..4 {
+            let probes = 0xed9e_0000 + k as u64 * 8 + x as u64;
+            let memo = |memoize| SimOptions {
+                memoize,
+                cache_capacity: None,
+                ..SimOptions::default()
+            };
+            let (reference, _) = run_generated(&plain, x, probes, memo(false), Drive::Plain);
+            let want = observed(&reference);
+            for (name, step, memoize) in [("memo off", &step, false), ("memo on", &step, true)] {
+                let (sim, _) = run_generated(step, x, probes, memo(memoize), Drive::Plain);
+                assert_eq!(observed(&sim), want, "program {k}, x {x}, {name}");
+                if !memoize {
+                    assert_eq!(globals(&sim), globals(&reference), "program {k}, x {x}");
+                }
+            }
+        }
+    }
 }
