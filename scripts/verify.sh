@@ -313,6 +313,16 @@ cargo test -q --offline -p facile --lib mutated_sim_requests -- --nocapture \
 grep -q 'serve fuzz: 2000 cases, .*, 0 panics' "$tmp/serve_fuzz.txt" \
     || { echo "verify: serve request fuzz panicked"; cat "$tmp/serve_fuzz.txt"; exit 1; }
 
+echo "==> regression: mutated Facile source is diagnosed or compiled, never a panic"
+# compile_source runs the whole pipeline, the program optimization step
+# included; 2,000 seeded mutations of the shipped simulators' source and
+# of generated step functions must each end as diagnostics or a step.
+cargo test -q --offline -p facile --test compile_fuzz -- --nocapture \
+    > "$tmp/compile_fuzz.txt" 2>&1 \
+    || { echo "verify: compile fuzz failed"; cat "$tmp/compile_fuzz.txt"; exit 1; }
+grep -q 'compile fuzz: 2000 cases, .*, 0 panics' "$tmp/compile_fuzz.txt" \
+    || { echo "verify: compile fuzz panicked"; cat "$tmp/compile_fuzz.txt"; exit 1; }
+
 echo "==> smoke: facilec serve end-to-end (docs/SERVING.md)"
 # Start the daemon on an ephemeral port, wait for the readiness line,
 # then drive it with sim_serve: two concurrent clients, four jobs,
