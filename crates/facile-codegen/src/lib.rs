@@ -6,8 +6,8 @@
 //! lowered IR, runs compile-time constant folding (`facile-ir::fold`),
 //! binding-time analysis and lift insertion (`facile-bta`), and extracts
 //! the dynamic-action table ([`actions::extract_actions`]), then lowers
-//! the step once into one [`Program`] ([`program::lower`]) that every
-//! engine in `facile-vm` runs:
+//! the step once into one [`Program`] ([`program::lower`], then
+//! [`program::optimize`]) that every engine in `facile-vm` runs:
 //!
 //! * the **slow/complete** engine runs it and records actions into the
 //!   specialized action cache; miss recovery runs the same ops, and
