@@ -346,6 +346,19 @@ fn profile(out: &mut String, d: &RunDoc, p: &Profile, top: usize, k: usize) {
             p.slow_ops as f64 / d.sim.slow_steps as f64,
         );
     }
+    if d.sim.fast_steps > 0 {
+        let steps = d.sim.fast_steps as f64;
+        let _ = writeln!(
+            out,
+            "fast engine: {} node walks, {} replay ops over {} fast steps \
+             ({:.2} walks/step, {:.1} ops/step)",
+            p.replay_walks,
+            p.replay_ops,
+            d.sim.fast_steps,
+            p.replay_walks as f64 / steps,
+            p.replay_ops as f64 / steps,
+        );
+    }
     let _ = writeln!(
         out,
         "\n{:>6} {:>14} {:>7} {:>12} {:>10} {:>8}",

@@ -138,6 +138,8 @@ pub fn profile(source: &ProfileSource, step: &CompiledStep, metrics: &Metrics) -
         rows,
         miss_value_overflow: metrics.miss_value_overflow,
         slow_ops: metrics.slow_ops,
+        replay_walks: metrics.replay_walks,
+        replay_ops: metrics.replay_ops,
     }
 }
 

@@ -34,6 +34,12 @@ pub struct Metrics {
     /// Ops of the lowered step program the slow engine executed, every
     /// slow step counted (miss recovery's shadow execution is not).
     pub slow_ops: u64,
+    /// Action-cache nodes the fast engine walked: one lookup, residency
+    /// check and successor choice each (divide by fast steps for walks
+    /// per replayed step).
+    pub replay_walks: u64,
+    /// Replay ops the fast engine executed.
+    pub replay_ops: u64,
     /// Action-cache misses charged to each action (the failing dynamic
     /// result test or missing plain successor).
     pub action_misses: Vec<u64>,
@@ -120,6 +126,13 @@ impl Metrics {
     #[inline]
     pub fn slow_ops(&mut self, ops: u64) {
         self.slow_ops = self.slow_ops.saturating_add(ops);
+    }
+
+    /// Records the node walks and replay ops of one fast burst.
+    #[inline]
+    pub fn replay_counts(&mut self, walks: u64, ops: u64) {
+        self.replay_walks = self.replay_walks.saturating_add(walks);
+        self.replay_ops = self.replay_ops.saturating_add(ops);
     }
 
     /// Folds one trace event into the registry.
@@ -221,6 +234,8 @@ impl Metrics {
         add_vec(&mut self.action_slow_insns, &other.action_slow_insns);
         add_vec(&mut self.action_misses, &other.action_misses);
         self.slow_ops = self.slow_ops.saturating_add(other.slow_ops);
+        self.replay_walks = self.replay_walks.saturating_add(other.replay_walks);
+        self.replay_ops = self.replay_ops.saturating_add(other.replay_ops);
         if self.miss_values.len() < other.miss_values.len() {
             self.miss_values.resize(other.miss_values.len(), Vec::new());
         }
@@ -305,6 +320,8 @@ impl Metrics {
             ("ring_capacity", self.ring_capacity),
             ("miss_value_overflow", self.miss_value_overflow),
             ("slow_ops", self.slow_ops),
+            ("replay_walks", self.replay_walks),
+            ("replay_ops", self.replay_ops),
         ];
         s.push('{');
         for (i, (k, v)) in scalars.iter().enumerate() {
@@ -354,6 +371,8 @@ impl Metrics {
                 .list(|vals| vals.list(|p| p.pair(At::i64, At::u64)))?,
             miss_value_overflow: u("miss_value_overflow")?,
             slow_ops: u("slow_ops")?,
+            replay_walks: u("replay_walks")?,
+            replay_ops: u("replay_ops")?,
             slow_step_ns: h("slow_step_ns")?,
             fast_burst_ns: h("fast_burst_ns")?,
             fast_burst_steps: h("fast_burst_steps")?,
@@ -469,6 +488,7 @@ mod tests {
             m.action_replayed((i % 6) as u32, i as u64);
             if i % 4 == 0 {
                 m.action_slow((i % 6) as u32, i as u64);
+                m.replay_counts(i as u64, 3 * i as u64);
             }
         }
     }
@@ -480,6 +500,8 @@ mod tests {
         assert_eq!(a.action_slow_insns, b.action_slow_insns);
         assert_eq!(a.action_misses, b.action_misses);
         assert_eq!(a.slow_ops, b.slow_ops);
+        assert_eq!(a.replay_walks, b.replay_walks);
+        assert_eq!(a.replay_ops, b.replay_ops);
         assert_eq!(a.miss_values, b.miss_values);
         assert_eq!(a.miss_value_overflow, b.miss_value_overflow);
         assert_eq!(a.slow_step_ns, b.slow_step_ns);
@@ -520,6 +542,7 @@ mod tests {
                     m.action_replayed((gi % 6) as u32, gi as u64);
                     if gi % 4 == 0 {
                         m.action_slow((gi % 6) as u32, gi as u64);
+                        m.replay_counts(gi as u64, 3 * gi as u64);
                     }
                 }
                 offset += part.len();

@@ -329,6 +329,19 @@ impl ObsHandle {
         }
     }
 
+    /// Records the node walks and replay ops of one fast burst.
+    #[inline]
+    pub fn replay_counts(&self, walks: u64, ops: u64) {
+        if !self.counts_actions {
+            return;
+        }
+        if let Some(core) = &self.core {
+            if let Some(m) = &mut locked(core).metrics {
+                m.replay_counts(walks, ops);
+            }
+        }
+    }
+
     /// Decides whether the fast-replay burst about to run should be
     /// recorded by the flight recorder. Counts the burst against the
     /// 1-in-N sampling period either way, so sampling is deterministic

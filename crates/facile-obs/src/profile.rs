@@ -93,6 +93,11 @@ pub struct Profile {
     /// Ops of the lowered step program the slow engine executed over the
     /// run (divide by `sim.slow_steps` for ops per slow step).
     pub slow_ops: u64,
+    /// Action-cache nodes the fast engine walked over the run (divide by
+    /// `sim.fast_steps` for walks per replayed step).
+    pub replay_walks: u64,
+    /// Replay ops the fast engine executed over the run.
+    pub replay_ops: u64,
 }
 
 /// Flat per-line aggregation of a profile.
@@ -219,6 +224,8 @@ impl Profile {
             .miss_value_overflow
             .saturating_add(other.miss_value_overflow);
         self.slow_ops = self.slow_ops.saturating_add(other.slow_ops);
+        self.replay_walks = self.replay_walks.saturating_add(other.replay_walks);
+        self.replay_ops = self.replay_ops.saturating_add(other.replay_ops);
     }
 
     /// The exactness gate: attributed instructions sum to `sim.insns`,
@@ -253,8 +260,9 @@ impl Profile {
         escape_into(s, &self.file);
         let _ = write!(
             s,
-            ",\"miss_value_overflow\":{},\"slow_ops\":{},\"actions\":",
-            self.miss_value_overflow, self.slow_ops
+            ",\"miss_value_overflow\":{},\"slow_ops\":{},\"replay_walks\":{},\
+             \"replay_ops\":{},\"actions\":",
+            self.miss_value_overflow, self.slow_ops, self.replay_walks, self.replay_ops
         );
         write_list(s, &self.rows, |s, r| {
             let _ = write!(s, "{{\"action\":{},\"kind\":", r.action);
@@ -290,6 +298,8 @@ impl Profile {
             file: at.get("file")?.str()?.to_owned(),
             miss_value_overflow: at.u64_at("miss_value_overflow")?,
             slow_ops: at.u64_at("slow_ops")?,
+            replay_walks: at.u64_at("replay_walks")?,
+            replay_ops: at.u64_at("replay_ops")?,
             rows: at.get("actions")?.list(|r| {
                 let u32_at = |k: &str| r.get(k)?.u32();
                 Ok(ActionRow {
@@ -374,6 +384,8 @@ pub(crate) mod tests {
             ],
             miss_value_overflow: 0,
             slow_ops: 410,
+            replay_walks: 12,
+            replay_ops: 31,
         }
     }
 

@@ -183,8 +183,47 @@ pub enum FastOutcome {
 /// `entry_key` must hold the key of the entry `node` belongs to on the
 /// way in; on [`FastOutcome::Miss`] and [`FastOutcome::Budget`] it holds
 /// the key of the entry being replayed at exit (updated in place).
+///
+/// When the observer counts per-action costs, the burst's node walks and
+/// replay ops are counted too ([`facile_obs::ObsHandle::replay_counts`]);
+/// otherwise the loop is instantiated without the counters.
 #[allow(clippy::too_many_arguments)] // the replay hot loop threads all reusable state explicitly
 pub fn fast_run(
+    step: &CompiledStep,
+    st: &mut MachineState,
+    cache: &mut ActionCache,
+    node: NodeId,
+    entry_key: &mut Key,
+    scratch: &mut ReplayScratch,
+    traces: &mut SuperTraceSet,
+    steps: &mut u64,
+    max_steps: u64,
+) -> FastOutcome {
+    let mut n = Counts::default();
+    if !st.obs.counts_actions() {
+        return run::<false>(
+            step, st, cache, node, entry_key, scratch, traces, steps, max_steps, &mut n,
+        );
+    }
+    let out = run::<true>(
+        step, st, cache, node, entry_key, scratch, traces, steps, max_steps, &mut n,
+    );
+    st.obs.replay_counts(n.walks, n.ops);
+    out
+}
+
+/// Node walks and replay ops of one burst (counting runs only).
+#[derive(Default)]
+struct Counts {
+    /// Action-cache nodes walked.
+    walks: u64,
+    /// Replay ops executed.
+    ops: u64,
+}
+
+/// The replay loop, instantiated with counting (`COUNT`) and without.
+#[allow(clippy::too_many_arguments)]
+fn run<const COUNT: bool>(
     step: &CompiledStep,
     st: &mut MachineState,
     cache: &mut ActionCache,
@@ -194,6 +233,7 @@ pub fn fast_run(
     traces: &mut SuperTraceSet,
     steps: &mut u64,
     max_steps: u64,
+    n: &mut Counts,
 ) -> FastOutcome {
     st.engine = Engine::Fast;
     scratch.replayed.clear();
@@ -226,6 +266,9 @@ pub fn fast_run(
     }
 
     loop {
+        if COUNT {
+            n.walks += 1;
+        }
         let (action, data) = cache.action_and_data(node);
         if scratch.hot && (scratch.chain_len as usize) < CHAIN_DEPTH {
             scratch.chain_path[scratch.chain_len as usize] = action;
@@ -234,7 +277,9 @@ pub fn fast_run(
         }
         // Run the action's ops against the slab-resident data.
         let code = &step.actions[action as usize];
-        let Some(ph) = replay_action(step, code, action, st, data, &mut scratch.ext_args) else {
+        let Some(ph) =
+            replay_action::<COUNT>(step, code, action, st, data, &mut scratch.ext_args, &mut n.ops)
+        else {
             return FastOutcome::Halted;
         };
 
@@ -336,15 +381,17 @@ pub(crate) fn note_miss(st: &mut MachineState, action: u32, depth: usize, value:
 /// slow engine runs them. Returns the offset in `data` after the ops'
 /// placeholders (an INDEX action's packed key tail follows), or `None`
 /// when the action halted the simulation. Generic replay and every
-/// supertrace op run actions through this one function.
+/// supertrace op run actions through this one function. With `COUNT`,
+/// every op executed is added to `ops`.
 #[inline(always)]
-pub(crate) fn replay_action(
+pub(crate) fn replay_action<const COUNT: bool>(
     step: &CompiledStep,
     code: &ActionCode,
     action: u32,
     st: &mut MachineState,
     data: &[i64],
     ext_args: &mut Vec<i64>,
+    ops: &mut u64,
 ) -> Option<usize> {
     let prog = &step.program;
     let range = &code.replay;
@@ -353,6 +400,9 @@ pub(crate) fn replay_action(
     let insns0 = st.stats.insns;
     let mut ph = 0usize;
     for &op in &prog.replay[range.start as usize..range.end as usize] {
+        if COUNT {
+            *ops += 1;
+        }
         // Register loads take a direct test ahead of the indirect
         // dispatch below.
         if let Op::LdR { r } = op {

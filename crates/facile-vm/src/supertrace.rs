@@ -392,7 +392,7 @@ impl SuperTrace {
                 fold_chain(scratch, action);
                 let code = &step.actions[action as usize];
                 let d = self.range(data);
-                let Some(ph) = replay_action(step, code, action, st, d, &mut scratch.ext_args)
+                let Some(ph) = replay_action::<false>(step, code, action, st, d, &mut scratch.ext_args, &mut 0)
                 else {
                     return (TraceRun::Out(FastOutcome::Halted), false);
                 };
