@@ -67,18 +67,6 @@ struct Row {
     fast_fraction: f64,
     allocs: u64,
     memo_bytes: u64,
-    /// Steps inside supertrace buffers (0 when superaction compilation
-    /// is off).
-    trace_steps: u64,
-    /// Supertraces built.
-    trace_built: u64,
-    /// Supertrace entries, bails and instructions retired inside traces.
-    trace_enters: u64,
-    trace_bails: u64,
-    trace_insns: u64,
-    /// Wall ns of the same workload with superaction compilation off
-    /// (the A/B companion measurement; 0 when not measured).
-    wall_ns_nost: u64,
 }
 
 impl Row {
@@ -90,12 +78,6 @@ impl Row {
     }
     fn allocs_per_step(&self) -> f64 {
         self.allocs as f64 / self.steps.max(1) as f64
-    }
-    fn steps_per_sec_nost(&self) -> f64 {
-        self.steps as f64 / (self.wall_ns_nost as f64 / 1e9).max(1e-9)
-    }
-    fn trace_coverage(&self) -> f64 {
-        self.trace_steps as f64 / self.steps.max(1) as f64
     }
 }
 
@@ -111,8 +93,8 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     println!("fast-replay benchmark: facile ooo +memo, workload scale {scale}, best of {reps}");
     println!(
-        "{:<14} {:>10} {:>10} {:>10} {:>9} {:>12} {:>7} {:>8} {:>9}",
-        "benchmark", "insns", "steps/s", "insns/s", "ff%", "allocs/step", "trace%", "st-gain", "speedup"
+        "{:<14} {:>10} {:>10} {:>10} {:>9} {:>12} {:>9}",
+        "benchmark", "insns", "steps/s", "insns/s", "ff%", "allocs/step", "speedup"
     );
     for w in facile_workloads::suite() {
         if let Some(f) = &filter {
@@ -121,89 +103,56 @@ fn main() {
             }
         }
         let image = workload_image(&w, scale);
-        // A/B per workload: superaction compilation on (the headline
-        // numbers) and off (`*_nost`), best-of-reps each, interleaved
-        // builds so host drift hits both modes equally.
         let mut row: Option<Row> = None;
-        let mut best_nost: u64 = u64::MAX;
         for _ in 0..reps {
-            for supertrace in [true, false] {
-                let mut sim = Simulation::new(
-                    step.clone(),
-                    Target::load(&image),
-                    &initial_args::ooo(image.entry),
-                    SimOptions {
-                        memoize: true,
-                        cache_capacity: None,
-                        supertrace,
-                        ..SimOptions::default()
-                    },
-                )
-                .expect("simulation constructs");
-                ArchHost::new().bind(&mut sim).expect("externals bind");
-                let a0 = ALLOCS.load(Ordering::Relaxed);
-                let t0 = Instant::now();
-                sim.run_steps(MAX_INSNS);
-                let wall = t0.elapsed();
-                let allocs = ALLOCS.load(Ordering::Relaxed) - a0;
-                assert!(sim.halted().is_some(), "workload did not halt");
-                if !supertrace {
-                    best_nost = best_nost.min(wall.as_nanos() as u64);
-                    continue;
-                }
-                let s = sim.stats();
-                let t = sim.trace_stats();
-                let rep = Row {
-                    name: w.name,
-                    insns: s.insns,
-                    steps: s.fast_steps + s.slow_steps,
-                    wall_ns: wall.as_nanos() as u64,
-                    fast_fraction: s.fast_forwarded_fraction(),
-                    allocs,
-                    memo_bytes: sim.cache_stats().bytes_total,
-                    trace_steps: t.steps,
-                    trace_built: t.built,
-                    trace_enters: t.enters,
-                    trace_bails: t.bails,
-                    trace_insns: t.insns,
-                    wall_ns_nost: 0,
-                };
-                if row.as_ref().is_none_or(|best| rep.wall_ns < best.wall_ns) {
-                    row = Some(rep);
-                }
+            let mut sim = Simulation::new(
+                step.clone(),
+                Target::load(&image),
+                &initial_args::ooo(image.entry),
+                SimOptions::default(),
+            )
+            .expect("simulation constructs");
+            ArchHost::new().bind(&mut sim).expect("externals bind");
+            let a0 = ALLOCS.load(Ordering::Relaxed);
+            let t0 = Instant::now();
+            sim.run_steps(MAX_INSNS);
+            let wall = t0.elapsed();
+            let allocs = ALLOCS.load(Ordering::Relaxed) - a0;
+            assert!(sim.halted().is_some(), "workload did not halt");
+            let s = sim.stats();
+            let rep = Row {
+                name: w.name,
+                insns: s.insns,
+                steps: s.fast_steps + s.slow_steps,
+                wall_ns: wall.as_nanos() as u64,
+                fast_fraction: s.fast_forwarded_fraction(),
+                allocs,
+                memo_bytes: sim.cache_stats().bytes_total,
+            };
+            if row.as_ref().is_none_or(|best| rep.wall_ns < best.wall_ns) {
+                row = Some(rep);
             }
         }
-        let mut row = row.expect("at least one rep ran");
-        row.wall_ns_nost = best_nost;
+        let row = row.expect("at least one rep ran");
         let speedup = baseline
             .as_deref()
             .and_then(|b| baseline_steps_per_sec(b, row.name))
             .map(|base| row.steps_per_sec() / base);
         println!(
-            "{:<14} {:>10} {:>10} {:>10} {:>9.3} {:>12.2} {:>7.1} {:>8} {:>9}",
+            "{:<14} {:>10} {:>10} {:>10} {:>9.3} {:>12.2} {:>9}",
             row.name,
             row.insns,
             fmt_rate(row.steps_per_sec()),
             fmt_rate(row.insns_per_sec()),
             100.0 * row.fast_fraction,
             row.allocs_per_step(),
-            100.0 * row.trace_coverage(),
-            format!("{:.2}x", row.steps_per_sec() / row.steps_per_sec_nost().max(1e-9)),
             speedup.map_or_else(|| "-".into(), |s| format!("{s:.2}x")),
         );
         rows.push(row);
     }
 
     let rates: Vec<f64> = rows.iter().map(|r| r.steps_per_sec()).collect();
-    let hmean = harmonic_mean(&rates);
-    let rates_nost: Vec<f64> = rows.iter().map(|r| r.steps_per_sec_nost()).collect();
-    let hmean_nost = harmonic_mean(&rates_nost);
-    println!(
-        "\nharmonic mean steps/s: {}  (supertrace off: {}, gain {:.2}x)",
-        fmt_rate(hmean),
-        fmt_rate(hmean_nost),
-        hmean / hmean_nost.max(1e-9)
-    );
+    println!("\nharmonic mean steps/s: {}", fmt_rate(harmonic_mean(&rates)));
     if let Some(b) = baseline.as_deref() {
         let speedups: Vec<f64> = rows
             .iter()
@@ -257,7 +206,7 @@ fn render_json(scale: f64, rows: &[Row], baseline: Option<&str>) -> String {
         }
         let _ = write!(
             s,
-            "{{\"name\":\"{}\",\"insns\":{},\"steps\":{},\"wall_ns\":{},\"steps_per_sec\":{:.1},\"insns_per_sec\":{:.1},\"fast_fraction\":{:.6},\"allocs\":{},\"allocs_per_step\":{:.3},\"memo_bytes\":{},\"trace_steps\":{},\"trace_built\":{},\"trace_enters\":{},\"trace_bails\":{},\"trace_insns\":{},\"trace_coverage\":{:.6},\"wall_ns_nost\":{},\"steps_per_sec_nost\":{:.1}}}",
+            "{{\"name\":\"{}\",\"insns\":{},\"steps\":{},\"wall_ns\":{},\"steps_per_sec\":{:.1},\"insns_per_sec\":{:.1},\"fast_fraction\":{:.6},\"allocs\":{},\"allocs_per_step\":{:.3},\"memo_bytes\":{}}}",
             r.name,
             r.insns,
             r.steps,
@@ -268,25 +217,11 @@ fn render_json(scale: f64, rows: &[Row], baseline: Option<&str>) -> String {
             r.allocs,
             r.allocs_per_step(),
             r.memo_bytes,
-            r.trace_steps,
-            r.trace_built,
-            r.trace_enters,
-            r.trace_bails,
-            r.trace_insns,
-            r.trace_coverage(),
-            r.wall_ns_nost,
-            r.steps_per_sec_nost(),
         );
     }
     let _ = write!(s, "]");
     let rates: Vec<f64> = rows.iter().map(|r| r.steps_per_sec()).collect();
     let _ = write!(s, ",\"hmean_steps_per_sec\":{:.1}", harmonic_mean(&rates));
-    let rates_nost: Vec<f64> = rows.iter().map(|r| r.steps_per_sec_nost()).collect();
-    let _ = write!(
-        s,
-        ",\"hmean_steps_per_sec_nost\":{:.1}",
-        harmonic_mean(&rates_nost)
-    );
     if let Some(b) = baseline {
         let speedups: Vec<f64> = rows
             .iter()

@@ -1,4 +1,4 @@
-//! `sim_obs` — renders and checks `facile-run/v2` run documents alone,
+//! `sim_obs` — renders and checks `facile-run/v3` run documents alone,
 //! with no re-simulation.
 //!
 //! Input is any mix of files produced by `facilec run --obs-out` (one
@@ -37,7 +37,7 @@ const CLI: Cli = Cli {
 usage: sim_obs <run.json|runs.jsonl>... [--detail] [--top N] [--misses K]
                [--width N] [--eps F] [--k N] [--folded] [--check]
 
-Renders facile-run/v2 documents: Table 1/2 views over all of them, then
+Renders facile-run/v3 documents: Table 1/2 views over all of them, then
 each document's profile, hot and timeline sections. --detail adds the
 header and metrics registry, --folded prints flamegraph stacks only,
 --check runs every exactness gate (and refolds a batch file's lanes),
@@ -95,7 +95,7 @@ fn load(path: &str) -> Result<Vec<RunDoc>, String> {
         .map(|(i, l)| RunDoc::from_json(l).map_err(|e| format!("line {}: {e}", i + 1)))
         .collect::<Result<Vec<_>, _>>()?;
     if docs.is_empty() {
-        return Err("no facile-run/v2 documents".to_owned());
+        return Err("no facile-run/v3 documents".to_owned());
     }
     Ok(docs)
 }
@@ -419,8 +419,8 @@ fn profile(out: &mut String, d: &RunDoc, p: &Profile, top: usize, k: usize) {
     }
 }
 
-/// The flight-recorder report: bursts, exits, dispatch stability,
-/// supertraces, hot chains and superinstruction candidates.
+/// The flight-recorder report: bursts, exits, dispatch stability, hot
+/// chains and superinstruction candidates.
 fn hot(out: &mut String, d: &RunDoc, h: &HotMetrics, top: usize) {
     let _ = writeln!(out, "\n=== {} hot ===", d.label);
     let _ = writeln!(
@@ -480,30 +480,6 @@ fn hot(out: &mut String, d: &RunDoc, h: &HotMetrics, top: usize) {
             "         poly #{action}: {} dispatches -> {}{beyond}",
             s.dispatches,
             targets.join(", "),
-        );
-    }
-
-    // Superaction compilation: what the VM linearized and how much
-    // replay ran direct-threaded (zeros mean supertrace was off or
-    // nothing crossed the hotness threshold).
-    let t = &d.trace;
-    if t.built + t.build_failed + t.enters > 0 {
-        let _ = writeln!(
-            out,
-            "straces: {} built, {} build-failed, {} invalidated; {} enters ({} bailed, {:.1}%)",
-            t.built,
-            t.build_failed,
-            t.invalidated,
-            t.enters,
-            t.bails,
-            100.0 * t.bails as f64 / t.enters.max(1) as f64,
-        );
-        let _ = writeln!(
-            out,
-            "         {} steps / {} insns inside traces ({:.1}% of fast-path insns)",
-            t.steps,
-            t.insns,
-            100.0 * t.insns as f64 / d.sim.fast_insns.max(1) as f64,
         );
     }
 

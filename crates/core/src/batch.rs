@@ -357,7 +357,6 @@ mod tests {
             },
             ..ObsConfig::default()
         });
-        let mut trace = facile_obs::TraceCounters::default();
         for job in jobs(6) {
             let mut sim = Simulation::new(
                 step.clone(),
@@ -369,12 +368,8 @@ mod tests {
             ArchHost::new().bind(&mut sim).expect("binds");
             sim.attach_obs(single.clone());
             sim.run_steps(job.max_steps);
-            // The recorder sees the event stream; supertrace counters
-            // are runtime totals the header snapshots per lane.
-            trace.merge(&crate::obs::snapshot_trace(&sim.trace_stats()));
         }
         assert_eq!(hot, &single.hot().unwrap());
-        assert_eq!(merged.trace, trace);
         // The merged counters recount too (full sampling).
         assert_eq!(merged.check(), Vec::<String>::new());
         assert_eq!(hot.burst_steps.sum(), merged.sim.fast_steps);

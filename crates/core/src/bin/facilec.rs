@@ -20,7 +20,7 @@
 //! Observability (with `--run`):
 //!
 //! ```text
-//! --obs-out <path>       # write the facile-run/v2 run document
+//! --obs-out <path>       # write the facile-run/v3 run document
 //! --obs <sections>       # its sections: metrics,profile,hot,timeline
 //!                        #   (comma-separated; default metrics)
 //! --hot-sample <N>       # record 1-in-N fast bursts (default 1: exact)
@@ -122,8 +122,6 @@ const MODE_FLAGS: &[(&str, &[Mode])] = {
         ("--cache-load", &[Run, Batch, Serve]),
         ("--cache-capacity", &[Run, Batch, Serve]),
         ("--cache-policy", &[Run, Batch, Serve]),
-        ("--supertrace", &[Run, Batch, Serve]),
-        ("--supertrace-threshold", &[Run, Batch, Serve]),
         ("--jobs", &[Batch]),
         ("--progress", &[Batch]),
         ("--threads", &[Batch, Serve]),
@@ -137,7 +135,6 @@ usage: facilec <file.fac> [--emit ast|ir|bta|actions|stats]
        facilec --builtin functional|inorder|ooo [--emit ...]
        facilec --builtin ooo --run prog.asm [--steps N]
                [--cache-capacity BYTES] [--cache-policy clear|generational]
-               [--supertrace on|off] [--supertrace-threshold N]
                [--cache-save snap.facsnap] [--cache-load snap.facsnap]
                [--obs-out run.json] [--obs metrics,profile,hot,timeline]
                [--hot-sample N] [--timeline-epoch N]
@@ -146,7 +143,7 @@ usage: facilec <file.fac> [--emit ast|ir|bta|actions|stats]
                [--steps N] [--obs-out runs.jsonl] [--obs SECTIONS]
                [--hot-sample N] [--timeline-epoch N] [--progress]
                [--cache-load snap.facsnap]
-         --obs-out writes one facile-run/v2 document; --obs lists its
+         --obs-out writes one facile-run/v3 document; --obs lists its
          sections (default metrics)
          jobs file: one `prog.asm [max-steps]` per line;
          batch --obs-out is JSONL, per-job docs then the merged doc;
@@ -271,16 +268,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Option<Cli>, Strin
             "--threads" => cli.threads = number(it, flag, "a number", 0)?,
             "--jobs" => cli.jobs_file = Some(value(it, flag, "a path")?),
             "--progress" => cli.progress = true,
-            "--supertrace" => {
-                cli.options.supertrace = match value(it, flag, "`on` or `off`")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    _ => return Err("--supertrace requires `on` or `off`".to_owned()),
-                }
-            }
-            "--supertrace-threshold" => {
-                cli.options.supertrace_threshold = number(it, flag, "a count >= 1", 1)?
-            }
             "--cache-capacity" => {
                 cli.options.cache_capacity = Some(number(it, flag, "a byte count", 0)?)
             }

@@ -1,7 +1,7 @@
 //! Bridges the runtime's counters to the `facile-obs` run document.
 //!
 //! `facile-obs` sits below `facile-runtime` in the dependency order, so
-//! it cannot reference `SimStats`/`CacheStats`/`TraceStats` directly;
+//! it cannot reference `SimStats`/`CacheStats` directly;
 //! the conversion into plain-integer snapshots happens here, at the top
 //! of the stack. Every job (`facile::job`) — `facilec run`, batch lanes,
 //! serve jobs, the bench runners — funnels through [`run_doc`], so every
@@ -13,10 +13,10 @@ use crate::CompiledStep;
 use facile_lang::span::LineMap;
 use facile_obs::{
     ActionRow, CacheStatsSnapshot, Metrics, ObsConfig, ObsHandle, Profile, RunDoc,
-    SimStatsSnapshot, TraceCounters,
+    SimStatsSnapshot,
 };
 use facile_runtime::{CacheStats, SimStats};
-use facile_vm::{Simulation, TraceStats};
+use facile_vm::Simulation;
 
 /// Snapshots the simulation counters into the JSON-facing form.
 pub fn snapshot_sim(s: &SimStats) -> SimStatsSnapshot {
@@ -51,20 +51,6 @@ pub fn snapshot_cache(c: &CacheStats) -> CacheStatsSnapshot {
     }
 }
 
-/// Snapshots the VM's superaction-compilation counters into the
-/// JSON-facing form.
-pub fn snapshot_trace(t: &TraceStats) -> TraceCounters {
-    TraceCounters {
-        built: t.built,
-        build_failed: t.build_failed,
-        enters: t.enters,
-        bails: t.bails,
-        invalidated: t.invalidated,
-        steps: t.steps,
-        insns: t.insns,
-    }
-}
-
 /// Builds one run document from a (finished) simulation: the header
 /// from the live counters plus the `sections` whose recorders were
 /// attached (see [`Sections`]); `wall_ns` is the caller-measured
@@ -81,7 +67,6 @@ pub fn run_doc(label: &str, sim: &mut Simulation, wall_ns: u64, sections: &Secti
         wall_ns,
         sim: snapshot_sim(sim.stats()),
         cache: snapshot_cache(&sim.cache_stats()),
-        trace: snapshot_trace(&sim.trace_stats()),
         metrics: registry.clone().filter(|_| sections.metrics),
         profile: sections
             .profile

@@ -695,12 +695,6 @@ fn decode_sim(
         if let Some(b) = flag(o, "memoize").map_err(bad)? {
             options.memoize = b;
         }
-        if let Some(b) = flag(o, "supertrace").map_err(bad)? {
-            options.supertrace = b;
-        }
-        if let Some(n) = uint(o, "supertrace_threshold").map_err(bad)? {
-            options.supertrace_threshold = n.max(1);
-        }
         if let Some(n) = uint(o, "cache_capacity").map_err(bad)? {
             options.cache_capacity = Some(n);
         }
@@ -1137,7 +1131,7 @@ mod tests {
             ("\"max_steps\":-1", "max_steps"),
             ("\"options\":{\"cache_capacity\":-5}", "cache_capacity"),
             ("\"max_steps\":2.5", "max_steps"),
-            ("\"options\":{\"supertrace_threshold\":\"8\"}", "supertrace_threshold"),
+            ("\"options\":{\"memoize\":\"on\"}", "memoize"),
         ] {
             let body = format!("{{\"op\":\"sim\",\"id\":4,\"asm\":{asm},{extra}}}");
             let err = c.submit_and_wait(&body).expect("error frame");
@@ -1147,9 +1141,17 @@ mod tests {
         }
         let err = c.request("{\"op\":\"ping\",\"id\":-3}").expect("error frame");
         assert_eq!(err.get("error").and_then(Value::as_str), Some("bad_request"));
+        // Options the daemon does not know are ignored, whatever their
+        // type — among them the retired `supertrace` pair.
+        let body = format!(
+            "{{\"op\":\"sim\",\"id\":5,\"asm\":{asm},\
+             \"options\":{{\"supertrace\":\"on\",\"supertrace_threshold\":-8}}}}"
+        );
+        let result = c.submit_and_wait(&body).expect("result frame");
+        assert_eq!(result.get("op").and_then(Value::as_str), Some("result"), "{result:?}");
         server.shutdown_trigger().trigger();
         let counters = server.join();
-        assert_eq!((counters.accepted, counters.bad_requests), (0, 5));
+        assert_eq!((counters.accepted, counters.bad_requests), (1, 5));
     }
 
     /// SplitMix64, inlined so the request fuzz needs no dependency.
@@ -1242,8 +1244,6 @@ mod tests {
         ];
         let options = vec![
             ("memoize", "true".to_owned()),
-            ("supertrace", "true".to_owned()),
-            ("supertrace_threshold", "8".to_owned()),
             ("cache_capacity", "4096".to_owned()),
             ("cache_policy", "\"generational\"".to_owned()),
         ];

@@ -88,7 +88,7 @@ fn run_emits_parseable_document_and_trace() {
     assert!(ok, "{stderr}");
 
     let doc = facile::RunDoc::from_json(&std::fs::read_to_string(&metrics).unwrap())
-        .expect("--obs-out holds a facile-run/v2 document");
+        .expect("--obs-out holds a facile-run/v3 document");
     assert!(doc.profile.is_none() && doc.hot.is_none() && doc.timeline.is_none());
     assert!(doc.sim.insns > 200, "the loop executes: {:?}", doc.sim);
     assert_eq!(doc.sim.fast_insns + doc.sim.slow_insns, doc.sim.insns);

@@ -1,6 +1,6 @@
 //! Hostile-input fuzz of the run-document reader and the serve frame
 //! parser: seeded byte flips, truncations, splices and deep-nesting
-//! inserts over real `facile-run/v2` documents (all four sections) and
+//! inserts over real `facile-run/v3` documents (all four sections) and
 //! real serve request frames. Every case runs under `catch_unwind`;
 //! malformed input must come back as an error value — never a panic, a
 //! stack overflow or a runaway allocation.

@@ -147,25 +147,6 @@ pub enum TraceEvent {
         /// Step entries exported.
         entries: u64,
     },
-    /// The VM compiled a hot replay chain into a supertrace buffer.
-    TraceBuild {
-        /// Logical step count.
-        step: u64,
-        /// Action number of the trace's head node.
-        head_action: u32,
-        /// Cache nodes the trace linearized.
-        nodes: u64,
-        /// Trivial TEST nodes fused into compare chains.
-        cmps: u64,
-    },
-    /// Supertraces were dropped because a cache clear or eviction
-    /// retired nodes they depend on.
-    TraceInvalidate {
-        /// Logical step count.
-        step: u64,
-        /// Traces dropped by this sweep.
-        traces: u64,
-    },
     /// An external (host) function was called.
     ExtCall {
         /// Logical step count.
@@ -200,8 +181,6 @@ impl TraceEvent {
             TraceEvent::CacheEvict { .. } => "cache_evict",
             TraceEvent::SnapshotLoad { .. } => "snapshot_load",
             TraceEvent::SnapshotSave { .. } => "snapshot_save",
-            TraceEvent::TraceBuild { .. } => "trace_build",
-            TraceEvent::TraceInvalidate { .. } => "trace_invalidate",
             TraceEvent::ExtCall { .. } => "ext_call",
             TraceEvent::Halt { .. } => "halt",
         }
@@ -296,20 +275,6 @@ impl TraceEvent {
                     ",\"bytes\":{bytes},\"gens\":{gens},\"nodes\":{nodes},\"entries\":{entries}"
                 );
             }
-            TraceEvent::TraceBuild {
-                step,
-                head_action,
-                nodes,
-                cmps,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"step\":{step},\"head_action\":{head_action},\"nodes\":{nodes},\"cmps\":{cmps}"
-                );
-            }
-            TraceEvent::TraceInvalidate { step, traces } => {
-                let _ = write!(out, ",\"step\":{step},\"traces\":{traces}");
-            }
             TraceEvent::ExtCall { step, ext } => {
                 let _ = write!(out, ",\"step\":{step},\"ext\":{ext}");
             }
@@ -383,8 +348,6 @@ mod tests {
             TraceEvent::CacheEvict { gen: 3, bytes: 512, nodes: 9, evictions: 2 },
             TraceEvent::SnapshotLoad { bytes: 4096, gens: 2, nodes: 40, entries: 6 },
             TraceEvent::SnapshotSave { bytes: 4096, gens: 2, nodes: 40, entries: 6 },
-            TraceEvent::TraceBuild { step: 10, head_action: 4, nodes: 23, cmps: 6 },
-            TraceEvent::TraceInvalidate { step: 11, traces: 2 },
             TraceEvent::ExtCall { step: 11, ext: 0 },
             TraceEvent::Halt { step: 12, engine: EngineTag::Fast, code: 0 },
         ];

@@ -21,7 +21,7 @@
 //! * [`observer::SimObserver`] / [`observer::ObsHandle`] — the hook
 //!   surface the engines call. A disabled handle (the default) costs one
 //!   null-check per hook site.
-//! * [`run::RunDoc`] — the one `facile-run/v2` document every front end
+//! * [`run::RunDoc`] — the one `facile-run/v3` document every front end
 //!   writes (`--obs-out`, serve result frames, the bench binaries) and
 //!   `sim_obs` renders: a header of runtime counter snapshots plus the
 //!   optional `metrics`, `profile`, `hot` and `timeline` sections, with
@@ -76,7 +76,7 @@ pub use metrics::Metrics;
 pub use observer::{ObsConfig, ObsHandle, SimObserver};
 pub use profile::{ActionRow, LineCost, Profile};
 pub use ring::EventRing;
-pub use run::{CacheStatsSnapshot, DocError, RunDoc, SimStatsSnapshot, TraceCounters, SCHEMA};
+pub use run::{CacheStatsSnapshot, DocError, RunDoc, SimStatsSnapshot, SCHEMA};
 pub use serve::{ServeCounters, SERVE_SCHEMA};
 pub use timeline::{
     EpochRecord, TimelineConfig, TimelineMetrics, Warmup, DEFAULT_EPOCH_CAP, DEFAULT_EPOCH_STEPS,

@@ -73,11 +73,6 @@ pub struct Metrics {
     pub cache_evictions: u64,
     /// Bytes released by observed generation evictions (cumulative).
     pub bytes_evicted: u64,
-    /// Supertrace builds observed (hot replay chains compiled).
-    pub trace_builds: u64,
-    /// Supertraces dropped by invalidation sweeps (cumulative, from
-    /// [`TraceEvent::TraceInvalidate`] `traces` counts).
-    pub trace_invalidations: u64,
     /// External calls observed in the trace.
     pub ext_calls: u64,
     /// Events evicted from the event ring without reaching a sink
@@ -190,12 +185,6 @@ impl Metrics {
             TraceEvent::ExtCall { .. } => {
                 self.ext_calls = self.ext_calls.saturating_add(1);
             }
-            TraceEvent::TraceBuild { .. } => {
-                self.trace_builds = self.trace_builds.saturating_add(1);
-            }
-            TraceEvent::TraceInvalidate { traces, .. } => {
-                self.trace_invalidations = self.trace_invalidations.saturating_add(traces);
-            }
             // Snapshot traffic is accounted in `CacheStatsSnapshot`
             // (`bytes_frozen` / `frozen_gens`), not re-counted here.
             TraceEvent::RecoveryBegin { .. }
@@ -267,10 +256,6 @@ impl Metrics {
         }
         self.cache_evictions = self.cache_evictions.saturating_add(other.cache_evictions);
         self.bytes_evicted = self.bytes_evicted.saturating_add(other.bytes_evicted);
-        self.trace_builds = self.trace_builds.saturating_add(other.trace_builds);
-        self.trace_invalidations = self
-            .trace_invalidations
-            .saturating_add(other.trace_invalidations);
         self.ext_calls = self.ext_calls.saturating_add(other.ext_calls);
         self.dropped_events = self.dropped_events.saturating_add(other.dropped_events);
         self.ring_capacity = self.ring_capacity.max(other.ring_capacity);
@@ -313,8 +298,6 @@ impl Metrics {
             ("bytes_at_last_clear", self.bytes_at_last_clear),
             ("cache_evictions", self.cache_evictions),
             ("bytes_evicted", self.bytes_evicted),
-            ("trace_builds", self.trace_builds),
-            ("trace_invalidations", self.trace_invalidations),
             ("ext_calls", self.ext_calls),
             ("dropped_events", self.dropped_events),
             ("ring_capacity", self.ring_capacity),
@@ -385,8 +368,6 @@ impl Metrics {
             bytes_at_last_clear: u("bytes_at_last_clear")?,
             cache_evictions: u("cache_evictions")?,
             bytes_evicted: u("bytes_evicted")?,
-            trace_builds: u("trace_builds")?,
-            trace_invalidations: u("trace_invalidations")?,
             ext_calls: u("ext_calls")?,
             dropped_events: u("dropped_events")?,
             ring_capacity: u("ring_capacity")?,
@@ -467,15 +448,6 @@ mod tests {
                     to: EngineTag::Slow,
                 });
             }
-            if i % 11 == 0 {
-                evs.push(TraceEvent::TraceBuild {
-                    step: i,
-                    head_action: (i % 4) as u32,
-                    nodes: 3 + i,
-                    cmps: i % 3,
-                });
-                evs.push(TraceEvent::TraceInvalidate { step: i, traces: 1 + i % 2 });
-            }
             evs.push(TraceEvent::NeedSlow { step: i });
             evs.push(TraceEvent::ExtCall { step: i, ext: (i % 3) as u32 });
         }
@@ -516,8 +488,6 @@ mod tests {
         assert_eq!(a.bytes_at_last_clear, b.bytes_at_last_clear);
         assert_eq!(a.cache_evictions, b.cache_evictions);
         assert_eq!(a.bytes_evicted, b.bytes_evicted);
-        assert_eq!(a.trace_builds, b.trace_builds);
-        assert_eq!(a.trace_invalidations, b.trace_invalidations);
         assert_eq!(a.ext_calls, b.ext_calls);
         assert_eq!(a.dropped_events, b.dropped_events);
         assert_eq!(a.ring_capacity, b.ring_capacity);

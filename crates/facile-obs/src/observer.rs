@@ -144,8 +144,6 @@ impl ObsCore {
                 TraceEvent::Halt { step, engine, code } => obs.on_halt(step, engine, code),
                 TraceEvent::RecoveryBegin { .. }
                 | TraceEvent::NeedSlow { .. }
-                | TraceEvent::TraceBuild { .. }
-                | TraceEvent::TraceInvalidate { .. }
                 | TraceEvent::SnapshotLoad { .. }
                 | TraceEvent::SnapshotSave { .. } => {}
             }

@@ -7,10 +7,10 @@
 //! re-simulation. A document is a header plus up to four optional
 //! sections:
 //!
-//! * the **header** (`label`, `wall_ns`, `sim`, `cache`, `trace`):
-//!   plain integer snapshots of the runtime counters, always present.
-//!   `SimStats`/`CacheStats`/`TraceStats` live above this crate, so the
-//!   conversion happens in `facile` core;
+//! * the **header** (`label`, `wall_ns`, `sim`, `cache`): plain integer
+//!   snapshots of the runtime counters, always present.
+//!   `SimStats`/`CacheStats` live above this crate, so the conversion
+//!   happens in `facile` core;
 //! * `metrics` — the derived [`Metrics`] registry;
 //! * `profile` — the source-level [`Profile`];
 //! * `hot` — the replay flight recorder's [`HotMetrics`];
@@ -28,7 +28,7 @@ use crate::timeline::TimelineMetrics;
 use std::fmt::Write as _;
 
 /// Schema tag written into every document.
-pub const SCHEMA: &str = "facile-run/v2";
+pub const SCHEMA: &str = "facile-run/v3";
 
 /// Declares a struct of `u64` counters with a field-wise saturating
 /// `merge`, a JSON object writer and a reader, all in field order.
@@ -145,31 +145,6 @@ impl CacheStatsSnapshot {
     /// Peak memoization footprint in MiB (Table 2's unit).
     pub fn peak_mib(&self) -> f64 {
         self.bytes_peak as f64 / (1024.0 * 1024.0)
-    }
-}
-
-counters! {
-    /// Supertrace (superaction compilation) counters: how many hot
-    /// chains the VM linearized into direct-threaded trace buffers and
-    /// how much replay work ran inside them. Mirrors the VM's
-    /// `TraceStats` (redeclared here so this crate stays
-    /// dependency-free); drivers snapshot it from
-    /// `Simulation::trace_stats()`, so it stays exact under sampling.
-    pub struct TraceCounters {
-        /// Supertraces built from hot chains.
-        built,
-        /// Build attempts abandoned (chain too short, unstable hints, …).
-        build_failed,
-        /// Times replay entered a supertrace.
-        enters,
-        /// Entries that bailed on a guard back to the generic loop.
-        bails,
-        /// Supertraces dropped because eviction retired their nodes.
-        invalidated,
-        /// Steps (INDEX crossings) completed inside supertraces.
-        steps,
-        /// Instructions retired inside supertraces.
-        insns,
     }
 }
 
@@ -336,8 +311,6 @@ pub struct RunDoc {
     pub sim: SimStatsSnapshot,
     /// Snapshot of the action-cache counters.
     pub cache: CacheStatsSnapshot,
-    /// Snapshot of the supertrace counters.
-    pub trace: TraceCounters,
     /// The derived metrics registry.
     pub metrics: Option<Metrics>,
     /// The source-level profile.
@@ -375,7 +348,6 @@ impl RunDoc {
         }
         self.sim.merge(&other.sim);
         self.cache.merge(&other.cache);
-        self.trace.merge(&other.trace);
         self.wall_ns = self.wall_ns.max(other.wall_ns);
         fn fold<T>(mine: &mut Option<T>, theirs: &Option<T>, f: impl FnOnce(&mut T, &T)) {
             match (mine.as_mut(), theirs) {
@@ -394,8 +366,7 @@ impl RunDoc {
     /// *all* failures, each prefixed with the section it belongs to
     /// (empty when the document is exact):
     ///
-    /// * header — supertrace work is a subset of the fast path, and the
-    ///   warm-start counters agree on coldness;
+    /// * header — the warm-start counters agree on coldness;
     /// * `profile` — Σ row insns == `sim.insns`, Σ row misses ==
     ///   `sim.misses`, every row resolves to a source position;
     /// * `hot` — the flight-recorder recount ([`HotMetrics::check`]);
@@ -403,23 +374,7 @@ impl RunDoc {
     ///   ([`TimelineMetrics::check`]).
     pub fn check(&self) -> Vec<String> {
         let mut errs = Vec::new();
-        let (s, t) = (&self.sim, &self.trace);
-        for (what, got, cap) in [
-            ("trace steps vs sim.fast_steps", t.steps, s.fast_steps),
-            ("trace insns vs sim.fast_insns", t.insns, s.fast_insns),
-            ("trace bails vs enters", t.bails, t.enters),
-            ("trace invalidated vs built", t.invalidated, t.built),
-        ] {
-            if got > cap {
-                errs.push(format!("header: {what}: {got} > {cap}"));
-            }
-        }
-        if t.built == 0 && (t.enters, t.steps) != (0, 0) {
-            errs.push(format!(
-                "header: {} trace enters and {} trace steps with no traces built",
-                t.enters, t.steps
-            ));
-        }
+        let s = &self.sim;
         // Warm-start counters are set once at snapshot install; the two
         // must agree on coldness.
         let c = &self.cache;
@@ -439,7 +394,7 @@ impl RunDoc {
             section("hot", h.check(s));
         }
         if let Some(tl) = &self.timeline {
-            section("timeline", tl.check(s, c, t));
+            section("timeline", tl.check(s, c));
         }
         errs
     }
@@ -455,8 +410,6 @@ impl RunDoc {
         self.sim.write_json(&mut s);
         s.push_str(",\"cache\":");
         self.cache.write_json(&mut s);
-        s.push_str(",\"trace\":");
-        self.trace.write_json(&mut s);
         if let Some(m) = &self.metrics {
             s.push_str(",\"metrics\":");
             m.write_json(&mut s);
@@ -487,14 +440,13 @@ impl RunDoc {
         let at = At::root(v);
         let schema = at.get("schema")?;
         if schema.str()? != SCHEMA {
-            return Err(schema.err("not facile-run/v2"));
+            return Err(schema.err("not facile-run/v3"));
         }
         Ok(RunDoc {
             label: at.get("label")?.str()?.to_owned(),
             wall_ns: at.u64_at("wall_ns")?,
             sim: SimStatsSnapshot::read(&at.get("sim")?)?,
             cache: CacheStatsSnapshot::read(&at.get("cache")?)?,
-            trace: TraceCounters::read(&at.get("trace")?)?,
             metrics: at.opt("metrics").map(|m| Metrics::read(&m)).transpose()?,
             profile: at.opt("profile").map(|p| Profile::read(&p)).transpose()?,
             hot: at.opt("hot").map(|h| HotMetrics::read(&h)).transpose()?,
@@ -568,7 +520,6 @@ mod tests {
             EpochRecord {
                 fast_steps: 3,
                 fast_insns: 30,
-                trace_enters: 1,
                 wall_ns: 4,
                 ..EpochRecord::default()
             },
@@ -595,13 +546,6 @@ mod tests {
                 bytes_peak: 64,
                 ..CacheStatsSnapshot::default()
             },
-            trace: TraceCounters {
-                built: 1,
-                enters: 1,
-                steps: 3,
-                insns: 30,
-                ..TraceCounters::default()
-            },
             metrics: Some(metrics),
             profile: Some(profile),
             hot: Some(hot),
@@ -614,13 +558,10 @@ mod tests {
         let d = sample();
         assert_eq!(d.check(), Vec::<String>::new());
         let text = d.to_json();
-        assert!(text.starts_with("{\"schema\":\"facile-run/v2\",\"label\":"));
+        assert!(text.starts_with("{\"schema\":\"facile-run/v3\",\"label\":"));
         let back = RunDoc::from_json(&text).unwrap();
         assert_eq!(back.to_json(), text);
-        assert_eq!(
-            (back.sim, back.cache, back.trace),
-            (d.sim, d.cache, d.trace)
-        );
+        assert_eq!((back.sim, back.cache), (d.sim, d.cache));
         assert_eq!(back.profile, d.profile);
         assert_eq!(back.hot, d.hot);
         assert_eq!(back.timeline, d.timeline);
@@ -667,10 +608,10 @@ mod tests {
             RunDoc::from_json(&pair).unwrap_err().to_string(),
             "`metrics.miss_values[1][0]`: expected a two-element array"
         );
-        let schema = text.replacen("facile-run/v2", "facile-run/v1", 1);
+        let schema = text.replacen("facile-run/v3", "facile-run/v2", 1);
         assert_eq!(
             RunDoc::from_json(&schema).unwrap_err().to_string(),
-            "`schema`: not facile-run/v2"
+            "`schema`: not facile-run/v3"
         );
         assert!(matches!(RunDoc::from_json("{"), Err(DocError::Json(_))));
         assert!(RunDoc::from_json("[]")
@@ -685,7 +626,7 @@ mod tests {
         d.profile.as_mut().unwrap().rows[0].fast_insns += 1;
         d.hot.as_mut().unwrap().bursts += 1;
         d.timeline.as_mut().unwrap().totals.misses += 1;
-        d.trace.bails = 2;
+        d.cache.frozen_gens = 1;
         let errs = d.check();
         for section in ["header:", "profile:", "hot:", "timeline:"] {
             assert!(

@@ -8,7 +8,7 @@
 //! [`TimelineConfig::epoch_steps`] simulator steps and records the
 //! counter *deltas* accumulated since the previous close (steps split
 //! by engine, instructions split by engine, misses, memoized bytes,
-//! evictions, supertrace enters/bails, wall time). Epochs are sampled
+//! evictions, wall time). Epochs are sampled
 //! off the hot path — at fast-burst exits and slow-step closes, never
 //! per step — so a burst that overshoots a boundary simply closes one
 //! larger epoch; the deltas stay exact either way.
@@ -41,7 +41,7 @@
 //! is bit-for-bit the fold of its lanes (`sim_obs --check` refolds
 //! batch files).
 
-use crate::run::{counters, write_list, At, CacheStatsSnapshot, DocError, SimStatsSnapshot, TraceCounters};
+use crate::run::{counters, write_list, At, CacheStatsSnapshot, DocError, SimStatsSnapshot};
 use std::fmt::Write as _;
 
 /// Default epoch interval in simulator steps.
@@ -103,10 +103,6 @@ counters! {
         cache_bytes,
         /// Storage generations evicted this epoch.
         cache_evictions,
-        /// Supertrace entries this epoch.
-        trace_enters,
-        /// Supertrace guard bails this epoch.
-        trace_bails,
         /// Wall-clock spent in this epoch, nanoseconds.
         wall_ns,
     }
@@ -264,12 +260,7 @@ impl TimelineMetrics {
     /// corresponding final counter bit for bit, and the retained epochs
     /// plus the overflow accounting recount `totals`. Returns every
     /// violation.
-    pub fn check(
-        &self,
-        sim: &SimStatsSnapshot,
-        cache: &CacheStatsSnapshot,
-        trace: &TraceCounters,
-    ) -> Vec<String> {
+    pub fn check(&self, sim: &SimStatsSnapshot, cache: &CacheStatsSnapshot) -> Vec<String> {
         let t = &self.totals;
         let mut errs: Vec<String> = [
             ("fast_steps", t.fast_steps, sim.fast_steps),
@@ -279,8 +270,6 @@ impl TimelineMetrics {
             ("misses", t.misses, sim.misses),
             ("cache_bytes", t.cache_bytes, cache.bytes_total),
             ("cache_evictions", t.cache_evictions, cache.evictions),
-            ("trace_enters", t.trace_enters, trace.enters),
-            ("trace_bails", t.trace_bails, trace.bails),
         ]
         .into_iter()
         .filter(|(_, got, want)| got != want)
@@ -396,8 +385,6 @@ mod tests {
             misses: slow_insns / 100,
             cache_bytes: slow_insns,
             cache_evictions: 0,
-            trace_enters: fast_insns / 50,
-            trace_bails: 0,
             wall_ns: 1_000,
         }
     }
@@ -506,7 +493,7 @@ mod tests {
     }
 
     /// A warming timeline and header counters it recounts exactly.
-    fn sample() -> (TimelineMetrics, SimStatsSnapshot, CacheStatsSnapshot, TraceCounters) {
+    fn sample() -> (TimelineMetrics, SimStatsSnapshot, CacheStatsSnapshot) {
         let mut timeline = TimelineMetrics::new(64, DEFAULT_EPOCH_CAP);
         for e in warming_stream() {
             timeline.observe_epoch(&e);
@@ -527,13 +514,7 @@ mod tests {
             evictions: t.cache_evictions,
             ..CacheStatsSnapshot::default()
         };
-        let trace = TraceCounters {
-            built: 1,
-            enters: t.trace_enters,
-            bails: t.trace_bails,
-            ..TraceCounters::default()
-        };
-        (timeline, sim, cache, trace)
+        (timeline, sim, cache)
     }
 
     fn json(t: &TimelineMetrics) -> String {
@@ -556,17 +537,17 @@ mod tests {
 
     #[test]
     fn check_accepts_exact_timelines_and_reports_every_violation() {
-        let (t, mut sim, cache, trace) = sample();
-        assert!(t.check(&sim, &cache, &trace).is_empty());
+        let (t, mut sim, cache) = sample();
+        assert!(t.check(&sim, &cache).is_empty());
         sim.fast_insns += 1;
         sim.misses += 1;
-        let errs = t.check(&sim, &cache, &trace);
+        let errs = t.check(&sim, &cache);
         assert_eq!(errs.len(), 2, "{errs:?}");
         assert!(errs[0].starts_with("fast_insns: epochs sum to"));
         assert!(errs[1].starts_with("misses: epochs sum to"));
         let (mut bad, sim, ..) = sample();
         bad.epochs.pop();
-        let errs = bad.check(&sim, &cache, &trace);
+        let errs = bad.check(&sim, &cache);
         assert!(errs.iter().any(|e| e.starts_with("ring accounting")), "{errs:?}");
     }
 

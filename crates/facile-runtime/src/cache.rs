@@ -1143,35 +1143,6 @@ impl ActionCache {
         self.stats
     }
 
-    /// Monotonic invalidation epoch: advances whenever *any* resident
-    /// node may have become stale — a wholesale clear or a generational
-    /// eviction. Consumers that hold [`NodeId`]s outside the cache
-    /// (e.g. the VM's supertrace buffers) compare this against their
-    /// last-seen value and re-validate only when it moved, instead of
-    /// checking residency on every use.
-    #[inline]
-    pub fn invalidation_epoch(&self) -> u64 {
-        self.stats.clears + self.stats.evictions
-    }
-
-    /// Whether the generation with sequence number `seq` is still
-    /// resident (the generation-level form of
-    /// [`is_resident`](Self::is_resident)).
-    #[inline]
-    pub fn seq_resident(&self, seq: u32) -> bool {
-        self.gen_slot(seq).is_some()
-    }
-
-    /// Stamps each generation in `seqs` as recently used. Supertrace
-    /// execution bypasses the per-step lookups that normally feed the
-    /// eviction touch clock, so it reports the generations it reads
-    /// through this instead (once per trace entry, not per step).
-    pub fn touch_gens(&self, seqs: &[u32]) {
-        for &s in seqs {
-            self.touch_seq(s);
-        }
-    }
-
     /// Number of nodes in owned (recorded, unpinned) generations.
     pub fn node_count(&self) -> usize {
         self.gens[self.pinned..]
@@ -1569,48 +1540,6 @@ impl ActionCache {
         }
         self.touch_seq(n.gen);
         Some(n)
-    }
-
-    /// The hot-hint successor of a dynamic result test: the
-    /// `(observed value, target)` pair the node's inline cache points
-    /// at, if the target is still resident. This is the edge a trace
-    /// builder should speculate on — it is the last edge replay took.
-    pub fn predicted_test(&self, id: NodeId) -> Option<(i64, NodeId)> {
-        let slot = self.slot_of(id);
-        // A shared node's own hot index never moves, so its overlay's
-        // carries the recency signal when present.
-        if let Some(Succ::Tests(ov)) = self.overlay_of(slot, id) {
-            match ov.items.get(ov.hot as usize) {
-                Some(&(v, n)) if self.is_resident(n) => return Some((v, n)),
-                _ => {}
-            }
-        }
-        let Succ::Tests(list) = &self.gens[slot].store.succs[id.index()] else {
-            return None;
-        };
-        let &(v, n) = list.items.get(list.hot as usize)?;
-        self.follows(slot, n).then_some((v, n))
-    }
-
-    /// The hot-hint successor of an INDEX action: the dynamic signature
-    /// contents and target entry of the inline-cached link, if the
-    /// target is still resident.
-    pub fn predicted_index(&self, id: NodeId) -> Option<(&[i64], NodeId)> {
-        let slot = self.slot_of(id);
-        if let Some(Succ::Index(ov)) = self.overlay_of(slot, id) {
-            match ov.items.get(ov.hot as usize) {
-                Some(&(r, n)) if self.is_resident(n) => {
-                    return Some((range_of(&self.overlay_slab, r), n))
-                }
-                _ => {}
-            }
-        }
-        let g = &self.gens[slot].store;
-        let Succ::Index(list) = &g.succs[id.index()] else {
-            return None;
-        };
-        let &(r, n) = list.items.get(list.hot as usize)?;
-        self.follows(slot, n).then_some((range_of(&g.slab, r), n))
     }
 
     // ----- recording -----

@@ -16,7 +16,6 @@ use crate::fast::{fast_run, FastOutcome, ReplayScratch};
 use crate::recovery::{recover, RecoveryError};
 use crate::slow::{slow_step, Recording, SlowScratch, StepOutcome};
 use crate::state::{ExtHost, ExtTable, MachineState};
-use crate::supertrace::{SuperTraceSet, TraceStats};
 use facile_codegen::CompiledStep;
 use facile_obs::{BurstExit, BurstRecord, EngineTag, EpochRecord, ObsHandle, TraceEvent};
 use facile_runtime::cache::{ActionCache, CachePolicy, Cursor, NodeId};
@@ -47,20 +46,7 @@ pub struct SimOptions {
     /// What happens when the capacity is exceeded: the paper's wholesale
     /// clear, or generational partial eviction.
     pub cache_policy: CachePolicy,
-    /// Superaction compilation: linearize hot replay chains into
-    /// direct-threaded trace buffers (see [`crate::supertrace`]). On by
-    /// default; architectural results are bit-for-bit identical either
-    /// way, only replay speed changes.
-    pub supertrace: bool,
-    /// Replayed-step heat a burst-entry node must accumulate before its
-    /// chain is compiled into a trace.
-    pub supertrace_threshold: u64,
 }
-
-/// Default supertrace hotness threshold (replayed steps through one
-/// burst-entry node): low enough that steady loops compile within a few
-/// bursts, high enough that one-off chains never do.
-pub const SUPERTRACE_THRESHOLD: u64 = 256;
 
 impl Default for SimOptions {
     fn default() -> Self {
@@ -68,10 +54,22 @@ impl Default for SimOptions {
             memoize: true,
             cache_capacity: None,
             cache_policy: CachePolicy::Clear,
-            supertrace: true,
-            supertrace_threshold: SUPERTRACE_THRESHOLD,
         }
     }
+}
+
+/// Counters of a second replay machine (supertraces) this engine no
+/// longer has: replay runs in one loop, so every field reads 0. Kept
+/// because benchmark drivers outside the workspace still read these
+/// three fields from [`Simulation::trace_stats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TraceStats {
+    /// Trace entries (always 0).
+    pub enters: u64,
+    /// Trace guard bails (always 0).
+    pub bails: u64,
+    /// Steps run inside traces (always 0).
+    pub steps: u64,
 }
 
 /// Errors surfaced by the driver API.
@@ -136,10 +134,6 @@ struct EpochState {
     cache_bytes: u64,
     /// `CacheStats::evictions` at the last close.
     cache_evictions: u64,
-    /// `TraceStats::enters` at the last close.
-    trace_enters: u64,
-    /// `TraceStats::bails` at the last close.
-    trace_bails: u64,
     /// Wall-clock instant of the last close.
     last: std::time::Instant,
 }
@@ -170,9 +164,6 @@ pub struct Simulation {
     scratch: ReplayScratch,
     /// Reusable slow-step buffers (see [`SlowScratch`]).
     slow_scratch: SlowScratch,
-    /// Compiled supertraces + hotness bookkeeping (see
-    /// [`crate::supertrace`]).
-    traces: SuperTraceSet,
     /// The diagnosed failure that halted the run, if any (see
     /// [`fault`](Self::fault)).
     fault: Option<RecoveryError>,
@@ -240,10 +231,6 @@ impl Simulation {
             slow_key: key,
             scratch: ReplayScratch::new(),
             slow_scratch: SlowScratch::new(),
-            traces: SuperTraceSet::new(
-                options.supertrace && options.memoize,
-                options.supertrace_threshold,
-            ),
             fault: None,
             epoch: None,
             warm_digest,
@@ -298,7 +285,6 @@ impl Simulation {
         self.st.obs = obs;
         self.epoch = (every > 0).then(|| {
             let c = self.cache.stats();
-            let t = self.traces.stats();
             let total = self
                 .st
                 .stats
@@ -310,8 +296,6 @@ impl Simulation {
                 base: self.st.stats,
                 cache_bytes: c.bytes_total,
                 cache_evictions: c.evictions,
-                trace_enters: t.enters,
-                trace_bails: t.bails,
                 last: std::time::Instant::now(),
             }
         });
@@ -413,7 +397,6 @@ impl Simulation {
                         .hot_burst_sampled()
                         .then(|| (self.cache.node(node).action, node));
                     self.scratch.begin_burst(hot_entry.is_some());
-                    let steps_before = self.st.stats.fast_steps;
                     let out = fast_run(
                         &self.step,
                         &mut self.st,
@@ -421,33 +404,9 @@ impl Simulation {
                         node,
                         &mut self.fast_key,
                         &mut self.scratch,
-                        &mut self.traces,
                         &mut steps,
                         max_steps,
                     );
-                    // Supertrace compilation happens lazily here, off
-                    // the burst-exit path: fold the burst's heat into
-                    // the entry node and build once it crosses the
-                    // threshold (the entry stayed resident — nothing
-                    // evicts mid-burst).
-                    if self.traces.enabled() {
-                        let delta = self.st.stats.fast_steps.wrapping_sub(steps_before);
-                        self.traces
-                            .note_burst(node, delta, &self.step, &self.cache);
-                        // Drain build events queued since the last burst
-                        // (including chain-exit builds from inside the
-                        // fast loop, where the observer is unreachable).
-                        while let Some((head_action, nodes, cmps)) = self.traces.pop_build() {
-                            if self.st.obs.enabled() {
-                                self.st.obs.emit(TraceEvent::TraceBuild {
-                                    step: self.st.obs_step(),
-                                    head_action,
-                                    nodes,
-                                    cmps,
-                                });
-                            }
-                        }
-                    }
                     if let Some((t0, b)) = before {
                         let s = self.st.stats;
                         self.st.obs.emit(TraceEvent::FastBurst {
@@ -568,7 +527,6 @@ impl Simulation {
     /// flush) are dropped silently.
     fn epoch_close(&mut self, total: u64) {
         let cache = self.cache.stats();
-        let tr = self.traces.stats();
         let now = std::time::Instant::now();
         let Some(ep) = &mut self.epoch else {
             return;
@@ -582,15 +540,11 @@ impl Simulation {
             misses: s.misses.saturating_sub(ep.base.misses),
             cache_bytes: cache.bytes_total.saturating_sub(ep.cache_bytes),
             cache_evictions: cache.evictions.saturating_sub(ep.cache_evictions),
-            trace_enters: tr.enters.saturating_sub(ep.trace_enters),
-            trace_bails: tr.bails.saturating_sub(ep.trace_bails),
             wall_ns: now.duration_since(ep.last).as_nanos() as u64,
         };
         ep.base = s;
         ep.cache_bytes = cache.bytes_total;
         ep.cache_evictions = cache.evictions;
-        ep.trace_enters = tr.enters;
-        ep.trace_bails = tr.bails;
         ep.last = now;
         ep.next = (total / ep.every).saturating_add(1).saturating_mul(ep.every);
         // Deltas telescope: every counted unit lands in exactly one
@@ -604,8 +558,6 @@ impl Simulation {
             | rec.misses
             | rec.cache_bytes
             | rec.cache_evictions
-            | rec.trace_enters
-            | rec.trace_bails
             != 0
         {
             self.st.obs.timeline_epoch(&rec);
@@ -715,10 +667,9 @@ impl Simulation {
         self.cache.stats()
     }
 
-    /// Supertrace compiler counters so far (all zero when supertrace
-    /// compilation is disabled).
+    /// All zero: see [`TraceStats`].
     pub fn trace_stats(&self) -> TraceStats {
-        self.traces.stats()
+        TraceStats::default()
     }
 
     /// Values the target emitted via `trace(v)`.
@@ -940,13 +891,6 @@ mod tests {
         (sites, longest)
     }
 
-    fn options() -> SimOptions {
-        SimOptions {
-            supertrace: false,
-            ..SimOptions::default()
-        }
-    }
-
     #[test]
     fn shipped_simulators_rebuild_their_keys_from_packed_tails() {
         let w = facile_workloads::by_name("126.gcc").expect("workload exists");
@@ -964,7 +908,7 @@ mod tests {
                 }
             };
             args.push(ArgValue::Scalar(image.entry as i64));
-            let mut sim = Simulation::new(step, Target::load(&image), &args, options()).unwrap();
+            let mut sim = Simulation::new(step, Target::load(&image), &args, SimOptions::default()).unwrap();
             bind_hosts(&mut sim);
             let (sites, _) = check_tails(&mut sim, 2_000);
             assert!(sim.stats().fast_steps > 0, "{sim_name}: replay ran");
@@ -1000,7 +944,7 @@ mod tests {
             build(SRC),
             Target::load(&Image::default()),
             &args,
-            options(),
+            SimOptions::default(),
         )
         .unwrap();
         sim.bind_external("f", |a| a[0].wrapping_mul(7) % 3)

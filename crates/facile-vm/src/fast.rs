@@ -16,7 +16,6 @@
 
 use crate::exec::match_effect_op;
 use crate::state::MachineState;
-use crate::supertrace::{self, SuperTraceSet, TraceRun};
 use facile_codegen::program::{KeySrc, NextSite};
 use facile_codegen::{ActionCode, ActionKind, CompiledStep, Op};
 use facile_obs::{fold_sig, EngineTag, TraceEvent, CHAIN_DEPTH, SIG_SEED};
@@ -195,19 +194,14 @@ pub fn fast_run(
     node: NodeId,
     entry_key: &mut Key,
     scratch: &mut ReplayScratch,
-    traces: &mut SuperTraceSet,
     steps: &mut u64,
     max_steps: u64,
 ) -> FastOutcome {
     let mut n = Counts::default();
     if !st.obs.counts_actions() {
-        return run::<false>(
-            step, st, cache, node, entry_key, scratch, traces, steps, max_steps, &mut n,
-        );
+        return run::<false>(step, st, cache, node, entry_key, scratch, steps, max_steps, &mut n);
     }
-    let out = run::<true>(
-        step, st, cache, node, entry_key, scratch, traces, steps, max_steps, &mut n,
-    );
+    let out = run::<true>(step, st, cache, node, entry_key, scratch, steps, max_steps, &mut n);
     st.obs.replay_counts(n.walks, n.ops);
     out
 }
@@ -230,7 +224,6 @@ fn run<const COUNT: bool>(
     mut node: NodeId,
     entry_key: &mut Key,
     scratch: &mut ReplayScratch,
-    traces: &mut SuperTraceSet,
     steps: &mut u64,
     max_steps: u64,
     n: &mut Counts,
@@ -242,28 +235,6 @@ fn run<const COUNT: bool>(
     // dynamic signature sits in `scratch.cur_sig`). `None` means
     // `entry_key` already holds the current entry's key.
     let mut cur_index: Option<(NodeId, usize)> = None;
-
-    // Supertrace housekeeping happens at burst entry, never per action:
-    // drop traces invalidated by evictions/clears since the last burst
-    // (no eviction can occur *during* a burst — the cache is borrowed
-    // mutably for its whole duration), then enter a trace if the burst
-    // starts on a compiled head.
-    if traces.any() {
-        let dropped = traces.sweep(cache);
-        if dropped > 0 && st.obs.enabled() {
-            st.obs.emit(TraceEvent::TraceInvalidate {
-                step: st.obs_step(),
-                traces: dropped,
-            });
-        }
-        match supertrace::try_traces(
-            traces, step, st, cache, node, entry_key, scratch, steps, max_steps,
-            &mut cur_index,
-        ) {
-            TraceRun::Continue(n) => node = n,
-            TraceRun::Out(out) => return out,
-        }
-    }
 
     loop {
         if COUNT {
@@ -343,17 +314,6 @@ fn run<const COUNT: bool>(
                     IndexStep::Taken { next } => node = next,
                     IndexStep::Out(out) => return out,
                 }
-                // Step boundary: the only place control can land on a
-                // supertrace head mid-burst.
-                if traces.any() {
-                    match supertrace::try_traces(
-                        traces, step, st, cache, node, entry_key, scratch, steps, max_steps,
-                        &mut cur_index,
-                    ) {
-                        TraceRun::Continue(n) => node = n,
-                        TraceRun::Out(out) => return out,
-                    }
-                }
             }
         }
     }
@@ -380,9 +340,8 @@ pub(crate) fn note_miss(st: &mut MachineState, action: u32, depth: usize, value:
 /// where recording captured them, and the dynamic ops run exactly as the
 /// slow engine runs them. Returns the offset in `data` after the ops'
 /// placeholders (an INDEX action's packed key tail follows), or `None`
-/// when the action halted the simulation. Generic replay and every
-/// supertrace op run actions through this one function. With `COUNT`,
-/// every op executed is added to `ops`.
+/// when the action halted the simulation. With `COUNT`, every op
+/// executed is added to `ops`.
 #[inline(always)]
 pub(crate) fn replay_action<const COUNT: bool>(
     step: &CompiledStep,
@@ -581,8 +540,7 @@ pub(crate) enum IndexStep {
 }
 
 /// The INDEX step advance after `node` (an INDEX node of `action`, for
-/// `site`), shared by [`fast_run`]'s generic loop and the supertrace
-/// bail path. `scratch.sig` already holds the crossing's dynamic
+/// `site`). `scratch.sig` already holds the crossing's dynamic
 /// signature and `ph` is where the node's packed key tail starts in its
 /// data.
 ///

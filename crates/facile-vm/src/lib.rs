@@ -15,9 +15,6 @@
 //!   the run-time-static slice of the same program (the paper's §6.3
 //!   optimization 2: a dedicated recovery engine that skips the dynamic
 //!   ops).
-//! * [`supertrace`] — superaction compilation: hot replay chains
-//!   linearized into direct-threaded trace buffers with guarded
-//!   speculation and a bail path back to the generic replay loop.
 //! * [`engine::Simulation`] — the driver tying them together, enforcing
 //!   the cache capacity at step boundaries under either the clear-on-full
 //!   policy of §6.2 or generational partial eviction
@@ -75,9 +72,7 @@ pub mod recovery;
 pub mod slow;
 pub mod snapshot;
 pub mod state;
-pub mod supertrace;
 
-pub use engine::{ArgValue, SimError, SimOptions, Simulation};
+pub use engine::{ArgValue, SimError, SimOptions, Simulation, TraceStats};
 pub use recovery::{RecoveryError, RecoveryErrorKind};
 pub use state::{AggIter, AggStorage, ExtFn, ExtHost, MachineState};
-pub use supertrace::{SuperTraceSet, TraceStats};

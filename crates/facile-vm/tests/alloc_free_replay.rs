@@ -109,18 +109,13 @@ fn steady_state_replay_allocates_nothing() {
     // their steady-state capacities.
     sim.run_steps(200);
     // Budget-bounded bursts resume at a key that advances by
-    // 1000 mod 7 per call, so at most 7 distinct burst heads recur.
-    // Eight more bursts push every head past the supertrace hotness
-    // threshold and get its trace built (builds allocate, by design —
-    // they happen off the burst-exit path), leaving the steady state:
-    // replay runs *inside* the trace buffers.
+    // 1000 mod 7 per call, so at most 7 distinct burst heads recur;
+    // eight more bursts reach every one of them.
     for _ in 0..8 {
         sim.run_steps(1_000);
     }
     let warm = *sim.stats();
     assert!(warm.fast_steps > 0, "warm-up never fast-forwarded");
-    let traces_warm = sim.trace_stats();
-    assert!(traces_warm.built > 0, "warm-up never built a supertrace");
 
     // Measured window: 1000 steps of pure replay.
     let a0 = ALLOCS.load(Ordering::Relaxed);
@@ -139,11 +134,6 @@ fn steady_state_replay_allocates_nothing() {
         s.ext_calls - warm.ext_calls,
         1_000,
         "every replayed step calls the host once"
-    );
-    let traces = sim.trace_stats();
-    assert!(
-        traces.enters > traces_warm.enters,
-        "window never entered a supertrace"
     );
     assert_eq!(
         allocs, 0,

@@ -319,8 +319,8 @@ warm: nodes=11248 entries=2204 clears=10 evictions=0 bytes_total=168099 bytes_pe
 half: nodes=13884 entries=2787 clears=12 evictions=0 bytes_total=209169 bytes_peak=16476 slow_insns=2787 misses=392 cycles=24372 mem=bb0ea5928241d393 snap=c78cb1e93e2faf23
 refreeze: nodes=9498 entries=1859 clears=8 evictions=0 bytes_total=141912 bytes_peak=16446 slow_insns=1859 misses=323 cycles=24372 mem=bb0ea5928241d393 snap=091ff13d3925fbac
 [generational]
-cold: nodes=15949 entries=3202 clears=0 evictions=109 bytes_total=240320 bytes_peak=16519 slow_insns=3202 misses=454 cycles=24372 mem=bb0ea5928241d393 snap=6a695914caaa9a27
-warm: nodes=9198 entries=1788 clears=0 evictions=59 bytes_total=137346 bytes_peak=16483 slow_insns=1788 misses=341 cycles=24372 mem=bb0ea5928241d393 snap=90c98ba5e99987aa
-half: nodes=10674 entries=2092 clears=0 evictions=70 bytes_total=159640 bytes_peak=16547 slow_insns=2092 misses=370 cycles=24372 mem=bb0ea5928241d393 snap=b15b03496a4d2efc
-refreeze: nodes=7251 entries=1407 clears=0 evictions=45 bytes_total=108217 bytes_peak=16564 slow_insns=1407 misses=270 cycles=24372 mem=bb0ea5928241d393 snap=413f957b5a3e3d3a
+cold: nodes=16521 entries=3334 clears=0 evictions=113 bytes_total=249384 bytes_peak=16537 slow_insns=3334 misses=447 cycles=24372 mem=bb0ea5928241d393 snap=cfba86bf647a5321
+warm: nodes=9316 entries=1810 clears=0 evictions=60 bytes_total=139066 bytes_peak=16463 slow_insns=1810 misses=351 cycles=24372 mem=bb0ea5928241d393 snap=f3b4d8c1e5a791b9
+half: nodes=9479 entries=1851 clears=0 evictions=61 bytes_total=141691 bytes_peak=16472 slow_insns=1851 misses=342 cycles=24372 mem=bb0ea5928241d393 snap=68d03587d03fb016
+refreeze: nodes=6814 entries=1320 clears=0 evictions=42 bytes_total=101662 bytes_peak=16515 slow_insns=1320 misses=260 cycles=24372 mem=bb0ea5928241d393 snap=9cf78ae2e02a7116
 ";

@@ -250,15 +250,14 @@ fn observed(sim: &Simulation) -> Observed {
 }
 
 /// Compiler-wide transparency: for 200 generated step functions, every
-/// engine configuration — memoization with supertraces off, supertraces
-/// compiled at the first hot burst, generational eviction at a capacity
+/// engine configuration — memoization, generational eviction at a capacity
 /// of a few nodes, `trim_cache(0)` half-way through a generational run
 /// (256-byte cache: small generations, so the trim has unpinned ones to
 /// evict) and through a clear-on-full run, a warm start from a half-run
 /// snapshot and one from that warm run's refreeze — observes exactly
 /// what the memo-off run observes, and so does a memo-off run of the
 /// plain lowering, globals included. Across the sweep, replay, misses,
-/// recoveries, supertrace entries and evictions must all happen, and in
+/// recoveries and evictions must all happen, and in
 /// most runs the trims must release bytes and the warm starts must
 /// install their snapshots (186, 200, 200 and 200 of 200 do), or
 /// agreement says little. The sweep takes about 2 s in a debug build on
@@ -271,22 +270,7 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
         ..SimOptions::default()
     };
     let configs = [
-        (
-            "supertrace off",
-            SimOptions {
-                supertrace: false,
-                ..memo
-            },
-            Drive::Plain,
-        ),
-        (
-            "supertrace threshold 1",
-            SimOptions {
-                supertrace_threshold: 1,
-                ..memo
-            },
-            Drive::Plain,
-        ),
+        ("memo on", memo, Drive::Plain),
         (
             "generational, tiny capacity",
             SimOptions {
@@ -317,7 +301,7 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
         ("warm from the warm run's refreeze", memo, Drive::WarmRefreeze),
     ];
     let (mut fast_steps, mut misses, mut recoveries) = (0u64, 0u64, 0u64);
-    let (mut enters, mut evictions) = (0u64, 0u64);
+    let mut evictions = 0u64;
     let (mut warm, mut refrozen) = (0u32, 0u32);
     // Trims that released bytes, generational and clear-on-full.
     let mut trims = [0u32; 2];
@@ -373,7 +357,6 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
             fast_steps += s.fast_steps;
             misses += s.misses;
             recoveries += s.recoveries;
-            enters += sim.trace_stats().enters;
             evictions += sim.cache_stats().evictions;
             match drive {
                 Drive::Plain => {}
@@ -386,9 +369,9 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
         }
     }
     assert!(
-        fast_steps > 0 && misses > 0 && recoveries > 0 && enters > 0 && evictions > 0,
+        fast_steps > 0 && misses > 0 && recoveries > 0 && evictions > 0,
         "replayed steps {fast_steps}, misses {misses}, recoveries {recoveries}, \
-         supertrace enters {enters}, evictions {evictions}"
+         evictions {evictions}"
     );
     eprintln!(
         "generated sweep: trims released bytes in {trims:?} (generational, clear), \

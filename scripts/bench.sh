@@ -30,38 +30,6 @@ echo "==> fastreplay --scale $SCALE --reps $REPS"
 ./target/release/fastreplay --scale "$SCALE" --reps "$REPS" $BASELINE_ARGS \
     --json-out BENCH_fastsim.json
 
-echo "==> smoke: superaction compilation does not slow the suite down"
-# fastreplay measures every workload A/B (supertrace on/off, interleaved
-# builds, best-of-reps each), so the embedded *_nost fields compare like
-# with like. Wall-clock on this shared host is +-5% noisy, so the gate
-# is lenient: the supertrace-on harmonic mean must stay within 7% of
-# off across the suite and on the irregular gcc-like workload — a real
-# regression (traces slower than generic replay) shows up far larger.
-awk 'BEGIN { h = hn = g = gn = 0 }
-     {
-       line = $0
-       if (match(line, /"name":"126.gcc"[^}]*/)) {
-         row = substr(line, RSTART, RLENGTH)
-         if (match(row, /"steps_per_sec":[0-9.]+/)) {
-           s = substr(row, RSTART, RLENGTH); sub(/.*:/, "", s); g = s + 0
-         }
-         if (match(row, /"steps_per_sec_nost":[0-9.]+/)) {
-           s = substr(row, RSTART, RLENGTH); sub(/.*:/, "", s); gn = s + 0
-         }
-       }
-       if (match(line, /"hmean_steps_per_sec":[0-9.]+/)) {
-         s = substr(line, RSTART, RLENGTH); sub(/.*:/, "", s); h = s + 0
-       }
-       if (match(line, /"hmean_steps_per_sec_nost":[0-9.]+/)) {
-         s = substr(line, RSTART, RLENGTH); sub(/.*:/, "", s); hn = s + 0
-       }
-     }
-     END {
-       if (h <= 0 || hn <= 0 || g <= 0 || gn <= 0) exit 1
-       exit (h >= 0.93 * hn && g >= 0.93 * gn) ? 0 : 1
-     }' BENCH_fastsim.json \
-    || { echo "bench: supertrace-on measurably slower than off"; exit 1; }
-
 echo "==> sim_batch --scale $SCALE --compare (suite as a worker-pool batch)"
 ./target/release/sim_batch --scale "$SCALE" --compare \
     --json-out BENCH_batch.json
@@ -80,7 +48,7 @@ echo "==> obs_overhead --scale $SCALE --reps $REPS (disabled / sampled / full / 
 ./target/release/obs_overhead --scale "$SCALE" --reps "$REPS" \
     --fastsim BENCH_fastsim.json --json-out BENCH_obs.json
 
-echo "==> sim_warm --scale $SCALE (cold vs warm-start A/B over facile-snap/v2)"
+echo "==> sim_warm --scale $SCALE (cold vs warm-start A/B over facile-snap/v3)"
 # Each workload runs cold, snapshots its action cache
 # (docs/PERSISTENCE.md), then reruns warm from the snapshot. The warm
 # run must replay the cold run's architected results exactly (the

@@ -5,13 +5,13 @@
 #
 # Runs the repo's tier-1 gate (ROADMAP.md) with --offline, lints the
 # instrumented crates at deny-warnings, smoke-tests that
-# `facilec --run --obs-out` emits a parseable facile-run/v2 document whose
+# `facilec --run --obs-out` emits a parseable facile-run/v3 document whose
 # every section passes `sim_obs --check` (and that a tampered copy fails
 # it, naming each broken section), and gates the fast-replay hot path: a small fig11 workload must
 # fast-forward at least as much as the seed did, steady-state replay
-# must be allocation-free (docs/PERFORMANCE.md), and superaction
-# compilation must be architecturally invisible (supertrace on/off and
-# slow-only runs produce bit-identical results and digests). Action-cache
+# must be allocation-free (docs/PERFORMANCE.md), and fast-forwarding
+# must be architecturally invisible (memo-on and slow-only runs produce
+# bit-identical results and digests, also under eviction torture). Action-cache
 # snapshots must round-trip: a warm run, and a run warm-started from a
 # snapshot taken part-way through (default options and generational
 # eviction at a small capacity), print the cold run's architectural
@@ -68,7 +68,7 @@ EOF
 ./target/release/facilec --builtin functional --run "$tmp/loop.asm" \
     --obs-out "$tmp/metrics.json" --trace-out "$tmp/trace.jsonl" > /dev/null
 ./target/release/sim_obs "$tmp/metrics.json" > /dev/null
-grep -q '"schema":"facile-run/v2"' "$tmp/metrics.json"
+grep -q '"schema":"facile-run/v3"' "$tmp/metrics.json"
 grep -q '"ev":"halt"' "$tmp/trace.jsonl"
 
 echo "==> smoke: every section of one run passes sim_obs --check"
@@ -78,7 +78,7 @@ echo "==> smoke: every section of one run passes sim_obs --check"
 # counters sum to the burst count, dispatches recount the steps
 # histogram and (exact mode) the burst histograms recount the fast-path
 # counters; the epoch deltas, retained plus dropped, telescope exactly
-# to the final simulation, cache and supertrace counters.
+# to the final simulation and cache counters.
 ./target/release/facilec --builtin ooo --run "$tmp/loop.asm" \
     --obs-out "$tmp/d.json" --obs metrics,profile,hot,timeline \
     --timeline-stream "$tmp/tl.jsonl" --timeline-epoch 32 > /dev/null
@@ -203,25 +203,13 @@ cmp -s "$tmp/cold_ref.txt" "$tmp/v1_run.txt" \
     || { echo "verify: version-1 snapshot did not fall back to a cold run"; \
          diff "$tmp/cold_ref.txt" "$tmp/v1_run.txt" || true; exit 1; }
 
-echo "==> smoke: supertrace on/off digest equality"
-# Superaction compilation is a replay-speed optimization only: the same
-# workload run with trace compilation forced on (low threshold) and off
-# must print identical architectural results — halt reason, instruction
-# and cycle counts, fast-forwarded fraction, memoized bytes, program
-# output. Only the throughput line may differ.
-./target/release/facilec --builtin ooo --run "$tmp/loop.asm" \
-    --supertrace on --supertrace-threshold 8 | grep -v 'sim speed' > "$tmp/st_on.txt"
-./target/release/facilec --builtin ooo --run "$tmp/loop.asm" \
-    --supertrace off | grep -v 'sim speed' > "$tmp/st_off.txt"
-cmp -s "$tmp/st_on.txt" "$tmp/st_off.txt" \
-    || { echo "verify: supertrace on/off architectural results differ"; \
-         diff "$tmp/st_on.txt" "$tmp/st_off.txt" || true; exit 1; }
-# The deeper differential gates: on/off/slow-only memory digests must be
-# bit-identical, including under randomized eviction torture.
+echo "==> regression: memo-on and slow-only runs agree bit for bit"
+# Memo-on and slow-only memory digests must be bit-identical, also
+# under randomized eviction torture.
 cargo test -q --offline --test stats_invariants \
-    supertrace_on_off_and_slow_only_agree_bit_for_bit
+    memo_on_and_slow_only_agree_bit_for_bit
 cargo test -q --offline -p facile-vm --test stats_invariants \
-    supertrace_survives_randomized_eviction_torture
+    replay_survives_randomized_eviction_torture
 
 echo "==> perf smoke: fig11 fast fraction holds on a small workload"
 ./target/release/fastreplay --scale 0.02 --reps 1 --filter 145.fpppp \

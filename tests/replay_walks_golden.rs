@@ -26,10 +26,7 @@ fn replay_counts(step: &facile::CompiledStep, name: &str, scale: f64) -> (u64, u
         step.clone(),
         Target::load(&image),
         &initial_args::ooo(image.entry),
-        SimOptions {
-            supertrace: false,
-            ..SimOptions::default()
-        },
+        SimOptions::default(),
     )
     .expect("simulation constructs");
     ArchHost::new().bind(&mut sim).expect("externals bind");

@@ -311,15 +311,14 @@ fn capacity_pressure_is_transparent_under_both_policies() {
     assert!(evictions_seen > 0);
 }
 
-/// The three-way differential digest gate for superaction compilation:
-/// slow-only (no memoization), fast replay with supertrace off, and
-/// fast replay with supertrace on must all retire the same instruction
-/// and cycle counts, emit the same program output, and leave identical
-/// target memory. The supertrace-on run uses a low hotness threshold so
-/// the trace compiler provably engages on this workload.
+/// The differential digest gate for fast-forwarding: a budget-sliced
+/// memo-on run, which mixes recording, replay and recovery across every
+/// slice boundary, must retire the same instruction and cycle counts as
+/// the slow-only (no memoization) run, emit the same program output, and
+/// leave identical target memory.
 #[test]
-fn supertrace_on_off_and_slow_only_agree_bit_for_bit() {
-    let run = |memoize: bool, supertrace: bool| {
+fn memo_on_and_slow_only_agree_bit_for_bit() {
+    let run = |memoize: bool| {
         let image = assemble_image(LOOP_ASM, 0x1_0000, vec![]).expect("assembles");
         let step = compile_source(
             &facile::sims::inorder_source(),
@@ -332,41 +331,25 @@ fn supertrace_on_off_and_slow_only_agree_bit_for_bit() {
             &initial_args::inorder(image.entry),
             SimOptions {
                 memoize,
-                supertrace,
-                supertrace_threshold: 8,
                 ..SimOptions::default()
             },
         )
         .expect("simulation constructs");
         ArchHost::new().bind(&mut sim).expect("externals bind");
-        // Budget-sliced driving: every slice boundary is a burst exit,
-        // which is where trace heat accrues — an uninterrupted run
-        // would replay the whole loop as one burst and only cross the
-        // hotness threshold when no steps remain to spend in a trace.
+        // Budget-sliced driving: every slice boundary is a burst exit
+        // and a resume, the points where replay hands its position over.
         while sim.halted().is_none() {
             sim.run_steps(40);
         }
         sim
     };
-    let slow = run(false, false);
-    let st_off = run(true, false);
-    let st_on = run(true, true);
-    assert!(
-        st_on.trace_stats().built > 0 && st_on.trace_stats().steps > 0,
-        "the supertrace-on arm never compiled or entered a trace: {:?}",
-        st_on.trace_stats()
-    );
-    assert_eq!(st_off.trace_stats().built, 0, "supertrace off still built traces");
-    for (label, sim) in [("supertrace off", &st_off), ("supertrace on", &st_on)] {
-        assert_eq!(sim.stats().insns, slow.stats().insns, "{label}: insns");
-        assert_eq!(sim.stats().cycles, slow.stats().cycles, "{label}: cycles");
-        assert_eq!(sim.trace(), slow.trace(), "{label}: program output");
-        assert_eq!(
-            sim.memory().digest(),
-            slow.memory().digest(),
-            "{label}: target memory"
-        );
-    }
+    let slow = run(false);
+    let memo = run(true);
+    assert!(memo.stats().fast_steps > 0, "the memo-on run never replayed");
+    assert_eq!(memo.stats().insns, slow.stats().insns, "insns");
+    assert_eq!(memo.stats().cycles, slow.stats().cycles, "cycles");
+    assert_eq!(memo.trace(), slow.trace(), "program output");
+    assert_eq!(memo.memory().digest(), slow.memory().digest(), "target memory");
 }
 
 /// The observer's `cache_evict` stream recounts exactly to the runtime's
@@ -425,10 +408,9 @@ fn cache_evict_events_recount_to_cache_stats() {
 }
 
 /// The epoch-delta exactness invariant: across very different engine
-/// configurations — slow-only, mixed replay, supertrace compilation
-/// engaged, and mid-run `trim_cache` — the timeline's epoch deltas
-/// (retained plus dropped) must telescope exactly to the final
-/// simulation, cache and supertrace counters. `RunDoc::check` is the
+/// configurations — slow-only, mixed replay and mid-run `trim_cache` —
+/// the timeline's epoch deltas (retained plus dropped) must telescope
+/// exactly to the final simulation and cache counters. `RunDoc::check` is the
 /// single checker; any drift is an instrumentation bug.
 #[test]
 fn timeline_epoch_deltas_recount_exactly() {
@@ -480,20 +462,6 @@ fn timeline_epoch_deltas_recount_exactly() {
     assert_eq!(slow_only.sim.fast_steps, 0, "slow-only run never replays");
     let mixed = run("mixed", SimOptions::default(), None);
     assert!(mixed.sim.fast_steps > 0 && mixed.sim.misses > 0);
-    let st = run(
-        "supertrace-on",
-        SimOptions {
-            supertrace: true,
-            supertrace_threshold: 8,
-            ..SimOptions::default()
-        },
-        None,
-    );
-    assert!(
-        st.trace.enters > 0,
-        "supertrace arm entered traces: {:?}",
-        st.trace
-    );
     let trimmed = run("post-trim", SimOptions::default(), Some(3));
     assert!(trimmed.sim.fast_steps > 0);
 }
