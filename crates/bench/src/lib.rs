@@ -409,7 +409,6 @@ pub fn sim_options(memoize: bool, capacity: Option<u64>, policy: CachePolicy) ->
         memoize,
         cache_capacity: capacity,
         cache_policy: policy,
-        ..SimOptions::default()
     }
 }
 

@@ -3,19 +3,22 @@
 //! The cache stores, per memoization key, the *dynamic actions* a slow
 //! simulator recorded while executing one step: action numbers plus
 //! run-time-static placeholder data, "linked together in the order in
-//! which they execute". Actions that test dynamic values have multiple
-//! successors keyed by the observed value; INDEX actions chain to the next
-//! step's entry so the fast simulator can follow links instead of doing a
-//! full lookup.
+//! which they execute". One node holds a *run*: the plain actions
+//! recorded back to back and the action that ends them (see [`Node`]),
+//! so replay follows one link per run, not per action. Actions that test
+//! dynamic values have multiple successors keyed by the observed value;
+//! INDEX actions chain to the next step's entry so the fast simulator
+//! can follow links instead of doing a full lookup.
 //!
 //! Recording happens through a [`Cursor`]: the position of the pending
 //! link. The fast simulator walks nodes; when a needed successor is
 //! missing it converts its position back into a cursor and hands control
 //! to the slow simulator (an *action-cache miss*, paper §2.1).
 //!
-//! Memory accounting (paper Table 2) charges each node its varint-encoded
-//! payload size — matching the paper's compressed representation — plus a
-//! small fixed overhead. A capacity limit is enforced at step boundaries
+//! Memory accounting (paper Table 2) charges each action its
+//! varint-encoded payload size — matching the paper's compressed
+//! representation — plus a small fixed overhead, however actions are
+//! grouped into nodes. A capacity limit is enforced at step boundaries
 //! under one of two [`CachePolicy`]s:
 //!
 //! * [`CachePolicy::Clear`] — the paper's §6.2 clear-on-full: drop
@@ -64,9 +67,13 @@
 //! * The entry table is an insert-only **open-addressing** map (linear
 //!   probing, power-of-two capacity) keyed by a precomputed 64-bit
 //!   mix of the key bytes — no SipHash, no per-lookup hasher state.
+//! * A node holds a whole **run** of actions, so a replayed step walks
+//!   one node per test or INDEX action instead of one per action.
 //! * Test and INDEX successor lists carry a **hot index**: the position
 //!   taken by the previous replay, checked first. Lists that outgrow
-//!   `LINEAR_MAX` are kept sorted and binary-searched.
+//!   `LINEAR_MAX` are kept sorted and binary-searched. [`ActionCache::walk`]
+//!   reads the hot successor together with the node, so when it holds
+//!   the choice after replay is one compare.
 //! * An installed image's entry table is built once with the image and
 //!   probed in place before the cache's own; installing or clearing
 //!   copies no key.
@@ -122,8 +129,6 @@ pub struct SlabRange {
 }
 
 impl SlabRange {
-    const EMPTY: SlabRange = SlabRange { off: 0, len: 0 };
-
     /// The range of `len` values starting at offset `off`.
     pub fn new(off: u32, len: u32) -> SlabRange {
         SlabRange { off, len }
@@ -329,16 +334,52 @@ pub enum Succ {
     Index(IndexList),
 }
 
-/// One recorded action.
+/// One recorded node: a *run* of actions replayed back to back — any
+/// number of plain actions, ended by the test or INDEX action whose
+/// successors the node's links hold, or by a plain action whose one
+/// successor is [`Succ::One`].
+///
+/// `data` holds the run's run-time-static placeholder data in order,
+/// each later action's number in front of its own data:
+/// `[data₁, action₂, data₂, …, actionₙ, dataₙ]`. An INDEX action's data
+/// is followed by its key tail. The recorder owns this layout; replay
+/// reads each action's placeholders as recording wrote them, so the
+/// cache never needs to know how long one action's data is.
 #[derive(Clone, Copy, Debug)]
 pub struct Node {
-    /// The action number (an index into the fast engine's action table).
+    /// The number of the run's first action (an index into the fast
+    /// engine's action table).
     pub action: u32,
-    /// Run-time-static placeholder data — for an INDEX node followed by
-    /// its key tail, whose layout the recorder owns — as a range into
-    /// the owning generation's slab (resolve with
-    /// [`ActionCache::node_data`]).
+    /// The run's data, as a range into the owning generation's slab
+    /// (resolve with [`ActionCache::node_data`]).
     pub data: SlabRange,
+}
+
+/// A node resolved for replay by [`ActionCache::walk`].
+#[derive(Clone, Copy, Debug)]
+pub struct Walk<'a> {
+    /// The run's first action.
+    pub action: u32,
+    /// The run's data (see [`Node`]).
+    pub data: &'a [i64],
+    /// The successor the node's inline cache predicts.
+    pub hint: Hint<'a>,
+}
+
+/// The successor a node's inline cache predicts, its target resident.
+/// Taking a prediction that holds gives what the lookup methods would.
+#[derive(Clone, Copy, Debug)]
+pub enum Hint<'a> {
+    /// No prediction: look the successor up.
+    None,
+    /// A dynamic result test that observes this value goes to this node
+    /// ([`ActionCache::next_test_hot`]).
+    Test(i64, NodeId),
+    /// An INDEX action whose dynamic signature is this goes to this
+    /// entry ([`ActionCache::next_index_local_hot`]); when the flag is
+    /// set the node is owned and the hit stamps the entry's generation
+    /// ([`ActionCache::touch`]).
+    Index(&'a [i64], NodeId, bool),
 }
 
 /// Where the next recorded node will be linked.
@@ -1075,6 +1116,10 @@ pub struct ActionCache {
     /// the next one ([`index_cursor`](Self::index_cursor)), so recording
     /// an INDEX allocates no signature.
     spare_sig: Vec<i64>,
+    /// The run node the last plain action was recorded into, while the
+    /// next action recorded after it may still join its run. Any other
+    /// recording, a clear, an eviction or a rotation closes it.
+    open: Option<NodeId>,
 }
 
 /// Fixed per-node overhead charged to the byte budget (action number +
@@ -1123,6 +1168,7 @@ impl ActionCache {
             overlay: HashMap::new(),
             overlay_slab: Vec::new(),
             spare_sig: Vec::new(),
+            open: None,
         }
     }
 
@@ -1207,11 +1253,12 @@ impl ActionCache {
     }
 
     /// Whether a link stored in generation `slot` to `n` may be followed:
-    /// a shared generation's own links never dangle, so only owned ones
-    /// pay the residency check.
+    /// a shared generation's own links never dangle, and neither does a
+    /// link within one generation (generations go whole), so only links
+    /// between owned generations pay the residency check.
     #[inline]
     fn follows(&self, slot: usize, n: NodeId) -> bool {
-        slot < self.pinned || self.is_resident(n)
+        slot < self.pinned || n.gen == self.gens[slot].seq || self.is_resident(n)
     }
 
     /// The overlay record of `id` if it lives in the shared generation
@@ -1244,10 +1291,16 @@ impl ActionCache {
     #[inline]
     fn touch_seq(&self, seq: u32) {
         if let Some(slot) = self.gen_slot(seq) {
-            let t = self.touch.get().wrapping_add(1);
-            self.touch.set(t);
-            self.gens[slot].last_touch.set(t);
+            self.touch_slot(slot);
         }
+    }
+
+    /// Stamps the generation in `slot` with a fresh touch-clock tick.
+    #[inline]
+    fn touch_slot(&self, slot: usize) {
+        let t = self.touch.get().wrapping_add(1);
+        self.touch.set(t);
+        self.gens[slot].last_touch.set(t);
     }
 
     /// Drops every unpinned generation (the clear-on-full policy, §6.2).
@@ -1263,6 +1316,7 @@ impl ActionCache {
         self.gens.push(Generation::owned(seq, self.touch.get()));
         self.cur = self.pinned;
         self.hot_gen.set(self.cur as u32);
+        self.open = None;
         self.entries.clear();
         // Every overlay target was owned, so the overlay dies too.
         self.overlay.clear();
@@ -1333,6 +1387,7 @@ impl ActionCache {
     /// eviction. Links into it become stale and read as ordinary misses.
     fn evict_gen(&mut self, slot: usize) {
         let g = self.gens.swap_remove(slot);
+        self.open = None;
         if self.cur == self.gens.len() {
             // The recording generation was the vector's last element and
             // was swapped into the vacated slot.
@@ -1370,6 +1425,7 @@ impl ActionCache {
         self.gens.push(Generation::owned(seq, t));
         self.cur = self.gens.len() - 1;
         self.hot_gen.set(self.cur as u32);
+        self.open = None;
     }
 
     /// The entry node for `key`, if one was recorded and is still
@@ -1417,13 +1473,52 @@ impl ActionCache {
         self.action_and_data(id).1
     }
 
-    /// A node's action number and placeholder data, resolved with one
-    /// generation lookup (the replay loop's per-action read).
+    /// A node's first action number and its run's data, resolved with
+    /// one generation lookup.
     #[inline]
     pub fn action_and_data(&self, id: NodeId) -> (u32, &[i64]) {
         let g = &self.gens[self.slot_of(id)].store;
         let n = g.nodes[id.index()];
         (n.action, range_of(&g.slab, n.data))
+    }
+
+    /// What replay needs of node `id`, resolved with one generation
+    /// lookup: its first action, its run's data and the successor its
+    /// inline cache predicts (already known to be resident). Reading the
+    /// prediction before the run replays lets the successor choice after
+    /// it be one compare when the prediction holds; when it does not,
+    /// the lookup methods decide, with the same result they would give
+    /// anyway.
+    #[inline]
+    pub fn walk(&self, id: NodeId) -> Walk<'_> {
+        let slot = self.slot_of(id);
+        let g = &self.gens[slot].store;
+        let n = g.nodes[id.index()];
+        let hint = match &g.succs[id.index()] {
+            Succ::Tests(list) => match list.items.get(list.hot as usize) {
+                Some(&(v, t)) if self.follows(slot, t) => Hint::Test(v, t),
+                _ => Hint::None,
+            },
+            Succ::Index(list) => match list.items.get(list.hot as usize) {
+                Some(&(r, t)) if self.follows(slot, t) => {
+                    Hint::Index(range_of(&g.slab, r), t, slot >= self.pinned)
+                }
+                _ => Hint::None,
+            },
+            Succ::None | Succ::One(_) => Hint::None,
+        };
+        Walk {
+            action: n.action,
+            data: range_of(&g.slab, n.data),
+            hint,
+        }
+    }
+
+    /// Stamps the generation of `id` as recently used, as an INDEX
+    /// lookup from an owned node does when it hits (see [`Hint::Index`]).
+    #[inline]
+    pub fn touch(&self, id: NodeId) {
+        self.touch_seq(id.gen);
     }
 
     /// The successor links of a node. For a shared node this is its own
@@ -1484,7 +1579,9 @@ impl ActionCache {
             (_, Succ::Tests(list)) => list.get_hot(value)?,
             _ => return None,
         };
-        self.is_resident(n).then_some(n)
+        // An owned node's own link (within its generation when it can
+        // never dangle) or a shared node's overlay link.
+        (n.gen == id.gen || self.is_resident(n)).then_some(n)
     }
 
     /// Node-local successor of an INDEX action for a dynamic signature —
@@ -1525,20 +1622,23 @@ impl ActionCache {
                 _ => return None,
             }
         }
-        let (i, n) = match self.hot_record(slot, id)? {
+        // The hot index is a lookup hint only, so it may move before the
+        // target's residency is known.
+        let n = match self.hot_record(slot, id)? {
             (slab, Succ::Index(list)) => {
                 let i = index_position(slab, list, sig)?;
-                (i, list.items[i].1)
+                list.hot = i as u32;
+                list.items[i].1
             }
             _ => return None,
         };
-        if !self.is_resident(n) {
+        if n.gen == id.gen {
+            self.touch_slot(slot);
+        } else if self.is_resident(n) {
+            self.touch_seq(n.gen);
+        } else {
             return None;
         }
-        if let Some((_, Succ::Index(list))) = self.hot_record(slot, id) {
-            list.hot = i as u32;
-        }
-        self.touch_seq(n.gen);
         Some(n)
     }
 
@@ -1582,34 +1682,94 @@ impl ActionCache {
         }
     }
 
-    /// Appends a node holding `data`, charged `payload` modeled bytes
-    /// plus the fixed node overhead.
-    fn new_node(&mut self, action: u32, data: &[i64], payload: u64, succ: Succ) -> NodeId {
+    /// Records a new node whose run starts with `action`, holding
+    /// `data` and linked after `prev`, charged `payload` modeled bytes
+    /// plus the fixed node overhead. The link is made before the data is
+    /// stored, so an INDEX signature it copies into the slab lands in
+    /// front of the node's data, which stays at the slab's end.
+    fn new_node(
+        &mut self,
+        prev: Cursor,
+        action: u32,
+        data: &[i64],
+        payload: u64,
+        succ: Succ,
+    ) -> NodeId {
         self.ensure_room(data.len());
-        let bytes = NODE_OVERHEAD + payload;
+        let g = &self.gens[self.cur].store;
+        let id = NodeId {
+            gen: g.seq,
+            idx: g.nodes.len() as u32,
+        };
+        self.link(prev, id);
         let Storage::Owned(g) = &mut self.gens[self.cur].store else {
             unreachable!("the recording generation is owned");
         };
-        let seq = g.seq;
-        let idx = g.nodes.len() as u32;
-        let range = if data.is_empty() {
-            SlabRange::EMPTY
-        } else {
-            let off = g.slab.len() as u32;
-            g.slab.extend_from_slice(data);
-            SlabRange {
-                off,
-                len: data.len() as u32,
-            }
-        };
+        let off = g.slab.len() as u32;
+        g.slab.extend_from_slice(data);
         g.nodes.push(Node {
             action,
-            data: range,
+            data: SlabRange {
+                off,
+                len: data.len() as u32,
+            },
         });
         g.succs.push(succ);
-        self.charge(seq, bytes);
+        self.charge(id.gen, NODE_OVERHEAD + payload);
         self.stats.nodes_created = self.stats.nodes_created.saturating_add(1);
-        NodeId { gen: seq, idx }
+        id
+    }
+
+    /// Appends `action` and its `data` to the run of the open node, if
+    /// `cursor` sits right after it and it can grow in place: it is the
+    /// last node of the recording generation, its data ends the slab, and
+    /// making room rotated nothing. The action is charged as a node of
+    /// its own would be, so modeled bytes do not depend on how runs are
+    /// grouped. Closes the open node either way; `None` means the caller
+    /// records a new node.
+    fn append(&mut self, cursor: &Cursor, action: u32, data: &[i64], payload: u64) -> Option<NodeId> {
+        let open = self.open.take()?;
+        if *cursor != Cursor::AfterPlain(open) {
+            return None;
+        }
+        self.ensure_room(data.len() + 1);
+        let Storage::Owned(g) = &mut self.gens[self.cur].store else {
+            unreachable!("the recording generation is owned");
+        };
+        if g.seq != open.gen || open.index() + 1 != g.nodes.len() {
+            return None;
+        }
+        let range = &mut g.nodes[open.index()].data;
+        if range.off() + range.len() != g.slab.len() {
+            return None;
+        }
+        range.len += 1 + data.len() as u32;
+        g.slab.push(action as i64);
+        g.slab.extend_from_slice(data);
+        self.charge(open.gen, NODE_OVERHEAD + payload);
+        Some(open)
+    }
+
+    /// Records `action` with `data`: appended to the open run when it
+    /// can join it ([`append`](Self::append)), else as a new node linked
+    /// after `cursor`, whose successors start as `succ`.
+    fn record(
+        &mut self,
+        cursor: &mut Cursor,
+        action: u32,
+        data: &[i64],
+        payload: u64,
+        succ: Succ,
+    ) -> NodeId {
+        if let Some(id) = self.append(cursor, action, data, payload) {
+            let Storage::Owned(g) = &mut self.gens[self.cur].store else {
+                unreachable!("the recording generation is owned");
+            };
+            g.succs[id.index()] = succ;
+            return id;
+        }
+        let prev = std::mem::replace(cursor, Cursor::AtEntry(Key::default()));
+        self.new_node(prev, action, data, payload, succ)
     }
 
     /// The writable successor record of `n` and the slab its INDEX
@@ -1695,16 +1855,19 @@ impl ActionCache {
         }
     }
 
-    /// Records a plain action at the cursor; advances the cursor.
+    /// Records a plain action at the cursor, into the open run when it
+    /// follows it; advances the cursor. The node stays open for the next
+    /// action.
     pub fn record_plain(&mut self, cursor: &mut Cursor, action: u32, data: &[i64]) -> NodeId {
-        let id = self.new_node(action, data, payload_bytes(data), Succ::None);
-        let prev = std::mem::replace(cursor, Cursor::AfterPlain(id));
-        self.link(prev, id);
+        let id = self.record(cursor, action, data, payload_bytes(data), Succ::None);
+        *cursor = Cursor::AfterPlain(id);
+        self.open = Some(id);
         id
     }
 
-    /// Records a dynamic result test that observed `value`; advances the
-    /// cursor to the pending `value` branch.
+    /// Records a dynamic result test that observed `value`, ending the
+    /// open run when it follows it; advances the cursor to the pending
+    /// `value` branch.
     pub fn record_test(
         &mut self,
         cursor: &mut Cursor,
@@ -1712,24 +1875,20 @@ impl ActionCache {
         data: &[i64],
         value: i64,
     ) -> NodeId {
-        let id = self.new_node(
-            action,
-            data,
-            payload_bytes(data),
-            Succ::Tests(TestList::default()),
-        );
-        let prev = std::mem::replace(cursor, Cursor::AfterTest(id, value));
-        self.link(prev, id);
+        let tests = Succ::Tests(TestList::default());
+        let id = self.record(cursor, action, data, payload_bytes(data), tests);
+        *cursor = Cursor::AfterTest(id, value);
         id
     }
 
     /// Records an INDEX action computing `next_key` (with dynamic
-    /// signature `sig`); advances the cursor to the pending entry link.
+    /// signature `sig`), ending the open run when it follows it; advances
+    /// the cursor to the pending entry link.
     ///
-    /// The node is charged `payload` modeled bytes: `data` holds the
-    /// action's placeholders followed by its run-time-static key
-    /// components as packed key bytes, whose modeled size only the
-    /// recorder knows ([`payload_bytes`] of the values they encode).
+    /// The action is charged `payload` modeled bytes: `data` holds its
+    /// placeholders followed by its run-time-static key components as
+    /// packed key bytes, whose modeled size only the recorder knows
+    /// ([`payload_bytes`] of the values they encode).
     pub fn record_index(
         &mut self,
         cursor: &mut Cursor,
@@ -1739,10 +1898,9 @@ impl ActionCache {
         next_key: Key,
         sig: &[i64],
     ) -> NodeId {
-        let id = self.new_node(action, data, payload, Succ::Index(IndexList::default()));
-        let next = self.index_cursor(id, next_key, sig);
-        let prev = std::mem::replace(cursor, next);
-        self.link(prev, id);
+        let index = Succ::Index(IndexList::default());
+        let id = self.record(cursor, action, data, payload, index);
+        *cursor = self.index_cursor(id, next_key, sig);
         id
     }
 
@@ -1967,6 +2125,7 @@ impl ActionCache {
         );
         self.stats.bytes_frozen = bytes;
         self.stats.frozen_gens = gens;
+        self.open = None;
         self.image = Some(snap);
         if self.obs.enabled() {
             self.obs.emit(TraceEvent::SnapshotLoad {
@@ -2070,19 +2229,49 @@ mod tests {
     }
 
     #[test]
-    fn record_and_replay_straight_line() {
+    fn plain_actions_join_one_run_until_a_test_ends_it() {
         let mut c = ActionCache::new();
         let mut cur = Cursor::AtEntry(key(1));
         let a = c.record_plain(&mut cur, 10, &[5]);
         let b = c.record_plain(&mut cur, 11, &[6, 7]);
+        let t = c.record_test(&mut cur, 12, &[8], 1);
+        let d = c.record_plain(&mut cur, 13, &[]);
 
-        let e = c.entry(&key(1)).expect("entry exists");
-        assert_eq!(e, a);
-        assert_eq!(c.node(e).action, 10);
+        assert_eq!((b, t), (a, a), "the plain run and its test share one node");
+        assert_eq!(c.entry(&key(1)), Some(a));
+        assert_eq!(c.node(a).action, 10);
+        assert_eq!(c.node_data(a), &[5, 11, 6, 7, 12, 8]);
+        assert_eq!(c.next_test(a, 1), Some(d));
+        assert_ne!(d, a, "a test's successor starts a new run");
+        assert_eq!((c.node(d).action, c.node_data(d)), (13, &[][..]));
+        assert_eq!(c.next_plain(d), None);
+        assert_eq!(c.stats().nodes_created, 2);
+        // Modeled bytes are charged per action, as if each were a node.
+        let actions = 4 * NODE_OVERHEAD + payload_bytes(&[5, 6, 7, 8]);
+        let links = key(1).len() as u64 + ENTRY_OVERHEAD + varint_len(zigzag(1)) as u64 + 4;
+        assert_eq!(c.stats().bytes_total, actions + links);
+    }
+
+    #[test]
+    fn a_resumed_or_cleared_run_starts_a_new_node() {
+        let mut c = ActionCache::new();
+        let mut cur = Cursor::AtEntry(key(1));
+        let a = c.record_plain(&mut cur, 10, &[5]);
+        // Recording elsewhere closes the run: a cursor after it — a
+        // resume after a miss — starts a node linked after it.
+        c.record_index(&mut Cursor::AtEntry(key(2)), 3, &[], 0, key(3), &[]);
+        let b = c.record_plain(&mut cur, 11, &[6]);
+        assert_ne!(b, a);
+        assert_eq!(c.next_plain(a), Some(b));
+        assert_eq!(c.node_data(a), &[5]);
+        // A clear closes it too.
+        c.record_plain(&mut cur, 12, &[7]);
+        assert_eq!(c.node_data(b), &[6, 12, 7]);
+        c.clear();
+        let mut cur = Cursor::AtEntry(key(1));
+        let e = c.record_plain(&mut cur, 10, &[5]);
         assert_eq!(c.node_data(e), &[5]);
-        assert_eq!(c.node_data(b), &[6, 7]);
-        assert_eq!(c.next_plain(e), Some(b));
-        assert_eq!(c.next_plain(b), None);
+        assert_eq!(c.stats().nodes_created, 4);
     }
 
     #[test]
@@ -2369,9 +2558,9 @@ mod tests {
     #[test]
     fn slab_ranges_are_stable_across_growth() {
         let mut c = ActionCache::new();
-        let mut cur = Cursor::AtEntry(key(1));
         let mut ids = Vec::new();
         for i in 0..200i64 {
+            let mut cur = Cursor::AtEntry(key(i));
             ids.push(c.record_plain(&mut cur, i as u32, &[i, i * 2, i * 3]));
         }
         for (i, id) in ids.iter().enumerate() {
@@ -2581,28 +2770,30 @@ mod tests {
         let mut c = ActionCache::new();
         c.set_offset_limit(16);
         let mut cur = Cursor::AtEntry(key(1));
-        let mut ids = Vec::new();
         for i in 0..100i64 {
-            ids.push(c.record_plain(&mut cur, i as u32, &[i, i * 3, i * 5]));
+            c.record_plain(&mut cur, i as u32, &[i, i * 3, i * 5]);
         }
         assert!(
             c.generation_count() > 10,
             "tiny offset width forces rotations (got {})",
             c.generation_count()
         );
-        for (i, id) in ids.iter().enumerate() {
-            let i = i as i64;
-            assert!(c.is_resident(*id), "rotation never evicts");
-            assert_eq!(c.node_data(*id), &[i, i * 3, i * 5], "node {i} data intact");
+        // The whole run replays across generation boundaries, split into
+        // one node per generation, every action's data intact.
+        let mut walk = Some(c.entry(&key(1)).unwrap());
+        let mut actions = Vec::new();
+        while let Some(n) = walk {
+            assert!(c.is_resident(n), "rotation never evicts");
+            let data = c.node_data(n);
+            assert!(data.len() <= 16, "node data fits the offset width");
+            actions.push((c.node(n).action as i64, data[..3].to_vec()));
+            for chunk in data[3..].chunks(4) {
+                actions.push((chunk[0], chunk[1..].to_vec()));
+            }
+            walk = c.next_plain(n);
         }
-        // The whole chain replays across generation boundaries.
-        let mut walk = c.entry(&key(1)).unwrap();
-        let mut count = 1;
-        while let Some(n) = c.next_plain(walk) {
-            walk = n;
-            count += 1;
-        }
-        assert_eq!(count, 100);
+        let want: Vec<(i64, Vec<i64>)> = (0..100i64).map(|i| (i, vec![i, i * 3, i * 5])).collect();
+        assert_eq!(actions, want);
         assert_bytes_invariant(&c);
     }
 
@@ -2660,12 +2851,14 @@ mod tests {
     fn record_sample_graph(c: &mut ActionCache) -> (NodeId, NodeId, NodeId) {
         let mut cur = Cursor::AtEntry(key(1));
         let p = c.record_plain(&mut cur, 1, &[10, 20]);
+        // Recording the second entry closes `p`'s run, so the test
+        // starts a node of its own.
+        let mut cur3 = Cursor::AtEntry(key(2));
+        let idx = c.record_index(&mut cur3, 5, &[], 0, key(1), &[7, 8]);
         let t = c.record_test(&mut cur, 2, &[], 0);
         c.record_plain(&mut cur, 3, &[]);
         let mut cur2 = Cursor::AfterTest(t, 5);
         c.record_plain(&mut cur2, 4, &[]);
-        let mut cur3 = Cursor::AtEntry(key(2));
-        let idx = c.record_index(&mut cur3, 5, &[], 0, key(1), &[7, 8]);
         link_after(c, &cur3, p);
         (p, t, idx)
     }
@@ -2833,7 +3026,7 @@ mod tests {
     fn bare(action: u32) -> Node {
         Node {
             action,
-            data: SlabRange::EMPTY,
+            data: SlabRange::new(0, 0),
         }
     }
 

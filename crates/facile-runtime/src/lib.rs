@@ -7,7 +7,8 @@
 //! Facile compiler (`facile-vm`) or written by hand (`fastsim`):
 //!
 //! * [`cache::ActionCache`] — the *specialized action cache* of the paper
-//!   (§2, Figure 2): recorded dynamic actions with placeholder data,
+//!   (§2, Figure 2): recorded dynamic actions with placeholder data, one
+//!   node per run of plain actions and the test or INDEX ending it,
 //!   multi-successor dynamic result tests, INDEX chaining between step
 //!   entries, byte accounting and a choice of capacity policy
 //!   ([`cache::CachePolicy`]): the paper's clear-on-full, or generational
@@ -20,7 +21,8 @@
 //!
 //! # Examples
 //!
-//! Recording and replaying a two-action step:
+//! Recording and replaying a two-action step: a plain action and the
+//! dynamic result test that ends its run share one node.
 //!
 //! ```
 //! use facile_runtime::cache::{ActionCache, Cursor};
@@ -38,8 +40,8 @@
 //! // Replay:
 //! let entry = cache.entry(&key).unwrap();
 //! assert_eq!(cache.node(entry).action, 1);
-//! let test = cache.next_plain(entry).unwrap();
-//! assert_eq!(cache.next_test(test, 18), None); // successor not yet recorded
+//! assert_eq!(cache.node_data(entry), &[6, 2]);  // action 2 follows 1's data
+//! assert_eq!(cache.next_test(entry, 18), None); // successor not yet recorded
 //! ```
 
 pub mod cache;
@@ -49,8 +51,8 @@ pub mod rng;
 pub mod stats;
 
 pub use cache::{
-    ActionCache, CachePolicy, CacheStats, Cursor, FrozenGens, FrozenGensBuilder, GenStorage, Node,
-    NodeId, Succ, MAX_IMAGE_SEQ,
+    ActionCache, CachePolicy, CacheStats, Cursor, FrozenGens, FrozenGensBuilder, GenStorage, Hint,
+    Node, NodeId, Succ, Walk, MAX_IMAGE_SEQ,
 };
 pub use key::{Key, KeyReader, KeyWriter};
 pub use mem::{Image, Memory, Target};

@@ -42,8 +42,9 @@ fn key_roundtrip() {
     }
 }
 
-/// Recording a random straight-line action sequence and walking it back
-/// reproduces the same actions and data; byte accounting is monotone.
+/// Recording a random straight-line action sequence stores it as one
+/// run node — the first action in the node header, each later action's
+/// number in front of its data — and byte accounting is monotone.
 #[test]
 fn record_replay_straight_line() {
     let mut rng = Rng::new(0x5e9_0e4ce);
@@ -68,17 +69,16 @@ fn record_replay_straight_line() {
             assert!(now > bytes_before, "case {case}: accounting must grow");
             bytes_before = now;
         }
-        // Replay.
-        let mut node = cache.entry(&key).expect("entry recorded");
-        for (i, (a, data)) in actions.iter().enumerate() {
-            let n = cache.node(node);
-            assert_eq!(n.action, *a, "case {case}");
-            assert_eq!(cache.node_data(node), data.as_slice(), "case {case}");
-            match cache.next_plain(node) {
-                Some(next) => node = next,
-                None => assert_eq!(i, actions.len() - 1, "case {case}"),
-            }
+        let node = cache.entry(&key).expect("entry recorded");
+        assert_eq!(cache.node(node).action, actions[0].0, "case {case}");
+        let mut run = actions[0].1.clone();
+        for (a, data) in &actions[1..] {
+            run.push(*a as i64);
+            run.extend_from_slice(data);
         }
+        assert_eq!(cache.node_data(node), run.as_slice(), "case {case}");
+        assert_eq!(cache.next_plain(node), None, "case {case}");
+        assert_eq!(cache.stats().nodes_created, 1, "case {case}");
     }
 }
 

@@ -781,7 +781,7 @@ mod tests {
     //! run-time-static bytes plus a signature is the slow engine's key.
 
     use super::*;
-    use crate::fast::{materialize_entry_key, rebuild_key};
+    use crate::fast::{materialize_entry_key, rebuild_key, run_end, IndexAt};
     use facile_codegen::program::KeySrc;
     use facile_codegen::{compile, ActionKind, CodegenConfig};
     use facile_ir::lower::lower;
@@ -847,21 +847,17 @@ mod tests {
             };
             assert_eq!(key.as_bytes(), sim.slow_scratch.next_key());
             let step = &*sim.step;
-            let action = sim.cache.node(*node).action;
+            let data = sim.cache.node_data(*node);
+            let (action, ph) = run_end(step, sim.cache.node(*node).action, data);
             let ActionKind::Index { site } = step.actions[action as usize].kind else {
                 panic!("action {action} is not an INDEX action");
             };
-            let data = sim.cache.node_data(*node);
-            let ph = crate::fast::placeholder_len(step, &step.actions[action as usize], data);
-
-            materialize_entry_key(
-                step,
-                &sim.cache,
-                &mut rebuilt,
-                Some((*node, ph)),
-                &mut kw,
-                sig,
-            );
+            let at = IndexAt {
+                node: *node,
+                site,
+                tail: ph,
+            };
+            materialize_entry_key(step, &sim.cache, &mut rebuilt, Some(at), &mut kw, sig);
             assert_eq!(rebuilt, *key, "site {site}: key from tail + signature");
             kw.reset();
             let next = &step.program.nexts[site as usize];

@@ -1,11 +1,12 @@
 //! The fast/residual simulator (paper Figure 9).
 //!
-//! Replays recorded actions: reads action numbers by following cache
-//! links, runs each action's replay ops — the slow program's own ops,
-//! with every placeholder capture turned into a load of the recorded
-//! value (`replay_action`) — verifies dynamic result tests, and chains
-//! across step boundaries through INDEX actions. A missing successor is
-//! an *action-cache miss* and hands control back to the slow simulator.
+//! Replays recorded actions: walks cache nodes, each a run of actions,
+//! runs each action's replay ops back to back — the slow program's own
+//! ops, with every placeholder capture turned into a load of the
+//! recorded value (`replay_action`) — verifies the dynamic result test
+//! that ends a run, and chains across step boundaries through INDEX
+//! actions. A missing successor is an *action-cache miss* and hands
+//! control back to the slow simulator.
 //!
 //! The replay loop is the simulator's hot path (>99% of instructions on
 //! the paper's workloads) and is written to be allocation-free in steady
@@ -19,7 +20,7 @@ use crate::state::MachineState;
 use facile_codegen::program::{KeySrc, NextSite};
 use facile_codegen::{ActionCode, ActionKind, CompiledStep, Op};
 use facile_obs::{fold_sig, EngineTag, TraceEvent, CHAIN_DEPTH, SIG_SEED};
-use facile_runtime::cache::{ActionCache, Cursor, NodeId};
+use facile_runtime::cache::{ActionCache, Cursor, Hint, NodeId};
 use facile_runtime::key::{Key, KeyWriter, PackedReader};
 use facile_runtime::Engine;
 
@@ -231,27 +232,52 @@ fn run<const COUNT: bool>(
     st.engine = Engine::Fast;
     scratch.replayed.clear();
     // How to reconstruct the current entry's key on demand: the INDEX
-    // node last crossed and the offset of its key tail in its data (its
-    // dynamic signature sits in `scratch.cur_sig`). `None` means
-    // `entry_key` already holds the current entry's key.
-    let mut cur_index: Option<(NodeId, usize)> = None;
+    // crossed last (its dynamic signature sits in `scratch.cur_sig`).
+    // `None` means `entry_key` already holds the current entry's key.
+    let mut cur_index: Option<IndexAt> = None;
+    // The flight recorder is armed per burst.
+    let hot = scratch.hot;
 
     loop {
         if COUNT {
             n.walks += 1;
         }
-        let (action, data) = cache.action_and_data(node);
-        if scratch.hot && (scratch.chain_len as usize) < CHAIN_DEPTH {
-            scratch.chain_path[scratch.chain_len as usize] = action;
-            scratch.chain_len += 1;
-            scratch.chain_sig = fold_sig(scratch.chain_sig, action);
-        }
-        // Run the action's ops against the slab-resident data.
-        let code = &step.actions[action as usize];
-        let Some(ph) =
-            replay_action::<COUNT>(step, code, action, st, data, &mut scratch.ext_args, &mut n.ops)
-        else {
-            return FastOutcome::Halted;
+        let walk = cache.walk(node);
+        let data = walk.data;
+        // Replay the node's run back to back against the slab-resident
+        // data: each action reads its placeholders where recording wrote
+        // them, and every action but the last is plain and followed by
+        // the next one's number.
+        let mut action = walk.action;
+        let mut off = 0usize;
+        let code = loop {
+            if hot && (scratch.chain_len as usize) < CHAIN_DEPTH {
+                scratch.chain_path[scratch.chain_len as usize] = action;
+                scratch.chain_len += 1;
+                scratch.chain_sig = fold_sig(scratch.chain_sig, action);
+            }
+            let code = &step.actions[action as usize];
+            let Some(ph) = replay_action::<COUNT>(
+                step,
+                code,
+                action,
+                st,
+                &data[off..],
+                &mut scratch.ext_args,
+                &mut n.ops,
+            ) else {
+                return FastOutcome::Halted;
+            };
+            off += ph;
+            if !matches!(code.kind, ActionKind::Plain) || off == data.len() {
+                break code;
+            }
+            scratch.replayed.push(Replayed {
+                action,
+                value: None,
+            });
+            action = data[off] as u32;
+            off += 1;
         };
 
         match code.kind {
@@ -284,7 +310,11 @@ fn run<const COUNT: bool>(
                     action,
                     value: Some(v),
                 });
-                match cache.next_test_hot(node, v) {
+                let next = match walk.hint {
+                    Hint::Test(predicted, next) if predicted == v => Some(next),
+                    _ => cache.next_test_hot(node, v),
+                };
+                match next {
                     Some(next) => node = next,
                     None => {
                         note_miss(st, action, scratch.replayed.len(), Some(v));
@@ -302,13 +332,27 @@ fn run<const COUNT: bool>(
                     }
                 }
             }
-            ActionKind::Index { site } => {
-                let site = &step.program.nexts[site as usize];
+            ActionKind::Index { site: site_no } => {
+                let site = &step.program.nexts[site_no as usize];
                 st.stats.fast_steps = st.stats.fast_steps.saturating_add(1);
                 *steps += 1;
                 dynamic_signature(step, site, st, &mut scratch.sig);
+                let predicted = match walk.hint {
+                    Hint::Index(sig, next, owned) if sig == &scratch.sig[..] => {
+                        if owned {
+                            cache.touch(next);
+                        }
+                        Some(next)
+                    }
+                    _ => None,
+                };
+                let at = IndexAt {
+                    node,
+                    site: site_no,
+                    tail: off,
+                };
                 match index_advance(
-                    step, st, cache, node, action, site, entry_key, scratch, steps, max_steps, ph,
+                    step, st, cache, at, action, predicted, entry_key, scratch, steps, max_steps,
                     &mut cur_index,
                 ) {
                     IndexStep::Taken { next } => node = next,
@@ -340,8 +384,9 @@ pub(crate) fn note_miss(st: &mut MachineState, action: u32, depth: usize, value:
 /// where recording captured them, and the dynamic ops run exactly as the
 /// slow engine runs them. Returns the offset in `data` after the ops'
 /// placeholders (an INDEX action's packed key tail follows), or `None`
-/// when the action halted the simulation. With `COUNT`, every op
-/// executed is added to `ops`.
+/// when the action halted the simulation. With `COUNT` — chosen when the
+/// observer counts per-action costs — every op executed is added to
+/// `ops` and the action's instructions are attributed to it.
 #[inline(always)]
 pub(crate) fn replay_action<const COUNT: bool>(
     step: &CompiledStep,
@@ -356,7 +401,7 @@ pub(crate) fn replay_action<const COUNT: bool>(
     let range = &code.replay;
     // Instruction count before the ops: retirement only happens inside
     // action ops, so the delta is this action's exact cost.
-    let insns0 = st.stats.insns;
+    let insns0 = if COUNT { st.stats.insns } else { 0 };
     let mut ph = 0usize;
     for &op in &prog.replay[range.start as usize..range.end as usize] {
         if COUNT {
@@ -398,7 +443,7 @@ pub(crate) fn replay_action<const COUNT: bool>(
         })
     }
     st.stats.actions_replayed = st.stats.actions_replayed.saturating_add(1);
-    if st.obs.enabled() {
+    if COUNT {
         st.obs
             .action_replayed(action, st.stats.insns.wrapping_sub(insns0));
     }
@@ -424,6 +469,33 @@ pub fn placeholder_len(step: &CompiledStep, code: &ActionCode, data: &[i64]) -> 
     ph.min(data.len())
 }
 
+/// The last action of a node's run, whose run starts with `first` and
+/// holds `data` (see [`facile_runtime::cache::Node`]), and where its
+/// placeholders end in `data`: an INDEX action's key tail starts there.
+/// Walks the run as replay does; `data` must hold a recorded or
+/// validated run.
+pub fn run_end(step: &CompiledStep, first: u32, data: &[i64]) -> (u32, usize) {
+    let (mut action, mut off) = (first, 0usize);
+    loop {
+        let code = &step.actions[action as usize];
+        off += placeholder_len(step, code, &data[off..]);
+        if !matches!(code.kind, ActionKind::Plain) || off >= data.len() {
+            return (action, off);
+        }
+        action = data[off] as u32;
+        off += 1;
+    }
+}
+
+/// An INDEX crossing: the node whose run ends in the INDEX action, the
+/// action's site and where its key tail starts in the node's data.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct IndexAt {
+    pub(crate) node: NodeId,
+    pub(crate) site: u32,
+    pub(crate) tail: usize,
+}
+
 /// Materializes the current entry key into `entry_key` (in place, reusing
 /// its buffer): either it already holds the right key, or it is rebuilt
 /// from the last INDEX crossing's node data + dynamic signature.
@@ -431,23 +503,19 @@ pub(crate) fn materialize_entry_key(
     step: &CompiledStep,
     cache: &ActionCache,
     entry_key: &mut Key,
-    cur_index: Option<(NodeId, usize)>,
+    cur_index: Option<IndexAt>,
     kw: &mut KeyWriter,
     cur_sig: &[i64],
 ) {
-    let Some((node, ph)) = cur_index else {
+    let Some(at) = cur_index else {
         return;
-    };
-    let n = cache.node(node);
-    let ActionKind::Index { site } = step.actions[n.action as usize].kind else {
-        unreachable!("index crossing recorded a non-index node");
     };
     kw.reset();
     let mut si = 0usize;
     write_key(
         kw,
-        &step.program.nexts[site as usize],
-        &cache.node_data(node)[ph..],
+        &step.program.nexts[at.site as usize],
+        &cache.node_data(at.node)[at.tail..],
         |kw, src| match src {
             KeySrc::Scalar(_) => {
                 kw.scalar(cur_sig[si]);
@@ -539,10 +607,10 @@ pub(crate) enum IndexStep {
     Out(FastOutcome),
 }
 
-/// The INDEX step advance after `node` (an INDEX node of `action`, for
-/// `site`). `scratch.sig` already holds the crossing's dynamic
-/// signature and `ph` is where the node's packed key tail starts in its
-/// data.
+/// The INDEX step advance at `at`, an INDEX crossing of `action`.
+/// `scratch.sig` already holds the crossing's dynamic signature, and
+/// `predicted` the successor the node's inline cache predicted for it,
+/// if the prediction held.
 ///
 /// Fast path: follow the node-local link keyed by the signature — no
 /// key serialization; the node's hot-index inline cache makes the
@@ -556,24 +624,24 @@ pub(crate) fn index_advance(
     step: &CompiledStep,
     st: &mut MachineState,
     cache: &mut ActionCache,
-    node: NodeId,
+    at: IndexAt,
     action: u32,
-    site: &NextSite,
+    predicted: Option<NodeId>,
     entry_key: &mut Key,
     scratch: &mut ReplayScratch,
     steps: &mut u64,
     max_steps: u64,
-    ph: usize,
-    cur_index: &mut Option<(NodeId, usize)>,
+    cur_index: &mut Option<IndexAt>,
 ) -> IndexStep {
-    match cache.next_index_local_hot(node, &scratch.sig) {
+    let node = at.node;
+    match predicted.or_else(|| cache.next_index_local_hot(node, &scratch.sig)) {
         Some(next) => {
             if scratch.hot {
                 let target = cache.node(next).action;
                 scratch.note_dispatch(action, target);
             }
             std::mem::swap(&mut scratch.sig, &mut scratch.cur_sig);
-            *cur_index = Some((node, ph));
+            *cur_index = Some(at);
             scratch.replayed.clear();
             if *steps >= max_steps {
                 materialize_entry_key(
@@ -590,7 +658,8 @@ pub(crate) fn index_advance(
         }
         None => {
             scratch.kw.reset();
-            rebuild_key(&mut scratch.kw, step, site, st, cache.node_data(node), ph);
+            let site = &step.program.nexts[at.site as usize];
+            rebuild_key(&mut scratch.kw, step, site, st, cache.node_data(node), at.tail);
             match cache.entry_bytes(scratch.kw.bytes()) {
                 Some(next) => {
                     if scratch.hot {

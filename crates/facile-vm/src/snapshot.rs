@@ -1,4 +1,4 @@
-//! Action-cache persistence: the `facile-snap/v2` on-disk format.
+//! Action-cache persistence: the `facile-snap/v3` on-disk format.
 //!
 //! A snapshot is a serialized [`FrozenGens`] image — the memoized
 //! action graph of a finished (or interrupted) run — plus a validity
@@ -71,10 +71,11 @@ use std::sync::{Arc, OnceLock};
 
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: &[u8; 8] = b"FACSNAP1";
-/// Format version this module reads and writes. Version 2 stores an
-/// INDEX node's run-time-static key components as packed key bytes;
-/// files of any other version are refused, never converted.
-pub const VERSION: u32 = 2;
+/// Format version this module reads and writes. Version 3 stores one
+/// node per run of actions (the run's later action numbers inside its
+/// data); version 2 stored one node per action. Files of any other
+/// version are refused, never converted.
+pub const VERSION: u32 = 3;
 /// Fixed header size in bytes (the payload starts here).
 pub const HEADER_LEN: u32 = 64;
 /// `capacity` header sentinel for an unbounded cache.
@@ -211,63 +212,87 @@ impl LoadedSnapshot {
     }
 }
 
-/// Walks every node of `image` once against `step`'s action table: its
-/// action number must exist (belt and braces under a matching
-/// fingerprint), its data must feed every placeholder the action reads,
-/// and an INDEX action's data must end in a packed key tail that decodes
-/// to exactly its site's run-time-static components. Each action's
-/// placeholder reads fold to one word for the common case — the data
-/// length they need — or `RUNS` when its nodes must be walked run by
-/// run, so most placeholder checks cost one lookup and one compare.
+/// Walks every node of `image` once against `step`'s action table, the
+/// way replay walks its run: every action number must exist, every
+/// action's data must feed every placeholder it reads, every action but
+/// the last must be plain, the last one's data must end the node's, and
+/// an INDEX action's data must end in a packed key tail that decodes to
+/// exactly its site's run-time-static components. Each action's placeholder reads fold to one word for the
+/// common case — the data length they need — or `RUNS` when its data
+/// must be walked run by run, so most placeholder checks cost one lookup
+/// and one compare.
 fn check_nodes(image: &FrozenGens, step: &CompiledStep) -> Result<(), SnapshotError> {
     const RUNS: u32 = u32::MAX;
-    let shapes: Vec<(Vec<u32>, Option<Vec<bool>>)> =
-        step.actions.iter().map(|a| ph_shape(step, a)).collect();
+    let shapes: Vec<(Vec<u32>, End)> = step.actions.iter().map(|a| ph_shape(step, a)).collect();
     let needs: Vec<u32> = (shapes.iter())
         .map(|(shape, _)| if let [need] = shape[..] { need } else { RUNS })
         .collect();
     for g in image.gens() {
         for (i, n) in g.nodes().iter().enumerate() {
             let data = &g.slab()[n.data.off()..n.data.off() + n.data.len()];
-            let Some(&need) = needs.get(n.action as usize) else {
-                return Err(SnapshotError::Corrupt(format!(
-                    "action number {} out of range (step has {} actions)",
-                    n.action,
-                    needs.len()
-                )));
+            let corrupt = |what: String| {
+                SnapshotError::Corrupt(format!("node {}:{i} {what}", g.seq()))
             };
-            let (shape, tail) = &shapes[n.action as usize];
-            let ph = match need {
-                RUNS => feeds(shape, data),
-                need => (need as usize <= data.len()).then_some(need as usize),
-            };
-            let fed = match (ph, tail) {
-                (None, _) => false,
-                (Some(_), None) => true,
-                (Some(ph), Some(queues)) => packed_fits(&data[ph..], queues.iter().copied()),
-            };
-            if !fed {
-                return Err(SnapshotError::Corrupt(format!(
-                    "node {}:{i} data ({} values) does not feed action {}",
-                    g.seq(),
-                    n.data.len(),
-                    n.action
-                )));
+            let mut action = n.action as usize;
+            let mut off = 0usize;
+            loop {
+                let Some(&need) = needs.get(action) else {
+                    return Err(corrupt(format!(
+                        "action number {action} out of range (step has {} actions)",
+                        needs.len()
+                    )));
+                };
+                let (shape, end) = &shapes[action];
+                let rest = &data[off..];
+                let ph = match need {
+                    RUNS => feeds(shape, rest),
+                    need => (need as usize <= rest.len()).then_some(need as usize),
+                };
+                let fed = match (ph, end) {
+                    (None, _) => false,
+                    (Some(ph), End::Index(queues)) => {
+                        packed_fits(&rest[ph..], queues.iter().copied())
+                    }
+                    (Some(ph), End::Last) => ph == rest.len(),
+                    (Some(_), End::Plain) => true,
+                };
+                if !fed {
+                    return Err(corrupt(format!(
+                        "data ({} values) does not feed action {action} at {off}",
+                        data.len()
+                    )));
+                }
+                off += ph.unwrap_or(0);
+                if !matches!(end, End::Plain) || off == data.len() {
+                    break;
+                }
+                action = usize::try_from(data[off]).unwrap_or(usize::MAX);
+                off += 1;
             }
         }
     }
     Ok(())
 }
 
+/// How a run goes on after an action's placeholders (see [`ph_shape`]).
+enum End {
+    /// A plain action: the node ends with its data, or the next action
+    /// follows.
+    Plain,
+    /// The action ends the run: a test, or one whose replay halts (its
+    /// later data is never read).
+    Last,
+    /// An INDEX action: its site's run-time-static key components follow
+    /// as packed key bytes, `true` for a queue.
+    Index(Vec<bool>),
+}
+
 /// How replaying `code` reads its node's data, in order. The shape lists
 /// the placeholder loads of the action's replay range: `shape[0]` single
 /// placeholders, then for each further entry one length-prefixed run (an
-/// [`Op::LdAgg`]) followed by that many singles. An INDEX action's
-/// site's run-time-static key components follow the placeholders as
-/// packed key bytes ([`packed_fits`]); their kinds come second, `true`
-/// for a queue. Replay stops at a `Halt` op, so reads past one never
-/// happen (and are not recorded).
-fn ph_shape(step: &CompiledStep, code: &ActionCode) -> (Vec<u32>, Option<Vec<bool>>) {
+/// [`Op::LdAgg`]) followed by that many singles. Replay stops at a `Halt`
+/// op, so reads past one never happen (and are not recorded).
+fn ph_shape(step: &CompiledStep, code: &ActionCode) -> (Vec<u32>, End) {
     // The last entry counts the singles since the last run.
     let mut shape = vec![0u32];
     let bump = |shape: &mut Vec<u32>| *shape.last_mut().expect("never empty") += 1;
@@ -278,20 +303,21 @@ fn ph_shape(step: &CompiledStep, code: &ActionCode) -> (Vec<u32>, Option<Vec<boo
                 bump(&mut shape)
             }
             Op::LdAgg { .. } => shape.push(0),
-            Op::Halt { .. } => return (shape, None),
+            Op::Halt { .. } => return (shape, End::Last),
             _ => {}
         }
     }
-    let queues = match code.kind {
-        ActionKind::Index { site } => Some(
+    let end = match code.kind {
+        ActionKind::Plain => End::Plain,
+        ActionKind::Test { .. } => End::Last,
+        ActionKind::Index { site } => End::Index(
             (prog.nexts[site as usize].comps.iter())
                 .filter(|c| c.rt)
                 .map(|c| matches!(c.src, KeySrc::Queue(_)))
                 .collect(),
         ),
-        _ => None,
     };
-    (shape, queues)
+    (shape, end)
 }
 
 /// Where the placeholders of an action with placeholder `shape` (see
@@ -513,7 +539,7 @@ fn check_count(count: u32, at_least_bytes: usize, remaining: usize) -> Result<()
     Ok(())
 }
 
-/// Parses and checksum-verifies a `facile-snap/v2` byte stream into a
+/// Parses and checksum-verifies a `facile-snap/v3` byte stream into a
 /// [`LoadedSnapshot`]. Structural validity (every link target resolves,
 /// slab ranges in bounds, successor lists well-formed) is enforced
 /// here via [`FrozenGensBuilder`]; run validity (digest, fingerprint,

@@ -273,54 +273,54 @@ fn ooo_cache_golden() {
 
 const OOO_GOLDEN: &str = "\
 [unbounded]
-cold: nodes=29128 entries=4404 clears=0 evictions=0 bytes_total=1307769 bytes_peak=1307769 slow_insns=4404 misses=167 cycles=19036 mem=1e8287dbe1d096ae snap=c5ce8125bd9f2ba2
-warm: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=19036 mem=1e8287dbe1d096ae snap=c5ce8125bd9f2ba2
-half: nodes=11148 entries=1683 clears=0 evictions=0 bytes_total=482653 bytes_peak=482653 slow_insns=1683 misses=83 cycles=19036 mem=1e8287dbe1d096ae snap=7cc53ae25a428bd4
-refreeze: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=19036 mem=1e8287dbe1d096ae snap=7cc53ae25a428bd4
+cold: nodes=12290 entries=4404 clears=0 evictions=0 bytes_total=1307769 bytes_peak=1307769 slow_insns=4404 misses=167 cycles=19036 mem=1e8287dbe1d096ae snap=ab2b72817a905fed
+warm: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=19036 mem=1e8287dbe1d096ae snap=ab2b72817a905fed
+half: nodes=4654 entries=1683 clears=0 evictions=0 bytes_total=482653 bytes_peak=482653 slow_insns=1683 misses=83 cycles=19036 mem=1e8287dbe1d096ae snap=c47b0b33dc0a834b
+refreeze: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=19036 mem=1e8287dbe1d096ae snap=c47b0b33dc0a834b
 [clear]
-cold: nodes=66648 entries=9998 clears=163 evictions=0 bytes_total=2706180 bytes_peak=16776 slow_insns=9998 misses=101 cycles=19036 mem=1e8287dbe1d096ae snap=999837280bd4b0c5
-warm: nodes=65887 entries=9879 clears=161 evictions=0 bytes_total=2677492 bytes_peak=16776 slow_insns=9879 misses=103 cycles=19036 mem=1e8287dbe1d096ae snap=a1ecf389d3f625eb
-half: nodes=63409 entries=9510 clears=156 evictions=0 bytes_total=2590227 bytes_peak=17025 slow_insns=9510 misses=118 cycles=19036 mem=1e8287dbe1d096ae snap=ef05db49e0ea26fe
-refreeze: nodes=63044 entries=9450 clears=155 evictions=0 bytes_total=2578363 bytes_peak=17025 slow_insns=9450 misses=121 cycles=19036 mem=1e8287dbe1d096ae snap=8e7d5b78f4f92cb0
+cold: nodes=29772 entries=9998 clears=163 evictions=0 bytes_total=2706180 bytes_peak=16776 slow_insns=9998 misses=101 cycles=19036 mem=1e8287dbe1d096ae snap=14ea3ac199c50121
+warm: nodes=29440 entries=9879 clears=161 evictions=0 bytes_total=2677492 bytes_peak=16776 slow_insns=9879 misses=103 cycles=19036 mem=1e8287dbe1d096ae snap=d6bcfd6ac4bfd508
+half: nodes=28246 entries=9510 clears=156 evictions=0 bytes_total=2590227 bytes_peak=17025 slow_insns=9510 misses=118 cycles=19036 mem=1e8287dbe1d096ae snap=a9efaa53bc7acbe2
+refreeze: nodes=28093 entries=9450 clears=155 evictions=0 bytes_total=2578363 bytes_peak=17025 slow_insns=9450 misses=121 cycles=19036 mem=1e8287dbe1d096ae snap=58438ba59a96d656
 [generational]
-cold: nodes=63802 entries=9552 clears=0 evictions=1220 bytes_total=2600152 bytes_peak=16992 slow_insns=9552 misses=113 cycles=19036 mem=1e8287dbe1d096ae snap=c78d9cdfbde1d74c
-warm: nodes=62500 entries=9346 clears=0 evictions=1196 bytes_total=2552726 bytes_peak=16991 slow_insns=9346 misses=129 cycles=19036 mem=1e8287dbe1d096ae snap=812cea0b0b275a88
-half: nodes=59466 entries=8912 clears=0 evictions=1148 bytes_total=2449229 bytes_peak=17015 slow_insns=8912 misses=145 cycles=19036 mem=1e8287dbe1d096ae snap=72e02e7a2d035972
-refreeze: nodes=58150 entries=8705 clears=0 evictions=1123 bytes_total=2400880 bytes_peak=17001 slow_insns=8705 misses=159 cycles=19036 mem=1e8287dbe1d096ae snap=7fa7a298606b2172
+cold: nodes=29330 entries=9552 clears=0 evictions=1220 bytes_total=2600152 bytes_peak=16992 slow_insns=9552 misses=113 cycles=19036 mem=1e8287dbe1d096ae snap=871f3148c0aa0db3
+warm: nodes=28717 entries=9346 clears=0 evictions=1196 bytes_total=2552726 bytes_peak=16991 slow_insns=9346 misses=129 cycles=19036 mem=1e8287dbe1d096ae snap=ba646cf7ca462e6e
+half: nodes=27139 entries=8912 clears=0 evictions=1148 bytes_total=2449229 bytes_peak=17015 slow_insns=8912 misses=145 cycles=19036 mem=1e8287dbe1d096ae snap=3a892f0a78cbd6b4
+refreeze: nodes=26482 entries=8705 clears=0 evictions=1123 bytes_total=2400880 bytes_peak=17001 slow_insns=8705 misses=159 cycles=19036 mem=1e8287dbe1d096ae snap=8cc9829b88de4f83
 ";
 
 const BRANCHY_GOLDEN: &str = "\
 [unbounded]
-cold: nodes=22 entries=7 clears=0 evictions=0 bytes_total=433 bytes_peak=433 slow_insns=7 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=87671821c4a4ede6
-warm: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=87671821c4a4ede6
-half: nodes=1 entries=0 clears=0 evictions=0 bytes_total=13 bytes_peak=13 slow_insns=0 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=eb58693b0f0bba79
-refreeze: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=eb58693b0f0bba79
+cold: nodes=22 entries=7 clears=0 evictions=0 bytes_total=433 bytes_peak=433 slow_insns=7 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=8c7259fd37e941a5
+warm: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=8c7259fd37e941a5
+half: nodes=1 entries=0 clears=0 evictions=0 bytes_total=13 bytes_peak=13 slow_insns=0 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=462f5ff206e55ed1
+refreeze: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=462f5ff206e55ed1
 [clear]
-cold: nodes=453 entries=151 clears=50 evictions=0 bytes_total=8804 bytes_peak=175 slow_insns=151 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=6c4ec579e1f35efc
-warm: nodes=408 entries=129 clears=42 evictions=0 bytes_total=7929 bytes_peak=194 slow_insns=129 misses=21 cycles=300 mem=f9b98ea3818eb952 snap=f819d1f32d8b131b
-half: nodes=259 entries=86 clears=28 evictions=0 bytes_total=5138 bytes_peak=180 slow_insns=86 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=ddbcba9fafe91e84
-refreeze: nodes=6 entries=2 clears=0 evictions=0 bytes_total=125 bytes_peak=125 slow_insns=2 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=e9ff5c3cd8d28bd9
+cold: nodes=453 entries=151 clears=50 evictions=0 bytes_total=8804 bytes_peak=175 slow_insns=151 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=a36495959c048fdb
+warm: nodes=408 entries=129 clears=42 evictions=0 bytes_total=7929 bytes_peak=194 slow_insns=129 misses=21 cycles=300 mem=f9b98ea3818eb952 snap=1e48c9ef37a03b4a
+half: nodes=259 entries=86 clears=28 evictions=0 bytes_total=5138 bytes_peak=180 slow_insns=86 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=dbf9ecbdfcbeca4e
+refreeze: nodes=6 entries=2 clears=0 evictions=0 bytes_total=125 bytes_peak=125 slow_insns=2 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=317696d50bb4a017
 [generational]
-cold: nodes=453 entries=151 clears=0 evictions=296 bytes_total=9054 bytes_peak=175 slow_insns=151 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=d98c9dd693e3c7db
-warm: nodes=276 entries=85 clears=0 evictions=164 bytes_total=5399 bytes_peak=194 slow_insns=85 misses=21 cycles=300 mem=f9b98ea3818eb952 snap=a7e5fd237ab1ca36
-half: nodes=259 entries=86 clears=0 evictions=166 bytes_total=5178 bytes_peak=198 slow_insns=86 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=ed1a92ae4ac2e3c2
-refreeze: nodes=3 entries=1 clears=0 evictions=0 bytes_total=65 bytes_peak=65 slow_insns=1 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=177b91d01d3b5ed7
+cold: nodes=453 entries=151 clears=0 evictions=296 bytes_total=9054 bytes_peak=175 slow_insns=151 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=6ada0b3540a7a6c5
+warm: nodes=276 entries=85 clears=0 evictions=164 bytes_total=5399 bytes_peak=194 slow_insns=85 misses=21 cycles=300 mem=f9b98ea3818eb952 snap=f733d0136a3c5b90
+half: nodes=259 entries=86 clears=0 evictions=166 bytes_total=5178 bytes_peak=198 slow_insns=86 misses=1 cycles=300 mem=f9b98ea3818eb952 snap=9e7256cc6ed66009
+refreeze: nodes=3 entries=1 clears=0 evictions=0 bytes_total=65 bytes_peak=65 slow_insns=1 misses=0 cycles=300 mem=f9b98ea3818eb952 snap=a7d7b0bfb5a78a58
 ";
 
 const GCC_GOLDEN: &str = "\
 [unbounded]
-cold: nodes=5992 entries=1181 clears=0 evictions=0 bytes_total=89872 bytes_peak=89872 slow_insns=1181 misses=200 cycles=24372 mem=bb0ea5928241d393 snap=c0d7a92a82640bf3
-warm: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=24372 mem=bb0ea5928241d393 snap=c0d7a92a82640bf3
-half: nodes=1263 entries=245 clears=0 evictions=0 bytes_total=18917 bytes_peak=18917 slow_insns=245 misses=51 cycles=24372 mem=bb0ea5928241d393 snap=c9906b5e1e4a143d
-refreeze: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=24372 mem=bb0ea5928241d393 snap=c9906b5e1e4a143d
+cold: nodes=1602 entries=1181 clears=0 evictions=0 bytes_total=89872 bytes_peak=89872 slow_insns=1181 misses=200 cycles=24372 mem=bb0ea5928241d393 snap=4058eda9baa4dd85
+warm: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=24372 mem=bb0ea5928241d393 snap=4058eda9baa4dd85
+half: nodes=336 entries=245 clears=0 evictions=0 bytes_total=18917 bytes_peak=18917 slow_insns=245 misses=51 cycles=24372 mem=bb0ea5928241d393 snap=2fde9da8a0579efe
+refreeze: nodes=0 entries=0 clears=0 evictions=0 bytes_total=0 bytes_peak=0 slow_insns=0 misses=0 cycles=24372 mem=bb0ea5928241d393 snap=2fde9da8a0579efe
 [clear]
-cold: nodes=24638 entries=5114 clears=22 evictions=0 bytes_total=373898 bytes_peak=16478 slow_insns=5114 misses=428 cycles=24372 mem=bb0ea5928241d393 snap=7d2a71ae6c9583e5
-warm: nodes=11248 entries=2204 clears=10 evictions=0 bytes_total=168099 bytes_peak=16460 slow_insns=2204 misses=379 cycles=24372 mem=bb0ea5928241d393 snap=1bb801d6d6d4090c
-half: nodes=13884 entries=2787 clears=12 evictions=0 bytes_total=209169 bytes_peak=16476 slow_insns=2787 misses=392 cycles=24372 mem=bb0ea5928241d393 snap=c78cb1e93e2faf23
-refreeze: nodes=9498 entries=1859 clears=8 evictions=0 bytes_total=141912 bytes_peak=16446 slow_insns=1859 misses=323 cycles=24372 mem=bb0ea5928241d393 snap=091ff13d3925fbac
+cold: nodes=7095 entries=5114 clears=22 evictions=0 bytes_total=373898 bytes_peak=16478 slow_insns=5114 misses=428 cycles=24372 mem=bb0ea5928241d393 snap=957f88a5d4e9715c
+warm: nodes=2938 entries=2204 clears=10 evictions=0 bytes_total=168099 bytes_peak=16460 slow_insns=2204 misses=379 cycles=24372 mem=bb0ea5928241d393 snap=78a9f228ef77570d
+half: nodes=3820 entries=2787 clears=12 evictions=0 bytes_total=209169 bytes_peak=16476 slow_insns=2787 misses=392 cycles=24372 mem=bb0ea5928241d393 snap=8bfa89cc5e27e89c
+refreeze: nodes=2477 entries=1859 clears=8 evictions=0 bytes_total=141912 bytes_peak=16446 slow_insns=1859 misses=323 cycles=24372 mem=bb0ea5928241d393 snap=a2d7d38ce75458ad
 [generational]
-cold: nodes=16521 entries=3334 clears=0 evictions=113 bytes_total=249384 bytes_peak=16537 slow_insns=3334 misses=447 cycles=24372 mem=bb0ea5928241d393 snap=cfba86bf647a5321
-warm: nodes=9316 entries=1810 clears=0 evictions=60 bytes_total=139066 bytes_peak=16463 slow_insns=1810 misses=351 cycles=24372 mem=bb0ea5928241d393 snap=f3b4d8c1e5a791b9
-half: nodes=9479 entries=1851 clears=0 evictions=61 bytes_total=141691 bytes_peak=16472 slow_insns=1851 misses=342 cycles=24372 mem=bb0ea5928241d393 snap=68d03587d03fb016
-refreeze: nodes=6814 entries=1320 clears=0 evictions=42 bytes_total=101662 bytes_peak=16515 slow_insns=1320 misses=260 cycles=24372 mem=bb0ea5928241d393 snap=9cf78ae2e02a7116
+cold: nodes=4743 entries=3334 clears=0 evictions=113 bytes_total=249384 bytes_peak=16537 slow_insns=3334 misses=447 cycles=24372 mem=bb0ea5928241d393 snap=8484fb3dd9fe43b6
+warm: nodes=2511 entries=1810 clears=0 evictions=60 bytes_total=139066 bytes_peak=16463 slow_insns=1810 misses=351 cycles=24372 mem=bb0ea5928241d393 snap=502ede44b647c4ba
+half: nodes=2571 entries=1851 clears=0 evictions=61 bytes_total=141691 bytes_peak=16472 slow_insns=1851 misses=342 cycles=24372 mem=bb0ea5928241d393 snap=8a9ba15af0abd491
+refreeze: nodes=1828 entries=1320 clears=0 evictions=42 bytes_total=101662 bytes_peak=16515 slow_insns=1320 misses=260 cycles=24372 mem=bb0ea5928241d393 snap=4e1ded89a37f4c5c
 ";

@@ -137,6 +137,9 @@ const GEN_STEPS: u64 = 1000;
 enum Drive {
     /// Straight through.
     Plain,
+    /// Straight through, observed by a metrics registry that counts the
+    /// fast engine's node walks.
+    Observed,
     /// `trim_cache(0)` half-way through.
     TrimHalfway,
     /// Warm-started from the snapshot of a run stopped half-way.
@@ -195,6 +198,14 @@ fn run_generated(
     let half = GEN_STEPS / 2;
     let mut sim = match drive {
         Drive::Plain | Drive::TrimHalfway => new_generated(step, x, seed, options),
+        Drive::Observed => {
+            let mut sim = new_generated(step, x, seed, options);
+            sim.attach_obs(facile_obs::ObsHandle::new(facile_obs::ObsConfig {
+                trace: false,
+                ..facile_obs::ObsConfig::default()
+            }));
+            sim
+        }
         Drive::WarmHalf => {
             let mut donor = new_generated(step, x, seed, options);
             donor.run_steps(half);
@@ -215,7 +226,7 @@ fn run_generated(
     } else {
         let installed = sim.cache_stats().frozen_gens > 0;
         sim.run_steps(GEN_STEPS);
-        installed || drive == Drive::Plain
+        installed || matches!(drive, Drive::Plain | Drive::Observed)
     };
     assert!(sim.fault().is_none(), "{:?}", sim.fault());
     (sim, effect)
@@ -257,7 +268,8 @@ fn observed(sim: &Simulation) -> Observed {
 /// snapshot and one from that warm run's refreeze — observes exactly
 /// what the memo-off run observes, and so does a memo-off run of the
 /// plain lowering, globals included. Across the sweep, replay, misses,
-/// recoveries and evictions must all happen, and in
+/// recoveries and evictions must all happen, replay must walk nodes that
+/// hold runs of several actions, and in
 /// most runs the trims must release bytes and the warm starts must
 /// install their snapshots (186, 200, 200 and 200 of 200 do), or
 /// agreement says little. The sweep takes about 2 s in a debug build on
@@ -270,7 +282,7 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
         ..SimOptions::default()
     };
     let configs = [
-        ("memo on", memo, Drive::Plain),
+        ("memo on", memo, Drive::Observed),
         (
             "generational, tiny capacity",
             SimOptions {
@@ -302,6 +314,8 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
     ];
     let (mut fast_steps, mut misses, mut recoveries) = (0u64, 0u64, 0u64);
     let mut evictions = 0u64;
+    // Node walks and actions replayed by the observed memo-on runs.
+    let (mut walks, mut replayed) = (0u64, 0u64);
     let (mut warm, mut refrozen) = (0u32, 0u32);
     // Trims that released bytes, generational and clear-on-full.
     let mut trims = [0u32; 2];
@@ -360,6 +374,10 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
             evictions += sim.cache_stats().evictions;
             match drive {
                 Drive::Plain => {}
+                Drive::Observed => {
+                    walks += sim.obs().metrics().expect("registry attached").replay_walks;
+                    replayed += s.actions_replayed;
+                }
                 Drive::TrimHalfway => {
                     trims[(options.cache_policy == CachePolicy::Clear) as usize] += effect as u32
                 }
@@ -373,8 +391,13 @@ fn generated_step_functions_agree_under_every_engine_configuration() {
         "replayed steps {fast_steps}, misses {misses}, recoveries {recoveries}, \
          evictions {evictions}"
     );
+    assert!(
+        walks < replayed,
+        "replay walked {walks} nodes for {replayed} actions: no run of several actions"
+    );
     eprintln!(
-        "generated sweep: trims released bytes in {trims:?} (generational, clear), \
+        "generated sweep: {replayed} actions replayed in {walks} node walks, \
+         trims released bytes in {trims:?} (generational, clear), \
          half-run snapshots installed in {warm}, refreezes in {refrozen} of 200"
     );
     assert!(

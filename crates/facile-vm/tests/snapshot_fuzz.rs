@@ -1,4 +1,4 @@
-//! Hostile-input fuzz of `facile-snap/v2` loading: seeded mutations of
+//! Hostile-input fuzz of `facile-snap/v3` loading: seeded mutations of
 //! real snapshot payloads, with the payload checksum re-stamped so that
 //! every mutation gets past the checksum and reaches the decoder, the
 //! image builder, `LoadedSnapshot::validate` and a step-bounded warm
@@ -44,11 +44,25 @@ const QUEUED: &str = "ext fun lat(a : int) : int;
       next(iq, (pc + l) % 13);
     }";
 
+/// A looping simulator whose run-time-static branch splits its plain
+/// work into several actions, so its nodes hold runs of several actions
+/// and mutations reach the action numbers inside them.
+const RUNS: &str = "ext fun lat(a : int) : int;
+    fun main(pc : int) {
+      val c = mem_ld(0);
+      mem_st(0, c + 1);
+      if (pc > 3) { count_insns(2); } else { count_insns(1); }
+      count_cycles(lat(pc));
+      if (c >= 150) { sim_halt(); }
+      next((pc + 1) % 7);
+    }";
+
 /// The simulator a fuzz run mutates snapshots of.
 #[derive(Clone, Copy)]
 enum Subject {
     Branchy,
     Queued,
+    Runs,
 }
 
 /// Step bound of a warm run: a corrupted graph may replay nonsense,
@@ -83,7 +97,7 @@ fn build(src: &str) -> CompiledStep {
 
 fn sim(subject: Subject, step: &Arc<CompiledStep>, opts: SimOptions) -> Simulation {
     let args = match subject {
-        Subject::Branchy => vec![ArgValue::Scalar(0)],
+        Subject::Branchy | Subject::Runs => vec![ArgValue::Scalar(0)],
         Subject::Queued => vec![ArgValue::Queue(vec![]), ArgValue::Scalar(0)],
     };
     let mut s = Simulation::new(
@@ -99,7 +113,9 @@ fn sim(subject: Subject, step: &Arc<CompiledStep>, opts: SimOptions) -> Simulati
         Subject::Branchy => s.bind_external("flip", |args| {
             args[0].wrapping_mul(31).wrapping_add(7).rem_euclid(3)
         }),
-        Subject::Queued => s.bind_external("lat", |args| 1 + args[0].rem_euclid(3)),
+        Subject::Queued | Subject::Runs => {
+            s.bind_external("lat", |args| 1 + args[0].rem_euclid(3))
+        }
     }
     .unwrap();
     s
@@ -176,6 +192,11 @@ fn mutated_snapshots_are_errors_not_panics() {
 #[test]
 fn mutated_key_tails_are_errors_not_panics() {
     fuzz(Subject::Queued, QUEUED);
+}
+
+#[test]
+fn mutated_runs_are_errors_not_panics() {
+    fuzz(Subject::Runs, RUNS);
 }
 
 /// Runs 2,000 seeded mutations of `subject`'s real snapshots through

@@ -490,8 +490,9 @@ fn packed(bytes: &[u8]) -> Vec<i64> {
     words
 }
 
-/// Re-encodes `snap` with every INDEX node's key tail replaced by
-/// `craft(tail)`; placeholders and links are kept.
+/// Re-encodes `snap` with the key tail of every node whose run ends in
+/// an INDEX action replaced by `craft(tail)`; placeholders and links are
+/// kept.
 fn with_tails(
     snap: &snapshot::LoadedSnapshot,
     sim: &Simulation,
@@ -499,12 +500,11 @@ fn with_tails(
 ) -> Vec<u8> {
     let step = sim.compiled();
     let image = rebuild(&snap.image(), |slab, n| {
-        let code = &step.actions[n.action as usize];
-        let facile_codegen::ActionKind::Index { .. } = code.kind else {
+        let data = slab[n.data.off()..n.data.off() + n.data.len()].to_vec();
+        let (last, ph) = facile_vm::fast::run_end(step, n.action, &data);
+        let facile_codegen::ActionKind::Index { .. } = step.actions[last as usize].kind else {
             return n.data;
         };
-        let data = slab[n.data.off()..n.data.off() + n.data.len()].to_vec();
-        let ph = facile_vm::fast::placeholder_len(step, code, &data);
         let off = slab.len();
         slab.extend_from_slice(&data[..ph]);
         slab.extend_from_slice(&craft(&data[ph..]));
@@ -568,6 +568,106 @@ fn crafted_index_tails_are_rejected_before_replay() {
             "{name}: validate must refuse the tail"
         );
     }
+}
+
+/// Re-encodes `snap` with the second action number of every run that
+/// holds more than one action replaced by `craft(number)`; returns the
+/// bytes and how many runs changed.
+fn with_second_action(
+    snap: &snapshot::LoadedSnapshot,
+    sim: &Simulation,
+    craft: impl Fn(i64) -> i64,
+) -> (Vec<u8>, usize) {
+    let step = sim.compiled();
+    let mut runs = 0;
+    let image = rebuild(&snap.image(), |slab, n| {
+        let code = &step.actions[n.action as usize];
+        let mut data = slab[n.data.off()..n.data.off() + n.data.len()].to_vec();
+        let ph = facile_vm::fast::placeholder_len(step, code, &data);
+        if code.kind != facile_codegen::ActionKind::Plain || ph == data.len() {
+            return n.data;
+        }
+        runs += 1;
+        data[ph] = craft(data[ph]);
+        let off = slab.len();
+        slab.extend_from_slice(&data);
+        SlabRange::new(off as u32, data.len() as u32)
+    });
+    let bytes = snapshot::encode(
+        &image,
+        snap.target_digest,
+        snap.step_fingerprint,
+        snap.capacity,
+        snap.policy,
+    );
+    (bytes, runs)
+}
+
+/// A looping simulator whose run-time-static branch splits its plain
+/// work into several actions, recorded as one run with the test that
+/// ends it.
+const RUNS: &str = "ext fun lat(a : int) : int;
+    fun main(pc : int) {
+      val c = mem_ld(0);
+      mem_st(0, c + 1);
+      if (pc > 3) { count_insns(2); } else { count_insns(1); }
+      count_cycles(lat(pc));
+      if (c >= 60) { sim_halt(); }
+      next((pc + 1) % 7);
+    }";
+
+fn runs_sim() -> Simulation {
+    let mut s = Simulation::new(
+        build(RUNS),
+        Target::load(&Image::default()),
+        &[ArgValue::Scalar(0)],
+        SimOptions::default(),
+    )
+    .unwrap();
+    s.bind_external("lat", |args| 1 + args[0].rem_euclid(3))
+        .unwrap();
+    s
+}
+
+#[test]
+fn crafted_action_numbers_inside_a_run_are_rejected_before_replay() {
+    let mut cold = runs_sim();
+    cold.run_steps(100_000);
+    assert!(cold.halted().is_some());
+    let snap = snapshot::parse(&snapshot::save(&cold)).unwrap();
+    let sim = runs_sim();
+    let step = sim.compiled();
+    let (same, runs) = with_second_action(&snap, &sim, |a| a);
+    assert!(runs > 0, "the recording holds runs of several actions");
+    snapshot::parse(&same).unwrap().validate(&sim).unwrap();
+
+    let test = (step.actions.iter())
+        .position(|a| matches!(a.kind, facile_codegen::ActionKind::Test { .. }))
+        .expect("the program has a test action") as i64;
+    let count = step.actions.len() as i64;
+    for (name, craft) in [
+        ("past the action table", Box::new(move |_| count) as Box<dyn Fn(i64) -> i64>),
+        ("negative", Box::new(|_| -1)),
+        ("past 32 bits", Box::new(|a| a + (1 << 32))),
+        ("a test inside the run", Box::new(move |_| test)),
+    ] {
+        let (bytes, _) = with_second_action(&snap, &sim, craft);
+        let loaded = snapshot::parse(&bytes).expect("structurally sound");
+        assert!(
+            matches!(loaded.validate(&sim), Err(SnapshotError::Corrupt(_))),
+            "{name}: validate must refuse the run"
+        );
+    }
+}
+
+#[test]
+fn a_version_2_snapshot_is_refused() {
+    let mut bytes = recorded_snapshot();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(
+        snapshot::parse(&bytes).err(),
+        Some(SnapshotError::UnsupportedVersion(2))
+    );
 }
 
 #[test]

@@ -151,7 +151,6 @@ fn eviction_between_bursts_is_counted_once_and_classified() {
             // so a trim's pins do not cover the whole ring.
             cache_capacity: Some(800),
             cache_policy: CachePolicy::Generational,
-            ..SimOptions::default()
         },
     );
     let obs = record(&mut s, 1);

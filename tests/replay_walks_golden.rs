@@ -62,7 +62,7 @@ fn ooo_walks_and_ops_per_fast_step_are_pinned() {
     }
     assert_eq!(
         got,
-        [(26_440, 62_597, 3_858), (633_579, 1_469_924, 100_225)],
+        [(11_895, 62_597, 3_858), (252_131, 1_469_924, 100_225)],
         "walks or ops per fast step changed"
     );
 }
