@@ -18,9 +18,8 @@
 //!   replay counts, log-bucketed latency histograms
 //!   ([`hist::LogHistogram`]), recovery-depth distribution and cache
 //!   clear tracking.
-//! * [`observer::SimObserver`] / [`observer::ObsHandle`] — the hook
-//!   surface the engines call. A disabled handle (the default) costs one
-//!   null-check per hook site.
+//! * [`observer::ObsHandle`] — the hook surface the engines call. A
+//!   disabled handle (the default) costs one null-check per hook site.
 //! * [`run::RunDoc`] — the one `facile-run/v3` document every front end
 //!   writes (`--obs-out`, serve result frames, the bench binaries) and
 //!   `sim_obs` renders: a header of runtime counter snapshots plus the
@@ -73,7 +72,7 @@ pub use burst::{
 pub use event::{EngineTag, TraceEvent};
 pub use hist::LogHistogram;
 pub use metrics::Metrics;
-pub use observer::{ObsConfig, ObsHandle, SimObserver};
+pub use observer::{ObsConfig, ObsHandle};
 pub use profile::{ActionRow, LineCost, Profile};
 pub use ring::EventRing;
 pub use run::{CacheStatsSnapshot, DocError, RunDoc, SimStatsSnapshot, SCHEMA};

@@ -1,14 +1,12 @@
-//! Profiling hooks: the [`SimObserver`] trait and the [`ObsHandle`] the
-//! engines carry.
+//! Profiling hooks: the [`ObsHandle`] the engines carry.
 //!
 //! The engines call `ObsHandle` methods at instrumentation points. A
 //! disabled handle (the default) is a `None` — every hook is one
 //! null-check and a return, so the hot loop pays nothing measurable when
-//! no tool subscribed and tracing is off. An enabled handle owns the
-//! event ring, the metrics registry and any subscribed observers behind
-//! one shared mutex; clones share the same core, which is how the
-//! driver, the machine state and the action cache all feed a single
-//! stream.
+//! observation is off. An enabled handle owns the event ring, the
+//! metrics registry and the flight and timeline recorders behind one
+//! shared mutex; clones share the same core, which is how the driver,
+//! the machine state and the action cache all feed a single stream.
 //!
 //! The handle is `Send`: a batch driver gives every worker thread its
 //! own handle (one simulation, one core, no contention — the mutex is
@@ -18,42 +16,12 @@
 //! serialize on the core's mutex.
 
 use crate::burst::{BurstRecord, HotConfig, HotMetrics};
-use crate::event::{EngineTag, TraceEvent};
+use crate::event::TraceEvent;
 use crate::metrics::Metrics;
 use crate::ring::{EventRing, DEFAULT_CAPACITY};
 use crate::timeline::{EpochRecord, TimelineConfig, TimelineMetrics};
 use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// A subscriber to simulation events.
-///
-/// Every method has a no-op default: implement only the hooks you need.
-/// Observers run inside the engine loop — they must not re-enter the
-/// simulation or emit events themselves. Observers are `Send` so a
-/// simulation (and the handle it carries) can move to a worker thread.
-pub trait SimObserver: Send {
-    /// Catch-all: called for every event, before the typed hook.
-    fn on_event(&mut self, _ev: &TraceEvent) {}
-    /// Control moved between the engines.
-    fn on_engine_switch(&mut self, _step: u64, _from: EngineTag, _to: EngineTag) {}
-    /// A slow/complete step finished.
-    fn on_slow_step(&mut self, _step: u64, _insns: u64, _ns: u64) {}
-    /// A fast replay burst finished.
-    fn on_fast_burst(&mut self, _step: u64, _steps: u64, _actions: u64, _insns: u64, _ns: u64) {}
-    /// The fast engine missed in the action cache (`value` is the
-    /// observed divergent value for dynamic-result-test misses).
-    fn on_miss(&mut self, _step: u64, _action: u32, _depth: u64, _value: Option<i64>) {}
-    /// Miss recovery finished committing.
-    fn on_recovery(&mut self, _step: u64, _action: u32, _committed: u64) {}
-    /// The action cache cleared itself.
-    fn on_cache_clear(&mut self, _bytes: u64, _nodes: u64, _clears: u64) {}
-    /// The action cache evicted one storage generation.
-    fn on_cache_evict(&mut self, _gen: u64, _bytes: u64, _nodes: u64, _evictions: u64) {}
-    /// An external function was called.
-    fn on_ext_call(&mut self, _step: u64, _ext: u32) {}
-    /// The simulation halted.
-    fn on_halt(&mut self, _step: u64, _engine: EngineTag, _code: i64) {}
-}
 
 /// Construction options for an enabled handle.
 #[derive(Debug)]
@@ -85,7 +53,6 @@ impl Default for ObsConfig {
 }
 
 struct ObsCore {
-    observers: Vec<Box<dyn SimObserver>>,
     ring: EventRing,
     writer: Option<Box<dyn Write + Send>>,
     metrics: Option<Metrics>,
@@ -103,50 +70,6 @@ impl ObsCore {
     fn dispatch(&mut self, ev: &TraceEvent) {
         if let Some(m) = &mut self.metrics {
             m.observe(ev);
-        }
-        for obs in &mut self.observers {
-            obs.on_event(ev);
-            match *ev {
-                TraceEvent::EngineSwitch { step, from, to } => {
-                    obs.on_engine_switch(step, from, to)
-                }
-                TraceEvent::SlowStep { step, insns, ns } => obs.on_slow_step(step, insns, ns),
-                TraceEvent::FastBurst {
-                    step,
-                    steps,
-                    actions,
-                    insns,
-                    ns,
-                } => obs.on_fast_burst(step, steps, actions, insns, ns),
-                TraceEvent::Miss {
-                    step,
-                    action,
-                    depth,
-                    value,
-                } => obs.on_miss(step, action, depth, value),
-                TraceEvent::RecoveryEnd {
-                    step,
-                    action,
-                    committed,
-                } => obs.on_recovery(step, action, committed),
-                TraceEvent::CacheClear {
-                    bytes,
-                    nodes,
-                    clears,
-                } => obs.on_cache_clear(bytes, nodes, clears),
-                TraceEvent::CacheEvict {
-                    gen,
-                    bytes,
-                    nodes,
-                    evictions,
-                } => obs.on_cache_evict(gen, bytes, nodes, evictions),
-                TraceEvent::ExtCall { step, ext } => obs.on_ext_call(step, ext),
-                TraceEvent::Halt { step, engine, code } => obs.on_halt(step, engine, code),
-                TraceEvent::RecoveryBegin { .. }
-                | TraceEvent::NeedSlow { .. }
-                | TraceEvent::SnapshotLoad { .. }
-                | TraceEvent::SnapshotSave { .. } => {}
-            }
         }
         if self.trace {
             if self.ring.is_full() && self.writer.is_some() {
@@ -202,10 +125,9 @@ impl std::fmt::Debug for ObsHandle {
                 let c = locked(core);
                 write!(
                     f,
-                    "ObsHandle(trace={}, metrics={}, observers={})",
+                    "ObsHandle(trace={}, metrics={})",
                     c.trace,
-                    c.metrics.is_some(),
-                    c.observers.len()
+                    c.metrics.is_some()
                 )
             }
         }
@@ -228,7 +150,6 @@ impl ObsHandle {
                 0
             },
             core: Some(Arc::new(Mutex::new(ObsCore {
-                observers: Vec::new(),
                 ring: EventRing::new(config.ring_capacity),
                 writer: None,
                 metrics: config.metrics.then(Metrics::new),
@@ -254,13 +175,6 @@ impl ObsHandle {
         self.core.is_some()
     }
 
-    /// Subscribes an observer. No-op on a disabled handle.
-    pub fn subscribe(&self, obs: Box<dyn SimObserver>) {
-        if let Some(core) = &self.core {
-            locked(core).observers.push(obs);
-        }
-    }
-
     /// Attaches a JSONL sink: the ring streams to it when full and on
     /// [`flush`](Self::flush). No-op on a disabled handle.
     pub fn set_writer(&self, w: Box<dyn Write + Send>) {
@@ -269,7 +183,7 @@ impl ObsHandle {
         }
     }
 
-    /// Emits one event: metrics fold, observer dispatch, ring append.
+    /// Emits one event: metrics fold, ring append.
     #[inline]
     pub fn emit(&self, ev: TraceEvent) {
         if let Some(core) = &self.core {
@@ -486,21 +400,6 @@ impl ObsHandle {
 mod tests {
     use super::*;
 
-    #[derive(Default)]
-    struct Counter {
-        misses: u64,
-        events: u64,
-    }
-
-    impl SimObserver for Counter {
-        fn on_event(&mut self, _ev: &TraceEvent) {
-            self.events += 1;
-        }
-        fn on_miss(&mut self, _step: u64, _action: u32, _depth: u64, _value: Option<i64>) {
-            self.misses += 1;
-        }
-    }
-
     #[test]
     fn disabled_handle_is_inert() {
         let h = ObsHandle::off();
@@ -604,19 +503,6 @@ mod tests {
         h2.emit(TraceEvent::NeedSlow { step: 2 });
         assert_eq!(h.drain_events().len(), 2);
         assert_eq!(h2.metrics().unwrap().need_slow, 2);
-    }
-
-    #[test]
-    fn observers_receive_typed_dispatch() {
-        let h = ObsHandle::new(ObsConfig::default());
-        h.subscribe(Box::<Counter>::default());
-        h.emit(TraceEvent::Miss { step: 1, action: 0, depth: 1, value: None });
-        h.emit(TraceEvent::NeedSlow { step: 2 });
-        // The counter is owned by the core; verify through the shared
-        // metrics instead (same dispatch path).
-        let m = h.metrics().unwrap();
-        assert_eq!(m.misses, 1);
-        assert_eq!(m.need_slow, 1);
     }
 
     #[test]
