@@ -71,6 +71,73 @@ fn fastsim_and_facile_agree_cycle_for_cycle() {
     }
 }
 
+/// Calls whose `jalr` always returns to one site: each return's BTB
+/// entry trains once and then hits.
+const ONE_RETURN_SITE: &str = "addi r1, r0, 200
+    loop: jal f
+    jal g
+    addi r1, r1, -1
+    bne r1, r0, loop
+    out r2
+    halt
+    f: addi r2, r2, 1
+    jalr r0, r31
+    g: addi r2, r2, 3
+    jalr r0, r31";
+
+/// One function called from two sites: its `jalr` alternates between
+/// two return targets, so the BTB mispredicts it.
+const TWO_RETURN_SITES: &str = "addi r1, r0, 200
+    loop: jal f
+    addi r3, r3, 1
+    jal f
+    addi r1, r1, -1
+    bne r1, r0, loop
+    out r2
+    out r3
+    halt
+    f: addi r2, r2, 1
+    jalr r0, r31";
+
+#[test]
+fn fastsim_and_facile_agree_on_indirect_jumps() {
+    // No suite workload makes an indirect jump, so the BTB paths of the
+    // two timing models are compared here, hit and miss.
+    let mut cycles = Vec::new();
+    for (name, asm) in [
+        ("one return site", ONE_RETURN_SITE),
+        ("two return sites", TWO_RETURN_SITES),
+    ] {
+        let image = facile_isa::assemble_image(asm, 0x1_0000, vec![]).expect("assembles");
+        let g = golden(&image);
+        let mut fs = fastsim::FastSim::new(&image, true, None);
+        fs.run(100_000_000);
+        assert_eq!(fs.stats.insns, g.insns, "{name}: fastsim vs golden");
+        assert_eq!(fs.out, g.out, "{name}: fastsim outputs");
+        for memoize in [true, false] {
+            let fac = facile_ooo(&image, memoize);
+            assert_eq!(fac.stats().insns, g.insns, "{name}, memo {memoize}: facile vs golden");
+            assert_eq!(fac.trace(), g.out.as_slice(), "{name}, memo {memoize}: outputs");
+            assert_eq!(
+                fac.stats().cycles,
+                fs.stats.cycles,
+                "{name}, memo {memoize}: hand-coded and compiler-generated timing diverged"
+            );
+        }
+        eprintln!("{name}: {} insns, {} cycles", g.insns, fs.stats.cycles);
+        cycles.push((fs.stats.cycles, g.insns));
+    }
+    // The alternating returns cost mispredictions the single-site ones
+    // do not: more cycles per instruction.
+    let [(hit_cycles, hit_insns), (miss_cycles, miss_insns)] = cycles[..] else {
+        unreachable!("two programs")
+    };
+    assert!(
+        miss_cycles * hit_insns > hit_cycles * miss_insns,
+        "alternating returns ran no slower: {cycles:?}"
+    );
+}
+
 #[test]
 fn simplescalar_retires_the_golden_stream_on_workloads() {
     for name in ["126.gcc", "102.swim"] {
