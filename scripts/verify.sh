@@ -186,22 +186,25 @@ cmp -s "$tmp/cold_ref.txt" "$tmp/bad_run.txt" \
     || { echo "verify: rejected snapshot did not fall back to a cold run"; \
          diff "$tmp/cold_ref.txt" "$tmp/bad_run.txt" || true; exit 1; }
 
-echo "==> smoke: a version-1 snapshot falls back to a cold run"
+echo "==> smoke: version-1 and version-2 snapshots fall back to a cold run"
 # The format is versioned and keeps no reader for older versions
 # (docs/PERSISTENCE.md): a saved snapshot with its version word set to
-# 1 must be refused like any other mismatch — the warning naming the
-# version, exit 0, and output bit-identical to a never-warmed run.
-cp "$tmp/loop.facsnap" "$tmp/v1.facsnap"
-printf '\001\000\000\000' | dd of="$tmp/v1.facsnap" bs=1 seek=8 conv=notrunc 2>/dev/null
-./target/release/facilec --builtin ooo --run "$tmp/loop.asm" \
-    --cache-load "$tmp/v1.facsnap" 2> "$tmp/v1_err.txt" > "$tmp/v1_full.txt" \
-    || { echo "verify: version-1 snapshot load exited nonzero"; exit 1; }
-grep -q 'unsupported snapshot version 1 .*starting cold' "$tmp/v1_err.txt" \
-    || { echo "verify: version-1 snapshot load did not warn"; cat "$tmp/v1_err.txt"; exit 1; }
-grep -v 'sim speed' "$tmp/v1_full.txt" > "$tmp/v1_run.txt"
-cmp -s "$tmp/cold_ref.txt" "$tmp/v1_run.txt" \
-    || { echo "verify: version-1 snapshot did not fall back to a cold run"; \
-         diff "$tmp/cold_ref.txt" "$tmp/v1_run.txt" || true; exit 1; }
+# a retired version must be refused like any other mismatch — the
+# warning naming the version, exit 0, and output bit-identical to a
+# never-warmed run.
+for v in 1 2; do
+    cp "$tmp/loop.facsnap" "$tmp/v$v.facsnap"
+    printf "\\00$v\\000\\000\\000" | dd of="$tmp/v$v.facsnap" bs=1 seek=8 conv=notrunc 2>/dev/null
+    ./target/release/facilec --builtin ooo --run "$tmp/loop.asm" \
+        --cache-load "$tmp/v$v.facsnap" 2> "$tmp/v${v}_err.txt" > "$tmp/v${v}_full.txt" \
+        || { echo "verify: version-$v snapshot load exited nonzero"; exit 1; }
+    grep -q "unsupported snapshot version $v .*starting cold" "$tmp/v${v}_err.txt" \
+        || { echo "verify: version-$v snapshot load did not warn"; cat "$tmp/v${v}_err.txt"; exit 1; }
+    grep -v 'sim speed' "$tmp/v${v}_full.txt" > "$tmp/v${v}_run.txt"
+    cmp -s "$tmp/cold_ref.txt" "$tmp/v${v}_run.txt" \
+        || { echo "verify: version-$v snapshot did not fall back to a cold run"; \
+             diff "$tmp/cold_ref.txt" "$tmp/v${v}_run.txt" || true; exit 1; }
+done
 
 echo "==> regression: memo-on and slow-only runs agree bit for bit"
 # Memo-on and slow-only memory digests must be bit-identical, also
