@@ -2175,18 +2175,26 @@ fn range_of(slab: &[i64], r: SlabRange) -> &[i64] {
     &slab[r.off as usize..(r.off + r.len) as usize]
 }
 
+/// Whether two INDEX signatures are equal. An element loop rather than
+/// slice `==`, which compiles to a `bcmp` library call: signatures are
+/// one or two words and compared at every INDEX crossing.
+#[inline]
+pub fn same_sig(a: &[i64], b: &[i64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
+}
+
 /// Position of `sig` in an INDEX successor list whose ranges resolve
 /// against `slab`: the hot index first, then a linear scan for small
 /// lists or a binary search by signature content for large ones.
 fn index_position(slab: &[i64], list: &IndexList, sig: &[i64]) -> Option<usize> {
     let hot = list.hot as usize;
-    if list.items.get(hot).is_some_and(|&(r, _)| range_of(slab, r) == sig) {
+    if list.items.get(hot).is_some_and(|&(r, _)| same_sig(range_of(slab, r), sig)) {
         return Some(hot);
     }
     if list.items.len() <= LINEAR_MAX {
         list.items
             .iter()
-            .position(|&(r, _)| range_of(slab, r) == sig)
+            .position(|&(r, _)| same_sig(range_of(slab, r), sig))
     } else {
         list.items
             .binary_search_by(|&(r, _)| range_of(slab, r).cmp(sig))

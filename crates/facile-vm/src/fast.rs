@@ -20,7 +20,7 @@ use crate::state::MachineState;
 use facile_codegen::program::{KeySrc, NextSite};
 use facile_codegen::{ActionCode, ActionKind, CompiledStep, Op};
 use facile_obs::{fold_sig, EngineTag, TraceEvent, CHAIN_DEPTH, SIG_SEED};
-use facile_runtime::cache::{ActionCache, Cursor, Hint, NodeId};
+use facile_runtime::cache::{same_sig, ActionCache, Cursor, Hint, NodeId};
 use facile_runtime::key::{Key, KeyWriter, PackedReader};
 use facile_runtime::Engine;
 
@@ -338,7 +338,7 @@ fn run<const COUNT: bool>(
                 *steps += 1;
                 dynamic_signature(step, site, st, &mut scratch.sig);
                 let predicted = match walk.hint {
-                    Hint::Index(sig, next, owned) if sig == &scratch.sig[..] => {
+                    Hint::Index(sig, next, owned) if same_sig(sig, &scratch.sig) => {
                         if owned {
                             cache.touch(next);
                         }
