@@ -1466,20 +1466,11 @@ impl ActionCache {
         self.gens[self.slot_of(id)].store.nodes[id.index()]
     }
 
-    /// The placeholder data of a node, resolved from its generation's
-    /// slab.
+    /// The data of a node's run, resolved from its generation's slab.
     #[inline]
     pub fn node_data(&self, id: NodeId) -> &[i64] {
-        self.action_and_data(id).1
-    }
-
-    /// A node's first action number and its run's data, resolved with
-    /// one generation lookup.
-    #[inline]
-    pub fn action_and_data(&self, id: NodeId) -> (u32, &[i64]) {
         let g = &self.gens[self.slot_of(id)].store;
-        let n = g.nodes[id.index()];
-        (n.action, range_of(&g.slab, n.data))
+        range_of(&g.slab, g.nodes[id.index()].data)
     }
 
     /// What replay needs of node `id`, resolved with one generation

@@ -346,18 +346,55 @@ fn run<const COUNT: bool>(
                     }
                     _ => None,
                 };
-                let at = IndexAt {
-                    node,
-                    site: site_no,
-                    tail: off,
+                // Without a holding prediction, follow the node-local link
+                // keyed by the signature — no key serialization. Failing
+                // that, rebuild the full key for an entry-table lookup and
+                // link the signature locally for future replays (at most
+                // once per node and signature, so this path is cold), or
+                // end the burst at a clean step boundary.
+                let next = match predicted.or_else(|| cache.next_index_local_hot(node, &scratch.sig))
+                {
+                    Some(next) => {
+                        std::mem::swap(&mut scratch.sig, &mut scratch.cur_sig);
+                        cur_index = Some(IndexAt {
+                            node,
+                            site: site_no,
+                            tail: off,
+                        });
+                        next
+                    }
+                    None => {
+                        scratch.kw.reset();
+                        rebuild_key(&mut scratch.kw, step, site, st, cache.node_data(node), off);
+                        let Some(next) = cache.entry_bytes(scratch.kw.bytes()) else {
+                            let key = Key::from_bytes(scratch.kw.bytes());
+                            return FastOutcome::NeedSlow {
+                                cursor: cache.index_cursor(node, key, &scratch.sig),
+                            };
+                        };
+                        cache.link_existing(node, scratch.kw.bytes().len(), &scratch.sig, next);
+                        entry_key.set_from_bytes(scratch.kw.bytes());
+                        cur_index = None;
+                        next
+                    }
                 };
-                match index_advance(
-                    step, st, cache, at, action, predicted, entry_key, scratch, steps, max_steps,
-                    &mut cur_index,
-                ) {
-                    IndexStep::Taken { next } => node = next,
-                    IndexStep::Out(out) => return out,
+                if hot {
+                    let target = cache.node(next).action;
+                    scratch.note_dispatch(action, target);
                 }
+                scratch.replayed.clear();
+                if *steps >= max_steps {
+                    materialize_entry_key(
+                        step,
+                        cache,
+                        entry_key,
+                        cur_index,
+                        &mut scratch.kw,
+                        &scratch.cur_sig,
+                    );
+                    return FastOutcome::Budget { node: next };
+                }
+                node = next;
             }
         }
     }
@@ -365,7 +402,7 @@ fn run<const COUNT: bool>(
 
 /// Counts an action-cache miss and announces it to the observer.
 /// `value` is the divergent test value for dynamic-result-test misses.
-pub(crate) fn note_miss(st: &mut MachineState, action: u32, depth: usize, value: Option<i64>) {
+fn note_miss(st: &mut MachineState, action: u32, depth: usize, value: Option<i64>) {
     st.stats.misses = st.stats.misses.saturating_add(1);
     if st.obs.enabled() {
         st.obs.emit(TraceEvent::Miss {
@@ -388,7 +425,7 @@ pub(crate) fn note_miss(st: &mut MachineState, action: u32, depth: usize, value:
 /// observer counts per-action costs — every op executed is added to
 /// `ops` and the action's instructions are attributed to it.
 #[inline(always)]
-pub(crate) fn replay_action<const COUNT: bool>(
+fn replay_action<const COUNT: bool>(
     step: &CompiledStep,
     code: &ActionCode,
     action: u32,
@@ -560,7 +597,7 @@ fn write_key(
 /// Collects the dynamic key components of `site` (the node-local link
 /// signature) into `sig`, as the slow engine's `Next` does.
 #[inline(always)]
-pub(crate) fn dynamic_signature(
+fn dynamic_signature(
     step: &CompiledStep,
     site: &NextSite,
     st: &MachineState,
@@ -594,96 +631,6 @@ pub(crate) fn rebuild_key(
         KeySrc::Scalar(o) => w.scalar(o.get(&st.regs, &step.program.consts)),
         KeySrc::Queue(q) => w.queue_vals(st.aggs[q as usize].iter()),
     });
-}
-
-/// Outcome of one generic INDEX step advance (see [`index_advance`]).
-pub(crate) enum IndexStep {
-    /// The step boundary was crossed; generic replay continues at `next`.
-    Taken {
-        /// The next entry's node.
-        next: NodeId,
-    },
-    /// The burst ended (budget, clean boundary with no cached entry).
-    Out(FastOutcome),
-}
-
-/// The INDEX step advance at `at`, an INDEX crossing of `action`.
-/// `scratch.sig` already holds the crossing's dynamic signature, and
-/// `predicted` the successor the node's inline cache predicted for it,
-/// if the prediction held.
-///
-/// Fast path: follow the node-local link keyed by the signature — no
-/// key serialization; the node's hot-index inline cache makes the
-/// common same-successor case one slab compare. Otherwise rebuild the
-/// full key for an entry-table lookup and link the signature locally
-/// for future replays (at most once per node and signature, so this
-/// path is cold), or end the burst at a clean step boundary.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) fn index_advance(
-    step: &CompiledStep,
-    st: &mut MachineState,
-    cache: &mut ActionCache,
-    at: IndexAt,
-    action: u32,
-    predicted: Option<NodeId>,
-    entry_key: &mut Key,
-    scratch: &mut ReplayScratch,
-    steps: &mut u64,
-    max_steps: u64,
-    cur_index: &mut Option<IndexAt>,
-) -> IndexStep {
-    let node = at.node;
-    match predicted.or_else(|| cache.next_index_local_hot(node, &scratch.sig)) {
-        Some(next) => {
-            if scratch.hot {
-                let target = cache.node(next).action;
-                scratch.note_dispatch(action, target);
-            }
-            std::mem::swap(&mut scratch.sig, &mut scratch.cur_sig);
-            *cur_index = Some(at);
-            scratch.replayed.clear();
-            if *steps >= max_steps {
-                materialize_entry_key(
-                    step,
-                    cache,
-                    entry_key,
-                    *cur_index,
-                    &mut scratch.kw,
-                    &scratch.cur_sig,
-                );
-                return IndexStep::Out(FastOutcome::Budget { node: next });
-            }
-            IndexStep::Taken { next }
-        }
-        None => {
-            scratch.kw.reset();
-            let site = &step.program.nexts[at.site as usize];
-            rebuild_key(&mut scratch.kw, step, site, st, cache.node_data(node), at.tail);
-            match cache.entry_bytes(scratch.kw.bytes()) {
-                Some(next) => {
-                    if scratch.hot {
-                        let target = cache.node(next).action;
-                        scratch.note_dispatch(action, target);
-                    }
-                    cache.link_existing(node, scratch.kw.bytes().len(), &scratch.sig, next);
-                    entry_key.set_from_bytes(scratch.kw.bytes());
-                    *cur_index = None;
-                    scratch.replayed.clear();
-                    if *steps >= max_steps {
-                        return IndexStep::Out(FastOutcome::Budget { node: next });
-                    }
-                    IndexStep::Taken { next }
-                }
-                None => {
-                    let key = Key::from_bytes(scratch.kw.bytes());
-                    IndexStep::Out(FastOutcome::NeedSlow {
-                        cursor: cache.index_cursor(node, key, &scratch.sig),
-                    })
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
