@@ -1,4 +1,4 @@
-//! `sim_obs` — renders and checks `facile-run/v3` run documents alone,
+//! `sim_obs` — renders and checks `facile-run/v4` run documents alone,
 //! with no re-simulation.
 //!
 //! Input is any mix of files produced by `facilec run --obs-out` (one
@@ -15,9 +15,9 @@
 //! The default output is the paper's Table 1 view (percentage of
 //! instructions fast-forwarded) and Table 2 view (memoized data) over
 //! every document, then each document's sections: the flat per-line
-//! profile with the top miss sites, the hot-chain report, and the
-//! epoch sparklines with the warm-up verdict. `--detail` adds the
-//! header and `metrics` registry dump. `--check` runs
+//! profile with the top miss sites and the epoch sparklines with the
+//! warm-up verdict. `--detail` adds the header and `metrics` registry
+//! dump. `--check` runs
 //! [`RunDoc::check`] on every document and, for a batch file, refolds
 //! the lanes and demands byte-equality with the merged document; it
 //! reports every failure, not the first.
@@ -25,8 +25,8 @@
 use bench::{fmt_rate, Args, Cli};
 use facile_obs::json::{self, Value};
 use facile_obs::{
-    BurstExit, ChainRow, EpochRecord, HotMetrics, LogHistogram, Profile, RunDoc, SiteRow,
-    TimelineMetrics, DEFAULT_STEADY_EPS, DEFAULT_STEADY_K,
+    EpochRecord, LogHistogram, Profile, RunDoc, TimelineMetrics, DEFAULT_STEADY_EPS,
+    DEFAULT_STEADY_K,
 };
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -37,8 +37,8 @@ const CLI: Cli = Cli {
 usage: sim_obs <run.json|runs.jsonl>... [--detail] [--top N] [--misses K]
                [--width N] [--eps F] [--k N] [--folded] [--check]
 
-Renders facile-run/v3 documents: Table 1/2 views over all of them, then
-each document's profile, hot and timeline sections. --detail adds the
+Renders facile-run/v4 documents: Table 1/2 views over all of them, then
+each document's profile and timeline sections. --detail adds the
 header and metrics registry, --folded prints flamegraph stacks only,
 --check runs every exactness gate (and refolds a batch file's lanes),
 reporting every failure; exit 1 if any fails. Defaults: --top 15,
@@ -95,7 +95,7 @@ fn load(path: &str) -> Result<Vec<RunDoc>, String> {
         .map(|(i, l)| RunDoc::from_json(l).map_err(|e| format!("line {}: {e}", i + 1)))
         .collect::<Result<Vec<_>, _>>()?;
     if docs.is_empty() {
-        return Err("no facile-run/v3 documents".to_owned());
+        return Err("no facile-run/v4 documents".to_owned());
     }
     Ok(docs)
 }
@@ -221,9 +221,6 @@ fn render(docs: &[&RunDoc], args: &Args) -> String {
         }
         if let Some(p) = &d.profile {
             profile(&mut out, d, p, top, misses);
-        }
-        if let Some(h) = &d.hot {
-            hot(&mut out, d, h, top);
         }
         if let Some(t) = &d.timeline {
             timeline(&mut out, d, t, width, eps, k);
@@ -417,148 +414,6 @@ fn profile(out: &mut String, d: &RunDoc, p: &Profile, top: usize, k: usize) {
             p.miss_value_overflow
         );
     }
-}
-
-/// The flight-recorder report: bursts, exits, dispatch stability, hot
-/// chains and superinstruction candidates.
-fn hot(out: &mut String, d: &RunDoc, h: &HotMetrics, top: usize) {
-    let _ = writeln!(out, "\n=== {} hot ===", d.label);
-    let _ = writeln!(
-        out,
-        "run:     {} insns ({:.1}% fast-forwarded), {} fast / {} slow steps, {:.3} s wall",
-        d.sim.insns,
-        100.0 * d.sim.fast_forwarded_fraction(),
-        d.sim.fast_steps,
-        d.sim.slow_steps,
-        d.wall_ns as f64 / 1e9,
-    );
-    let _ = writeln!(
-        out,
-        "bursts:  {} recorded, {} skipped (1-in-{} sampling)",
-        h.bursts, h.bursts_skipped, h.sample_every
-    );
-    let exits: Vec<String> = BurstExit::ALL
-        .iter()
-        .filter(|e| h.exits[**e as usize] > 0)
-        .map(|e| format!("{} {}", e.label(), h.exits[*e as usize]))
-        .collect();
-    let _ = writeln!(out, "exits:   {}", exits.join(", "));
-    hist(out, "burst steps", &h.burst_steps, "");
-    hist(out, "burst insns", &h.burst_insns, "");
-
-    // Dispatch stability: how predictable each INDEX crossing is. A
-    // linearizer can fuse across monomorphic sites without a guard.
-    let live: Vec<(usize, &SiteRow)> = h
-        .sites
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.dispatches > 0)
-        .collect();
-    let mono = live.iter().filter(|(_, s)| s.is_mono()).count();
-    let _ = writeln!(
-        out,
-        "sites:   {} INDEX sites dispatched, {} monomorphic, {} polymorphic",
-        live.len(),
-        mono,
-        live.len() - mono
-    );
-    let mut poly: Vec<&(usize, &SiteRow)> = live.iter().filter(|(_, s)| !s.is_mono()).collect();
-    poly.sort_by(|a, b| b.1.dispatches.cmp(&a.1.dispatches).then(a.0.cmp(&b.0)));
-    for (action, s) in poly.iter().take(5) {
-        let targets: Vec<String> = s
-            .targets
-            .iter()
-            .map(|(t, n)| format!("#{t}\u{d7}{n}"))
-            .collect();
-        let beyond = if s.target_overflow > 0 {
-            format!(" (+{} beyond cap)", s.target_overflow)
-        } else {
-            String::new()
-        };
-        let _ = writeln!(
-            out,
-            "         poly #{action}: {} dispatches -> {}{beyond}",
-            s.dispatches,
-            targets.join(", "),
-        );
-    }
-
-    let ranked = h.ranked_chains();
-    let recorded = h.burst_insns.sum().max(1);
-    let _ = writeln!(
-        out,
-        "\nhot chains (top {} of {}, {} overflowed):",
-        top.min(ranked.len()),
-        ranked.len(),
-        h.chain_overflow
-    );
-    let _ = writeln!(
-        out,
-        "{:>4} {:>10} {:>10} {:>12} {:>7} {:>5}  chain",
-        "rank", "replays", "steps", "insns", "insn%", "len"
-    );
-    for (i, c) in ranked.iter().take(top).enumerate() {
-        let _ = writeln!(
-            out,
-            "{:>4} {:>10} {:>10} {:>12} {:>7.2} {:>5}  {}",
-            i + 1,
-            c.replays,
-            c.steps,
-            c.insns,
-            100.0 * c.insns as f64 / recorded as f64,
-            c.path.len(),
-            fmt_path(c),
-        );
-    }
-    let top10: u64 = ranked.iter().take(10).map(|c| c.insns).sum();
-    let _ = writeln!(
-        out,
-        "top-10 chains cover {:.1}% of recorded fast-path insns",
-        100.0 * top10 as f64 / recorded as f64
-    );
-
-    // Superinstruction candidates: chains whose every INDEX crossing is
-    // monomorphic replay the same action sequence every time, so a
-    // linearizer could fuse them into one dispatch. The saving estimate
-    // counts the dispatches the fusion removes.
-    let stable = |c: &ChainRow| {
-        c.path.iter().all(|&a| {
-            h.sites
-                .get(a as usize)
-                .is_none_or(|s| s.dispatches == 0 || s.is_mono())
-        })
-    };
-    let mut cands: Vec<(&ChainRow, u64)> = ranked
-        .iter()
-        .filter(|c| c.path.len() >= 2 && stable(c))
-        .map(|c| (*c, c.replays.saturating_mul(c.path.len() as u64 - 1)))
-        .collect();
-    cands.sort_by_key(|(_, saved)| std::cmp::Reverse(*saved));
-    if cands.is_empty() {
-        let _ = writeln!(
-            out,
-            "superinstruction candidates: none (no stable multi-action chains)"
-        );
-    } else {
-        let _ = writeln!(
-            out,
-            "superinstruction candidates (stable chains, by saved dispatches):"
-        );
-        for (c, saved) in cands.iter().take(5) {
-            let _ = writeln!(
-                out,
-                "  {:<40} replays {:>8}  est. saved dispatches {:>10}",
-                fmt_path(c),
-                c.replays,
-                saved
-            );
-        }
-    }
-}
-
-fn fmt_path(c: &ChainRow) -> String {
-    let path: Vec<String> = c.path.iter().map(|a| format!("#{a}")).collect();
-    path.join(">")
 }
 
 /// The epoch sparklines and the steady-state detector's verdict.

@@ -216,14 +216,13 @@ impl DocSink {
         Sections::from_names(
             self.names.iter().map(String::as_str),
             Some(&source),
-            1,
             DEFAULT_EPOCH_STEPS,
         )
     }
 
     /// The sections a run of `which` records for this sink: none when
-    /// inactive, otherwise the `--obs` list (exact 1-in-1 hot sampling,
-    /// default epoch interval, profiles against `which`'s source).
+    /// inactive, otherwise the `--obs` list (default epoch interval,
+    /// profiles against `which`'s source).
     pub fn sections(&self, which: FacileSim) -> Sections {
         if !self.active() {
             return Sections::default();
@@ -533,11 +532,11 @@ mod tests {
 
     #[test]
     fn doc_sink_binds_the_obs_flags() {
-        let a = parse(&["--obs-out", "x.jsonl", "--obs", "profile,hot"]).unwrap();
+        let a = parse(&["--obs-out", "x.jsonl", "--obs", "profile,timeline"]).unwrap();
         let sink = DocSink::new(&a, "metrics");
-        assert!(sink.active() && sink.wants("hot") && !sink.wants("metrics"));
+        assert!(sink.active() && sink.wants("timeline") && !sink.wants("metrics"));
         let s = sink.sections(FacileSim::Functional);
-        assert!(!s.metrics && s.profile.is_some() && s.hot == Some(1));
+        assert!(!s.metrics && s.profile.is_some() && s.timeline == Some(DEFAULT_EPOCH_STEPS));
         let inert = DocSink::new(&parse(&[]).unwrap(), "metrics");
         assert!(!inert.active() && inert.sections(FacileSim::Ooo).is_empty());
     }

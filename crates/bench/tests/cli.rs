@@ -62,7 +62,7 @@ fn sim_obs_check_names_every_failing_section() {
         file: "functional.fac".to_owned(),
         src,
     });
-    let sections = Sections::from_names(SECTION_NAMES, Some(&source), 1, 16).expect("sections");
+    let sections = Sections::from_names(SECTION_NAMES, Some(&source), 16).expect("sections");
     let image = facile_workloads::build_image(&facile_workloads::suite()[0], 0.01);
     let job = bench::FacileSim::Functional.job("tamper", image, facile::SimOptions::default());
     let doc = execute(&step, job, &sections, None, None)
@@ -88,7 +88,7 @@ fn sim_obs_check_names_every_failing_section() {
 
     let mut tampered = doc.clone();
     tampered.profile.as_mut().unwrap().rows[0].fast_insns += 1;
-    tampered.hot.as_mut().unwrap().bursts += 1;
+    tampered.timeline.as_mut().unwrap().totals.misses += 1;
     let (code, stderr) = sim_obs(&tampered, "tampered.json");
     assert_eq!(code, Some(1), "{stderr}");
     assert!(
@@ -96,7 +96,7 @@ fn sim_obs_check_names_every_failing_section() {
         "{stderr}"
     );
     assert!(
-        stderr.contains("FAIL tamper: hot: sum(exits) vs bursts"),
+        stderr.contains("FAIL tamper: timeline: misses: epochs sum to"),
         "{stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -227,9 +227,7 @@ fn effective_threads(requested: usize, jobs: usize) -> usize {
 mod tests {
     use super::*;
     use crate::hosts::{initial_args, ArchHost};
-    use crate::{
-        compile_source, CompilerOptions, HotConfig, ObsConfig, ObsHandle, SimOptions, Simulation,
-    };
+    use crate::{compile_source, CompilerOptions, SimOptions, Simulation};
     use facile_isa::assemble_image;
     use facile_runtime::Target;
 
@@ -323,57 +321,6 @@ mod tests {
         assert_eq!(p.attributed_misses(), m.sim.misses);
         assert!(m.sim.insns > 0);
         assert_eq!(m.check(), Vec::<String>::new());
-    }
-
-    /// The merged hot-chain aggregate is bit-for-bit what one flight
-    /// recorder observing the same lanes back-to-back would hold: the
-    /// submission-order fold reproduces a single-registry run exactly
-    /// (chain signatures hash compile-time action numbers, not
-    /// lane-local node ids, so lanes agree on chain identity).
-    #[test]
-    fn merged_hot_doc_matches_a_single_registry_run() {
-        let step = shared_step();
-        let config = BatchConfig {
-            threads: 4,
-            sections: Sections {
-                hot: Some(1),
-                ..Sections::default()
-            },
-            ..BatchConfig::default()
-        };
-        let result = run_batch(step.clone(), jobs(6), &config).expect("batch runs");
-        let merged = &result.merged;
-        let hot = merged.hot.as_ref().expect("hot batch");
-        assert!(hot.bursts > 0, "lanes fast-forward");
-        for j in &result.jobs {
-            assert!(j.doc.hot.is_some(), "every lane carries a hot section");
-        }
-
-        // One recorder, six sequential lanes.
-        let single = ObsHandle::new(ObsConfig {
-            hot: HotConfig {
-                enabled: true,
-                sample_every: 1,
-            },
-            ..ObsConfig::default()
-        });
-        for job in jobs(6) {
-            let mut sim = Simulation::new(
-                step.clone(),
-                Target::load(&job.image),
-                &job.args,
-                job.options,
-            )
-            .expect("lane constructs");
-            ArchHost::new().bind(&mut sim).expect("binds");
-            sim.attach_obs(single.clone());
-            sim.run_steps(job.max_steps);
-        }
-        assert_eq!(hot, &single.hot().unwrap());
-        // The merged counters recount too (full sampling).
-        assert_eq!(merged.check(), Vec::<String>::new());
-        assert_eq!(hot.burst_steps.sum(), merged.sim.fast_steps);
-        assert_eq!(hot.burst_insns.sum(), merged.sim.fast_insns);
     }
 
     /// The merged timeline is exactly the submission-order fold of the

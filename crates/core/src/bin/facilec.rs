@@ -20,10 +20,9 @@
 //! Observability (with `--run`):
 //!
 //! ```text
-//! --obs-out <path>       # write the facile-run/v3 run document
-//! --obs <sections>       # its sections: metrics,profile,hot,timeline
+//! --obs-out <path>       # write the facile-run/v4 run document
+//! --obs <sections>       # its sections: metrics,profile,timeline
 //!                        #   (comma-separated; default metrics)
-//! --hot-sample <N>       # record 1-in-N fast bursts (default 1: exact)
 //! --timeline-epoch <N>   # epoch interval in steps (default 100000)
 //! --trace-out <path>     # stream the structured trace as JSONL, live
 //! --timeline-stream <p>  # stream one JSONL line per closed epoch, live
@@ -33,7 +32,7 @@
 //! attached the run is driven in epoch-sized budget slices, so replay
 //! bursts exit near epoch boundaries and the time-series stays uniform.
 //! `sim_obs` (in the bench crate) renders every view — paper-style
-//! tables, profiles, hot chains, warm-up curves — from the documents
+//! tables, profiles, warm-up curves — from the documents
 //! alone and checks every section's exactness gate.
 //!
 //! Batch mode runs many independent jobs over one compiled simulator
@@ -117,7 +116,6 @@ const MODE_FLAGS: &[(&str, &[Mode])] = {
         ("--cache-save", &[Run]),
         ("--obs-out", &[Run, Batch]),
         ("--obs", &[Run, Batch]),
-        ("--hot-sample", &[Run, Batch]),
         ("--timeline-epoch", &[Run, Batch, Serve]),
         ("--cache-load", &[Run, Batch, Serve]),
         ("--cache-capacity", &[Run, Batch, Serve]),
@@ -136,19 +134,19 @@ usage: facilec <file.fac> [--emit ast|ir|bta|actions|stats]
        facilec --builtin ooo --run prog.asm [--steps N]
                [--cache-capacity BYTES] [--cache-policy clear|generational]
                [--cache-save snap.facsnap] [--cache-load snap.facsnap]
-               [--obs-out run.json] [--obs metrics,profile,hot,timeline]
-               [--hot-sample N] [--timeline-epoch N]
+               [--obs-out run.json] [--obs metrics,profile,timeline]
+               [--timeline-epoch N]
                [--trace-out t.jsonl] [--timeline-stream tl.jsonl]
        facilec --builtin ooo batch --jobs jobs.txt [--threads K]
                [--steps N] [--obs-out runs.jsonl] [--obs SECTIONS]
-               [--hot-sample N] [--timeline-epoch N] [--progress]
+               [--timeline-epoch N] [--progress]
                [--cache-load snap.facsnap]
-         --obs-out writes one facile-run/v3 document; --obs lists its
+         --obs-out writes one facile-run/v4 document; --obs lists its
          sections (default metrics)
          jobs file: one `prog.asm [max-steps]` per line;
          batch --obs-out is JSONL, per-job docs then the merged doc;
          --progress prints a JSONL heartbeat per job to stderr
-         --cache-save writes a facile-snap/v2 action-cache snapshot
+         --cache-save writes a facile-snap/v3 action-cache snapshot
          after the run; --cache-load warm-starts from one (a stale or
          corrupt snapshot falls back to a cold start, never an error;
          batch lanes share one loaded snapshot copy-on-write)
@@ -170,7 +168,6 @@ struct Cli {
     trace_out: Option<String>,
     obs_out: Option<String>,
     obs: Option<String>,
-    hot_sample: u64,
     timeline_stream: Option<String>,
     timeline_epoch: u64,
     cache_save: Option<String>,
@@ -236,7 +233,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Option<Cli>, Strin
         trace_out: None,
         obs_out: None,
         obs: None,
-        hot_sample: 1,
         timeline_stream: None,
         timeline_epoch: facile::TimelineConfig::default().epoch_steps,
         cache_save: None,
@@ -284,7 +280,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Option<Cli>, Strin
             "--trace-out" => cli.trace_out = Some(value(it, flag, "a path")?),
             "--obs-out" => cli.obs_out = Some(value(it, flag, "a path")?),
             "--obs" => cli.obs = Some(value(it, flag, "a section list")?),
-            "--hot-sample" => cli.hot_sample = number(it, flag, "a period >= 1", 1)?,
             "--timeline-stream" => cli.timeline_stream = Some(value(it, flag, "a path")?),
             "--timeline-epoch" => cli.timeline_epoch = number(it, flag, "a step count >= 1", 1)?,
             f if !f.starts_with('-') => cli.file = Some(f.to_owned()),
@@ -384,9 +379,8 @@ impl Cli {
         };
         let source = Arc::new(self.profile_source(src));
         let names = names.split(',').filter(|n| !n.is_empty());
-        let mut sections =
-            Sections::from_names(names, Some(&source), self.hot_sample, self.timeline_epoch)
-                .map_err(|e| format!("--obs: {e}"))?;
+        let mut sections = Sections::from_names(names, Some(&source), self.timeline_epoch)
+            .map_err(|e| format!("--obs: {e}"))?;
         if self.timeline_stream.is_some() {
             sections.timeline = Some(self.timeline_epoch);
         }

@@ -24,8 +24,7 @@
 use crate::hosts::ArchHost;
 use crate::obs::run_doc;
 use crate::{
-    CompiledStep, HotConfig, ObsConfig, ObsHandle, RunDoc, SimError, SimOptions, Simulation,
-    TimelineConfig,
+    CompiledStep, ObsConfig, ObsHandle, RunDoc, SimError, SimOptions, Simulation, TimelineConfig,
 };
 use facile_obs::EpochRecord;
 use facile_runtime::{HaltReason, Image, Target};
@@ -68,9 +67,6 @@ pub struct Sections {
     /// Build the source profile against this source (needs the
     /// registry, so it attaches one too).
     pub profile: Option<Arc<ProfileSource>>,
-    /// Attach the replay flight recorder with this 1-in-N burst sampling
-    /// period (1 records every burst, the exact mode).
-    pub hot: Option<u64>,
     /// Attach an epoch timeline with this interval in steps; the drive
     /// is then sliced into epoch-sized budgets.
     pub timeline: Option<u64>,
@@ -78,13 +74,12 @@ pub struct Sections {
 
 /// The section names, as `--obs` lists and serve `want` arrays spell
 /// them.
-pub const SECTION_NAMES: [&str; 4] = ["metrics", "profile", "hot", "timeline"];
+pub const SECTION_NAMES: [&str; 3] = ["metrics", "profile", "timeline"];
 
 impl Sections {
-    /// Parses section names (`metrics`, `profile`, `hot`, `timeline`):
-    /// a profile resolves its spans against `source`, the hot section
-    /// samples 1-in-`hot_sample` bursts and the timeline closes an epoch
-    /// every `epoch_steps` steps.
+    /// Parses section names (`metrics`, `profile`, `timeline`): a
+    /// profile resolves its spans against `source` and the timeline
+    /// closes an epoch every `epoch_steps` steps.
     ///
     /// # Errors
     ///
@@ -92,7 +87,6 @@ impl Sections {
     pub fn from_names<'a>(
         names: impl IntoIterator<Item = &'a str>,
         source: Option<&Arc<ProfileSource>>,
-        hot_sample: u64,
         epoch_steps: u64,
     ) -> Result<Sections, String> {
         let mut s = Sections::default();
@@ -103,7 +97,6 @@ impl Sections {
                     let src = source.ok_or("the profile section needs the simulator source")?;
                     s.profile = Some(src.clone());
                 }
-                "hot" => s.hot = Some(hot_sample),
                 "timeline" => s.timeline = Some(epoch_steps),
                 other => {
                     return Err(format!(
@@ -118,7 +111,7 @@ impl Sections {
 
     /// Whether no section is wanted.
     pub fn is_empty(&self) -> bool {
-        !self.metrics && self.profile.is_none() && self.hot.is_none() && self.timeline.is_none()
+        !self.metrics && self.profile.is_none() && self.timeline.is_none()
     }
 
     /// The observer these sections need, or `None` when the job can run
@@ -126,7 +119,7 @@ impl Sections {
     /// trace stream.
     pub(crate) fn obs_config(&self, trace: bool) -> Option<ObsConfig> {
         let registry = self.metrics || self.profile.is_some();
-        if !(registry || trace || self.hot.is_some() || self.timeline.is_some()) {
+        if !(registry || trace || self.timeline.is_some()) {
             return None;
         }
         Some(ObsConfig {
@@ -134,12 +127,6 @@ impl Sections {
             // part of what the registry reports.
             trace: registry || trace,
             metrics: registry,
-            hot: self
-                .hot
-                .map_or_else(HotConfig::default, |sample_every| HotConfig {
-                    enabled: true,
-                    sample_every,
-                }),
             timeline: self
                 .timeline
                 .map_or_else(TimelineConfig::default, |epoch_steps| TimelineConfig {
@@ -385,7 +372,7 @@ mod tests {
     }
 
     /// Each section attaches only what it needs: nothing wanted runs
-    /// unobserved, the hot section alone carries no metrics registry,
+    /// unobserved, the timeline alone carries no metrics registry,
     /// and the results are the same either way.
     #[test]
     fn sections_attach_only_what_they_need() {
@@ -403,15 +390,15 @@ mod tests {
         let plain = bare.drive(None);
         let d = &plain.doc;
         assert!(d.metrics.is_none() && d.profile.is_none());
-        assert!(d.hot.is_none() && d.timeline.is_none());
+        assert!(d.timeline.is_none());
 
-        let hot = Sections {
-            hot: Some(1),
+        let timeline = Sections {
+            timeline: Some(16),
             ..Sections::default()
         };
-        let o = execute(&step, job(LOOP_ASM), &hot, None, None).expect("runs");
-        assert!(o.doc.metrics.is_none(), "the hot section needs no registry");
-        assert!(o.doc.hot.is_some());
+        let o = execute(&step, job(LOOP_ASM), &timeline, None, None).expect("runs");
+        assert!(o.doc.metrics.is_none(), "the timeline needs no registry");
+        assert!(o.doc.timeline.is_some());
         assert_eq!((o.digest, o.doc.sim), (plain.digest, plain.doc.sim));
     }
 
@@ -452,12 +439,18 @@ mod tests {
             file: "f.fac".to_owned(),
             src: String::new(),
         });
-        let s = Sections::from_names(SECTION_NAMES, Some(&src), 4, 32).expect("all four");
+        let s = Sections::from_names(SECTION_NAMES, Some(&src), 32).expect("all three");
         assert!(s.metrics && s.profile.is_some());
-        assert_eq!((s.hot, s.timeline), (Some(4), Some(32)));
-        let err = Sections::from_names(["metrics", "hto"], Some(&src), 1, 1).err();
-        assert!(err.unwrap().contains("unknown section `hto`"));
-        assert!(Sections::from_names(["profile"], None, 1, 1).is_err());
+        assert_eq!(s.timeline, Some(32));
+        for retired in ["hto", "hot"] {
+            let err = Sections::from_names(["metrics", retired], Some(&src), 1).err();
+            let err = err.expect("an unknown name is an error");
+            assert!(
+                err.contains(&format!("unknown section `{retired}`")),
+                "{err}"
+            );
+        }
+        assert!(Sections::from_names(["profile"], None, 1).is_err());
     }
 
     /// Prepare reports what became of the offered snapshot: used when

@@ -86,8 +86,8 @@ pub use facile_bta::LiftConfig;
 pub use facile_codegen::{CodegenConfig, CompiledStep};
 pub use facile_lang::{Diagnostic, Diagnostics, Severity};
 pub use facile_obs::{
-    ActionRow, BurstExit, EpochRecord, HotConfig, HotMetrics, ObsConfig, ObsHandle, Profile,
-    RunDoc, TimelineConfig, TimelineMetrics, TraceEvent,
+    ActionRow, EpochRecord, ObsConfig, ObsHandle, Profile, RunDoc, TimelineConfig,
+    TimelineMetrics, TraceEvent,
 };
 pub use facile_runtime::{CachePolicy, CacheStats, HaltReason, Image, Memory, SimStats, Target};
 pub use facile_vm::snapshot;

@@ -72,7 +72,6 @@ pub fn run_doc(label: &str, sim: &mut Simulation, wall_ns: u64, sections: &Secti
             .profile
             .as_ref()
             .map(|p| profile(p, sim.compiled(), &registry.unwrap_or_default())),
-        hot: sections.hot.and_then(|_| sim.obs().hot()),
         timeline: sections.timeline.and_then(|_| sim.obs().timeline()),
     }
 }
@@ -149,10 +148,9 @@ mod tests {
     use facile_runtime::{Image, Target};
     use std::sync::Arc;
 
-    fn wants(metrics: bool, hot: Option<u64>, timeline: Option<u64>) -> Sections {
+    fn wants(metrics: bool, timeline: Option<u64>) -> Sections {
         Sections {
             metrics,
-            hot,
             timeline,
             ..Sections::default()
         }
@@ -197,13 +195,13 @@ mod tests {
         assert_eq!(doc.cache.bytes_total, sim.cache_stats().bytes_total);
         assert_eq!(doc.wall_ns, 12_345);
         assert!(doc.metrics.is_none(), "no observer was attached");
-        assert!(doc.hot.is_none() && doc.timeline.is_none() && doc.profile.is_none());
+        assert!(doc.timeline.is_none() && doc.profile.is_none());
     }
 
     #[test]
     fn observed_run_carries_the_registry() {
         let mut sim = counting_sim();
-        let sections = wants(true, None, None);
+        let sections = wants(true, None);
         let obs = observe(&mut sim, &sections);
         sim.run_steps(1_000);
         let doc = run_doc("count-down", &mut sim, 0, &sections);
@@ -277,40 +275,9 @@ mod tests {
     }
 
     #[test]
-    fn hot_doc_recounts_the_fast_path_exactly() {
-        let mut sim = looping_sim();
-        let sections = wants(false, Some(1), None);
-        observe(&mut sim, &sections);
-        sim.run_steps(10_000);
-        assert!(sim.stats().fast_steps > 0, "the loop fast-forwards");
-        let doc = run_doc("loop", &mut sim, 9, &sections);
-        assert!(doc.metrics.is_none(), "the hot section needs no registry");
-        let h = doc.hot.as_ref().expect("recorder attached");
-        // Full sampling: every fast step and fast instruction is inside
-        // exactly one recorded burst, and every burst has one exit.
-        assert!(h.bursts > 0, "the loop fast-forwards");
-        assert_eq!(h.bursts_skipped, 0);
-        assert_eq!(h.exits.iter().sum::<u64>(), h.bursts);
-        assert_eq!(h.burst_steps.count(), h.bursts);
-        assert_eq!(h.burst_insns.count(), h.bursts);
-        assert_eq!(h.burst_steps.sum(), sim.stats().fast_steps);
-        assert_eq!(h.burst_insns.sum(), sim.stats().fast_insns);
-        // Every non-evicted burst lands in the chain table (or the
-        // overflow counter once the table caps out).
-        assert_eq!(
-            h.tabled_replays() + h.chain_overflow,
-            h.bursts - h.exits[facile_obs::BurstExit::Evicted as usize]
-        );
-        assert_eq!(doc.check(), Vec::<String>::new());
-        // And the document survives its own serialization.
-        let back = RunDoc::from_json(&doc.to_json()).unwrap();
-        assert_eq!(back.hot, doc.hot);
-    }
-
-    #[test]
     fn timeline_doc_recounts_the_run_exactly() {
         let mut sim = looping_sim();
-        let sections = wants(false, None, Some(16));
+        let sections = wants(false, Some(16));
         observe(&mut sim, &sections);
         // Budget-sliced driving: epochs close at burst exits, and a
         // replay burst runs to its budget, so unsliced runs of this
@@ -348,7 +315,7 @@ mod tests {
     #[test]
     fn timeline_flush_is_idempotent() {
         let mut sim = looping_sim();
-        observe(&mut sim, &wants(false, None, Some(16)));
+        observe(&mut sim, &wants(false, Some(16)));
         sim.run_steps(10_000);
         sim.timeline_flush();
         let once = sim.obs().timeline().unwrap();
@@ -361,10 +328,10 @@ mod tests {
     #[test]
     fn sections_without_their_recorder_stay_absent() {
         let mut sim = counting_sim();
-        observe(&mut sim, &wants(true, None, None));
+        observe(&mut sim, &wants(true, None));
         sim.run_steps(1_000);
-        let doc = run_doc("bare", &mut sim, 0, &wants(true, Some(1), Some(16)));
-        assert!(doc.hot.is_none() && doc.timeline.is_none());
+        let doc = run_doc("bare", &mut sim, 0, &wants(true, Some(16)));
+        assert!(doc.timeline.is_none());
         assert!(doc.metrics.is_some());
     }
 

@@ -711,8 +711,8 @@ fn decode_sim(
         .iter()
         .map(|w| w.as_str().ok_or_else(|| bad("`want` entries must be strings".to_owned())))
         .collect::<Result<Vec<&str>, _>>()?;
-    let want = Sections::from_names(names, shared.source.as_ref(), 1, shared.epoch_steps)
-        .map_err(bad)?;
+    let want =
+        Sections::from_names(names, shared.source.as_ref(), shared.epoch_steps).map_err(bad)?;
     let heartbeat = flag(req, "heartbeat").map_err(bad)?.unwrap_or(false);
     let job = BatchJob {
         label,
@@ -1018,7 +1018,7 @@ mod tests {
         assert_eq!(digest.len(), 16, "16 hex digits");
         let doc = result.get("obs").expect("requested document is embedded");
         let doc = facile_obs::RunDoc::from_value(doc).expect("embedded document parses");
-        assert!(doc.metrics.is_some() && doc.hot.is_none(), "exactly the wanted sections");
+        assert!(doc.metrics.is_some() && doc.timeline.is_none(), "exactly the wanted sections");
 
         let stats = c.request("{\"op\":\"stats\"}").expect("stats");
         let serve = ServeCounters::from_value(stats.get("serve").expect("serve object"));
@@ -1058,6 +1058,17 @@ mod tests {
             .expect("error frame");
         assert_eq!(err.get("error").and_then(Value::as_str), Some("asm_error"));
         assert_eq!(err.get("id").and_then(Value::as_u64), Some(1));
+        // A retired section name is an unknown section, answered on the
+        // same connection.
+        let err = c
+            .submit_and_wait(&sim_request(2, "retired", LOOP_ASM, &["hot"], false))
+            .expect("error frame");
+        assert_eq!(err.get("error").and_then(Value::as_str), Some("bad_request"));
+        assert_eq!(err.get("id").and_then(Value::as_u64), Some(2));
+        let message = err.get("message").and_then(Value::as_str).unwrap();
+        assert!(message.contains("unknown section `hot`"), "{message}");
+        let pong = c.request("{\"op\":\"ping\"}").expect("pong after error");
+        assert_eq!(pong.get("op").and_then(Value::as_str), Some("pong"));
         server.shutdown_trigger().trigger();
         server.join();
     }
@@ -1200,7 +1211,8 @@ mod tests {
         "{\"memoize\":1}",
     ];
 
-    /// `want` entries: every section, and unknown or ill-typed names.
+    /// `want` entries: every section, the retired `hot`, and unknown or
+    /// ill-typed names.
     const WANTS: &[&str] = &[
         "\"metrics\"",
         "\"profile\"",

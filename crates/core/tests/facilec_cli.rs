@@ -88,8 +88,8 @@ fn run_emits_parseable_document_and_trace() {
     assert!(ok, "{stderr}");
 
     let doc = facile::RunDoc::from_json(&std::fs::read_to_string(&metrics).unwrap())
-        .expect("--obs-out holds a facile-run/v3 document");
-    assert!(doc.profile.is_none() && doc.hot.is_none() && doc.timeline.is_none());
+        .expect("--obs-out holds a facile-run/v4 document");
+    assert!(doc.profile.is_none() && doc.timeline.is_none());
     assert!(doc.sim.insns > 200, "the loop executes: {:?}", doc.sim);
     assert_eq!(doc.sim.fast_insns + doc.sim.slow_insns, doc.sim.insns);
     assert_eq!(doc.sim.misses, doc.sim.recoveries);
@@ -134,7 +134,13 @@ fn obs_sections_are_checked() {
     ]);
     assert!(!ok && stdout.is_empty());
     assert!(stderr.contains("unknown section `hto`"), "{stderr}");
-    let (ok, _, stderr) = facilec(&["--builtin", "functional", "--run", asm, "--obs", "hot"]);
+    // The retired flight-recorder section is an unknown section too.
+    let (ok, stdout, stderr) = facilec(&[
+        "--builtin", "functional", "--run", asm, "--obs-out", "/dev/null", "--obs", "hot",
+    ]);
+    assert!(!ok && stdout.is_empty());
+    assert!(stderr.contains("unknown section `hot`"), "{stderr}");
+    let (ok, _, stderr) = facilec(&["--builtin", "functional", "--run", asm, "--obs", "timeline"]);
     assert!(!ok);
     assert!(stderr.contains("--obs requires --obs-out"), "{stderr}");
 }
@@ -180,7 +186,7 @@ fn run_documents_equal_a_one_job_batch() {
         let mut args = vec!["--builtin", "ooo"];
         args.extend(mode);
         let out = out.to_str().unwrap();
-        args.extend(["--obs-out", out, "--obs", "metrics,profile,hot,timeline"]);
+        args.extend(["--obs-out", out, "--obs", "metrics,profile,timeline"]);
         args.extend(["--timeline-epoch", "32"]);
         let (ok, _, stderr) = facilec(&args);
         assert!(ok, "{args:?}: {stderr}");
@@ -191,8 +197,7 @@ fn run_documents_equal_a_one_job_batch() {
     assert_eq!(lines.len(), 2, "the job's document, then the merged one");
     assert_eq!(run.lines().count(), 1, "one document per run");
     let doc = facile::RunDoc::from_json(&run).expect("parses");
-    assert!(doc.metrics.is_some() && doc.profile.is_some());
-    assert!(doc.hot.is_some() && doc.timeline.is_some());
+    assert!(doc.metrics.is_some() && doc.profile.is_some() && doc.timeline.is_some());
     assert_eq!(doc.check(), Vec::<String>::new());
     assert_eq!(
         normalized(run.trim_end()),
@@ -210,7 +215,7 @@ fn flags_the_mode_ignores_are_rejected() {
         (&["batch", "--jobs", "j.txt", "--cache-save", "s.facsnap"], "--cache-save"),
         (&["batch", "--jobs", "j.txt", "--timeline-stream", "t.jsonl"], "--timeline-stream"),
         (&["serve", "--obs-out", "d.json"], "--obs-out"),
-        (&["serve", "--obs", "hot"], "--obs"),
+        (&["serve", "--obs", "timeline"], "--obs"),
         (&["serve", "--trace-out", "t.jsonl"], "--trace-out"),
         (&["serve", "--cache-save", "s.facsnap"], "--cache-save"),
         (&["serve", "--jobs", "j.txt"], "--jobs"),
@@ -227,6 +232,18 @@ fn flags_the_mode_ignores_are_rejected() {
         assert!(stdout.is_empty(), "{full:?} must not run: {stdout}");
         assert!(
             stderr.contains(flag) && stderr.contains("is ignored in"),
+            "{full:?}: {stderr}"
+        );
+    }
+    // The retired `--hot-sample` is no mode's flag: an unknown flag.
+    for mode in [&["--run", "p.asm"][..], &["batch", "--jobs", "j.txt"]] {
+        let mut full = vec!["--builtin", "functional"];
+        full.extend_from_slice(mode);
+        full.extend(["--hot-sample", "1"]);
+        let (ok, stdout, stderr) = facilec(&full);
+        assert!(!ok && stdout.is_empty(), "{full:?} must fail");
+        assert!(
+            stderr.contains("unknown flag `--hot-sample`"),
             "{full:?}: {stderr}"
         );
     }

@@ -136,7 +136,7 @@ pub enum TraceEvent {
         /// Step entries re-registered from the snapshot.
         entries: u64,
     },
-    /// The action cache was serialized to a `facile-snap/v2` snapshot.
+    /// The action cache was serialized to a `facile-snap/v3` snapshot.
     SnapshotSave {
         /// Snapshot payload bytes produced (header excluded).
         bytes: u64,

@@ -20,19 +20,15 @@
 //!   clear tracking.
 //! * [`observer::ObsHandle`] — the hook surface the engines call. A
 //!   disabled handle (the default) costs one null-check per hook site.
-//! * [`run::RunDoc`] — the one `facile-run/v3` document every front end
+//! * [`run::RunDoc`] — the one `facile-run/v4` document every front end
 //!   writes (`--obs-out`, serve result frames, the bench binaries) and
 //!   `sim_obs` renders: a header of runtime counter snapshots plus the
-//!   optional `metrics`, `profile`, `hot` and `timeline` sections, with
+//!   optional `metrics`, `profile` and `timeline` sections, with
 //!   one parser, one [`merge`](run::RunDoc::merge) and one
 //!   [`check`](run::RunDoc::check) that runs every section's exactness
 //!   gate, via the offline reader/writer in [`json`].
 //! * [`profile::Profile`] — the `profile` section: exact per-action cost
 //!   and miss attribution keyed by Facile source location.
-//! * [`burst::HotMetrics`] — the replay flight recorder (the `hot`
-//!   section): per-burst length/exit telemetry, a capped hot-chain table
-//!   keyed by a bounded-depth action-path signature, and per-INDEX-site
-//!   dispatch stability.
 //! * [`timeline::TimelineMetrics`] — temporal telemetry (the `timeline`
 //!   section): fixed-interval epoch snapshots of counter deltas with a
 //!   steady-state detector.
@@ -53,7 +49,6 @@
 //! final counters, …) survives the fold, and `sim_obs --check` accepts
 //! a merged document exactly like a single-lane one.
 
-pub mod burst;
 pub mod event;
 pub mod hist;
 pub mod json;
@@ -65,10 +60,6 @@ pub mod run;
 pub mod serve;
 pub mod timeline;
 
-pub use burst::{
-    fold_sig, BurstExit, BurstRecord, ChainRow, HotConfig, HotMetrics, SiteRow, CHAIN_DEPTH,
-    ENTRY_UNKNOWN, HOT_CHAIN_CAP, SIG_SEED, SITE_TARGET_CAP,
-};
 pub use event::{EngineTag, TraceEvent};
 pub use hist::LogHistogram;
 pub use metrics::Metrics;

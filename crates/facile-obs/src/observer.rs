@@ -4,9 +4,9 @@
 //! disabled handle (the default) is a `None` — every hook is one
 //! null-check and a return, so the hot loop pays nothing measurable when
 //! observation is off. An enabled handle owns the event ring, the
-//! metrics registry and the flight and timeline recorders behind one
-//! shared mutex; clones share the same core, which is how the driver,
-//! the machine state and the action cache all feed a single stream.
+//! metrics registry and the timeline recorder behind one shared mutex;
+//! clones share the same core, which is how the driver, the machine
+//! state and the action cache all feed a single stream.
 //!
 //! The handle is `Send`: a batch driver gives every worker thread its
 //! own handle (one simulation, one core, no contention — the mutex is
@@ -15,7 +15,6 @@
 //! cloning one enabled handle across threads either; emits then
 //! serialize on the core's mutex.
 
-use crate::burst::{BurstRecord, HotConfig, HotMetrics};
 use crate::event::TraceEvent;
 use crate::metrics::Metrics;
 use crate::ring::{EventRing, DEFAULT_CAPACITY};
@@ -32,9 +31,6 @@ pub struct ObsConfig {
     pub ring_capacity: usize,
     /// Maintain the derived [`Metrics`] registry.
     pub metrics: bool,
-    /// Replay flight recorder: burst/chain telemetry (see
-    /// [`crate::burst`]). Off by default.
-    pub hot: HotConfig,
     /// Timeline recorder: fixed-interval epoch snapshots (see
     /// [`crate::timeline`]). Off by default.
     pub timeline: TimelineConfig,
@@ -46,7 +42,6 @@ impl Default for ObsConfig {
             trace: true,
             ring_capacity: DEFAULT_CAPACITY,
             metrics: true,
-            hot: HotConfig::default(),
             timeline: TimelineConfig::default(),
         }
     }
@@ -56,9 +51,6 @@ struct ObsCore {
     ring: EventRing,
     writer: Option<Box<dyn Write + Send>>,
     metrics: Option<Metrics>,
-    hot: Option<HotMetrics>,
-    /// Bursts seen so far, sampled or not (drives 1-in-N sampling).
-    hot_seq: u64,
     timeline: Option<TimelineMetrics>,
     /// Live JSONL sink for closed epochs (`--timeline-stream`).
     timeline_writer: Option<Box<dyn Write + Send>>,
@@ -153,11 +145,6 @@ impl ObsHandle {
                 ring: EventRing::new(config.ring_capacity),
                 writer: None,
                 metrics: config.metrics.then(Metrics::new),
-                hot: config
-                    .hot
-                    .enabled
-                    .then(|| HotMetrics::new(config.hot.sample_every)),
-                hot_seq: 0,
                 timeline: config
                     .timeline
                     .enabled
@@ -252,56 +239,6 @@ impl ObsHandle {
                 m.replay_counts(walks, ops);
             }
         }
-    }
-
-    /// Decides whether the fast-replay burst about to run should be
-    /// recorded by the flight recorder. Counts the burst against the
-    /// 1-in-N sampling period either way, so sampling is deterministic
-    /// in the burst sequence (no clocks, no RNG). Always `false` when
-    /// the handle is disabled or the recorder is off.
-    #[inline]
-    pub fn hot_burst_sampled(&self) -> bool {
-        let Some(core) = &self.core else {
-            return false;
-        };
-        let mut c = locked(core);
-        let Some(h) = &mut c.hot else {
-            return false;
-        };
-        let every = h.sample_every.max(1);
-        let seq = c.hot_seq;
-        c.hot_seq = c.hot_seq.wrapping_add(1);
-        if seq.is_multiple_of(every) {
-            true
-        } else {
-            // Reborrow: `h` ended at the `hot_seq` writes above.
-            if let Some(h) = &mut c.hot {
-                h.bursts_skipped = h.bursts_skipped.saturating_add(1);
-            }
-            false
-        }
-    }
-
-    /// Records one finished (sampled-in) burst into the flight
-    /// recorder, together with the burst's taken INDEX crossings as
-    /// locally pre-aggregated `(site, target, count)` rows — the burst
-    /// pays one registry lock total, never one per fast step. No-op
-    /// when the recorder is off.
-    #[inline]
-    pub fn record_burst(&self, rec: BurstRecord, dispatches: &[(u32, u32, u64)]) {
-        if let Some(core) = &self.core {
-            if let Some(h) = &mut locked(core).hot {
-                h.observe_burst(&rec);
-                for &(site, target, n) in dispatches {
-                    h.index_dispatch_n(site, target, n);
-                }
-            }
-        }
-    }
-
-    /// A snapshot of the flight recorder's aggregate, if it is on.
-    pub fn hot(&self) -> Option<HotMetrics> {
-        self.core.as_ref().and_then(|c| locked(c).hot.clone())
     }
 
     /// The timeline recorder's epoch interval in simulator steps, 0
@@ -407,11 +344,8 @@ mod tests {
         h.emit(TraceEvent::NeedSlow { step: 1 });
         h.action_replayed(3, 1);
         h.action_slow(3, 1);
-        assert!(!h.hot_burst_sampled());
-        h.record_burst(BurstRecord::evicted(0, 0), &[(0, 1, 1)]);
         assert!(h.drain_events().is_empty());
         assert!(h.metrics().is_none());
-        assert!(h.hot().is_none());
         h.timeline_epoch(&EpochRecord::default());
         assert!(h.timeline().is_none());
         assert_eq!(h.timeline_every(), 0);
@@ -468,31 +402,6 @@ mod tests {
         assert!(h.enabled());
         assert_eq!(h.timeline_every(), 0);
         assert!(h.timeline().is_none());
-    }
-
-    #[test]
-    fn hot_sampling_is_deterministic_and_counts_skips() {
-        let h = ObsHandle::new(ObsConfig {
-            hot: HotConfig {
-                enabled: true,
-                sample_every: 3,
-            },
-            ..Default::default()
-        });
-        let sampled: Vec<bool> = (0..9).map(|_| h.hot_burst_sampled()).collect();
-        assert_eq!(
-            sampled,
-            vec![true, false, false, true, false, false, true, false, false]
-        );
-        assert_eq!(h.hot().unwrap().bursts_skipped, 6);
-    }
-
-    #[test]
-    fn recorder_off_means_no_sampling_even_when_enabled() {
-        let h = ObsHandle::new(ObsConfig::default());
-        assert!(h.enabled());
-        assert!(!h.hot_burst_sampled());
-        assert!(h.hot().is_none());
     }
 
     #[test]

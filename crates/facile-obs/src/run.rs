@@ -4,7 +4,7 @@
 //! Every front end — `facilec run` and `batch`, serve result frames,
 //! the bench binaries — writes one [`RunDoc`] per run, and `sim_obs`
 //! renders every report from these documents alone, with no
-//! re-simulation. A document is a header plus up to four optional
+//! re-simulation. A document is a header plus up to three optional
 //! sections:
 //!
 //! * the **header** (`label`, `wall_ns`, `sim`, `cache`): plain integer
@@ -13,14 +13,12 @@
 //!   happens in `facile` core;
 //! * `metrics` — the derived [`Metrics`] registry;
 //! * `profile` — the source-level [`Profile`];
-//! * `hot` — the replay flight recorder's [`HotMetrics`];
 //! * `timeline` — the epoch [`TimelineMetrics`].
 //!
 //! Section names match `facile::job::Sections`, the `--obs` list and
 //! the serve protocol's `want` entries. Each section keeps an exactness
 //! invariant against the header, and [`RunDoc::check`] runs them all.
 
-use crate::burst::HotMetrics;
 use crate::json::{escape_into, parse, ParseError, Value};
 use crate::metrics::Metrics;
 use crate::profile::Profile;
@@ -28,7 +26,7 @@ use crate::timeline::TimelineMetrics;
 use std::fmt::Write as _;
 
 /// Schema tag written into every document.
-pub const SCHEMA: &str = "facile-run/v3";
+pub const SCHEMA: &str = "facile-run/v4";
 
 /// Declares a struct of `u64` counters with a field-wise saturating
 /// `merge`, a JSON object writer and a reader, all in field order.
@@ -315,8 +313,6 @@ pub struct RunDoc {
     pub metrics: Option<Metrics>,
     /// The source-level profile.
     pub profile: Option<Profile>,
-    /// The replay flight recorder's aggregate.
-    pub hot: Option<HotMetrics>,
     /// The epoch timeline.
     pub timeline: Option<TimelineMetrics>,
 }
@@ -357,7 +353,6 @@ impl RunDoc {
         }
         fold(&mut self.metrics, &other.metrics, Metrics::merge);
         fold(&mut self.profile, &other.profile, Profile::merge);
-        fold(&mut self.hot, &other.hot, HotMetrics::merge);
         fold(&mut self.timeline, &other.timeline, TimelineMetrics::merge);
         Ok(())
     }
@@ -369,7 +364,6 @@ impl RunDoc {
     /// * header — the warm-start counters agree on coldness;
     /// * `profile` — Σ row insns == `sim.insns`, Σ row misses ==
     ///   `sim.misses`, every row resolves to a source position;
-    /// * `hot` — the flight-recorder recount ([`HotMetrics::check`]);
     /// * `timeline` — Σ epoch deltas == final counters
     ///   ([`TimelineMetrics::check`]).
     pub fn check(&self) -> Vec<String> {
@@ -389,9 +383,6 @@ impl RunDoc {
         };
         if let Some(p) = &self.profile {
             section("profile", p.check(s));
-        }
-        if let Some(h) = &self.hot {
-            section("hot", h.check(s));
         }
         if let Some(tl) = &self.timeline {
             section("timeline", tl.check(s, c));
@@ -418,10 +409,6 @@ impl RunDoc {
             s.push_str(",\"profile\":");
             p.write_json(&mut s);
         }
-        if let Some(h) = &self.hot {
-            s.push_str(",\"hot\":");
-            h.write_json(&mut s);
-        }
         if let Some(t) = &self.timeline {
             s.push_str(",\"timeline\":");
             t.write_json(&mut s);
@@ -440,7 +427,7 @@ impl RunDoc {
         let at = At::root(v);
         let schema = at.get("schema")?;
         if schema.str()? != SCHEMA {
-            return Err(schema.err("not facile-run/v3"));
+            return Err(schema.err("not facile-run/v4"));
         }
         Ok(RunDoc {
             label: at.get("label")?.str()?.to_owned(),
@@ -449,7 +436,6 @@ impl RunDoc {
             cache: CacheStatsSnapshot::read(&at.get("cache")?)?,
             metrics: at.opt("metrics").map(|m| Metrics::read(&m)).transpose()?,
             profile: at.opt("profile").map(|p| Profile::read(&p)).transpose()?,
-            hot: at.opt("hot").map(|h| HotMetrics::read(&h)).transpose()?,
             timeline: at
                 .opt("timeline")
                 .map(|t| TimelineMetrics::read(&t))
@@ -470,11 +456,10 @@ impl RunDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::burst::{BurstExit, BurstRecord, CHAIN_DEPTH, SIG_SEED};
     use crate::event::TraceEvent;
     use crate::timeline::EpochRecord;
 
-    /// A document with all four sections whose gates all hold: one
+    /// A document with all three sections whose gates all hold: one
     /// burst of 3 steps / 30 insns, one slow step of 10 insns, one miss.
     fn sample() -> RunDoc {
         let mut metrics = Metrics::new();
@@ -492,21 +477,6 @@ mod tests {
         profile.rows[1].fast_insns = 0;
         profile.rows[1].slow_insns = 10;
         profile.rows[1].misses = 1;
-        let mut hot = HotMetrics::new(1);
-        let mut path = [0u32; CHAIN_DEPTH];
-        path[1] = 2;
-        hot.observe_burst(&BurstRecord {
-            entry_action: 0,
-            entry_gen: 0,
-            entry_idx: 1,
-            steps: 3,
-            insns: 30,
-            exit: BurstExit::MissTest,
-            sig: crate::fold_sig(crate::fold_sig(SIG_SEED, 0), 2),
-            path,
-            path_len: 2,
-        });
-        hot.index_dispatch_n(2, 0, 3);
         let mut timeline = TimelineMetrics::new(2, 8);
         for e in [
             EpochRecord {
@@ -548,7 +518,6 @@ mod tests {
             },
             metrics: Some(metrics),
             profile: Some(profile),
-            hot: Some(hot),
             timeline: Some(timeline),
         }
     }
@@ -558,12 +527,11 @@ mod tests {
         let d = sample();
         assert_eq!(d.check(), Vec::<String>::new());
         let text = d.to_json();
-        assert!(text.starts_with("{\"schema\":\"facile-run/v3\",\"label\":"));
+        assert!(text.starts_with("{\"schema\":\"facile-run/v4\",\"label\":"));
         let back = RunDoc::from_json(&text).unwrap();
         assert_eq!(back.to_json(), text);
         assert_eq!((back.sim, back.cache), (d.sim, d.cache));
         assert_eq!(back.profile, d.profile);
-        assert_eq!(back.hot, d.hot);
         assert_eq!(back.timeline, d.timeline);
         assert_eq!(
             back.metrics.unwrap().miss_values,
@@ -580,13 +548,12 @@ mod tests {
         let bare = RunDoc {
             metrics: None,
             profile: None,
-            hot: None,
             timeline: None,
             ..d
         };
         let back = RunDoc::from_json(&bare.to_json()).unwrap();
         assert!(back.metrics.is_none() && back.profile.is_none());
-        assert!(back.hot.is_none() && back.timeline.is_none());
+        assert!(back.timeline.is_none());
         assert!(!bare.to_json().contains("\"metrics\""));
     }
 
@@ -608,10 +575,10 @@ mod tests {
             RunDoc::from_json(&pair).unwrap_err().to_string(),
             "`metrics.miss_values[1][0]`: expected a two-element array"
         );
-        let schema = text.replacen("facile-run/v3", "facile-run/v2", 1);
+        let schema = text.replacen("facile-run/v4", "facile-run/v3", 1);
         assert_eq!(
             RunDoc::from_json(&schema).unwrap_err().to_string(),
-            "`schema`: not facile-run/v3"
+            "`schema`: not facile-run/v4"
         );
         assert!(matches!(RunDoc::from_json("{"), Err(DocError::Json(_))));
         assert!(RunDoc::from_json("[]")
@@ -624,11 +591,10 @@ mod tests {
     fn check_reports_every_failing_section() {
         let mut d = sample();
         d.profile.as_mut().unwrap().rows[0].fast_insns += 1;
-        d.hot.as_mut().unwrap().bursts += 1;
         d.timeline.as_mut().unwrap().totals.misses += 1;
         d.cache.frozen_gens = 1;
         let errs = d.check();
-        for section in ["header:", "profile:", "hot:", "timeline:"] {
+        for section in ["header:", "profile:", "timeline:"] {
             assert!(
                 errs.iter().any(|e| e.starts_with(section)),
                 "{section} in {errs:?}"
@@ -643,13 +609,12 @@ mod tests {
         assert_eq!(a.check(), Vec::<String>::new());
         assert_eq!(a.sim.insns, 80);
         assert_eq!(a.wall_ns, 13, "concurrent lanes overlap");
-        assert_eq!(a.hot.as_ref().unwrap().bursts, 2);
         assert_eq!(a.timeline.as_ref().unwrap().epochs.len(), 4);
         // A lane without a section drops it from the fold.
         let mut bare = sample();
-        bare.hot = None;
+        bare.timeline = None;
         a.merge(&bare).unwrap();
-        assert!(a.hot.is_none());
+        assert!(a.timeline.is_none());
         assert_eq!(a.check(), Vec::<String>::new());
         // Profiles of different programs refuse to fold, leaving the
         // document unchanged.

@@ -17,7 +17,7 @@ use crate::recovery::{recover, RecoveryError};
 use crate::slow::{slow_step, Recording, SlowScratch, StepOutcome};
 use crate::state::{ExtHost, ExtTable, MachineState};
 use facile_codegen::CompiledStep;
-use facile_obs::{BurstExit, BurstRecord, EngineTag, EpochRecord, ObsHandle, TraceEvent};
+use facile_obs::{EngineTag, EpochRecord, ObsHandle, TraceEvent};
 use facile_runtime::cache::{ActionCache, CachePolicy, Cursor, NodeId};
 use facile_runtime::key::{Key, KeyWriter};
 use facile_runtime::{CacheStats, Engine, HaltReason, SimStats, Target};
@@ -365,16 +365,7 @@ impl Simulation {
                         // clear). Its entry key is materialized in
                         // `fast_key` at every point that can return
                         // `Mode::Fast`, so restart the step through the
-                        // ordinary slow path. The flight recorder sees a
-                        // zero-length pseudo-burst with an eviction
-                        // exit, so stalls caused by capacity pressure
-                        // are distinguishable from cache misses.
-                        if self.st.obs.hot_burst_sampled() {
-                            self.st.obs.record_burst(
-                                BurstRecord::evicted(node.generation(), node.index() as u32),
-                                &[],
-                            );
-                        }
+                        // ordinary slow path.
                         self.cursor = Cursor::AtEntry(self.fast_key.clone());
                         self.slow_key.set_from_bytes(self.fast_key.as_bytes());
                         self.mode = Mode::Slow;
@@ -387,16 +378,6 @@ impl Simulation {
                         .obs
                         .enabled()
                         .then(|| (std::time::Instant::now(), self.st.stats));
-                    // Burst telemetry: the entry node's identity is read
-                    // up front (it may be gone by the time the burst
-                    // ends) and the chain accumulator in the scratch is
-                    // armed only for sampled-in bursts.
-                    let hot_entry = self
-                        .st
-                        .obs
-                        .hot_burst_sampled()
-                        .then(|| (self.cache.node(node).action, node));
-                    self.scratch.begin_burst(hot_entry.is_some());
                     let out = fast_run(
                         &self.step,
                         &mut self.st,
@@ -416,31 +397,6 @@ impl Simulation {
                             insns: s.fast_insns.saturating_sub(b.fast_insns),
                             ns: t0.elapsed().as_nanos() as u64,
                         });
-                        if let Some((entry_action, entry_node)) = hot_entry {
-                            let exit = match &out {
-                                FastOutcome::Halted => BurstExit::Halt,
-                                FastOutcome::Budget { .. } => BurstExit::Budget,
-                                FastOutcome::NeedSlow { .. } => BurstExit::Boundary,
-                                FastOutcome::Miss {
-                                    cursor: Cursor::AfterTest(..),
-                                } => BurstExit::MissTest,
-                                FastOutcome::Miss { .. } => BurstExit::MissPlain,
-                            };
-                            self.st.obs.record_burst(
-                                BurstRecord {
-                                    entry_action,
-                                    entry_gen: entry_node.generation(),
-                                    entry_idx: entry_node.index() as u32,
-                                    steps: s.fast_steps.saturating_sub(b.fast_steps),
-                                    insns: s.fast_insns.saturating_sub(b.fast_insns),
-                                    exit,
-                                    sig: self.scratch.chain_sig,
-                                    path: self.scratch.chain_path,
-                                    path_len: self.scratch.chain_len,
-                                },
-                                &self.scratch.dispatches,
-                            );
-                        }
                     }
                     self.epoch_tick();
                     match out {
@@ -635,8 +591,7 @@ impl Simulation {
     /// whose recording is under way: then nothing is released. A paused
     /// replay position is *not* pinned under either policy: the trim may
     /// drop the node it replays next, in which case the next `run_steps`
-    /// restarts the step through the slow path and the flight recorder
-    /// classifies the stall as an eviction, not a miss.
+    /// restarts the step through the slow path (no miss is counted).
     pub fn trim_cache(&mut self, target_bytes: u64) {
         if !self.memoize {
             return;

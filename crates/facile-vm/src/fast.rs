@@ -19,7 +19,7 @@ use crate::exec::match_effect_op;
 use crate::state::MachineState;
 use facile_codegen::program::{KeySrc, NextSite};
 use facile_codegen::{ActionCode, ActionKind, CompiledStep, Op};
-use facile_obs::{fold_sig, EngineTag, TraceEvent, CHAIN_DEPTH, SIG_SEED};
+use facile_obs::{EngineTag, TraceEvent};
 use facile_runtime::cache::{same_sig, ActionCache, Cursor, Hint, NodeId};
 use facile_runtime::key::{Key, KeyWriter, PackedReader};
 use facile_runtime::Engine;
@@ -49,103 +49,12 @@ pub struct ReplayScratch {
     pub(crate) kw: KeyWriter,
     /// Argument staging for external calls.
     pub(crate) ext_args: Vec<i64>,
-    /// Flight recorder armed for the current burst (set by the driver
-    /// when the burst was sampled in; one predictable branch per action
-    /// when off).
-    pub(crate) hot: bool,
-    /// Rolling chain signature over the first [`CHAIN_DEPTH`] replayed
-    /// actions of the current burst.
-    pub(crate) chain_sig: u64,
-    /// The action numbers folded into `chain_sig`, in replay order.
-    pub(crate) chain_path: [u32; CHAIN_DEPTH],
-    /// How many of `chain_path` are meaningful.
-    pub(crate) chain_len: u8,
-    /// Per-burst INDEX dispatch accumulator: `(site, target, count)`
-    /// rows collected locally so a sampled burst takes the observer
-    /// lock once at the end instead of once per step. Rows stay in
-    /// first-seen order (the flight recorder folds them in order, so
-    /// merged documents are deterministic).
-    pub(crate) dispatches: Vec<(u32, u32, u64)>,
-    /// Last-hit index into `dispatches` — INDEX sites are heavily
-    /// monomorphic, so consecutive steps usually bump the same row.
-    dispatch_hot: usize,
-    /// Row indices sorted by `(site, target)`, maintained only once
-    /// `dispatches` outgrows [`DISPATCH_LINEAR_MAX`]: lookups switch
-    /// from an O(rows) scan to a binary search, so bursts touching
-    /// many INDEX sites no longer pay O(sites) per crossing.
-    dispatch_order: Vec<u32>,
 }
-
-/// Dispatch rows at or below this are scanned linearly (after the hot-row
-/// probe); past it, [`ReplayScratch::dispatch_order`] keeps a sorted
-/// index for binary search.
-const DISPATCH_LINEAR_MAX: usize = 8;
 
 impl ReplayScratch {
     /// Fresh, empty scratch.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Arms (or disarms) the flight recorder for the next [`fast_run`]
-    /// call and resets the chain accumulator.
-    pub(crate) fn begin_burst(&mut self, hot: bool) {
-        self.hot = hot;
-        self.chain_sig = SIG_SEED;
-        self.chain_len = 0;
-        self.dispatches.clear();
-        self.dispatch_hot = 0;
-        self.dispatch_order.clear();
-    }
-
-    /// Records one INDEX crossing (`site` dispatched to `target`) in the
-    /// local accumulator. Only called on sampled bursts.
-    pub(crate) fn note_dispatch(&mut self, site: u32, target: u32) {
-        if let Some(row) = self.dispatches.get_mut(self.dispatch_hot) {
-            if row.0 == site && row.1 == target {
-                row.2 = row.2.saturating_add(1);
-                return;
-            }
-        }
-        if self.dispatches.len() <= DISPATCH_LINEAR_MAX {
-            for (i, row) in self.dispatches.iter_mut().enumerate() {
-                if row.0 == site && row.1 == target {
-                    row.2 = row.2.saturating_add(1);
-                    self.dispatch_hot = i;
-                    return;
-                }
-            }
-            self.dispatch_hot = self.dispatches.len();
-            self.dispatches.push((site, target, 1));
-            if self.dispatches.len() == DISPATCH_LINEAR_MAX + 1 {
-                // Just outgrew the linear regime: index every row.
-                self.dispatch_order.clear();
-                self.dispatch_order
-                    .extend(0..self.dispatches.len() as u32);
-                let rows = &self.dispatches;
-                self.dispatch_order
-                    .sort_unstable_by_key(|&i| (rows[i as usize].0, rows[i as usize].1));
-            }
-            return;
-        }
-        let rows = &mut self.dispatches;
-        match self
-            .dispatch_order
-            .binary_search_by_key(&(site, target), |&i| {
-                (rows[i as usize].0, rows[i as usize].1)
-            }) {
-            Ok(pos) => {
-                let i = self.dispatch_order[pos] as usize;
-                rows[i].2 = rows[i].2.saturating_add(1);
-                self.dispatch_hot = i;
-            }
-            Err(pos) => {
-                let i = rows.len();
-                rows.push((site, target, 1));
-                self.dispatch_order.insert(pos, i as u32);
-                self.dispatch_hot = i;
-            }
-        }
     }
 }
 
@@ -235,8 +144,6 @@ fn run<const COUNT: bool>(
     // crossed last (its dynamic signature sits in `scratch.cur_sig`).
     // `None` means `entry_key` already holds the current entry's key.
     let mut cur_index: Option<IndexAt> = None;
-    // The flight recorder is armed per burst.
-    let hot = scratch.hot;
 
     loop {
         if COUNT {
@@ -251,11 +158,6 @@ fn run<const COUNT: bool>(
         let mut action = walk.action;
         let mut off = 0usize;
         let code = loop {
-            if hot && (scratch.chain_len as usize) < CHAIN_DEPTH {
-                scratch.chain_path[scratch.chain_len as usize] = action;
-                scratch.chain_len += 1;
-                scratch.chain_sig = fold_sig(scratch.chain_sig, action);
-            }
             let code = &step.actions[action as usize];
             let Some(ph) = replay_action::<COUNT>(
                 step,
@@ -378,10 +280,6 @@ fn run<const COUNT: bool>(
                         next
                     }
                 };
-                if hot {
-                    let target = cache.node(next).action;
-                    scratch.note_dispatch(action, target);
-                }
                 scratch.replayed.clear();
                 if *steps >= max_steps {
                     materialize_entry_key(
@@ -631,58 +529,4 @@ pub(crate) fn rebuild_key(
         KeySrc::Scalar(o) => w.scalar(o.get(&st.regs, &step.program.consts)),
         KeySrc::Queue(q) => w.queue_vals(st.aggs[q as usize].iter()),
     });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::BTreeMap;
-
-    /// The dispatch accumulator must stay exact and first-seen-ordered
-    /// across the linear→indexed transition (satellite of PR 7: bursts
-    /// touching many INDEX sites used to pay O(sites) per crossing).
-    #[test]
-    fn note_dispatch_exact_across_many_sites() {
-        let mut s = ReplayScratch::new();
-        s.begin_burst(true);
-        let mut reference: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-        let mut first_seen: Vec<(u32, u32)> = Vec::new();
-        // A deterministic stream hitting 60 distinct (site, target)
-        // pairs with skewed repetition, interleaved so the hot-row probe
-        // both hits and misses.
-        let mut x: u64 = 0x9e3779b97f4a7c15;
-        for _ in 0..10_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let site = ((x >> 33) % 12) as u32;
-            let target = ((x >> 17) % 5) as u32;
-            s.note_dispatch(site, target);
-            let e = reference.entry((site, target)).or_insert(0);
-            if *e == 0 {
-                first_seen.push((site, target));
-            }
-            *e += 1;
-        }
-        assert_eq!(s.dispatches.len(), reference.len());
-        for (i, &(site, target, count)) in s.dispatches.iter().enumerate() {
-            assert_eq!(first_seen[i], (site, target), "row order must be first-seen");
-            assert_eq!(reference[&(site, target)], count, "count for {site}->{target}");
-        }
-    }
-
-    /// Re-arming a burst must fully reset the accumulator, including the
-    /// sorted index built past the linear threshold.
-    #[test]
-    fn note_dispatch_resets_between_bursts() {
-        let mut s = ReplayScratch::new();
-        s.begin_burst(true);
-        for i in 0..(DISPATCH_LINEAR_MAX as u32 + 8) {
-            s.note_dispatch(i, 0);
-        }
-        assert_eq!(s.dispatches.len(), DISPATCH_LINEAR_MAX + 8);
-        s.begin_burst(true);
-        assert!(s.dispatches.is_empty());
-        s.note_dispatch(3, 4);
-        s.note_dispatch(3, 4);
-        assert_eq!(s.dispatches, vec![(3, 4, 2)]);
-    }
 }

@@ -1,19 +1,15 @@
-//! Recount invariants of the replay flight recorder, checked against
+//! Engine invariants under eviction and observation, checked against
 //! the live runtime counters rather than a serialized document.
 //!
-//! The recorder's contract (see `facile_obs::burst`): with 1-in-1
-//! sampling every fast step and fast instruction lands in exactly one
-//! recorded burst, every burst has exactly one exit cause, every
-//! completed INDEX crossing records one dispatch, and eviction of the
-//! resume node between bursts is classified as an eviction — never as a
-//! generic cache miss. And, like every observer before it, attaching
-//! the recorder must not perturb the simulation: obs-on and obs-off
-//! runs produce bit-for-bit identical statistics and memory.
+//! Eviction of the paused replay position between bursts must be
+//! counted once and restart the step through the slow engine, and
+//! attaching observers must not perturb the simulation: obs-on and
+//! obs-off runs produce bit-for-bit identical statistics and memory.
 
 use facile_codegen::{compile, CodegenConfig};
 use facile_lang::diag::Diagnostics;
 use facile_lang::parser::parse;
-use facile_obs::{BurstExit, HotConfig, HotMetrics, ObsConfig, ObsHandle};
+use facile_obs::{EngineTag, ObsConfig, ObsHandle, TimelineConfig, TraceEvent};
 use facile_runtime::{CachePolicy, HaltReason, Image, Target};
 use facile_sema::analyze as sema;
 use facile_vm::engine::{ArgValue, SimOptions, Simulation};
@@ -48,13 +44,14 @@ const LOOPING_SRC: &str = "fun main(x : int) {
     next((x + 1) % 11);
 }";
 
-/// Attaches a flight recorder (1-in-`n` sampling) and returns the
-/// handle.
-fn record(s: &mut Simulation, sample_every: u64) -> ObsHandle {
+/// Attaches a handle with the metrics registry, the trace ring and the
+/// timeline recorder (an epoch every `epoch_steps` steps) and returns it.
+fn observe(s: &mut Simulation, epoch_steps: u64) -> ObsHandle {
     let obs = ObsHandle::new(ObsConfig {
-        hot: HotConfig {
+        timeline: TimelineConfig {
             enabled: true,
-            sample_every,
+            epoch_steps,
+            ..TimelineConfig::default()
         },
         ..ObsConfig::default()
     });
@@ -62,78 +59,10 @@ fn record(s: &mut Simulation, sample_every: u64) -> ObsHandle {
     obs
 }
 
-fn hot_of(obs: &ObsHandle) -> HotMetrics {
-    obs.hot().expect("flight recorder attached")
-}
-
-#[test]
-fn burst_recount_matches_live_counters_exactly() {
-    let mut s = sim(LOOPING_SRC, SimOptions::default());
-    let obs = record(&mut s, 1);
-    assert_eq!(s.run_steps(100_000), Some(HaltReason::Explicit));
-    assert!(s.stats().fast_steps > 0, "the loop fast-forwards");
-
-    let h = hot_of(&obs);
-    // Σ(exit-cause counters) == burst count, and every burst lands in
-    // both histograms.
-    assert_eq!(h.exits.iter().sum::<u64>(), h.bursts);
-    assert_eq!(h.burst_steps.count(), h.bursts);
-    assert_eq!(h.burst_insns.count(), h.bursts);
-    // Σ(burst lengths) == fast-path steps/insns: nothing the fast
-    // engine did escapes the recorder at full sampling.
-    assert_eq!(h.bursts_skipped, 0);
-    assert_eq!(h.burst_steps.sum(), s.stats().fast_steps);
-    assert_eq!(h.burst_insns.sum(), s.stats().fast_insns);
-    // Every completed INDEX crossing recorded exactly one dispatch.
-    assert_eq!(h.total_dispatches(), h.burst_steps.sum());
-    // Every non-evicted burst is tabled or counted as overflow.
-    let evicted = h.exits[BurstExit::Evicted as usize];
-    assert_eq!(h.tabled_replays() + h.chain_overflow, h.bursts - evicted);
-}
-
-/// Drives a simulation to completion in small budget slices. Every
-/// slice that lands mid-replay ends its burst with a `Budget` exit, so
-/// this produces a long burst stream (one sampling decision each) from
-/// a program whose uninterrupted run would fast-forward in a handful of
-/// long bursts.
-fn run_sliced(s: &mut Simulation, slice: u64) {
-    while s.halted().is_none() {
-        s.run_steps(slice);
-    }
-}
-
-#[test]
-fn sampling_partitions_the_burst_stream() {
-    let mut s = sim(LOOPING_SRC, SimOptions::default());
-    let obs = record(&mut s, 1);
-    run_sliced(&mut s, 25);
-    let full = hot_of(&obs);
-    assert!(full.bursts >= 10, "slicing produced only {} bursts", full.bursts);
-
-    let mut s2 = sim(LOOPING_SRC, SimOptions::default());
-    let obs2 = record(&mut s2, 3);
-    run_sliced(&mut s2, 25);
-    let sampled = hot_of(&obs2);
-
-    // The sampled recorder saw the same stream, recording every third
-    // burst and counting the rest as skipped.
-    assert_eq!(sampled.bursts + sampled.bursts_skipped, full.bursts);
-    assert!(sampled.bursts > 0);
-    assert!(sampled.bursts_skipped > 0);
-    // Recorded bursts still satisfy the per-burst invariants.
-    assert_eq!(sampled.exits.iter().sum::<u64>(), sampled.bursts);
-    assert_eq!(sampled.burst_steps.count(), sampled.bursts);
-    assert_eq!(sampled.total_dispatches(), sampled.burst_steps.sum());
-    // But only a subset of the fast path was recorded.
-    assert!(sampled.burst_steps.sum() <= full.burst_steps.sum());
-}
-
-/// The satellite regression for the evicted-between-bursts path
-/// (`engine.rs`, `Mode::Fast` with a non-resident node): generational
-/// reclaim while a replay is paused must count each eviction exactly
-/// once in the cache statistics, and the flight recorder must classify
-/// the stalled burst as an eviction — a zero-length pseudo-burst — not
-/// as a generic miss.
+/// The evicted-between-bursts path (`engine.rs`, `Mode::Fast` with a
+/// non-resident node): generational reclaim while a replay is paused
+/// must count each eviction exactly once in the cache statistics, and
+/// the engine must restart the stalled step through the slow engine.
 ///
 /// The scenario needs `trim_cache`: within `run_steps` the engine only
 /// reclaims in slow mode, when no replay position is held, so the
@@ -141,7 +70,7 @@ fn sampling_partitions_the_burst_stream() {
 /// memory *between* budget-bounded calls — pause mid-replay, trim,
 /// resume.
 #[test]
-fn eviction_between_bursts_is_counted_once_and_classified() {
+fn eviction_between_bursts_is_counted_once_and_restarts_the_step() {
     let mut s = sim(
         LOOPING_SRC,
         SimOptions {
@@ -153,7 +82,7 @@ fn eviction_between_bursts_is_counted_once_and_classified() {
             cache_policy: CachePolicy::Generational,
         },
     );
-    let obs = record(&mut s, 1);
+    let obs = observe(&mut s, 64);
     // Pause mid-replay every 25 steps and trim to zero: everything
     // unpinned goes, including the generation holding the paused
     // replay position (only the recording and cursor generations are
@@ -175,25 +104,22 @@ fn eviction_between_bursts_is_counted_once_and_classified() {
     );
     assert_eq!(cs.bytes_cleared, 0, "generational policy never clears wholesale");
 
-    let h = hot_of(&obs);
-    let evicted = h.exits[BurstExit::Evicted as usize];
-    assert!(evicted > 0, "no burst was classified as evicted");
-    // Eviction is its own exit cause: the stalled bursts do not leak
-    // into the miss counters. Misses recorded by the recorder must not
-    // exceed what the runtime itself counted.
-    let misses = h.exits[BurstExit::MissPlain as usize] + h.exits[BurstExit::MissTest as usize];
+    // The restart is reached: every fast→slow hand-off is a miss, a
+    // clean boundary or a restart of an evicted resume node, so more
+    // hand-offs than misses and boundaries means some step restarted.
+    assert_eq!(obs.dropped_events(), 0, "the ring kept every event");
+    let handoffs = obs
+        .drain_events()
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::EngineSwitch { from: EngineTag::Fast, .. }))
+        .count() as u64;
+    let m = obs.metrics().expect("metrics attached");
     assert!(
-        misses <= s.stats().misses,
-        "recorder saw {misses} miss exits but the runtime counted {}",
-        s.stats().misses
+        handoffs > m.misses + m.need_slow,
+        "no evicted resume node restarted: {handoffs} hand-offs, {} misses, {} boundaries",
+        m.misses,
+        m.need_slow
     );
-    // Counted exactly once: the recount invariants still balance with
-    // the pseudo-bursts included (each contributes one exit, zero
-    // steps, zero insns).
-    assert_eq!(h.exits.iter().sum::<u64>(), h.bursts);
-    assert_eq!(h.burst_steps.sum(), s.stats().fast_steps);
-    assert_eq!(h.burst_insns.sum(), s.stats().fast_insns);
-    assert_eq!(h.tabled_replays() + h.chain_overflow, h.bursts - evicted);
 
     // And the whole run is still transparent: an unbounded-cache run
     // retires the same instructions.
@@ -203,17 +129,16 @@ fn eviction_between_bursts_is_counted_once_and_classified() {
     assert_eq!(s.trace(), free.trace());
 }
 
-/// Observability transparency over the new hooks: a run with the flight
-/// recorder (and metrics, and trace ring) attached is bit-for-bit the
-/// unobserved run — same counters, same output trace, same memory
-/// digest.
+/// Observability transparency: a run with metrics, the trace ring and
+/// the timeline attached is bit-for-bit the unobserved run — same
+/// counters, same output trace, same memory digest.
 #[test]
 fn recorder_does_not_perturb_the_simulation() {
     let mut bare = sim(LOOPING_SRC, SimOptions::default());
     bare.run_steps(100_000);
 
     let mut observed = sim(LOOPING_SRC, SimOptions::default());
-    record(&mut observed, 1);
+    observe(&mut observed, 64);
     observed.run_steps(100_000);
 
     assert_eq!(bare.halted(), observed.halted());
@@ -229,12 +154,12 @@ fn recorder_does_not_perturb_the_simulation() {
         "observing the run changed simulated memory"
     );
 
-    // Sampling modes are equally transparent.
-    let mut sampled = sim(LOOPING_SRC, SimOptions::default());
-    record(&mut sampled, 7);
-    sampled.run_steps(100_000);
-    assert_eq!(bare.stats().insns, sampled.stats().insns);
-    assert_eq!(bare.memory().digest(), sampled.memory().digest());
+    // A one-step epoch interval is equally transparent.
+    let mut fine = sim(LOOPING_SRC, SimOptions::default());
+    observe(&mut fine, 1);
+    fine.run_steps(100_000);
+    assert_eq!(bare.stats().insns, fine.stats().insns);
+    assert_eq!(bare.memory().digest(), fine.memory().digest());
 }
 
 /// Splitmix64: a tiny deterministic generator so the torture schedule

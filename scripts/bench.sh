@@ -6,7 +6,7 @@
 # Builds release, runs the fig11 workload suite through the compiled
 # out-of-order simulator with memoization (`fastreplay` harness), and
 # writes `BENCH_fastsim.json` at the repo root, then repeats the suite
-# under the four observability modes (`obs_overhead` harness,
+# under the two observability modes (`obs_overhead` harness,
 # `BENCH_obs.json`). Each workload is timed best-of-N (default 3) to
 # suppress host noise. When the committed
 # pre-optimization baseline `results/BENCH_baseline.json` exists, each
@@ -38,7 +38,7 @@ echo "==> cache_sweep --bench 126.gcc --scale $SCALE (both capacity policies)"
 ./target/release/cache_sweep --bench 126.gcc --scale "$SCALE" \
     --json-out BENCH_cache.json
 
-echo "==> obs_overhead --scale $SCALE --reps $REPS (disabled / sampled / full / timeline)"
+echo "==> obs_overhead --scale $SCALE --reps $REPS (disabled / timeline)"
 # Same suite, same scale, same best-of-N methodology as fastreplay just
 # above, so the embedded disabled-vs-unobserved hmean ratio compares
 # like with like (the <= 2% disabled-handle budget in
